@@ -3,6 +3,7 @@ and zero-phase low-pass filtering of the force channel."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,35 @@ def median_despike(series: np.ndarray, window: int = 5, k: float = 3.0) -> np.nd
     bad = np.abs(centers - med) > k * MAD_SCALE * mad
     out[half : x.size - half] = np.where(bad, med, centers)
 
-    for i in list(range(half)) + list(range(x.size - half, x.size)):
-        lo = max(0, i - half)
-        hi = min(x.size, i + half + 1)
-        w = x[lo:hi]
-        m = float(np.median(w))
-        sigma = MAD_SCALE * float(np.median(np.abs(w - m)))
-        if abs(x[i] - m) > k * sigma:
-            out[i] = m
+    # The 2*half edge samples use windows clipped to the series, of half+1 to
+    # 2*half samples: gather them as rows of 2*half with a validity mask.
+    edge = np.r_[0:half, x.size - half : x.size]
+    lo = np.maximum(edge - half, 0)
+    hi = np.minimum(edge + half + 1, x.size)
+    cols = lo[:, None] + np.arange(2 * half)
+    valid = cols < hi[:, None]
+    w = x[np.minimum(cols, x.size - 1)]
+    m = _masked_median(w, valid)
+    sigma = MAD_SCALE * _masked_median(np.abs(w - m[:, None]), valid)
+    bad = np.abs(x[edge] - m) > k * sigma
+    out[edge[bad]] = m[bad]
     return out
+
+
+def _masked_median(w: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """np.median of each row's valid entries, bitwise equal to it.
+
+    Invalid entries become +inf, which sorts after every sample but NaN. As
+    in np.median, the middle values are summed from 0.0 (a -0.0 median comes
+    out +0.0) and any NaN among the valid entries makes the median NaN.
+    """
+    s = np.sort(np.where(valid, w, np.inf), axis=1)
+    size = valid.sum(axis=1)
+    rows = np.arange(s.shape[0])
+    upper = s[rows, size // 2]
+    lower = s[rows, (size - 1) // 2]
+    med = np.where(size % 2 == 1, 0.0 + upper, (0.0 + lower + upper) / 2.0)
+    return np.where(np.isnan(s[:, -1]), np.nan, med)
 
 
 @dataclass
@@ -87,7 +108,9 @@ def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np
 
     Returns (position, velocity) arrays, one posterior estimate per input
     sample. Raises NonPositiveDefiniteCovariance if the covariance collapses
-    (non-finite input, degenerate tuning).
+    under degenerate tuning. The covariance recursion never reads the data,
+    so non-finite input cannot trip that check: it propagates into the
+    estimates instead, which is why ingest rejects non-finite samples.
     """
     z = np.asarray(series, dtype=float)
     if z.size < 2:
@@ -107,9 +130,9 @@ def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np
     p00, p11 = (float(v) for v in cfg.initial_covariance)
     p01 = 0.0
 
-    pos = np.empty_like(z)
-    vel = np.empty_like(z)
-    for i, zi in enumerate(z):
+    pos = []
+    vel = []
+    for i, zi in enumerate(z.tolist()):
         # predict
         x0 = x0 + dt * x1
         p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
@@ -126,8 +149,8 @@ def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np
         p01 = (1.0 - k0) * p01
         p00 = (1.0 - k0) * p00
         if not (
-            np.isfinite(p00)
-            and np.isfinite(p11)
+            math.isfinite(p00)
+            and math.isfinite(p11)
             and p00 > 0.0
             and p11 > 0.0
             and p00 * p11 - p01 * p01 > 0.0
@@ -135,9 +158,9 @@ def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np
             raise NonPositiveDefiniteCovariance(
                 f"covariance lost positive definiteness at step {i}"
             )
-        pos[i] = x0
-        vel[i] = x1
-    return pos, vel
+        pos.append(x0)
+        vel.append(x1)
+    return np.array(pos), np.array(vel)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ class EmptyStream(IngestError):
     """A stream file contains a header but no data rows."""
 
 
+class MalformedRow(IngestError):
+    """A stream row holds a non-numeric, empty or non-finite cell, or has a
+    different number of cells than the rows before it."""
+
+
 class TriggerMissing(IngestError):
     """No rising edge found in a trigger column."""
 

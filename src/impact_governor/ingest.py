@@ -32,6 +32,7 @@ from .errors import (
     EmptyStream,
     InvariantViolation,
     LengthMismatch,
+    MalformedRow,
     ManifestError,
     MissingColumn,
     RateMismatch,
@@ -140,23 +141,71 @@ def _first_rising_edge(time: np.ndarray, trigger: np.ndarray) -> float | None:
     return float(time[high[0]])
 
 
+#: characters of a row that holds no data; csv.reader yields such rows as
+#: empty or whitespace-only cells, and np.loadtxt would reject them
+_BLANK_ROW_CHARS = " \t\r\n,"
+
+
 def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyStream(f"{path} is empty") from None
         header = [h.strip() for h in header]
         missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumn(f"{path} lacks column(s) {missing}")
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        body = fh.readlines()
+    rows = [ln for ln in body if ln.strip(_BLANK_ROW_CHARS)]
     if not rows:
         raise EmptyStream(f"{path} has a header but no data rows")
-    data = np.asarray(rows, dtype=float)
+    try:
+        data = _parse_rows(rows)
+    except ValueError:
+        raise _malformed_row(path, body) from None
+    width = max(header.index(name) for name in required) + 1
+    if data.shape[1] < width:
+        raise MalformedRow(
+            f"{path} row {_data_row_numbers(body)[0]}: {data.shape[1]} cells, "
+            f"the header needs {width}"
+        )
+    if not np.isfinite(data).all():
+        bad = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
+        raise MalformedRow(f"{path} row {_data_row_numbers(body)[bad]}: non-finite sample")
     return {name: data[:, header.index(name)] for name in required}
+
+
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _data_row_numbers(body: list[str]) -> list[int]:
+    """File row number (the header is row 1) of each non-blank body line."""
+    return [i for i, ln in enumerate(body, start=2) if ln.strip(_BLANK_ROW_CHARS)]
+
+
+def _malformed_row(path: Path, body: list[str]) -> MalformedRow:
+    """Name the first row that made the whole-table parse fail.
+
+    Only runs after that parse failed. Each data row is parsed on its own; a
+    row that parses but has another cell count than the first row is ragged.
+    """
+    width = None
+    for lineno in _data_row_numbers(body):
+        line = body[lineno - 2]
+        try:
+            cells = _parse_rows([line]).shape[1]
+        except ValueError:
+            return MalformedRow(f"{path} row {lineno}: {line.strip()!r} is not all numbers")
+        if width is None:
+            width = cells
+        elif cells != width:
+            return MalformedRow(
+                f"{path} row {lineno}: {cells} cells where the first row has {width}"
+            )
+    return MalformedRow(f"{path}: the rows do not form a numeric table")
 
 
 def _check_rate(time: np.ndarray, declared_fs: float, label: str) -> None:

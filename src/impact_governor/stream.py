@@ -56,14 +56,24 @@ EXIT_OK = 0
 EXIT_PROTOCOL = 3
 
 
+def _reject_constant(name: str):
+    raise ProtocolError(f"non-finite number {name} is not allowed")
+
+
+#: one decoder for every message; it refuses the NaN/Infinity literals that
+#: json.loads would accept, so a non-finite reading never reaches the governor
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_message(text: str) -> dict:
     """Decode one NDJSON message and validate its shape.
 
     Returns the decoded dict.  Raises ProtocolError for anything that is
-    not a JSON object of a known type with numeric required fields.
+    not a JSON object of a known type with finite numeric required fields,
+    and for the non-standard NaN/Infinity literals anywhere in the message.
     """
     try:
-        msg = json.loads(text)
+        msg = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"invalid JSON: {exc}") from exc
     if not isinstance(msg, dict):
@@ -75,6 +85,8 @@ def parse_message(text: str) -> dict:
         value = msg.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProtocolError(f"{mtype} message field {key!r} must be a number")
+        if not -math.inf < value < math.inf:  # a literal like 1e999 decodes to inf
+            raise ProtocolError(f"{mtype} message field {key!r} must be finite")
     return msg
 
 

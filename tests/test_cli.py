@@ -90,6 +90,42 @@ def test_analyze_rejects_bad_input(tmp_path):
     assert main(["analyze", str(empty), "--out", str(tmp_path / "o2")]) == 2
 
 
+def _set_cell(path, row, col, value):
+    """Overwrite one cell of a stream CSV (row 0 is the header)."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row].rstrip("\n").split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "stream, col, value, why",
+    [
+        ("force", 2, "abc", "is not all numbers"),  # non-numeric force cell
+        ("range", 1, "nan", "non-finite sample"),  # range reading after contact
+    ],
+)
+def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col, value, why):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    _set_cell(campaign / f"trial_001_{stream}.csv", 730, col, value)
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 2
+
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(err) == 1
+    assert err[0].startswith(f"error: trial_001.json: {campaign / f'trial_001_{stream}.csv'} row 731")
+    assert why in err[0]
+    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    assert len(rows) == 3
+    assert all(math.isfinite(float(r["ec_r"])) for r in rows)
+    assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
+        "summary_Carbon-0deg_v3.5.json"
+    ]
+
+
 # --- fit ---------------------------------------------------------------------
 
 
@@ -232,6 +268,21 @@ def test_govern_malformed_stream_exits_protocol(
     )
     assert code == 3
     assert json.loads(capsys.readouterr().out.splitlines()[0])["type"] == "error"
+
+
+def test_govern_non_finite_reading_exits_protocol(
+    monkeypatch, capsys, tmp_path, profile_path
+):
+    stream = '{"type":"range","d_m":NaN,"t_s":0}\n{"type":"cmd","vx":1,"vy":0,"vz":0,"t_s":0}\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    code = main(
+        ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
+    )
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    reply = json.loads(lines[0])
+    assert reply["type"] == "error" and "NaN" in reply["message"]
 
 
 def test_govern_requires_profile(monkeypatch, tmp_path):

@@ -8,6 +8,7 @@ from impact_governor.errors import (
     EmptyStream,
     InvariantViolation,
     LengthMismatch,
+    MalformedRow,
     ManifestError,
     MissingColumn,
     RateMismatch,
@@ -83,6 +84,48 @@ def test_force_csv_empty(tmp_path):
     p.write_text("t_s,f1_N,f2_N,f3_N,accel_mps2,trigger\n")
     with pytest.raises(EmptyStream):
         read_force_csv(p)
+
+
+FORCE_HEADER = "t_s,f1_N,f2_N,f3_N,accel_mps2,trigger\n"
+FORCE_ROW = "0.00016,1.0,2.0,3.0,0.0,0\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "0.00032,abc,2.0,3.0,0.0,0\n",  # not a number
+        "0.00032,,2.0,3.0,0.0,0\n",  # empty cell
+        "0.00032,1.0,2.0,3.0,0.0\n",  # ragged: one cell short
+        "0.00032,1.0,2.0,3.0,0.0,0,7\n",  # ragged: one cell long
+    ],
+)
+def test_force_csv_malformed_row_names_file_and_row(tmp_path, bad_row):
+    p = tmp_path / "bad.csv"
+    # rows 1-4: header, data, blank, data; the bad row is row 5
+    p.write_text(FORCE_HEADER + FORCE_ROW + "\n" + FORCE_ROW + bad_row + FORCE_ROW)
+    with pytest.raises(MalformedRow, match=rf"bad\.csv row 5\b"):
+        read_force_csv(p)
+
+
+def test_force_csv_too_few_cells_for_header(tmp_path):
+    p = tmp_path / "narrow.csv"
+    p.write_text(FORCE_HEADER + "0.0,1.0,2.0\n0.00016,1.0,2.0\n")
+    with pytest.raises(MalformedRow, match=r"narrow\.csv row 2\b"):
+        read_force_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_non_finite_samples_are_rejected_in_both_streams(tmp_path, cell):
+    force = tmp_path / "force.csv"
+    force.write_text(FORCE_HEADER + FORCE_ROW + f"0.00032,1.0,{cell},3.0,0.0,0\n")
+    with pytest.raises(MalformedRow, match=r"force\.csv row 3: non-finite"):
+        read_force_csv(force)
+    rows = [f"{i * 0.001:.3f},1.0,0\n" for i in range(10)]
+    rows[7] = f"0.007,{cell},1\n"
+    rng = tmp_path / "range.csv"
+    rng.write_text("t_s,range_m,trigger\n" + "".join(rows))
+    with pytest.raises(MalformedRow, match=r"range\.csv row 9: non-finite"):
+        read_range_csv(rng)
 
 
 def test_range_csv_rate_mismatch(tmp_path):

@@ -47,6 +47,12 @@ def test_parse_message_accepts_known_shapes():
         '{"type": "range", "d_m": "close", "t_s": 1}',  # non-numeric
         '{"type": "range", "d_m": true, "t_s": 1}',  # bool is not a distance
         '{"type": "cmd", "vx": 1, "vy": 1, "vz": null, "t_s": 1}',
+        '{"type": "range", "d_m": NaN, "t_s": 1}',  # non-finite literals
+        '{"type": "range", "d_m": 4.2, "t_s": Infinity}',
+        '{"type": "odom", "vx": -Infinity, "vy": 0, "vz": 0, "t_s": 1}',
+        '{"type": "cmd", "vx": 1, "vy": 0, "vz": 0, "t_s": 1, "note": NaN}',
+        '{"type": "range", "d_m": 1e999, "t_s": 1}',  # overflows to inf
+        '{"type": "range", "d_m": 4.2, "t_s": -1e400}',
     ],
 )
 def test_parse_message_rejects_malformed(text):
