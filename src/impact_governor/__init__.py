@@ -6,7 +6,7 @@ flight velocity commands so that predicted impact forces near people
 stay under configurable body-region limits.  A built-in kinematic
 simulation closes the loop for validation.
 
-Typical flow::
+Typical flow, one module per stage::
 
     raw = ingest.load_trial("trial_000.json")
     record = ingest.align_streams(raw)
@@ -15,100 +15,10 @@ Typical flow::
     profile = fit.build_airframe_profile([...])
     runtime = governor.GovernorRuntime(governor.GovernorConfig(), profile)
 
-The CLI (``impact-governor``) wraps the same steps; see the README.
+Import the stage modules directly.  The package itself loads none of
+them, so ``governor``, ``stream`` and ``sim`` run without scipy and the
+analysis stages.  The CLI (``impact-governor``) wraps the same steps; see
+the README.
 """
 
-from .dsp import (
-    FilterSpec,
-    KalmanConfig,
-    butterworth_lowpass,
-    kalman_smooth,
-    median_despike,
-)
-from .errors import ImpactGovernorError
-from .fit import (
-    BODY_REGION_LIMITS_N,
-    AirframeProfile,
-    PolyModel,
-    build_airframe_profile,
-    estimate_force_simple,
-    fit_polynomial,
-    load_profile,
-    parse_profile,
-    save_profile,
-    serialize_profile,
-)
-from .governor import (
-    ComplianceRecord,
-    GovernorConfig,
-    GovernorRuntime,
-    GovernorState,
-    VelocityCommand,
-    avg_impact_force,
-    force_speed_cap,
-    fuse_caps,
-    iso_radius,
-    iso_speed_cap,
-    limit_command,
-)
-from .impact import (
-    ConfigurationSummary,
-    ImpactMetrics,
-    ImpactWindow,
-    aggregate_configuration,
-    contact_duration,
-    detect_impact,
-    kinetic_energies,
-    peak_force,
-    rebound_velocity,
-    rectified_impulse,
-    summarize_trial,
-)
-from .ingest import (
-    RawAcquisition,
-    TrialMeta,
-    TrialRecord,
-    align_streams,
-    load_trial,
-    read_force_csv,
-    read_range_csv,
-    sum_load_cells,
-)
-from .sim import (
-    SimScenario,
-    SimState,
-    load_scenario,
-    potential_field_cmd,
-    run_scenario,
-    scenario_from_dict,
-    step,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "ImpactGovernorError",
-    # ingest
-    "TrialMeta", "RawAcquisition", "TrialRecord",
-    "read_force_csv", "read_range_csv", "load_trial",
-    "sum_load_cells", "align_streams",
-    # dsp
-    "median_despike", "KalmanConfig", "kalman_smooth",
-    "FilterSpec", "butterworth_lowpass",
-    # impact
-    "ImpactWindow", "ImpactMetrics", "detect_impact", "contact_duration",
-    "rectified_impulse", "peak_force", "rebound_velocity", "kinetic_energies",
-    "summarize_trial", "ConfigurationSummary", "aggregate_configuration",
-    # fit
-    "PolyModel", "fit_polynomial", "AirframeProfile", "build_airframe_profile",
-    "estimate_force_simple", "BODY_REGION_LIMITS_N",
-    "serialize_profile", "parse_profile", "load_profile", "save_profile",
-    # governor
-    "GovernorConfig", "VelocityCommand", "GovernorState", "ComplianceRecord",
-    "iso_radius", "iso_speed_cap", "avg_impact_force", "force_speed_cap",
-    "fuse_caps", "limit_command", "GovernorRuntime",
-    # sim
-    "SimScenario", "SimState", "potential_field_cmd", "step",
-    "run_scenario", "scenario_from_dict", "load_scenario",
-]

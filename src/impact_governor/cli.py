@@ -34,7 +34,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    FitError,
     ImpactGovernorError,
     IngestError,
     InvariantViolation,
@@ -70,6 +69,17 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 EXIT_INVARIANT = 4
+
+#: exit code per exception type a subcommand may raise; the most specific
+#: class in the exception's MRO decides (IngestError, FitError and
+#: ScenarioInvariantViolation are bad input through ImpactGovernorError)
+_EXIT_CODES = {
+    ProtocolError: EXIT_RUNTIME,
+    InvariantViolation: EXIT_INVARIANT,
+    ImpactGovernorError: EXIT_INPUT,
+    FileNotFoundError: EXIT_INPUT,
+    json.JSONDecodeError: EXIT_INPUT,
+}
 
 
 def _configure_logging() -> None:
@@ -158,7 +168,6 @@ def cmd_analyze(args) -> int:
     started = _utc_now()
     in_dir = Path(args.input_dir)
     if not in_dir.is_dir():
-        log.error("not a directory: %s", in_dir)
         print(f"error: not a directory: {in_dir}", file=sys.stderr)
         return EXIT_INPUT
     manifests = sorted(p for p in in_dir.glob("*.json") if _is_trial_manifest(p))
@@ -175,7 +184,6 @@ def cmd_analyze(args) -> int:
             metrics = summarize_trial(record)
         except ImpactGovernorError as exc:
             failures += 1
-            log.error("trial %s failed: %s", path.name, exc)
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             continue
         processed.append((path, raw.meta, metrics))
@@ -365,8 +373,6 @@ def cmd_simulate(args) -> int:
         updates["f_star_n"] = BODY_REGION_LIMITS_N[args.body_region]
     if updates:
         scenario.cfg = dataclasses.replace(scenario.cfg, **updates)
-    if args.seed is not None:
-        scenario.seed = args.seed
 
     rows, summary = run_scenario(scenario)
     traj = out / "trajectory.csv"
@@ -383,7 +389,7 @@ def cmd_simulate(args) -> int:
     outputs.append(summary_path.name)
     _write_run_manifest(
         out, "simulate", [args.scenario], outputs,
-        {"scenario": str(args.scenario), **updates, "seed": scenario.seed},
+        {"scenario": str(args.scenario), **updates},
         started,
     )
 
@@ -533,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="closed-loop scenario validation")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("binary", "ramp"))
     p.add_argument("--f-star", type=float, dest="f_star")
     p.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
@@ -554,24 +559,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (IngestError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ImpactGovernorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except tuple(_EXIT_CODES) as exc:
+        prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 def entrypoint() -> None:

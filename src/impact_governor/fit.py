@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -23,7 +24,9 @@ from .errors import (
     SchemaVersionMismatch,
     Underdetermined,
 )
-from .impact import ConfigurationSummary
+
+if TYPE_CHECKING:
+    from .impact import ConfigurationSummary
 
 PROFILE_SCHEMA = 1
 
@@ -274,18 +277,12 @@ def parse_profile(source: str | dict) -> AirframeProfile:
         if key not in d:
             raise InvariantViolation(f"profile lacks key {key!r}")
 
-    model = PolyModel.from_dict(d["restitution"])
-    offending = _check_restitution_range(model)
-    if offending is not None:
-        raise InvariantViolation(
-            f"loaded profile has EC_r outside [0, 1] on its domain (e.g. {offending:.4g})"
-        )
     return AirframeProfile(
         name=str(d["name"]),
         mass_kg=float(d["mass_kg"]),
         dt_s=float(d["dt_s"]),
         dt_std_s=float(d["dt_std_s"]),
-        restitution=model,
+        restitution=PolyModel.from_dict(d["restitution"]),
         angle_deg=float(d["angle_deg"]),
         f_max_ref_N=float(d["f_max_ref_N"]),
         downgraded=bool(d["restitution"].get("downgraded", False)),

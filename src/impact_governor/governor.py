@@ -116,15 +116,6 @@ class VelocityCommand:
 
 
 @dataclass
-class GovernorState:
-    last_distance_m: float = math.nan
-    last_distance_time_s: float = math.nan
-    active_cap_mps: float = math.nan
-    cap_source: str = "none"
-    s_current_m: float = math.nan
-
-
-@dataclass
 class ComplianceRecord:
     timestamp: float
     input_speed_mps: float
@@ -264,9 +255,16 @@ class GovernorRuntime:
     latest snapshot — it never blocks on intake. Cap math happens on the
     intake side.
 
+    The runtime fails closed: a command gets the stale cap unless the latest
+    range reading is valid and at most ``staleness_timeout_s`` older than
+    the command. A reading stamped after the command is not fresh.
+
     In ramp mode the zone engagement carries 5% hysteresis (engage when the
     distance drops below S(v_cruise), release only above 1.05x that radius)
     so that hovering at the boundary cannot chatter the cap on and off.
+
+    Only the latest compliance record is kept (``last_record``); the caller
+    that needs the history is its sink.
     """
 
     def __init__(self, cfg: GovernorConfig, profile: AirframeProfile):
@@ -287,16 +285,25 @@ class GovernorRuntime:
         self.s_zone = iso_radius(cfg.v_cruise_mps, cfg)
         self._s_release = 1.05 * self.s_zone
         self._engaged = False
-        self._snapshot: tuple[float, float, float, str] | None = None
-        self._current_speed: float | None = None
+        self._snapshot: tuple[float, float, float | None, str] | None = None
+        self._s_live = self.s_zone
         self._last_emitted_t: float | None = None
-        self.records: list[ComplianceRecord] = []
-        self.state = GovernorState()
+        self.last_record: ComplianceRecord | None = None
 
     # -- telemetry intake ---------------------------------------------------
 
     def on_range(self, d: float, t: float) -> None:
-        """Ingest a nearest-person distance measurement taken at time t."""
+        """Ingest a nearest-person distance measurement taken at time t.
+
+        A NaN or negative distance, or a non-finite time, is no valid
+        measurement: it is published without a cap, so commands take the
+        stale failsafe flagged ``invalid-range`` until the next valid
+        reading. It leaves the ramp hysteresis as it was. An infinite
+        distance (nobody in the field) is valid.
+        """
+        if math.isnan(d) or d < 0.0 or not math.isfinite(t):
+            self._snapshot = (d, t, None, "stale-failsafe")
+            return
         if self._eff_cfg.mode == "ramp":
             if not self._engaged and d < self.s_zone:
                 self._engaged = True
@@ -309,15 +316,14 @@ class GovernorRuntime:
         else:
             cap, source = _fuse_with_vforce(d, self._eff_cfg, self.v_force)
         self._snapshot = (d, t, cap, source)  # single atomic publish
-        self.state.last_distance_m = d
-        self.state.last_distance_time_s = t
-        self.state.active_cap_mps = cap
-        self.state.cap_source = source
 
     def on_odom(self, vx: float, vy: float, vz: float, t: float) -> None:
-        """Ingest platform odometry; keeps the live zone radius for logging."""
-        self._current_speed = math.sqrt(vx**2 + vy**2 + vz**2)
-        self.state.s_current_m = iso_radius(self._current_speed, self.cfg)
+        """Ingest platform odometry; keeps the live zone radius for logging.
+
+        A NaN component falls back to the cruise-speed zone radius.
+        """
+        s = iso_radius(math.sqrt(vx**2 + vy**2 + vz**2), self.cfg)
+        self._s_live = self.s_zone if math.isnan(s) else s
 
     # -- command limiting ---------------------------------------------------
 
@@ -328,11 +334,16 @@ class GovernorRuntime:
             flags.append("clock-skew")
 
         snap = self._snapshot
-        if snap is None or cmd.timestamp - snap[1] > self._eff_cfg.staleness_timeout_s:
-            d = snap[0] if snap is not None else math.nan
-            cap, source = self.stale_cap, "stale-failsafe"
+        if snap is None:
+            d, cap = math.nan, None
         else:
-            d, _, cap, source = snap
+            d, t_range, cap, source = snap
+            if cap is None:
+                flags.append("invalid-range")
+            elif not 0.0 <= cmd.timestamp - t_range <= self._eff_cfg.staleness_timeout_s:
+                cap = None
+        if cap is None:
+            cap, source = self.stale_cap, "stale-failsafe"
 
         finite = cmd.is_finite()
         if not finite:
@@ -341,26 +352,16 @@ class GovernorRuntime:
         in_speed = cmd.speed() if finite else math.nan
         out_speed = out.speed()
 
-        s_m = self.state.s_current_m
-        if math.isnan(s_m):
-            s_m = self.s_zone
-        record = ComplianceRecord(
+        self.last_record = ComplianceRecord(
             timestamp=cmd.timestamp,
             input_speed_mps=in_speed,
             output_speed_mps=out_speed,
             d_m=d,
-            s_m=s_m,
+            s_m=self._s_live,
             cap_mps=cap,
             cap_source=source,
             violated=out_speed > cap + CAP_EPSILON,
             flags=flags,
         )
-        self.records.append(record)
         self._last_emitted_t = cmd.timestamp
-        self.state.active_cap_mps = cap
-        self.state.cap_source = source
         return out
-
-    @property
-    def last_record(self) -> ComplianceRecord | None:
-        return self.records[-1] if self.records else None

@@ -58,7 +58,6 @@ class SimScenario:
     k_attract: float = 1.0
     k_repulse: float = 2.0
     repulse_radius_m: float = 3.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.goals:
@@ -334,7 +333,9 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
     """Build a scenario from its JSON form.
 
     The airframe profile comes either inline (``"profile": {...}``) or
-    from ``"profile_path"`` resolved relative to the scenario file.
+    from ``"profile_path"`` resolved relative to the scenario file.  A
+    ``"seed"`` key, written by older versions, is ignored: the simulation
+    has no randomness.
     """
     try:
         governor = GovernorConfig.from_dict(data.get("governor", {}))
@@ -360,7 +361,6 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
             k_attract=float(gains.get("attract", 1.0)),
             k_repulse=float(gains.get("repulse", 2.0)),
             repulse_radius_m=float(gains.get("repulse_radius_m", 3.0)),
-            seed=int(data.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioInvariantViolation(f"bad scenario definition: {exc}") from exc
@@ -390,5 +390,4 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
         },
         "governor": scenario.cfg.to_dict(),
         "profile": scenario.profile.to_dict(),
-        "seed": scenario.seed,
     }

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import impact_governor
 from impact_governor.fit import AirframeProfile, PolyModel
 from impact_governor.governor import GovernorConfig
 
@@ -19,6 +23,12 @@ def make_profile(ec_r=0.145924, dt_s=0.036, mass_kg=0.25, dt_std_s=0.0033,
         angle_deg=0.0,
         f_max_ref_N=f_max_ref_N,
     )
+
+
+def child_env() -> dict:
+    """Environment in which a child interpreter imports this checkout's package."""
+    src = str(Path(impact_governor.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture

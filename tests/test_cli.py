@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,11 +15,12 @@ from impact_governor.cli import (
     _metrics_row,
     main,
 )
+from impact_governor.errors import ProtocolError
 from impact_governor.fit import load_profile, save_profile
 from impact_governor.impact import ImpactMetrics, aggregate_configuration
 from impact_governor.synthetic import make_campaign
 
-from conftest import make_profile
+from conftest import child_env, make_profile
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,6 +127,29 @@ def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col,
     assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
         "summary_Carbon-0deg_v3.5.json"
     ]
+
+
+def _run_module(*argv):
+    """Run ``python -m impact_governor`` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "impact_governor", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+
+
+def test_analyze_reports_each_failure_once(tmp_path):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    _set_cell(campaign / "trial_001_force.csv", 730, 2, "abc")
+
+    proc = _run_module("analyze", str(campaign), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    named = [ln for ln in proc.stderr.splitlines() if "trial_001.json" in ln]
+    assert len(named) == 1 and named[0].startswith("error: trial_001.json: ")
+
+    proc = _run_module("analyze", str(tmp_path / "nope"), "--out", str(tmp_path / "o2"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: not a directory: {tmp_path / 'nope'}"]
 
 
 # --- fit ---------------------------------------------------------------------
@@ -288,6 +314,66 @@ def test_govern_non_finite_reading_exits_protocol(
 def test_govern_requires_profile(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
+
+
+def _case_protocol(tmp_path, monkeypatch):
+    def broken_transport(*args, **kwargs):
+        raise ProtocolError("stream framing lost")
+
+    monkeypatch.setattr("impact_governor.cli.run_stream", broken_transport)
+    save_profile(make_profile(), tmp_path / "p.json")
+    return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
+
+
+def _case_config_not_object(tmp_path, monkeypatch):
+    (tmp_path / "gov.json").write_text("[1, 2]")
+    return ["govern", "--stdin", "--config", str(tmp_path / "gov.json")]
+
+
+def _case_no_profile(tmp_path, monkeypatch):
+    return ["govern", "--stdin"]
+
+
+def _case_profile_out_of_range(tmp_path, monkeypatch):
+    save_profile(make_profile(), tmp_path / "p.json")
+    data = json.loads((tmp_path / "p.json").read_text())
+    data["restitution"]["coeffs"] = [1.5]
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
+
+
+def _case_bad_scenario(tmp_path, monkeypatch):
+    (tmp_path / "s.json").write_text(json.dumps({"name": "x", "goals": [[1, 1]]}))
+    return ["simulate", str(tmp_path / "s.json")]
+
+
+def _case_missing_file(tmp_path, monkeypatch):
+    return ["simulate", str(tmp_path / "none.json")]
+
+
+def _case_bad_json(tmp_path, monkeypatch):
+    (tmp_path / "s.json").write_text("{oops")
+    return ["fit", str(tmp_path / "s.json")]
+
+
+@pytest.mark.parametrize(
+    "case, code, first_line",
+    [
+        (_case_protocol, 3, "error: stream framing lost"),
+        (_case_config_not_object, 4, "error: governor config must be a JSON object"),
+        (_case_no_profile, 2, "error: govern needs an airframe profile (--profile or config)"),
+        (_case_profile_out_of_range, 2, "error: profile EC_r leaves [0, 1] on its domain"),
+        (_case_bad_scenario, 2, "error: bad scenario definition: "),
+        (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
+        (_case_bad_json, 2, "error: invalid JSON input: Expecting property name"),
+    ],
+    ids=["protocol", "invariant", "ingest", "fit", "scenario", "file-not-found", "json"],
+)
+def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    argv = case(tmp_path, monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.splitlines()[0].startswith(first_line)
 
 
 # --- simulate ----------------------------------------------------------------

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impact_governor.errors import NonMonotoneForceMapWarning
 from impact_governor.fit import AirframeProfile, PolyModel
@@ -18,7 +22,7 @@ from impact_governor.governor import (
     limit_command,
 )
 
-from conftest import make_profile
+from conftest import child_env, make_profile
 
 # conftest const_profile: m=0.25, dt=0.036, EC_r=0.145924 -> e_hat=0.382
 E_HAT = 0.382
@@ -333,8 +337,110 @@ def test_runtime_peak_force_target(const_profile, default_cfg):
 def test_runtime_records_accumulate(const_profile, default_cfg):
     rt = GovernorRuntime(default_cfg, const_profile)
     rt.on_range(6.0, t=0.0)
+    records = []
     for k in range(5):
         rt.on_command(VelocityCommand(9.0, 0.0, 0.0, timestamp=0.01 * (k + 1)))
-    assert len(rt.records) == 5
-    assert all(r.output_speed_mps <= r.cap_mps + CAP_EPSILON for r in rt.records)
-    assert not any(r.violated for r in rt.records)
+        records.append(rt.last_record)
+    # one new record per command
+    assert [r.timestamp for r in records] == [0.01 * (k + 1) for k in range(5)]
+    assert all(r.output_speed_mps <= r.cap_mps + CAP_EPSILON for r in records)
+    assert not any(r.violated for r in records)
+
+
+# --- fail-closed telemetry ---------------------------------------------------
+
+# closed-form oracle for GovernorConfig(f_star_n=65) on the conftest profile
+F_STAR_FACE = 65.0
+V_FORCE_FACE = closed_form_cap(F_STAR_FACE)  # also the stale cap
+V_MAX, TIMEOUT_S = 20.0, 0.25
+T_Q, A, C, V_CRUISE = 0.1, 15.0, 1.2, 8.0
+S_ZONE = V_CRUISE * T_Q + 1.5 * V_CRUISE * V_CRUISE / A + C  # 8.4 m
+
+
+def _zone_root(d):
+    """Positive root of 1.5 v^2 / a + T_q v + C - d = 0 (0 inside the margin)."""
+    if d <= C:
+        return 0.0
+    k = 1.5 / A
+    return (-T_Q + math.sqrt(T_Q * T_Q + 4.0 * k * (d - C))) / (2.0 * k)
+
+
+_times = st.one_of(
+    st.floats(0.0, 3.0),  # interleaved, reordered and out-of-window stamps
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e9]),
+)
+_distances = st.one_of(
+    st.floats(0.0, 30.0),
+    st.floats(-30.0, -1e-9),
+    st.sampled_from([math.nan, math.inf, -math.inf, S_ZONE, 1.05 * S_ZONE]),
+)
+_components = st.one_of(st.floats(-25.0, 25.0), st.just(math.nan))
+_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("range"), _distances, _times),
+        st.tuples(st.just("odom"), _components, _components, _components, _times),
+        st.tuples(st.just("cmd"), _components, _components, _components, _times),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mode=st.sampled_from(["binary", "ramp"]), events=_events)
+@example(mode="binary", events=[("range", math.nan, 0.0), ("cmd", 9.0, 0.0, 0.0, 0.1)])
+@example(mode="ramp", events=[("range", 5.0, 0.0), ("range", -1.0, 0.05),
+                              ("cmd", 9.0, 0.0, 0.0, 0.1)])
+@example(mode="binary", events=[("range", 30.0, 1e9), ("cmd", 9.0, 0.0, 0.0, 100.0)])
+@example(mode="binary", events=[("range", 30.0, math.nan), ("cmd", 9.0, 0.0, 0.0, 0.1)])
+def test_runtime_fails_closed_on_bad_telemetry(mode, events):
+    rt = GovernorRuntime(GovernorConfig(mode=mode, f_star_n=F_STAR_FACE), make_profile())
+    latest = None  # (d, t, valid) of the last range reading
+    engaged = False  # ramp hysteresis, driven by valid readings only
+    for kind, *values in events:
+        if kind == "range":
+            d, t = values
+            valid = not math.isnan(d) and d >= 0.0 and math.isfinite(t)
+            latest = (d, t, valid)
+            if valid:
+                if not engaged and d < S_ZONE:
+                    engaged = True
+                elif engaged and d > 1.05 * S_ZONE:
+                    engaged = False
+            rt.on_range(d, t)
+            continue
+        if kind == "odom":
+            rt.on_odom(*values)
+            continue
+
+        cmd = VelocityCommand(*values)
+        out = rt.on_command(cmd)
+        invalid = latest is not None and not latest[2]
+        fresh = latest is not None and latest[2] and 0.0 <= cmd.timestamp - latest[1] <= TIMEOUT_S
+        if not fresh:
+            cap = V_FORCE_FACE
+        elif mode == "binary":
+            cap = V_FORCE_FACE if latest[0] < S_ZONE else V_MAX
+        else:
+            cap = max(V_FORCE_FACE, min(_zone_root(latest[0]), V_MAX)) if engaged else V_MAX
+
+        assert out.speed() <= cap + 1e-6
+        rec = rt.last_record
+        assert rec.cap_mps == pytest.approx(cap, abs=1e-6)
+        assert (rec.cap_source == "stale-failsafe") == (not fresh)
+        assert ("invalid-range" in rec.flags) == invalid
+
+
+def test_runtime_modules_load_no_analysis_stack():
+    # the flight-side modules must not pay for (or depend on) bench analysis
+    code = (
+        "import sys\n"
+        "import impact_governor.governor, impact_governor.stream, impact_governor.sim\n"
+        "heavy = ('scipy', 'impact_governor.dsp', 'impact_governor.impact',"
+        " 'impact_governor.ingest')\n"
+        "print(','.join(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

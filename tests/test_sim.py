@@ -228,12 +228,20 @@ def test_write_trajectory_round_trips(tmp_path):
 
 
 def test_scenario_round_trip():
-    sc = make_scenario(humans=[(3.0, 1.0)], k_repulse=1.5, seed=11)
+    sc = make_scenario(humans=[(3.0, 1.0)], k_repulse=1.5)
     back = scenario_from_dict(scenario_to_dict(sc))
     assert back.cfg == sc.cfg
     assert back.profile.to_dict() == sc.profile.to_dict()
     assert back.goals == sc.goals and back.humans == sc.humans
-    assert back.k_repulse == 1.5 and back.seed == 11
+    assert back.k_repulse == 1.5
+
+
+def test_scenario_seed_key_is_ignored():
+    # older scenario files carry a "seed"; they load, and it is not written back
+    data = scenario_to_dict(make_scenario())
+    assert "seed" not in data
+    with_seed = scenario_from_dict({**data, "seed": 11})
+    assert scenario_to_dict(with_seed) == data
 
 
 def test_scenario_from_dict_rejects_missing_keys():
