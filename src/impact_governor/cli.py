@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import logging
@@ -34,6 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
+    GovernorConfigError,
     ImpactGovernorError,
     IngestError,
     InvariantViolation,
@@ -130,6 +130,14 @@ def _ensure_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _governor_config(data: dict) -> GovernorConfig:
+    """``GovernorConfig.from_dict`` with a bad value reported as bad input."""
+    try:
+        return GovernorConfig.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise GovernorConfigError(f"bad governor config: {exc}") from exc
 
 
 # --- analyze ----------------------------------------------------------------
@@ -235,7 +243,14 @@ def cmd_fit(args) -> int:
     summaries = []
     for path in args.summaries:
         with open(path, "r", encoding="utf-8") as fh:
-            summaries.append(ConfigurationSummary.from_dict(json.load(fh)))
+            data = json.load(fh)
+        try:
+            summaries.append(ConfigurationSummary.from_dict(data))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IngestError(
+                f"{path}: not a configuration summary "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     try:
         profile = build_airframe_profile(summaries, restitution_degree=args.degree)
     except RestitutionOutOfRange as exc:
@@ -284,7 +299,10 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
             )
         f_star = BODY_REGION_LIMITS_N[region]
     if "f_star_n" in data:
-        f_star = float(data["f_star_n"])
+        try:
+            f_star = float(data["f_star_n"])
+        except (TypeError, ValueError) as exc:
+            raise GovernorConfigError(f"bad governor config: f_star_n: {exc}") from exc
     if args.body_region:
         f_star = BODY_REGION_LIMITS_N[args.body_region]
     if args.f_star is not None:
@@ -295,7 +313,7 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
         merged["f_star_n"] = f_star
     if args.mode:
         merged["mode"] = args.mode
-    cfg = GovernorConfig.from_dict(merged)
+    cfg = _governor_config(merged)
 
     profile_path = None
     if args.profile:
@@ -372,7 +390,7 @@ def cmd_simulate(args) -> int:
     if args.body_region:
         updates["f_star_n"] = BODY_REGION_LIMITS_N[args.body_region]
     if updates:
-        scenario.cfg = dataclasses.replace(scenario.cfg, **updates)
+        scenario.cfg = _governor_config({**scenario.cfg.to_dict(), **updates})
 
     rows, summary = run_scenario(scenario)
     traj = out / "trajectory.csv"

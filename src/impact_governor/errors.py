@@ -111,6 +111,12 @@ class InvariantViolation(ImpactGovernorError):
     """A loaded or constructed object violates its declared invariants."""
 
 
+# --- governor -------------------------------------------------------------
+
+class GovernorConfigError(ImpactGovernorError):
+    """A governor configuration value is mistyped or out of range."""
+
+
 # --- streaming ------------------------------------------------------------
 
 class ProtocolError(ImpactGovernorError):

@@ -112,7 +112,11 @@ class VelocityCommand:
         return math.sqrt(self.vx**2 + self.vy**2 + self.vz**2)
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in (self.vx, self.vy, self.vz))
+        return (
+            math.isfinite(self.vx)
+            and math.isfinite(self.vy)
+            and math.isfinite(self.vz)
+        )
 
 
 @dataclass
@@ -239,7 +243,11 @@ def limit_command(cmd: VelocityCommand, cap: float) -> VelocityCommand:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if not cmd.is_finite():
         return VelocityCommand(0.0, 0.0, 0.0, cmd.timestamp)
-    n = cmd.speed()
+    return _saturate(cmd, cmd.speed(), cap)
+
+
+def _saturate(cmd: VelocityCommand, n: float, cap: float) -> VelocityCommand:
+    """Scale a finite command of speed ``n`` down to ``cap`` if it exceeds it."""
     if n <= cap * (1.0 + _NORM_SLACK):
         return cmd
     s = cap / n
@@ -345,12 +353,15 @@ class GovernorRuntime:
         if cap is None:
             cap, source = self.stale_cap, "stale-failsafe"
 
-        finite = cmd.is_finite()
-        if not finite:
+        if cmd.is_finite():
+            in_speed = cmd.speed()
+            out = _saturate(cmd, in_speed, cap)
+            out_speed = in_speed if out is cmd else out.speed()
+        else:
             flags.append("non-finite-command")
-        out = limit_command(cmd, cap)
-        in_speed = cmd.speed() if finite else math.nan
-        out_speed = out.speed()
+            in_speed = math.nan
+            out = VelocityCommand(0.0, 0.0, 0.0, cmd.timestamp)
+            out_speed = 0.0
 
         self.last_record = ComplianceRecord(
             timestamp=cmd.timestamp,

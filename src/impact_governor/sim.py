@@ -10,7 +10,10 @@ cap logic holds in closed loop before anyone stands near a real prop.
 
 Everything is pure kinematics on a fixed step — no randomness, no
 wall-clock dependence — so two runs of the same scenario are
-bit-identical.
+bit-identical.  The step runs on Python floats, with every norm taken by
+the C library's ``hypot`` and every expression in the order of the
+earlier numpy 2-vector code, so trajectories are also bit-identical to
+that code (``tests/test_reference_equivalence.py`` keeps it as oracle).
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import ScenarioInvariantViolation
 from .fit import AirframeProfile, parse_profile
@@ -87,26 +88,53 @@ class SimScenario:
 
 @dataclass
 class SimState:
-    """Mutable vehicle state advanced by the integrator."""
+    """Mutable vehicle state advanced by the integrator.
 
-    position: np.ndarray
-    velocity: np.ndarray
+    ``position`` and ``velocity`` are ``(x, y)`` pairs of Python floats; the
+    integrator replaces them with new tuples each step.
+    """
+
+    position: tuple[float, float]
+    velocity: tuple[float, float]
     t: float = 0.0
     goal_index: int = 0
 
     @property
     def speed(self) -> float:
-        return float(np.hypot(self.velocity[0], self.velocity[1]))
+        return _norm(*self.velocity)
+
+
+def _norm(x: float, y: float) -> float:
+    """Euclidean norm, bit-identical to ``np.hypot``.
+
+    ``abs(complex(x, y))`` calls the C library's ``hypot`` as ``np.hypot``
+    does (``math.hypot`` rounds differently in the last bit for a few pairs
+    in a thousand). It raises ``OverflowError`` where the norm overflows,
+    and also for a NaN part without an infinite one when an earlier
+    overflow left ``errno`` set; ``np.hypot`` gives inf and NaN there.
+    """
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf if x == x and y == y else math.nan
 
 
 def nearest_human_distance(
-    position: np.ndarray, humans: Sequence[tuple[float, float]]
+    position: tuple[float, float], humans: Sequence[tuple[float, float]]
 ) -> float:
-    """Euclidean distance to the closest human, inf for an empty field."""
-    if not humans:
-        return math.inf
-    pts = np.asarray(humans, dtype=float)
-    return float(np.min(np.hypot(pts[:, 0] - position[0], pts[:, 1] - position[1])))
+    """Euclidean distance to the closest human, inf for an empty field.
+
+    NaN if any distance is NaN.
+    """
+    px, py = position
+    nearest = math.inf
+    for hx, hy in humans:
+        d = _norm(hx - px, hy - py)
+        if d < nearest:
+            nearest = d
+        elif d != d:
+            return d
+    return nearest
 
 
 def potential_field_cmd(state: SimState, scenario: SimScenario) -> VelocityCommand:
@@ -118,32 +146,38 @@ def potential_field_cmd(state: SimState, scenario: SimScenario) -> VelocityComma
     the pilot, is responsible for safety.
     """
     v0 = scenario.cfg.v_cruise_mps
-    goal = np.asarray(scenario.goals[state.goal_index], dtype=float)
-    offset = goal - state.position
-    dist = float(np.hypot(offset[0], offset[1]))
-    if dist < GOAL_CAPTURE_RADIUS_M and len(scenario.goals) > 1:
-        state.goal_index = (state.goal_index + 1) % len(scenario.goals)
-        goal = np.asarray(scenario.goals[state.goal_index], dtype=float)
-        offset = goal - state.position
-        dist = float(np.hypot(offset[0], offset[1]))
+    goals = scenario.goals
+    px, py = state.position
+    gx, gy = goals[state.goal_index]
+    ox, oy = gx - px, gy - py
+    dist = _norm(ox, oy)
+    if dist < GOAL_CAPTURE_RADIUS_M and len(goals) > 1:
+        state.goal_index = (state.goal_index + 1) % len(goals)
+        gx, gy = goals[state.goal_index]
+        ox, oy = gx - px, gy - py
+        dist = _norm(ox, oy)
 
-    desired = np.zeros(2)
+    # starting from 0.0 turns a -0.0 component into +0.0
+    dx = dy = 0.0
     if dist > 1e-12:
-        desired += scenario.k_attract * (offset / dist) * v0
-    for human in scenario.humans:
-        away = state.position - np.asarray(human, dtype=float)
-        d_h = float(np.hypot(away[0], away[1]))
-        if d_h < 1e-12 or d_h >= scenario.repulse_radius_m:
+        dx += scenario.k_attract * (ox / dist) * v0
+        dy += scenario.k_attract * (oy / dist) * v0
+    k_r, radius = scenario.k_repulse, scenario.repulse_radius_m
+    for hx, hy in scenario.humans:
+        ax, ay = px - hx, py - hy
+        d_h = _norm(ax, ay)
+        if d_h < 1e-12 or d_h >= radius:
             continue
-        weight = 1.0 - d_h / scenario.repulse_radius_m
-        desired += scenario.k_repulse * (away / d_h) * weight * v0
+        weight = 1.0 - d_h / radius
+        dx += k_r * (ax / d_h) * weight * v0
+        dy += k_r * (ay / d_h) * weight * v0
 
-    norm = float(np.hypot(desired[0], desired[1]))
+    norm = _norm(dx, dy)
     if norm > v0 and norm > 0.0:
-        desired *= v0 / norm
-    return VelocityCommand(
-        vx=float(desired[0]), vy=float(desired[1]), vz=0.0, timestamp=state.t
-    )
+        scale = v0 / norm
+        dx *= scale
+        dy *= scale
+    return VelocityCommand(vx=dx, vy=dy, vz=0.0, timestamp=state.t)
 
 
 def step(
@@ -156,14 +190,18 @@ def step(
     from v=(8,0) commanded to (3,0) with a=15, dt=0.004 the step only
     reaches (7.94, 0).
     """
-    target = np.array([cmd.vx, cmd.vy], dtype=float)
-    dv = target - state.velocity
-    dv_norm = float(np.hypot(dv[0], dv[1]))
+    vx, vy = state.velocity
+    dvx, dvy = cmd.vx - vx, cmd.vy - vy
+    dv_norm = _norm(dvx, dvy)
     max_dv = a_max * dt
     if dv_norm > max_dv and dv_norm > 0.0:
-        dv *= max_dv / dv_norm
-    state.velocity = state.velocity + dv
-    state.position = state.position + state.velocity * dt
+        scale = max_dv / dv_norm
+        dvx *= scale
+        dvy *= scale
+    vx, vy = vx + dvx, vy + dvy
+    px, py = state.position
+    state.velocity = (vx, vy)
+    state.position = (px + vx * dt, py + vy * dt)
     state.t += dt
 
 
@@ -202,17 +240,18 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
         + 2.0 * dt
     )
 
-    state = SimState(
-        position=np.asarray(scenario.start, dtype=float),
-        velocity=np.zeros(2),
-    )
+    humans = scenario.humans
+    x0, y0 = scenario.start
+    state = SimState(position=(float(x0), float(y0)), velocity=(0.0, 0.0))
     n_steps = int(round(scenario.duration_s / dt))
     period = scenario.detection_period_s
     next_detection_t = 0.0
+    compliant_speed = v_force + 1e-9
+    breach_speed = v_force + cfg.a_mps2 * dt
 
     rows: list[tuple] = []
     entries: list[ZoneEntry] = []
-    in_zone = nearest_human_distance(state.position, scenario.humans) < s_zone
+    in_zone = nearest_human_distance(state.position, humans) < s_zone
     if in_zone:
         entries.append(ZoneEntry(t_entry_s=0.0))
     violations = 0
@@ -224,10 +263,10 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     for _ in range(n_steps):
         t = state.t
         if t >= next_detection_t - 1e-12:
-            d_detect = nearest_human_distance(state.position, scenario.humans)
-            runtime.on_range(d_detect, t)
+            runtime.on_range(nearest_human_distance(state.position, humans), t)
             next_detection_t += period
-        runtime.on_odom(float(state.velocity[0]), float(state.velocity[1]), 0.0, t)
+        vx, vy = state.velocity
+        runtime.on_odom(vx, vy, 0.0, t)
 
         idx_before = state.goal_index
         cmd = potential_field_cmd(state, scenario)
@@ -239,17 +278,21 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
             violations += 1
         step(state, limited, dt, cfg.a_mps2)
 
-        d_true = nearest_human_distance(state.position, scenario.humans)
-        min_distance = min(min_distance, d_true)
-        speed = state.speed
+        t = state.t
+        px, py = state.position
+        vx, vy = state.velocity
+        d_true = nearest_human_distance(state.position, humans)
+        if d_true < min_distance:
+            min_distance = d_true
+        speed = _norm(vx, vy)
 
         if d_true < s_zone:
             if not in_zone:
-                entries.append(ZoneEntry(t_entry_s=state.t))
+                entries.append(ZoneEntry(t_entry_s=t))
             entry = entries[-1]
-            if entry.t_compliant_s is None and speed <= v_force + 1e-9:
-                entry.t_compliant_s = state.t
-            since_entry = state.t - entry.t_entry_s
+            if entry.t_compliant_s is None and speed <= compliant_speed:
+                entry.t_compliant_s = t
+            since_entry = t - entry.t_entry_s
             if since_entry > transient_bound_s:
                 if (
                     max_speed_after_transient is None
@@ -258,21 +301,11 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
                     max_speed_after_transient = speed
         in_zone = d_true < s_zone
 
-        if d_true < cfg.c_m and speed > v_force + cfg.a_mps2 * dt:
+        if d_true < cfg.c_m and speed > breach_speed:
             reach_margin_breaches += 1
 
         rows.append(
-            (
-                state.t,
-                float(state.position[0]),
-                float(state.position[1]),
-                float(state.velocity[0]),
-                float(state.velocity[1]),
-                speed,
-                d_true,
-                record.cap_mps,
-                record.cap_source,
-            )
+            (t, px, py, vx, vy, speed, d_true, record.cap_mps, record.cap_source)
         )
 
     times_to_comply = [
@@ -300,16 +333,16 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
         "max_speed_in_zone_after_transient_mps": max_speed_after_transient,
         "min_distance_m": None if math.isinf(min_distance) else min_distance,
         "max_speed_mps": max(r[5] for r in rows) if rows else 0.0,
-        "final_position_m": [float(state.position[0]), float(state.position[1])],
+        "final_position_m": list(state.position),
         "goal_switches": goal_switches,
     }
     return rows, summary
 
 
-def format_trajectory_row(row: tuple) -> str:
+def format_trajectory_row(row: tuple, sep: str = ",") -> str:
     parts = [format(float(v), ".9g") for v in row[:8]]
     parts.append(str(row[8]))
-    return ",".join(parts)
+    return sep.join(parts)
 
 
 def write_trajectory(rows: list[tuple], path) -> None:
@@ -324,9 +357,7 @@ def write_trajectory_gnuplot(rows: list[tuple], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + " ".join(TRAJECTORY_COLUMNS) + "\n")
         for row in rows:
-            parts = [format(float(v), ".9g") for v in row[:8]]
-            parts.append(str(row[8]))
-            fh.write(" ".join(parts) + "\n")
+            fh.write(format_trajectory_row(row, " ") + "\n")
 
 
 def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenario:

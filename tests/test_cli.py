@@ -356,6 +356,31 @@ def _case_bad_json(tmp_path, monkeypatch):
     return ["fit", str(tmp_path / "s.json")]
 
 
+def _case_bad_summary(tmp_path, monkeypatch):
+    (tmp_path / "empty.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    return ["fit", "empty.json"]
+
+
+def _case_bad_governor_config(tmp_path, monkeypatch):
+    save_profile(make_profile(), tmp_path / "p.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"mode": "bogus"}))
+    return ["govern", "--stdin", "--config", str(tmp_path / "cfg.json"),
+            "--profile", str(tmp_path / "p.json")]
+
+
+def _case_bad_config_f_star(tmp_path, monkeypatch):
+    save_profile(make_profile(), tmp_path / "p.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"f_star_n": "lots"}))
+    return ["govern", "--stdin", "--config", str(tmp_path / "cfg.json"),
+            "--profile", str(tmp_path / "p.json")]
+
+
+def _case_bad_override(tmp_path, monkeypatch):
+    return ["simulate", str(REPO_ROOT / "scenarios" / "three_humans_chest.json"),
+            "--f-star", "9999"]
+
+
 @pytest.mark.parametrize(
     "case, code, first_line",
     [
@@ -366,8 +391,14 @@ def _case_bad_json(tmp_path, monkeypatch):
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
         (_case_bad_json, 2, "error: invalid JSON input: Expecting property name"),
+        (_case_bad_summary, 2,
+         "error: empty.json: not a configuration summary (KeyError: 'metrics')"),
+        (_case_bad_governor_config, 2, "error: bad governor config: mode must be"),
+        (_case_bad_config_f_star, 2, "error: bad governor config: f_star_n: "),
+        (_case_bad_override, 2, "error: bad governor config: f_star_n 9999 N exceeds"),
     ],
-    ids=["protocol", "invariant", "ingest", "fit", "scenario", "file-not-found", "json"],
+    ids=["protocol", "invariant", "ingest", "fit", "scenario", "file-not-found", "json",
+         "summary", "governor-config", "governor-config-f-star", "simulate-override"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -1,13 +1,20 @@
-"""The vectorised ingest and dsp layers against the plain implementations
-they replaced.
+"""The fast ingest, dsp, simulation and governor paths against the plain
+implementations they replaced.
 
 The oracles below are the earlier, straightforward versions of the CSV
-reader, the Kalman loop and the despike edge loop, kept verbatim. The
-current code must return bitwise-equal arrays (``tobytes``) on every input
-the oracles accept, and raise the same error where they raise one.
+reader, the Kalman loop, the despike edge loop, the numpy 2-vector
+simulation (pilot, integrator, nearest-human distance and closed loop) and
+the governor's command limiting, kept verbatim. The current code must
+return bitwise-equal results (``tobytes``, or the IEEE-754 bytes of each
+float) on every input the oracles accept, and raise the same error where
+they raise one.
 """
 
 import csv
+import dataclasses
+import math
+import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +37,29 @@ from impact_governor.errors import (
     NonPositiveDefiniteCovariance,
     WindowTooLarge,
 )
+from impact_governor.governor import (
+    CAP_EPSILON,
+    _NORM_SLACK,
+    ComplianceRecord,
+    GovernorConfig,
+    GovernorRuntime,
+    VelocityCommand,
+)
 from impact_governor.ingest import FORCE_COLUMNS, RANGE_COLUMNS, _read_csv_columns
+from impact_governor.sim import (
+    SimScenario,
+    SimState,
+    ZoneEntry,
+    load_scenario,
+    nearest_human_distance,
+    potential_field_cmd,
+    run_scenario,
+    step,
+)
+
+from conftest import make_profile
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # --- oracles -----------------------------------------------------------------
 
@@ -130,6 +159,237 @@ def oracle_median_despike(series, window=5, k=3.0):
         if abs(x[i] - m) > k * sigma:
             out[i] = m
     return out
+
+
+@dataclass
+class OracleState:
+    position: np.ndarray
+    velocity: np.ndarray
+    t: float = 0.0
+    goal_index: int = 0
+
+    @property
+    def speed(self) -> float:
+        return float(np.hypot(self.velocity[0], self.velocity[1]))
+
+
+def oracle_nearest_human_distance(position, humans):
+    if not humans:
+        return math.inf
+    pts = np.asarray(humans, dtype=float)
+    return float(np.min(np.hypot(pts[:, 0] - position[0], pts[:, 1] - position[1])))
+
+
+def oracle_potential_field_cmd(state, scenario):
+    v0 = scenario.cfg.v_cruise_mps
+    goal = np.asarray(scenario.goals[state.goal_index], dtype=float)
+    offset = goal - state.position
+    dist = float(np.hypot(offset[0], offset[1]))
+    if dist < 0.5 and len(scenario.goals) > 1:
+        state.goal_index = (state.goal_index + 1) % len(scenario.goals)
+        goal = np.asarray(scenario.goals[state.goal_index], dtype=float)
+        offset = goal - state.position
+        dist = float(np.hypot(offset[0], offset[1]))
+
+    desired = np.zeros(2)
+    if dist > 1e-12:
+        desired += scenario.k_attract * (offset / dist) * v0
+    for human in scenario.humans:
+        away = state.position - np.asarray(human, dtype=float)
+        d_h = float(np.hypot(away[0], away[1]))
+        if d_h < 1e-12 or d_h >= scenario.repulse_radius_m:
+            continue
+        weight = 1.0 - d_h / scenario.repulse_radius_m
+        desired += scenario.k_repulse * (away / d_h) * weight * v0
+
+    norm = float(np.hypot(desired[0], desired[1]))
+    if norm > v0 and norm > 0.0:
+        desired *= v0 / norm
+    return VelocityCommand(
+        vx=float(desired[0]), vy=float(desired[1]), vz=0.0, timestamp=state.t
+    )
+
+
+def oracle_step(state, cmd, dt, a_max):
+    target = np.array([cmd.vx, cmd.vy], dtype=float)
+    dv = target - state.velocity
+    dv_norm = float(np.hypot(dv[0], dv[1]))
+    max_dv = a_max * dt
+    if dv_norm > max_dv and dv_norm > 0.0:
+        dv *= max_dv / dv_norm
+    state.velocity = state.velocity + dv
+    state.position = state.position + state.velocity * dt
+    state.t += dt
+
+
+def oracle_limit_command(cmd, cap):
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    if not all(math.isfinite(c) for c in (cmd.vx, cmd.vy, cmd.vz)):
+        return VelocityCommand(0.0, 0.0, 0.0, cmd.timestamp)
+    n = cmd.speed()
+    if n <= cap * (1.0 + _NORM_SLACK):
+        return cmd
+    s = cap / n
+    return VelocityCommand(cmd.vx * s, cmd.vy * s, cmd.vz * s, cmd.timestamp)
+
+
+class OracleRuntime(GovernorRuntime):
+    """The runtime with the earlier command limiter (telemetry intake shared)."""
+
+    def on_command(self, cmd):
+        flags: list[str] = []
+        if self._last_emitted_t is not None and cmd.timestamp < self._last_emitted_t:
+            flags.append("clock-skew")
+
+        snap = self._snapshot
+        if snap is None:
+            d, cap = math.nan, None
+        else:
+            d, t_range, cap, source = snap
+            if cap is None:
+                flags.append("invalid-range")
+            elif not 0.0 <= cmd.timestamp - t_range <= self._eff_cfg.staleness_timeout_s:
+                cap = None
+        if cap is None:
+            cap, source = self.stale_cap, "stale-failsafe"
+
+        finite = all(math.isfinite(c) for c in (cmd.vx, cmd.vy, cmd.vz))
+        if not finite:
+            flags.append("non-finite-command")
+        out = oracle_limit_command(cmd, cap)
+        in_speed = cmd.speed() if finite else math.nan
+        out_speed = out.speed()
+
+        self.last_record = ComplianceRecord(
+            timestamp=cmd.timestamp,
+            input_speed_mps=in_speed,
+            output_speed_mps=out_speed,
+            d_m=d,
+            s_m=self._s_live,
+            cap_mps=cap,
+            cap_source=source,
+            violated=out_speed > cap + CAP_EPSILON,
+            flags=flags,
+        )
+        self._last_emitted_t = cmd.timestamp
+        return out
+
+
+def oracle_run_scenario(scenario):
+    runtime = OracleRuntime(scenario.cfg, scenario.profile)
+    cfg = scenario.cfg
+    dt = scenario.physics_dt_s
+    v_force = runtime.v_force
+    s_zone = runtime.s_zone
+    transient_bound_s = (
+        cfg.t_q_s
+        + max(0.0, cfg.v_cruise_mps - v_force) / cfg.a_mps2
+        + 2.0 * dt
+    )
+
+    state = OracleState(
+        position=np.asarray(scenario.start, dtype=float),
+        velocity=np.zeros(2),
+    )
+    n_steps = int(round(scenario.duration_s / dt))
+    period = scenario.detection_period_s
+    next_detection_t = 0.0
+
+    rows: list[tuple] = []
+    entries: list[ZoneEntry] = []
+    in_zone = oracle_nearest_human_distance(state.position, scenario.humans) < s_zone
+    if in_zone:
+        entries.append(ZoneEntry(t_entry_s=0.0))
+    violations = 0
+    reach_margin_breaches = 0
+    min_distance = math.inf
+    max_speed_after_transient = None
+    goal_switches = 0
+
+    for _ in range(n_steps):
+        t = state.t
+        if t >= next_detection_t - 1e-12:
+            d_detect = oracle_nearest_human_distance(state.position, scenario.humans)
+            runtime.on_range(d_detect, t)
+            next_detection_t += period
+        runtime.on_odom(float(state.velocity[0]), float(state.velocity[1]), 0.0, t)
+
+        idx_before = state.goal_index
+        cmd = oracle_potential_field_cmd(state, scenario)
+        if state.goal_index != idx_before:
+            goal_switches += 1
+        limited = runtime.on_command(cmd)
+        record = runtime.last_record
+        if record.violated:
+            violations += 1
+        oracle_step(state, limited, dt, cfg.a_mps2)
+
+        d_true = oracle_nearest_human_distance(state.position, scenario.humans)
+        min_distance = min(min_distance, d_true)
+        speed = state.speed
+
+        if d_true < s_zone:
+            if not in_zone:
+                entries.append(ZoneEntry(t_entry_s=state.t))
+            entry = entries[-1]
+            if entry.t_compliant_s is None and speed <= v_force + 1e-9:
+                entry.t_compliant_s = state.t
+            since_entry = state.t - entry.t_entry_s
+            if since_entry > transient_bound_s:
+                if (
+                    max_speed_after_transient is None
+                    or speed > max_speed_after_transient
+                ):
+                    max_speed_after_transient = speed
+        in_zone = d_true < s_zone
+
+        if d_true < cfg.c_m and speed > v_force + cfg.a_mps2 * dt:
+            reach_margin_breaches += 1
+
+        rows.append(
+            (
+                state.t,
+                float(state.position[0]),
+                float(state.position[1]),
+                float(state.velocity[0]),
+                float(state.velocity[1]),
+                speed,
+                d_true,
+                record.cap_mps,
+                record.cap_source,
+            )
+        )
+
+    times_to_comply = [
+        e.time_to_compliance_s for e in entries if e.time_to_compliance_s is not None
+    ]
+    summary = {
+        "scenario": scenario.name,
+        "steps": n_steps,
+        "physics_dt_s": dt,
+        "detection_rate_hz": scenario.detection_rate_hz,
+        "v_force_mps": v_force,
+        "zone_radius_m": s_zone,
+        "transient_bound_s": transient_bound_s,
+        "violations": violations,
+        "reach_margin_breaches": reach_margin_breaches,
+        "zone_entries": [
+            {
+                "t_entry_s": e.t_entry_s,
+                "t_compliant_s": e.t_compliant_s,
+                "time_to_compliance_s": e.time_to_compliance_s,
+            }
+            for e in entries
+        ],
+        "max_time_to_compliance_s": max(times_to_comply) if times_to_comply else None,
+        "max_speed_in_zone_after_transient_mps": max_speed_after_transient,
+        "min_distance_m": None if math.isinf(min_distance) else min_distance,
+        "max_speed_mps": max(r[5] for r in rows) if rows else 0.0,
+        "final_position_m": [float(state.position[0]), float(state.position[1])],
+        "goal_switches": goal_switches,
+    }
+    return rows, summary
 
 
 def assert_bitwise(a, b):
@@ -254,7 +514,9 @@ kalman_configs = st.builds(
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NonPositiveDefiniteCovariance, ValueError) as exc:
+    # ZeroDivisionError: a negative initial covariance can cancel the
+    # measurement noise in the first gain, in both implementations
+    except (NonPositiveDefiniteCovariance, ValueError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
 
@@ -283,6 +545,13 @@ def test_kalman_matches_oracle_on_two_samples_and_degenerate_tuning():
     want = _outcome(oracle_kalman_smooth, [1.0, 2.0], degenerate)
     assert want[0] is NonPositiveDefiniteCovariance
     assert _outcome(kalman_smooth, [1.0, 2.0], degenerate) == want
+    cancelling = KalmanConfig(
+        dt=1e-05, sigma_s=0.00390625, measurement_noise_r=1e-09,
+        initial_covariance=(-1e-09, 0.0),
+    )
+    want = _outcome(oracle_kalman_smooth, [0.0, 0.0], cancelling)
+    assert want[0] is ZeroDivisionError
+    assert _outcome(kalman_smooth, [0.0, 0.0], cancelling) == want
 
 
 # --- despike -----------------------------------------------------------------
@@ -329,3 +598,252 @@ def test_despike_matches_oracle_on_signed_zero_edges(window):
         x[spike_at] = 9.0
         want = oracle_median_despike(x, window)
         assert_bitwise(median_despike(x, window), want)
+
+
+# --- simulation: pilot, integrator, nearest human, closed loop ---------------
+
+
+def float_bits(v):
+    """The IEEE-754 bytes of a float. Every NaN maps to one value: NaN sign and
+    payload reach no output (trajectory and summary print them as nan/NaN)."""
+    assert type(v) is float, type(v)
+    return "nan" if v != v else struct.pack("<d", v)
+
+
+def tree_bits(obj):
+    """``obj`` with every float replaced by ``float_bits``."""
+    if isinstance(obj, float):
+        return float_bits(obj)
+    if isinstance(obj, dict):
+        return {k: tree_bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(tree_bits(v) for v in obj)
+    return obj
+
+
+def cmd_bits(cmd):
+    return tree_bits((cmd.vx, cmd.vy, cmd.vz, cmd.timestamp))
+
+
+def _sim_outcome(fn, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except Exception as exc:  # both sides must fail the same way
+            return type(exc)
+
+
+PROFILE = make_profile()
+
+#: coordinates that hit the branches: signed zeros, the capture and repulse
+#: radii, the 1e-12 guards, non-finite values, and pairs whose norm overflows
+SPECIAL = [
+    0.0, -0.0, 0.5, -0.5, 0.25, 3.0, -3.0, 1e-13, 5e-324,
+    math.nan, math.inf, -math.inf, 1.5e308, -1.5e308,
+]
+coords = st.one_of(st.floats(-30.0, 30.0), st.sampled_from(SPECIAL), st.floats())
+offsets = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.4999999999999999, 0.5, -0.5, 3.0, -3.0, 1e-12, 1e-13]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def points_near(draw, px, py, radius):
+    """A point on the vehicle, on or inside the capture or repulse radius,
+    or anywhere at all."""
+    if draw(st.booleans()):
+        return draw(coords), draw(coords)
+    dx = draw(offsets | st.sampled_from([radius, -radius]))
+    dy = draw(offsets | st.sampled_from([radius, -radius]))
+    return px + dx, py + dy
+
+
+@st.composite
+def pilot_cases(draw):
+    px, py = draw(coords), draw(coords)
+    radius = draw(st.sampled_from([0.0, 3.0]) | st.floats(0.0, 10.0))
+    near = points_near(px, py, radius)
+    goals = draw(st.lists(near, min_size=1, max_size=3))
+    scenario = SimScenario(
+        name="pilot",
+        start=(0.0, 0.0),
+        goals=goals,
+        humans=draw(st.lists(near, max_size=4)),
+        cfg=GovernorConfig(v_cruise_mps=draw(st.sampled_from([8.0, 1.0]) | st.floats(1e-3, 50.0))),
+        profile=PROFILE,
+        k_attract=draw(st.sampled_from([0.0, 1.0, math.inf]) | st.floats(0.0, 5.0)),
+        k_repulse=draw(st.sampled_from([0.0, 2.0, math.inf]) | st.floats(0.0, 5.0)),
+        repulse_radius_m=radius,
+    )
+    goal_index = draw(st.integers(0, len(goals) - 1))
+    t = draw(st.floats(0.0, 100.0))
+    return scenario, (px, py), goal_index, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(position=st.tuples(coords, coords), humans=st.lists(st.tuples(coords, coords), max_size=5))
+def test_nearest_human_distance_matches_oracle(position, humans):
+    want = _sim_outcome(oracle_nearest_human_distance, np.array(position), humans)
+    got = _sim_outcome(nearest_human_distance, position, humans)
+    assert tree_bits(got) == tree_bits(want)
+
+
+def test_nearest_human_distance_is_nan_if_any_distance_is():
+    for humans in ([(math.nan, 0.0), (1.0, 0.0)], [(1.0, 0.0), (0.0, math.nan)]):
+        assert math.isnan(nearest_human_distance((0.0, 0.0), humans))
+        assert math.isnan(oracle_nearest_human_distance(np.zeros(2), humans))
+    # an overflowing norm leaves errno set, and CPython then reports the next
+    # NaN norm as an overflow too
+    humans = [(0.0, 1.5e308), (0.0, math.nan)]
+    assert math.isnan(nearest_human_distance((1.5e308, 0.0), humans))
+    with np.errstate(all="ignore"):
+        assert math.isnan(oracle_nearest_human_distance(np.array([1.5e308, 0.0]), humans))
+    # hypot(inf, nan) is inf, as np.hypot has it
+    assert nearest_human_distance((0.0, 0.0), [(math.inf, math.nan), (1.0, 0.0)]) == 1.0
+    assert nearest_human_distance((0.0, 0.0), []) == math.inf
+
+
+def _pilot_both(scenario, position, goal_index, t):
+    old = OracleState(np.array(position), np.zeros(2), t=t, goal_index=goal_index)
+    new = SimState(position, (0.0, 0.0), t=t, goal_index=goal_index)
+    want = _sim_outcome(oracle_potential_field_cmd, old, scenario)
+    got = _sim_outcome(potential_field_cmd, new, scenario)
+    return (got, new.goal_index), (want, old.goal_index)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=pilot_cases())
+def test_pilot_matches_oracle(case):
+    (got, got_index), (want, want_index) = _pilot_both(*case)
+    assert got_index == want_index
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert cmd_bits(got) == cmd_bits(want)
+
+
+@pytest.mark.parametrize(
+    "position, goals, humans, k_repulse",
+    [
+        ((0.0, 0.0), [(-0.0, -0.0)], [], 2.0),  # -0.0 offset, no attraction
+        ((-0.0, 0.0), [(0.0, -0.0)], [(-0.0, -0.0)], 2.0),  # human on the vehicle
+        ((0.0, 0.0), [(0.0, 0.0), (5.0, -0.0)], [], 2.0),  # capture, then head on
+        ((4.5, 0.0), [(5.0, 0.0), (0.0, 0.0)], [], 2.0),  # exactly 0.5 m: no capture
+        ((4.75, 0.0), [(5.0, 0.0)], [], 2.0),  # single goal: never captured
+        ((0.0, 0.0), [(10.0, 0.0)], [(3.0, 0.0), (0.0, -3.0)], 2.0),  # on the radius
+        # on the radius the weight is 0: only an infinite gain shows the skip
+        ((0.0, 0.0), [(10.0, 0.0)], [(3.0, 0.0)], math.inf),
+        ((0.0, 0.0), [(10.0, 0.0)], [(2.9999999999999996, 0.0)], 2.0),  # just inside
+        ((0.0, 0.0), [(-10.0, 0.0)], [(-1e-13, 0.0)], 2.0),  # under the 1e-12 guard
+        ((0.0, 0.0), [(10.0, 0.0)], [(1e-12, 0.0)], 2.0),  # on the 1e-12 guard
+    ],
+)
+def test_pilot_matches_oracle_on_signed_zeros_capture_and_radii(position, goals, humans, k_repulse):
+    scenario = SimScenario(
+        name="edges", start=(0.0, 0.0), goals=goals, humans=humans,
+        cfg=GovernorConfig(), profile=PROFILE, k_repulse=k_repulse,
+    )
+    (got, got_index), (want, want_index) = _pilot_both(scenario, position, 0, 1.0)
+    assert got_index == want_index
+    assert cmd_bits(got) == cmd_bits(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    position=st.tuples(coords, coords),
+    velocity=st.tuples(coords, coords),
+    target=st.tuples(coords, coords),
+    dt=st.sampled_from([0.004]) | st.floats(1e-6, 1.0),
+    a_max=st.sampled_from([0.0, 15.0]) | st.floats(0.0, 100.0),
+)
+def test_step_matches_oracle(position, velocity, target, dt, a_max):
+    cmd = VelocityCommand(target[0], target[1], 0.0, 0.0)
+    old = OracleState(np.array(position), np.array(velocity), t=0.25)
+    new = SimState(position, velocity, t=0.25)
+    assert _sim_outcome(oracle_step, old, cmd, dt, a_max) is None
+    assert _sim_outcome(step, new, cmd, dt, a_max) is None
+    assert tree_bits(new.position) == tree_bits(tuple(old.position.tolist()))
+    assert tree_bits(new.velocity) == tree_bits(tuple(old.velocity.tolist()))
+    assert float_bits(new.t) == float_bits(old.t)
+    with np.errstate(all="ignore"):
+        assert float_bits(new.speed) == float_bits(old.speed)
+
+
+command_parts = st.one_of(
+    st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0, math.nan, math.inf, 1e200]), st.floats()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    events=st.lists(
+        st.one_of(
+            st.tuples(st.just("range"), st.sampled_from([0.5, 5.0, 9.0, math.nan, -1.0, math.inf])
+                      | st.floats(0.0, 30.0), st.floats(-1.0, 3.0)),
+            st.tuples(st.just("cmd"), command_parts, command_parts, command_parts,
+                      st.floats(-1.0, 3.0)),
+        ),
+        max_size=12,
+    ),
+    mode=st.sampled_from(["binary", "ramp"]),
+    stale_cap=st.sampled_from([None, 0.0, 1.0]),
+)
+def test_on_command_records_match_oracle(events, mode, stale_cap):
+    cfg = GovernorConfig(mode=mode, stale_cap_mps=stale_cap)
+    runtimes = GovernorRuntime(cfg, PROFILE), OracleRuntime(cfg, PROFILE)
+    for event in events:
+        outcomes = []
+        for rt in runtimes:
+            if event[0] == "range":
+                rt.on_range(*event[1:])
+                continue
+            cmd = VelocityCommand(*event[1:])
+            out = _sim_outcome(rt.on_command, cmd)
+            rec = rt.last_record
+            outcomes.append((
+                out if isinstance(out, type) else cmd_bits(out),
+                None if rec is None else tree_bits(dataclasses.astuple(rec)),
+            ))
+        if outcomes:
+            assert outcomes[0] == outcomes[1]
+
+
+def _assert_same_run(scenario):
+    rows, summary = run_scenario(scenario)
+    want_rows, want_summary = oracle_run_scenario(scenario)
+    assert len(rows) == len(want_rows)
+    for got, want in zip(rows, want_rows):
+        assert tree_bits(got) == tree_bits(want)
+    assert tree_bits(summary) == tree_bits(want_summary)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("three_humans_chest", {}),
+        ("three_humans_face", {}),
+        ("three_humans_chest", {"mode": "ramp"}),
+    ],
+    ids=["chest", "face", "chest-ramp"],
+)
+def test_closed_loop_matches_oracle_on_shipped_scenarios(name, overrides):
+    scenario = load_scenario(REPO_ROOT / "scenarios" / f"{name}.json")
+    scenario.cfg = dataclasses.replace(scenario.cfg, **overrides)
+    _assert_same_run(scenario)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    start=st.tuples(st.floats(-5.0, 15.0), st.floats(-5.0, 5.0)),
+    goals=st.lists(st.tuples(st.floats(-5.0, 15.0), st.floats(-5.0, 5.0)), min_size=1, max_size=3),
+    humans=st.lists(st.tuples(st.floats(-5.0, 15.0), st.floats(-5.0, 5.0)), max_size=3),
+    mode=st.sampled_from(["binary", "ramp"]),
+    f_star=st.sampled_from([65.0, 140.0]),
+)
+def test_closed_loop_matches_oracle_on_random_fields(start, goals, humans, mode, f_star):
+    scenario = SimScenario(
+        name="random", start=start, goals=goals, humans=humans,
+        cfg=GovernorConfig(mode=mode, f_star_n=f_star), profile=PROFILE, duration_s=1.5,
+    )
+    _assert_same_run(scenario)

@@ -224,6 +224,16 @@ def test_write_trajectory_round_trips(tmp_path):
     assert len(dat_lines[1].split()) == len(TRAJECTORY_COLUMNS)
 
 
+def test_gnuplot_body_is_the_csv_body_space_separated(tmp_path):
+    rows, _ = run_scenario(load_scenario(REPO_ROOT / "scenarios" / "three_humans_face.json"))
+    write_trajectory(rows, tmp_path / "t.csv")
+    write_trajectory_gnuplot(rows, tmp_path / "t.dat")
+    csv_lines = (tmp_path / "t.csv").read_text().splitlines(keepends=True)
+    dat_lines = (tmp_path / "t.dat").read_text().splitlines(keepends=True)
+    assert dat_lines[0] == "# " + csv_lines[0].replace(",", " ")
+    assert "".join(dat_lines[1:]) == "".join(csv_lines[1:]).replace(",", " ")
+
+
 # --- serialization -----------------------------------------------------------
 
 
