@@ -286,23 +286,20 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise InvariantViolation("governor config must be a JSON object")
+            raise GovernorConfigError("governor config must be a JSON object")
         config_dir = Path(args.config).resolve().parent
 
     f_star = None
     region = data.get("body_region")
     if region is not None:
-        if region not in BODY_REGION_LIMITS_N:
-            raise InvariantViolation(
+        if not isinstance(region, str) or region not in BODY_REGION_LIMITS_N:
+            raise GovernorConfigError(
                 f"unknown body_region {region!r}; expected one of "
                 f"{sorted(BODY_REGION_LIMITS_N)}"
             )
         f_star = BODY_REGION_LIMITS_N[region]
     if "f_star_n" in data:
-        try:
-            f_star = float(data["f_star_n"])
-        except (TypeError, ValueError) as exc:
-            raise GovernorConfigError(f"bad governor config: f_star_n: {exc}") from exc
+        f_star = data["f_star_n"]
     if args.body_region:
         f_star = BODY_REGION_LIMITS_N[args.body_region]
     if args.f_star is not None:
@@ -319,19 +316,24 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
     if args.profile:
         profile_path = Path(args.profile)
     elif "profile" in data:
-        profile_path = Path(data["profile"])
-        if not profile_path.is_absolute():
-            profile_path = config_dir / profile_path
+        profile_path = _config_path(data, "profile", config_dir)
     if profile_path is None:
         raise IngestError("govern needs an airframe profile (--profile or config)")
     profile = load_profile(profile_path)
 
     compliance_path = None
     if "compliance_log" in data:
-        compliance_path = Path(data["compliance_log"])
-        if not compliance_path.is_absolute():
-            compliance_path = config_dir / compliance_path
+        compliance_path = _config_path(data, "compliance_log", config_dir)
     return cfg, profile, compliance_path
+
+
+def _config_path(data: dict, key: str, config_dir: Path) -> Path:
+    """A path from the governor config, relative to the config's directory."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise GovernorConfigError(f"bad governor config: {key} must be a path, got {value!r}")
+    path = Path(value)
+    return path if path.is_absolute() else config_dir / path
 
 
 def cmd_govern(args) -> int:

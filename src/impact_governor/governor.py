@@ -68,8 +68,10 @@ class GovernorConfig:
             "v_platform_max_mps",
             "staleness_timeout_s",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            _check_finite(name, value)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.mode not in ("binary", "ramp"):
             raise ValueError(f"mode must be 'binary' or 'ramp', got {self.mode!r}")
         limit = max(BODY_REGION_LIMITS_N.values())
@@ -78,8 +80,10 @@ class GovernorConfig:
                 f"f_star_n {self.f_star_n:g} N exceeds the largest body-region "
                 f"limit {limit:g} N"
             )
-        if self.stale_cap_mps is not None and self.stale_cap_mps < 0:
-            raise ValueError("stale_cap_mps must be >= 0 when set")
+        if self.stale_cap_mps is not None:
+            _check_finite("stale_cap_mps", self.stale_cap_mps)
+            if self.stale_cap_mps < 0:
+                raise ValueError("stale_cap_mps must be >= 0 when set")
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +105,18 @@ class GovernorConfig:
         return cls(**known)
 
 
+def _check_finite(name: str, value) -> None:
+    """Refuse anything but a finite int or float (a bool is no number).
+
+    NaN passes every ``<=`` bound check, and an infinite platform maximum
+    never ends the force-cap bisection. With exact int and float types, a
+    cap taken from the config prints in a reply as ``json.dumps`` prints it
+    (``stream.format_cmd_limited`` relies on that).
+    """
+    if (type(value) is not float and type(value) is not int) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class VelocityCommand:
     vx: float
@@ -109,7 +125,10 @@ class VelocityCommand:
     timestamp: float
 
     def speed(self) -> float:
-        return math.sqrt(self.vx**2 + self.vy**2 + self.vz**2)
+        try:
+            return math.sqrt(self.vx**2 + self.vy**2 + self.vz**2)
+        except OverflowError:  # finite parts whose squares overflow, like 1e200
+            return math.hypot(self.vx, self.vy, self.vz)
 
     def is_finite(self) -> bool:
         return (
@@ -330,7 +349,11 @@ class GovernorRuntime:
 
         A NaN component falls back to the cruise-speed zone radius.
         """
-        s = iso_radius(math.sqrt(vx**2 + vy**2 + vz**2), self.cfg)
+        try:
+            v = math.sqrt(vx**2 + vy**2 + vz**2)
+        except OverflowError:  # as in VelocityCommand.speed
+            v = math.hypot(vx, vy, vz)
+        s = iso_radius(v, self.cfg)
         self._s_live = self.s_zone if math.isnan(s) else s
 
     # -- command limiting ---------------------------------------------------

@@ -63,45 +63,72 @@ def _reject_constant(name: str):
 #: one decoder for every message; it refuses the NaN/Infinity literals that
 #: json.loads would accept, so a non-finite reading never reaches the governor
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_SCAN = _DECODER.scan_once
+
+#: the smallest int that float() refuses (it rounds up past the largest float)
+_INT_OVERFLOW = 2**1024 - 2**970
 
 
 def parse_message(text: str) -> dict:
     """Decode one NDJSON message and validate its shape.
 
     Returns the decoded dict.  Raises ProtocolError for anything that is
-    not a JSON object of a known type with finite numeric required fields,
-    and for the non-standard NaN/Infinity literals anywhere in the message.
+    not a JSON object of a known type with finite numeric required fields
+    (an int too large for a float is not finite), and for the non-standard
+    NaN/Infinity literals anywhere in the message.
     """
+    # one scan decodes a well-formed line; anything else (surrounding
+    # whitespace, trailing data, a syntax error, an int literal past Python's
+    # digit limit, nesting past the recursion limit) goes through decode,
+    # which gives the same value or raises the same error
     try:
-        msg = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"invalid JSON: {exc}") from exc
-    if not isinstance(msg, dict):
+        msg, end = _SCAN(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(text):
+        try:
+            msg = _DECODER.decode(text)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise ProtocolError(f"invalid JSON: {exc}") from exc
+    if type(msg) is not dict:
         raise ProtocolError("message must be a JSON object")
     mtype = msg.get("type")
-    if mtype not in _REQUIRED_FIELDS:
+    if type(mtype) is not str or mtype not in _REQUIRED_FIELDS:
         raise ProtocolError(f"unknown message type: {mtype!r}")
     for key in _REQUIRED_FIELDS[mtype]:
         value = msg.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        # the decoder makes exact int, float and bool only, and a bool is no
+        # number; an int past _INT_OVERFLOW would make float() raise
+        if type(value) is float:
+            finite = -math.inf < value < math.inf  # a literal like 1e999 decodes to inf
+        elif type(value) is int:
+            finite = -_INT_OVERFLOW < value < _INT_OVERFLOW
+        else:
             raise ProtocolError(f"{mtype} message field {key!r} must be a number")
-        if not -math.inf < value < math.inf:  # a literal like 1e999 decodes to inf
+        if not finite:
             raise ProtocolError(f"{mtype} message field {key!r} must be finite")
     return msg
 
 
+#: the reply with every number as its repr, which is what json writes for an
+#: exact finite float or int
+_CMD_LIMITED = (
+    '{"type":"cmd_limited","vx":%r,"vy":%r,"vz":%r,"cap_mps":%r,"source":"%s","t_s":%r}'
+)
+
+
 def format_cmd_limited(out: VelocityCommand, record: ComplianceRecord) -> str:
-    """Serialize the governed command reply (stable key order, no spaces)."""
-    payload = {
-        "type": "cmd_limited",
-        "vx": out.vx,
-        "vy": out.vy,
-        "vz": out.vz,
-        "cap_mps": record.cap_mps,
-        "source": record.cap_source,
-        "t_s": out.timestamp,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    """Serialize the governed command reply (stable key order, no spaces).
+
+    Byte-equal to ``json.dumps`` of the reply with ``separators=(",", ":")``
+    for what the runtime emits: the numbers are exact finite floats (the
+    command from ``_dispatch``) or ints (a cap taken from an int config
+    value, see ``GovernorConfig``), and the source is one of the four
+    plain-ASCII cap sources.
+    """
+    return _CMD_LIMITED % (
+        out.vx, out.vy, out.vz, record.cap_mps, record.cap_source, out.timestamp
+    )
 
 
 def format_error(message: str) -> str:
@@ -119,18 +146,21 @@ class ComplianceLog:
             self._fh.flush()
 
     def write(self, record: ComplianceRecord) -> None:
-        row = (
-            _fmt(record.timestamp),
-            _fmt(record.input_speed_mps),
-            _fmt(record.output_speed_mps),
-            _fmt(record.d_m),
-            _fmt(record.s_m),
-            _fmt(record.cap_mps),
-            record.cap_source,
-            "true" if record.violated else "false",
-            ";".join(record.flags),
+        # %.9g takes an int or a bool as a float and prints every NaN as "nan"
+        self._fh.write(
+            "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%s\n"
+            % (
+                record.timestamp,
+                record.input_speed_mps,
+                record.output_speed_mps,
+                record.d_m,
+                record.s_m,
+                record.cap_mps,
+                record.cap_source,
+                "true" if record.violated else "false",
+                ";".join(record.flags),
+            )
         )
-        self._fh.write(",".join(row) + "\n")
 
     def flush(self) -> None:
         self._fh.flush()
@@ -144,12 +174,6 @@ class ComplianceLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return format(float(value), ".9g")
 
 
 def _dispatch(

@@ -285,6 +285,26 @@ def test_govern_config_file_with_cli_precedence(
     assert json.loads(stdout.splitlines()[0])["cap_mps"] == pytest.approx(14.59, abs=0.01)
 
 
+def test_govern_caps_finite_huge_command_and_odometry(monkeypatch, capsys, tmp_path, profile_path):
+    out = tmp_path / "gov"
+    code, stdout = _govern_stdin(
+        monkeypatch, capsys,
+        [
+            {"type": "range", "d_m": 5.0, "t_s": 0.0},
+            {"type": "odom", "vx": 1e200, "vy": 0.0, "vz": 0.0, "t_s": 0.0},
+            {"type": "cmd", "vx": 1e200, "vy": -1e200, "vz": 0.0, "t_s": 0.01},
+        ],
+        extra_args=["--profile", str(profile_path)],
+        out=out,
+    )
+    assert code == 0
+    reply = json.loads(stdout.splitlines()[0])
+    assert math.hypot(reply["vx"], reply["vy"], reply["vz"]) <= reply["cap_mps"] + 1e-9
+    assert reply["vx"] == -reply["vy"] > 0  # direction kept
+    row = (out / "compliance.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == "1.41421356e+200" and row[4] == "inf" and row[7] == "false"
+
+
 def test_govern_malformed_stream_exits_protocol(
     monkeypatch, capsys, tmp_path, profile_path
 ):
@@ -325,8 +345,22 @@ def _case_protocol(tmp_path, monkeypatch):
     return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
 
 
+def _case_unphysical_fit(tmp_path, monkeypatch):
+    paths = []
+    for v, ec in ((3.0, 0.10), (3.9, 0.02), (4.0, 0.30)):
+        p = tmp_path / f"s{v}.json"
+        p.write_text(json.dumps(_summary_dict(v, ec)))
+        paths.append(str(p))
+    return ["fit", *paths]
+
+
 def _case_config_not_object(tmp_path, monkeypatch):
     (tmp_path / "gov.json").write_text("[1, 2]")
+    return ["govern", "--stdin", "--config", str(tmp_path / "gov.json")]
+
+
+def _case_unknown_body_region(tmp_path, monkeypatch):
+    (tmp_path / "gov.json").write_text(json.dumps({"body_region": "elbow"}))
     return ["govern", "--stdin", "--config", str(tmp_path / "gov.json")]
 
 
@@ -376,16 +410,41 @@ def _case_bad_config_f_star(tmp_path, monkeypatch):
             "--profile", str(tmp_path / "p.json")]
 
 
+def _case_config_value(**values):
+    def case(tmp_path, monkeypatch):
+        save_profile(make_profile(), tmp_path / "p.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"profile": "p.json", **values}))
+        return ["govern", "--stdin", "--config", str(tmp_path / "cfg.json")]
+
+    return case
+
+
+def _case_nan_f_star(tmp_path, monkeypatch):
+    save_profile(make_profile(), tmp_path / "p.json")
+    return ["govern", "--stdin", "--f-star", "nan", "--profile", str(tmp_path / "p.json")]
+
+
 def _case_bad_override(tmp_path, monkeypatch):
     return ["simulate", str(REPO_ROOT / "scenarios" / "three_humans_chest.json"),
             "--f-star", "9999"]
+
+
+def _case_nan_override(tmp_path, monkeypatch):
+    return ["simulate", str(REPO_ROOT / "scenarios" / "three_humans_chest.json"),
+            "--f-star", "nan"]
 
 
 @pytest.mark.parametrize(
     "case, code, first_line",
     [
         (_case_protocol, 3, "error: stream framing lost"),
-        (_case_config_not_object, 4, "error: governor config must be a JSON object"),
+        (_case_unphysical_fit, 4, "error: fitted model breaks physics: "),
+        (_case_config_not_object, 2, "error: governor config must be a JSON object"),
+        (_case_unknown_body_region, 2, "error: unknown body_region 'elbow'"),
+        (_case_config_value(body_region=["face"]), 2, "error: unknown body_region ['face']"),
+        (_case_config_value(profile=5), 2, "error: bad governor config: profile must be a path"),
+        (_case_config_value(compliance_log=5), 2,
+         "error: bad governor config: compliance_log must be a path"),
         (_case_no_profile, 2, "error: govern needs an airframe profile (--profile or config)"),
         (_case_profile_out_of_range, 2, "error: profile EC_r leaves [0, 1] on its domain"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
@@ -394,11 +453,22 @@ def _case_bad_override(tmp_path, monkeypatch):
         (_case_bad_summary, 2,
          "error: empty.json: not a configuration summary (KeyError: 'metrics')"),
         (_case_bad_governor_config, 2, "error: bad governor config: mode must be"),
-        (_case_bad_config_f_star, 2, "error: bad governor config: f_star_n: "),
+        (_case_bad_config_f_star, 2,
+         "error: bad governor config: f_star_n must be a finite number, got 'lots'"),
+        (_case_nan_f_star, 2, "error: bad governor config: f_star_n must be a finite number, got nan"),
+        (_case_config_value(v_platform_max_mps=math.inf), 2,
+         "error: bad governor config: v_platform_max_mps must be a finite number, got inf"),
+        (_case_config_value(stale_cap_mps=True), 2,
+         "error: bad governor config: stale_cap_mps must be a finite number, got True"),
         (_case_bad_override, 2, "error: bad governor config: f_star_n 9999 N exceeds"),
+        (_case_nan_override, 2, "error: bad governor config: f_star_n must be a finite number"),
     ],
-    ids=["protocol", "invariant", "ingest", "fit", "scenario", "file-not-found", "json",
-         "summary", "governor-config", "governor-config-f-star", "simulate-override"],
+    ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
+         "governor-config-body-region-list", "governor-config-profile-path",
+         "governor-config-compliance-path",
+         "ingest", "fit", "scenario", "file-not-found", "json", "summary", "governor-config",
+         "governor-config-f-star", "governor-config-nan-f-star", "governor-config-infinity",
+         "governor-config-bool", "simulate-override", "simulate-nan-override"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -204,6 +204,24 @@ def test_config_validation():
         GovernorConfig(stale_cap_mps=-1.0)
 
 
+_NUMERIC_FIELDS = (
+    "t_q_s", "a_mps2", "c_m", "v_cruise_mps", "f_star_n", "v_platform_max_mps",
+    "staleness_timeout_s", "stale_cap_mps",
+)
+
+
+@pytest.mark.parametrize("name", _NUMERIC_FIELDS)
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, True, False, np.float64(1.0), "1.0"],
+    ids=["nan", "inf", "-inf", "true", "false", "numpy", "str"],
+)
+def test_config_rejects_non_finite_bool_and_non_numbers(name, value):
+    # NaN passes every <= bound, an infinite platform maximum never ends the
+    # force-cap bisection, and a bool would reach the wire as true/false
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+        GovernorConfig(**{name: value})
+
+
 # --- runtime -----------------------------------------------------------------
 
 
@@ -444,3 +462,35 @@ def test_runtime_modules_load_no_analysis_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+# --- finite but huge velocities ----------------------------------------------
+
+_huge = st.one_of(
+    st.floats(-1.7e308, 1.7e308),
+    st.sampled_from([0.0, -0.0, 1e154, 1.4e154, 1e200, -1e200, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vx=_huge, vy=_huge, vz=_huge, d=st.sampled_from([0.5, 5.0, 30.0]),
+       mode=st.sampled_from(["binary", "ramp"]))
+@example(vx=1e200, vy=0.0, vz=0.0, d=5.0, mode="binary")
+@example(vx=1.7e308, vy=-1.7e308, vz=1.7e308, d=30.0, mode="ramp")
+def test_runtime_saturates_finite_huge_velocities(vx, vy, vz, d, mode):
+    try:  # where the squares fit, the norm keeps its bits
+        want = math.sqrt(vx**2 + vy**2 + vz**2)
+    except OverflowError:
+        want = math.hypot(vx, vy, vz)
+    assert VelocityCommand(vx, vy, vz, 0.0).speed() == want
+
+    rt = GovernorRuntime(GovernorConfig(mode=mode, f_star_n=F_STAR_FACE), make_profile())
+    rt.on_range(d, 0.0)
+    rt.on_odom(vx, vy, vz, 0.0)
+    out = rt.on_command(VelocityCommand(vx, vy, vz, 0.01))
+    rec = rt.last_record
+    assert all(math.isfinite(c) for c in (out.vx, out.vy, out.vz))
+    assert out.speed() <= rec.cap_mps + CAP_EPSILON
+    assert not rec.violated and rec.flags == []
+    assert rec.input_speed_mps == want
+    assert rec.s_m == iso_radius(want, rt.cfg)

@@ -3,8 +3,9 @@ implementations they replaced.
 
 The oracles below are the earlier, straightforward versions of the CSV
 reader, the Kalman loop, the despike edge loop, the numpy 2-vector
-simulation (pilot, integrator, nearest-human distance and closed loop) and
-the governor's command limiting, kept verbatim. The current code must
+simulation (pilot, integrator, nearest-human distance and closed loop), the
+governor's command limiting and the stream's message parse, reply format and
+compliance row, kept verbatim. The current code must
 return bitwise-equal results (``tobytes``, or the IEEE-754 bytes of each
 float) on every input the oracles accept, and raise the same error where
 they raise one.
@@ -12,10 +13,13 @@ they raise one.
 
 import csv
 import dataclasses
+import io
+import json
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,11 +34,13 @@ from impact_governor.dsp import (
     kalman_smooth,
     median_despike,
 )
+from impact_governor import stream
 from impact_governor.errors import (
     EmptyStream,
     MalformedRow,
     MissingColumn,
     NonPositiveDefiniteCovariance,
+    ProtocolError,
     WindowTooLarge,
 )
 from impact_governor.governor import (
@@ -46,6 +52,7 @@ from impact_governor.governor import (
     VelocityCommand,
 )
 from impact_governor.ingest import FORCE_COLUMNS, RANGE_COLUMNS, _read_csv_columns
+from impact_governor.fit import BODY_REGION_LIMITS_N
 from impact_governor.sim import (
     SimScenario,
     SimState,
@@ -390,6 +397,75 @@ def oracle_run_scenario(scenario):
         "goal_switches": goal_switches,
     }
     return rows, summary
+
+
+def _oracle_reject_constant(name):
+    raise ProtocolError(f"non-finite number {name} is not allowed")
+
+
+_ORACLE_DECODER = json.JSONDecoder(parse_constant=_oracle_reject_constant)
+
+_ORACLE_REQUIRED_FIELDS = {
+    "range": ("d_m", "t_s"),
+    "odom": ("vx", "vy", "vz", "t_s"),
+    "cmd": ("vx", "vy", "vz", "t_s"),
+}
+
+
+def oracle_parse_message(text):
+    try:
+        msg = _ORACLE_DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"invalid JSON: {exc}") from exc
+    if not isinstance(msg, dict):
+        raise ProtocolError("message must be a JSON object")
+    mtype = msg.get("type")
+    if mtype not in _ORACLE_REQUIRED_FIELDS:
+        raise ProtocolError(f"unknown message type: {mtype!r}")
+    for key in _ORACLE_REQUIRED_FIELDS[mtype]:
+        value = msg.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProtocolError(f"{mtype} message field {key!r} must be a number")
+        if not -math.inf < value < math.inf:  # a literal like 1e999 decodes to inf
+            raise ProtocolError(f"{mtype} message field {key!r} must be finite")
+    return msg
+
+
+def oracle_format_cmd_limited(out, record):
+    payload = {
+        "type": "cmd_limited",
+        "vx": out.vx,
+        "vy": out.vy,
+        "vz": out.vz,
+        "cap_mps": record.cap_mps,
+        "source": record.cap_source,
+        "t_s": out.timestamp,
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _oracle_fmt(value):
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return format(float(value), ".9g")
+
+
+class OracleComplianceLog(stream.ComplianceLog):
+    """The compliance log with the earlier row writer."""
+
+    def write(self, record):
+        row = (
+            _oracle_fmt(record.timestamp),
+            _oracle_fmt(record.input_speed_mps),
+            _oracle_fmt(record.output_speed_mps),
+            _oracle_fmt(record.d_m),
+            _oracle_fmt(record.s_m),
+            _oracle_fmt(record.cap_mps),
+            record.cap_source,
+            "true" if record.violated else "false",
+            ";".join(record.flags),
+        )
+        self._fh.write(",".join(row) + "\n")
 
 
 def assert_bitwise(a, b):
@@ -847,3 +923,215 @@ def test_closed_loop_matches_oracle_on_random_fields(start, goals, humans, mode,
         cfg=GovernorConfig(mode=mode, f_star_n=f_star), profile=PROFILE, duration_s=1.5,
     )
     _assert_same_run(scenario)
+
+
+# --- stream: message parse, reply format, compliance row ---------------------
+
+
+def _parse_outcome(parse, text):
+    """The decoded message with every float as its bits, or the error text."""
+    try:
+        return tree_bits(parse(text))
+    except ProtocolError as exc:
+        return "ProtocolError", str(exc)
+    except (TypeError, ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _expected_parse_outcome(text):
+    """The earlier parse's outcome, except where it let a message crash the
+    stream; the current parse refuses those with a protocol error."""
+    want = _parse_outcome(oracle_parse_message, text)
+    if not isinstance(want, dict) and want[0] in ("ValueError", "RecursionError"):
+        return "ProtocolError", f"invalid JSON: {want[1]}"  # int digit limit, nesting depth
+    if not isinstance(want, dict) and want[0] == "TypeError":  # an unhashable "type"
+        return "ProtocolError", f"unknown message type: {json.loads(text)['type']!r}"
+    # an int that float() refuses passed the earlier checks (and crashed
+    # _dispatch); now it is not finite, in the order the fields are checked
+    try:
+        msg = _ORACLE_DECODER.decode(text)
+        fields = _ORACLE_REQUIRED_FIELDS[msg["type"]]
+    except (ProtocolError, ValueError, TypeError, KeyError):
+        return want
+    for key in fields:
+        value = msg.get(key)
+        if type(value) is int and abs(value) >= 2**1024 - 2**970:
+            return "ProtocolError", f"{msg['type']} message field {key!r} must be finite"
+        if type(value) not in (int, float) or not math.isfinite(value):
+            break  # the earlier parse's own error comes first
+    return want
+
+
+#: numbers the decoder turns into edge values: signed zeros, a subnormal,
+#: exact and inexact large values, overflow to inf, and the literals that
+#: json writes for non-finite floats
+NUMBER_TEXTS = [
+    "0", "-0", "0.0", "-0.0", "5e-324", "1e-400", "1e16", "12345678901234567890",
+    "1.7976931348623157e308", "1e999", "-1e999", "NaN", "Infinity", "-Infinity",
+    "true", "false", "null", '"1.5"', "[]", "{}", '["cmd"]',
+    str(2**1024 - 2**970 - 1), str(2**1024 - 2**970), str(-(2**1024)), "1" * 5000,
+]
+number_texts = st.one_of(
+    st.sampled_from(NUMBER_TEXTS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+whitespace = st.text(" \t\r\n", max_size=3)
+
+
+@st.composite
+def message_texts(draw):
+    """One NDJSON line: a well-formed message, a message with any value in a
+    required field, extra or duplicate keys, surrounding whitespace, or one
+    of the framing faults."""
+    mtype = draw(st.sampled_from(["range", "odom", "cmd", "bogus"]))
+    keys = list(_ORACLE_REQUIRED_FIELDS.get(mtype, ("t_s",)))
+    keys += draw(st.lists(st.sampled_from(["vx", "d_m", "extra", "type"]), max_size=2))
+    if draw(st.booleans()):  # duplicate keys: the last one wins
+        keys.append(draw(st.sampled_from(keys)))
+    fields = [f'"type":"{mtype}"'] + [f'"{k}":{draw(number_texts)}' for k in keys]
+    if draw(st.booleans()):
+        fields = draw(st.permutations(fields))
+    sep = draw(st.sampled_from([",", ", ", " , "]))
+    text = "{" + sep.join(fields) + "}"
+    text = draw(st.sampled_from([
+        text, text, text,
+        text + " x", text + text, text + "\n" + text, text[:-1], "[" + text + "]",
+        "{not json", "[]", "", "null", '"cmd"', "1.5", "[" * 100_000,
+    ]))
+    return draw(whitespace) + text + draw(whitespace)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=message_texts())
+def test_parse_message_matches_oracle(text):
+    assert _parse_outcome(stream.parse_message, text) == _expected_parse_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type":"cmd","vx":1.5,"vy":0,"vz":-0.0,"t_s":0.1}',
+        ' {"type":"range","d_m":4,"t_s":0}\n',
+        '{"type":"range","d_m":4,"t_s":0}\r\n',
+        "{not json", "[]", "", "   ", '{"type":"range","d_m":4,"t_s":0} trailing',
+        '{"type":"range","d_m":4,"t_s":0}{"type":"range","d_m":5,"t_s":0}',
+        '{"type":"range","d_m":4,"d_m":5,"t_s":0}',
+        '{"type":"range","d_m":4,"d_m":true,"t_s":0}',
+        '{"type":"range","d_m":NaN,"t_s":0}', '{"type":"range","d_m":4,"t_s":-Infinity}',
+        '{"type":"range","d_m":4,"t_s":0,"note":NaN}',
+        '{"type":"range","d_m":4,"t_s":0} NaN',
+        '{"type":"range","d_m":1e999,"t_s":0}', '{"type":"range","d_m":4,"t_s":0,"x":1e999}',
+        '{"type":"cmd","vx":true,"vy":0,"vz":0,"t_s":0}',
+        '{"type":"cmd","vx":1,"vy":0,"t_s":0}', '{"type":"odom"}', '{"type":null}',
+        '{"vx":1}', '"range"', "nul", '{"type":"range","d_m":4,"t_s":0',
+        '{"type":["cmd"]}', '{"type":{}}', '{"type":"range","d_m":1' + "0" * 400 + ',"t_s":0}',
+        '{"type":"range","d_m":4,"t_s":' + "9" * 5000 + "}", "[" * 100_000,
+    ],
+)
+def test_parse_message_matches_oracle_on_edge_lines(text):
+    assert _parse_outcome(stream.parse_message, text) == _expected_parse_outcome(text)
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1e15, 1e16, -1e16,
+    1.2345678901234567e17, 1e200, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+reply_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+reply_caps = st.one_of(reply_floats.map(abs), st.integers(0, 10**20))
+CAP_SOURCES = ["none", "iso", "force", "stale-failsafe"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parts=st.tuples(reply_floats, reply_floats, reply_floats, reply_floats),
+       cap=reply_caps, source=st.sampled_from(CAP_SOURCES))
+def test_format_cmd_limited_matches_oracle(parts, cap, source):
+    out = VelocityCommand(*parts)
+    record = ComplianceRecord(parts[3], 0.0, 0.0, 0.0, 0.0, cap, source, False)
+    assert stream.format_cmd_limited(out, record) == oracle_format_cmd_limited(out, record)
+
+
+def _nan_with_sign():
+    return struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
+
+
+row_numbers = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [math.nan, _nan_with_sign(), math.inf, -math.inf]),
+    st.floats(),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+)
+FLAGS = ["clock-skew", "invalid-range", "non-finite-command"]
+
+
+def _row_bytes(log_class, path, records):
+    path.unlink(missing_ok=True)
+    with log_class(path) as log:
+        for record in records:
+            log.write(record)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(
+    st.builds(ComplianceRecord, row_numbers, row_numbers, row_numbers, row_numbers, row_numbers,
+              row_numbers, st.sampled_from(CAP_SOURCES), st.booleans(),
+              st.lists(st.sampled_from(FLAGS), unique=True)),
+    min_size=1, max_size=5,
+))
+def test_compliance_row_matches_oracle(tmp_path, records):
+    want = _row_bytes(OracleComplianceLog, tmp_path / "oracle.csv", records)
+    assert _row_bytes(stream.ComplianceLog, tmp_path / "new.csv", records) == want
+
+
+def _number(lo, hi):
+    """A float in [lo, hi], or an int where the range holds one."""
+    if math.ceil(lo) > math.floor(hi):
+        return st.floats(lo, hi)
+    return st.floats(lo, hi) | st.integers(math.ceil(lo), math.floor(hi))
+
+
+governor_configs = st.builds(
+    GovernorConfig,
+    t_q_s=_number(0.01, 0.5),
+    a_mps2=_number(1.0, 30.0),
+    c_m=_number(0.1, 3.0),
+    v_cruise_mps=_number(1.0, 15.0),
+    f_star_n=_number(20.0, max(BODY_REGION_LIMITS_N.values())),
+    v_platform_max_mps=_number(1.0, 40.0),
+    staleness_timeout_s=_number(0.05, 1.0),
+    mode=st.sampled_from(["binary", "ramp"]),
+    stale_cap_mps=st.none() | _number(0.0, 30.0),
+    f_star_is_peak=st.booleans(),
+)
+wire_numbers = st.one_of(
+    st.floats(-30.0, 30.0), st.integers(-30, 30),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e200, -1.7e308]),
+)
+wire_messages = st.one_of(
+    st.fixed_dictionaries({"type": st.just("range"), "d_m": st.floats(-1.0, 40.0) | st.integers(0, 40),
+                           "t_s": st.floats(0.0, 3.0)}),
+    st.fixed_dictionaries({"type": st.sampled_from(["odom", "cmd", "cmd"]), "vx": wire_numbers,
+                           "vy": wire_numbers, "vz": wire_numbers, "t_s": st.floats(0.0, 3.0)}),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=governor_configs, messages=st.lists(wire_messages, max_size=30),
+       tail=st.sampled_from(["", '{"type":"cmd","vx":NaN,"vy":0,"vz":0,"t_s":1}']))
+def test_governed_stream_matches_oracle_path(tmp_path, cfg, messages, tail):
+    lines = [json.dumps(m) for m in messages] + [tail]
+    texts = []
+    for name, parse, format_reply, log_class in (
+        ("new", stream.parse_message, stream.format_cmd_limited, stream.ComplianceLog),
+        ("oracle", oracle_parse_message, oracle_format_cmd_limited, OracleComplianceLog),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.unlink(missing_ok=True)
+        out = io.StringIO()
+        with mock.patch.multiple(stream, parse_message=parse, format_cmd_limited=format_reply), \
+                log_class(path) as log:
+            rc = stream.run_stream(GovernorRuntime(cfg, PROFILE), lines, out, compliance=log)
+        texts.append((rc, out.getvalue(), path.read_text()))
+    assert texts[0] == texts[1]

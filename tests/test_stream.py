@@ -151,6 +151,25 @@ def test_compliance_log_contents(tmp_path, runtime):
     assert fields[8] == ""
 
 
+def test_int_config_caps_keep_their_json_text(tmp_path, const_profile):
+    rt = GovernorRuntime(GovernorConfig(v_platform_max_mps=20, stale_cap_mps=0), const_profile)
+    out, path = io.StringIO(), tmp_path / "c.csv"
+    lines = _lines(
+        {"type": "range", "d_m": 30.0, "t_s": 0.0},
+        {"type": "cmd", "vx": 3, "vy": 0, "vz": 0, "t_s": 0.1},
+        {"type": "cmd", "vx": 3.0, "vy": -0.0, "vz": 0.0, "t_s": 5.0},  # stale
+    )
+    with ComplianceLog(path) as log:
+        assert run_stream(rt, lines, out, compliance=log) == 0
+    assert out.getvalue() == (
+        '{"type":"cmd_limited","vx":3.0,"vy":0.0,"vz":0.0,"cap_mps":20,"source":"none","t_s":0.1}\n'
+        '{"type":"cmd_limited","vx":0.0,"vy":-0.0,"vz":0.0,"cap_mps":0,'
+        '"source":"stale-failsafe","t_s":5.0}\n'
+    )
+    rows = path.read_text().splitlines()[1:]
+    assert rows == ["0.1,3,3,30,8.4,20,none,false,", "5,3,0,30,8.4,0,stale-failsafe,false,"]
+
+
 def test_compliance_log_appends_without_second_header(tmp_path, runtime):
     path = tmp_path / "compliance.csv"
     cmd = {"type": "cmd", "vx": 1.0, "vy": 0.0, "vz": 0.0, "t_s": 0.0}
