@@ -29,15 +29,15 @@ def main():
         seed=1,
         configuration="Demo-0deg",
     )
-    out_dir = Path(tempfile.mkdtemp(prefix="bench_demo_"))
-    manifest = write_trial(raw, out_dir, "trial_001")
-    print(f"wrote trial to {out_dir}")
-    print(f"  force rows:  {raw.force_time.size} @ {raw.fs_force:g} Hz")
-    print(f"  range rows:  {raw.range_time.size} @ {raw.fs_range:g} Hz")
-    print(f"  trigger at {raw.trigger_time_force:.4f} s (force clock) / "
-          f"{raw.trigger_time_range:.4f} s (range clock)")
+    with tempfile.TemporaryDirectory(prefix="bench_demo_") as tmp:
+        manifest = write_trial(raw, Path(tmp), "trial_001")
+        print(f"wrote trial to {tmp} (removed on exit)")
+        print(f"  force rows:  {raw.force_time.size} @ {raw.fs_force:g} Hz")
+        print(f"  range rows:  {raw.range_time.size} @ {raw.fs_range:g} Hz")
+        print(f"  trigger at {raw.trigger_time_force:.4f} s (force clock) / "
+              f"{raw.trigger_time_range:.4f} s (range clock)")
 
-    record = align_streams(load_trial(manifest))
+        record = align_streams(load_trial(manifest))
     print(f"\naligned: {record.time.size} samples, trigger now at t=0, "
           f"span [{record.time[0]:.3f}, {record.time[-1]:.3f}] s")
 

@@ -19,8 +19,7 @@ from impact_governor.synthetic import make_campaign
 TRUTH = (0.10, 0.02, -0.001)  # EC_r(v) = 0.10 + 0.02 v - 0.001 v^2
 
 
-def main():
-    out_dir = Path(tempfile.mkdtemp(prefix="campaign_demo_"))
+def run(out_dir: Path):
     manifests = make_campaign(
         out_dir,
         configuration="Demo-0deg",
@@ -64,7 +63,12 @@ def main():
 
     path = out_dir / "profile_demo.json"
     save_profile(profile, path)
-    print(f"\nprofile saved to {path}")
+    print(f"\nprofile saved to {path} (removed on exit)")
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="campaign_demo_") as tmp:
+        run(Path(tmp))
 
 
 if __name__ == "__main__":

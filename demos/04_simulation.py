@@ -45,11 +45,13 @@ def run(region: str, out_dir: Path):
 
 
 def main():
-    out_dir = Path(tempfile.mkdtemp(prefix="sim_demo_"))
-    run("chest", out_dir)
-    run("face", out_dir)
-    print("plot a trajectory with e.g.:")
-    print("  gnuplot> plot 'trajectory_face.csv' using 2:3 with lines")
+    with tempfile.TemporaryDirectory(prefix="sim_demo_") as tmp:
+        run("chest", Path(tmp))
+        run("face", Path(tmp))
+    print("the trajectories above are removed on exit; to keep and plot one:")
+    print("  impact-governor simulate scenarios/three_humans_chest.json "
+          "--body-region face --out sim_face")
+    print("  gnuplot> plot 'sim_face/trajectory.csv' using 2:3 with lines")
 
 
 if __name__ == "__main__":

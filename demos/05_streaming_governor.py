@@ -40,15 +40,17 @@ def main():
           f"zone={runtime.s_zone:.1f} m, staleness timeout "
           f"{cfg.staleness_timeout_s:g} s\n")
 
-    log_path = Path(tempfile.mkdtemp(prefix="stream_demo_")) / "compliance.csv"
     out = io.StringIO()
-    with ComplianceLog(log_path) as compliance:
-        code = run_stream(
-            runtime,
-            (json.dumps(m) for m in SCRIPT),
-            out,
-            compliance=compliance,
-        )
+    with tempfile.TemporaryDirectory(prefix="stream_demo_") as tmp:
+        log_path = Path(tmp) / "compliance.csv"
+        with ComplianceLog(log_path) as compliance:
+            code = run_stream(
+                runtime,
+                (json.dumps(m) for m in SCRIPT),
+                out,
+                compliance=compliance,
+            )
+        audit = log_path.read_text()
 
     replies = iter(out.getvalue().splitlines())
     for msg in SCRIPT:
@@ -58,8 +60,8 @@ def main():
             speed = (reply["vx"] ** 2 + reply["vy"] ** 2 + reply["vz"] ** 2) ** 0.5
             print(f"<< cap={reply['cap_mps']:.2f} ({reply['source']}), "
                   f"out speed {speed:.2f} m/s: {json.dumps(reply)}")
-    print(f"\nexit code {code}; compliance audit at {log_path}:")
-    sys.stdout.write(log_path.read_text())
+    print(f"\nexit code {code}; compliance audit:")
+    sys.stdout.write(audit)
 
 
 if __name__ == "__main__":

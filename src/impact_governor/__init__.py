@@ -16,9 +16,9 @@ Typical flow, one module per stage::
     runtime = governor.GovernorRuntime(governor.GovernorConfig(), profile)
 
 Import the stage modules directly.  The package itself loads none of
-them, so ``governor``, ``stream`` and ``sim`` run without scipy and the
-analysis stages.  The CLI (``impact-governor``) wraps the same steps; see
-the README.
+them, so ``profile``, ``governor``, ``stream`` and ``sim`` run without
+numpy or scipy and without the analysis stages.  The CLI
+(``impact-governor``) wraps the same steps; see the README.
 """
 
 __version__ = "0.1.0"

@@ -140,6 +140,13 @@ def _governor_config(data: dict) -> GovernorConfig:
         raise GovernorConfigError(f"bad governor config: {exc}") from exc
 
 
+def _cli_f_star(args) -> float | None:
+    """The force target the command line sets: --f-star, then --body-region."""
+    if args.f_star is None and args.body_region:
+        return BODY_REGION_LIMITS_N[args.body_region]
+    return args.f_star
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -289,21 +296,14 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
             raise GovernorConfigError("governor config must be a JSON object")
         config_dir = Path(args.config).resolve().parent
 
-    f_star = None
     region = data.get("body_region")
-    if region is not None:
-        if not isinstance(region, str) or region not in BODY_REGION_LIMITS_N:
-            raise GovernorConfigError(
-                f"unknown body_region {region!r}; expected one of "
-                f"{sorted(BODY_REGION_LIMITS_N)}"
-            )
-        f_star = BODY_REGION_LIMITS_N[region]
-    if "f_star_n" in data:
-        f_star = data["f_star_n"]
-    if args.body_region:
-        f_star = BODY_REGION_LIMITS_N[args.body_region]
-    if args.f_star is not None:
-        f_star = args.f_star
+    if region is not None and (not isinstance(region, str) or region not in BODY_REGION_LIMITS_N):
+        raise GovernorConfigError(
+            f"unknown body_region {region!r}; expected one of {sorted(BODY_REGION_LIMITS_N)}"
+        )
+    f_star = _cli_f_star(args)
+    if f_star is None:
+        f_star = data.get("f_star_n", BODY_REGION_LIMITS_N.get(region))
 
     merged = dict(data)
     if f_star is not None:
@@ -387,10 +387,9 @@ def cmd_simulate(args) -> int:
     updates = {}
     if args.mode:
         updates["mode"] = args.mode
-    if args.f_star is not None:
-        updates["f_star_n"] = args.f_star
-    if args.body_region:
-        updates["f_star_n"] = BODY_REGION_LIMITS_N[args.body_region]
+    f_star = _cli_f_star(args)
+    if f_star is not None:
+        updates["f_star_n"] = f_star
     if updates:
         scenario.cfg = _governor_config({**scenario.cfg.to_dict(), **updates})
 

@@ -1,90 +1,23 @@
-"""Velocity-dependent models fitted from aggregated bench results.
+"""Airframe profiles fitted from aggregated bench results by least squares.
 
-An airframe profile packages what the governor needs at runtime: the
-airframe mass, its characteristic contact duration, and a polynomial model
-of retained-energy ratio versus approach speed (restitution is its square
-root). Profiles serialize to a small versioned JSON file.
+The profile model itself lives in ``profile``; its API is re-exported here.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    DegenerateX,
-    InvariantViolation,
-    RestitutionOutOfRange,
-    SchemaVersionMismatch,
-    Underdetermined,
+from .errors import DegenerateX, InvariantViolation, Underdetermined
+from .profile import (  # noqa: F401  (re-exported)
+    BODY_REGION_LIMITS_N, AirframeProfile, PolyModel,
+    load_profile, parse_profile, save_profile, serialize_profile,
 )
 
 if TYPE_CHECKING:
     from .impact import ConfigurationSummary
-
-PROFILE_SCHEMA = 1
-
-#: quasi-static contact force limits (N) by body region
-BODY_REGION_LIMITS_N = {
-    "face": 65.0,
-    "neck": 150.0,
-    "chest": 140.0,
-    "back": 210.0,  # back and shoulders
-}
-
-_GRID_POINTS = 1000
-_RANGE_TOL = 1e-9
-
-
-@dataclass
-class PolyModel:
-    """Least-squares polynomial with its fit diagnostics and valid domain."""
-
-    coefficients: list[float]  # ascending powers
-    degree: int
-    r_squared: float
-    mae: float
-    domain: tuple[float, float]
-
-    def clamp(self, v: float) -> float:
-        return min(max(v, self.domain[0]), self.domain[1])
-
-    def extrapolated(self, v: float) -> bool:
-        return v < self.domain[0] or v > self.domain[1]
-
-    def evaluate(self, v: float) -> float:
-        """Evaluate at v, clamped into the fitted domain.
-
-        Clamping (instead of erroring) keeps runtime callers total: outside
-        the measured speed range the nearest measured behaviour is the best
-        available estimate. Use extrapolated() to know when that happened.
-        """
-        return float(npoly.polyval(self.clamp(v), self.coefficients))
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": list(self.coefficients),
-            "domain": [self.domain[0], self.domain[1]],
-            "r_squared": self.r_squared,
-            "mae": self.mae,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolyModel":
-        return cls(
-            coefficients=[float(c) for c in d["coeffs"]],
-            degree=int(d["degree"]),
-            r_squared=float(d.get("r_squared", math.nan)),
-            mae=float(d.get("mae", math.nan)),
-            domain=(float(d["domain"][0]), float(d["domain"][1])),
-        )
 
 
 def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
@@ -121,78 +54,6 @@ def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
         mae=mae,
         domain=(float(np.min(x)), float(np.max(x))),
     )
-
-
-@dataclass
-class AirframeProfile:
-    """Everything the velocity governor needs to know about one airframe."""
-
-    name: str
-    mass_kg: float
-    dt_s: float
-    dt_std_s: float
-    restitution: PolyModel  # retained-energy ratio EC_r as a function of v
-    angle_deg: float
-    f_max_ref_N: float
-    downgraded: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mass_kg <= 0:
-            raise InvariantViolation(f"profile mass must be positive, got {self.mass_kg}")
-        if self.dt_s <= 0:
-            raise InvariantViolation(f"profile dt must be positive, got {self.dt_s}")
-        if self.restitution.domain[0] > self.restitution.domain[1]:
-            raise InvariantViolation(f"restitution domain reversed: {self.restitution.domain}")
-        offending = _check_restitution_range(self.restitution)
-        if offending is not None:
-            raise RestitutionOutOfRange(
-                f"profile EC_r leaves [0, 1] on its domain (e.g. {offending:.4g})"
-            )
-
-    def retained_energy_at(self, v: float) -> float:
-        return self.restitution.evaluate(v)
-
-    def e_hat_at(self, v: float) -> float:
-        """Effective restitution at speed v (domain-clamped, floored at 0)."""
-        return math.sqrt(max(self.retained_energy_at(v), 0.0))
-
-    def peak_to_average_ratio(self, v_ref: float | None = None) -> float:
-        """Ratio of reference peak force to predicted average force.
-
-        Defaults the reference speed to the domain midpoint (the bench speed
-        the peak reference came from). Lets operators state peak-force
-        targets: F_avg_target = F_peak_target / ratio.
-        """
-        if v_ref is None:
-            v_ref = 0.5 * (self.restitution.domain[0] + self.restitution.domain[1])
-        f_avg = self.mass_kg * v_ref * (1.0 + self.e_hat_at(v_ref)) / self.dt_s
-        if f_avg <= 0:
-            raise InvariantViolation("average force non-positive at reference speed")
-        return self.f_max_ref_N / f_avg
-
-    def to_dict(self) -> dict:
-        rest = self.restitution.to_dict()
-        rest["downgraded"] = self.downgraded
-        return {
-            "schema": PROFILE_SCHEMA,
-            "name": self.name,
-            "mass_kg": self.mass_kg,
-            "dt_s": self.dt_s,
-            "dt_std_s": self.dt_std_s,
-            "restitution": rest,
-            "angle_deg": self.angle_deg,
-            "f_max_ref_N": self.f_max_ref_N,
-        }
-
-
-def _check_restitution_range(model: PolyModel) -> float | None:
-    """Return an offending EC_r value if the model leaves [0, 1] on its domain."""
-    grid = np.linspace(model.domain[0], model.domain[1], _GRID_POINTS)
-    vals = npoly.polyval(grid, model.coefficients)
-    if float(np.min(vals)) < -_RANGE_TOL or float(np.max(vals)) > 1.0 + _RANGE_TOL:
-        bad = vals[(vals < -_RANGE_TOL) | (vals > 1.0 + _RANGE_TOL)]
-        return float(bad[0])
-    return None
 
 
 def build_airframe_profile(
@@ -258,40 +119,3 @@ def estimate_force_simple(mass_kg: float, v: float, dt_s: float) -> float:
     if v < 0:
         raise ValueError(f"speed must be >= 0, got {v}")
     return mass_kg * v / dt_s
-
-
-def serialize_profile(profile: AirframeProfile) -> str:
-    """Stable JSON form (schema-versioned); parse_profile inverts exactly."""
-    return json.dumps(profile.to_dict(), indent=2) + "\n"
-
-
-def parse_profile(source: str | dict) -> AirframeProfile:
-    """Parse and validate a profile JSON document (text or parsed dict)."""
-    d = json.loads(source) if isinstance(source, str) else source
-    schema = d.get("schema")
-    if schema != PROFILE_SCHEMA:
-        raise SchemaVersionMismatch(
-            f"profile schema {schema!r} not supported (expected {PROFILE_SCHEMA})"
-        )
-    for key in ("name", "mass_kg", "dt_s", "dt_std_s", "restitution", "angle_deg", "f_max_ref_N"):
-        if key not in d:
-            raise InvariantViolation(f"profile lacks key {key!r}")
-
-    return AirframeProfile(
-        name=str(d["name"]),
-        mass_kg=float(d["mass_kg"]),
-        dt_s=float(d["dt_s"]),
-        dt_std_s=float(d["dt_std_s"]),
-        restitution=PolyModel.from_dict(d["restitution"]),
-        angle_deg=float(d["angle_deg"]),
-        f_max_ref_N=float(d["f_max_ref_N"]),
-        downgraded=bool(d["restitution"].get("downgraded", False)),
-    )
-
-
-def load_profile(path: str | Path) -> AirframeProfile:
-    return parse_profile(Path(path).read_text())
-
-
-def save_profile(profile: AirframeProfile, path: str | Path) -> None:
-    Path(path).write_text(serialize_profile(profile))

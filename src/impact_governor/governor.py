@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import NonMonotoneForceMapWarning
-from .fit import BODY_REGION_LIMITS_N, AirframeProfile
+from .profile import BODY_REGION_LIMITS_N, AirframeProfile, linspace
 
 CAP_EPSILON = 1e-9
 
@@ -86,18 +83,7 @@ class GovernorConfig:
                 raise ValueError("stale_cap_mps must be >= 0 when set")
 
     def to_dict(self) -> dict:
-        return {
-            "t_q_s": self.t_q_s,
-            "a_mps2": self.a_mps2,
-            "c_m": self.c_m,
-            "v_cruise_mps": self.v_cruise_mps,
-            "f_star_n": self.f_star_n,
-            "v_platform_max_mps": self.v_platform_max_mps,
-            "staleness_timeout_s": self.staleness_timeout_s,
-            "mode": self.mode,
-            "stale_cap_mps": self.stale_cap_mps,
-            "f_star_is_peak": self.f_star_is_peak,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GovernorConfig":
@@ -174,17 +160,10 @@ def iso_speed_cap(d: float, cfg: GovernorConfig) -> float:
 
 
 def avg_impact_force(v: float, profile: AirframeProfile) -> float:
-    """Predicted average contact force at approach speed v: m v (1 + e(v)) / dt."""
+    """Predicted average contact force at approach speed v >= 0 (profile.avg_force)."""
     if v < 0:
         raise ValueError(f"speed must be >= 0, got {v}")
-    return profile.mass_kg * v * (1.0 + profile.e_hat_at(v)) / profile.dt_s
-
-
-def _avg_force_on_grid(grid: np.ndarray, profile: AirframeProfile) -> np.ndarray:
-    lo, hi = profile.restitution.domain
-    clamped = np.clip(grid, lo, hi)
-    ec_r = np.clip(npoly.polyval(clamped, profile.restitution.coefficients), 0.0, None)
-    return profile.mass_kg * grid * (1.0 + np.sqrt(ec_r)) / profile.dt_s
+    return profile.avg_force(v)
 
 
 def force_speed_cap(f_star: float, profile: AirframeProfile, cfg: GovernorConfig) -> float:
@@ -202,9 +181,8 @@ def force_speed_cap(f_star: float, profile: AirframeProfile, cfg: GovernorConfig
         raise ValueError(f"f_star must be positive, got {f_star}")
     vmax = cfg.v_platform_max_mps
 
-    grid = np.linspace(0.0, vmax, 1000)
-    fvals = _avg_force_on_grid(grid, profile)
-    if np.any(np.diff(fvals) < -1e-9):
+    fvals = [profile.avg_force(v) for v in linspace(0.0, vmax)]
+    if any(b - a < -1e-9 for a, b in zip(fvals, fvals[1:])):
         warnings.warn(
             f"average-force map for profile {profile.name!r} decreases somewhere "
             f"on [0, {vmax:g}] m/s",
@@ -212,12 +190,12 @@ def force_speed_cap(f_star: float, profile: AirframeProfile, cfg: GovernorConfig
             stacklevel=2,
         )
 
-    if avg_impact_force(vmax, profile) < f_star:
+    if fvals[-1] < f_star:  # the force at vmax
         return vmax
     lo, hi = 0.0, vmax
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if avg_impact_force(mid, profile) > f_star:
+        if profile.avg_force(mid) > f_star:
             hi = mid
         else:
             lo = mid
@@ -243,7 +221,7 @@ def _fuse_with_vforce(d: float, cfg: GovernorConfig, v_force: float) -> tuple[fl
         if d < iso_radius(cfg.v_cruise_mps, cfg):
             return v_force, "force"
         return vmax, "none"
-    v_iso = min(iso_speed_cap(d, cfg), vmax)
+    v_iso = iso_speed_cap(d, cfg)  # saturates at vmax
     if v_iso <= v_force:
         return v_force, "force"
     if v_iso < vmax:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ScenarioInvariantViolation
-from .fit import AirframeProfile, parse_profile
+from .profile import AirframeProfile, load_profile, parse_profile
 from .governor import GovernorConfig, GovernorRuntime, VelocityCommand
 
 GOAL_CAPTURE_RADIUS_M = 0.5
@@ -376,8 +376,7 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
             profile_path = Path(data["profile_path"])
             if base_dir is not None and not profile_path.is_absolute():
                 profile_path = base_dir / profile_path
-            with open(profile_path, "r", encoding="utf-8") as fh:
-                profile = parse_profile(json.load(fh))
+            profile = load_profile(profile_path)
         gains = data.get("gains", {})
         return SimScenario(
             name=str(data.get("name", "scenario")),

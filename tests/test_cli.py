@@ -509,6 +509,30 @@ def test_simulate_emit_gnuplot_and_overrides(tmp_path):
     assert manifest["subcommand"] == "simulate"
 
 
+def test_f_star_outranks_body_region_in_govern_and_simulate(monkeypatch, capsys, tmp_path):
+    # 100 N on carbon_0deg caps at 10.42 m/s; the face limit (65 N) at 6.77
+    flags = ["--f-star", "100", "--body-region", "face"]
+    code, stdout = _govern_stdin(
+        monkeypatch, capsys,
+        [
+            {"type": "range", "d_m": 4.0, "t_s": 0.0},
+            {"type": "cmd", "vx": 20.0, "vy": 0.0, "vz": 0.0, "t_s": 0.1},
+        ],
+        extra_args=["--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json"), *flags],
+        out=tmp_path / "gov",
+    )
+    assert code == 0
+    govern_cap = json.loads(stdout.splitlines()[0])["cap_mps"]
+    assert govern_cap == pytest.approx(10.42, abs=0.01)
+
+    out = tmp_path / "sim"
+    scenario = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+    assert main(["simulate", scenario, "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["v_force_mps"] == pytest.approx(govern_cap, abs=1e-6)
+
+
 def test_simulate_missing_scenario_exits_input_error(tmp_path):
     assert main(["simulate", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 2
 

@@ -102,6 +102,28 @@ def test_profile_validation():
         make_profile(ec_r=1.2)  # retained-energy model leaves [0, 1]
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("mass_kg", math.nan, InvariantViolation),
+        ("mass_kg", math.inf, InvariantViolation),
+        ("dt_s", math.nan, InvariantViolation),
+        ("dt_s", math.inf, InvariantViolation),
+        ("coeffs", [math.nan], RestitutionOutOfRange),
+        ("domain", [math.nan, 4.0], RestitutionOutOfRange),
+    ],
+)
+def test_profile_refuses_non_finite_values(key, value, error):
+    # each of these once loaded and gave a force cap at the platform maximum
+    d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
+    if key in ("coeffs", "domain"):
+        d["restitution"][key] = value
+    else:
+        d[key] = value
+    with pytest.raises(error):
+        parse_profile(json.dumps(d))
+
+
 def _summary(v, ec_r, config="Carbon-0deg"):
     def metric(jitter):
         return ImpactMetrics(

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from impact_governor.governor import (
 )
 
 from conftest import child_env, make_profile
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # conftest const_profile: m=0.25, dt=0.036, EC_r=0.145924 -> e_hat=0.382
 E_HAT = 0.382
@@ -462,6 +465,32 @@ def test_runtime_modules_load_no_analysis_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_runtime_governs_with_numpy_and_scipy_blocked():
+    # a None entry in sys.modules makes any import of numpy or scipy fail
+    code = (
+        "import io, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from impact_governor import governor, profile, sim, stream\n"
+        "p = profile.load_profile(sys.argv[1])\n"
+        "rt = governor.GovernorRuntime(governor.GovernorConfig(f_star_n=65.0), p)\n"
+        "out = io.StringIO()\n"
+        "rc = stream.run_stream(rt, ['{\"type\":\"range\",\"d_m\":4.0,\"t_s\":0.0}',"
+        " '{\"type\":\"cmd\",\"vx\":20.0,\"vy\":0.0,\"vz\":0.0,\"t_s\":0.1}'], out)\n"
+        "print(rc)\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(REPO_ROOT / "profiles" / "carbon_0deg.json")],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0",
+        '{"type":"cmd_limited","vx":6.772305592894554,"vy":0.0,"vz":0.0,'
+        '"cap_mps":6.772305592894554,"source":"force","t_s":0.1}',
+    ]
 
 
 # --- finite but huge velocities ----------------------------------------------

@@ -4,8 +4,9 @@ implementations they replaced.
 The oracles below are the earlier, straightforward versions of the CSV
 reader, the Kalman loop, the despike edge loop, the numpy 2-vector
 simulation (pilot, integrator, nearest-human distance and closed loop), the
-governor's command limiting and the stream's message parse, reply format and
-compliance row, kept verbatim. The current code must
+governor's command limiting, the stream's message parse, reply format and
+compliance row, and the numpy airframe model (polyval, linspace grids, the
+force map and its checks), kept verbatim. The current code must
 return bitwise-equal results (``tobytes``, or the IEEE-754 bytes of each
 float) on every input the oracles accept, and raise the same error where
 they raise one.
@@ -17,6 +18,7 @@ import io
 import json
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
@@ -24,6 +26,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import polynomial as npoly
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -37,10 +40,13 @@ from impact_governor.dsp import (
 from impact_governor import stream
 from impact_governor.errors import (
     EmptyStream,
+    InvariantViolation,
     MalformedRow,
     MissingColumn,
+    NonMonotoneForceMapWarning,
     NonPositiveDefiniteCovariance,
     ProtocolError,
+    RestitutionOutOfRange,
     WindowTooLarge,
 )
 from impact_governor.governor import (
@@ -50,9 +56,18 @@ from impact_governor.governor import (
     GovernorConfig,
     GovernorRuntime,
     VelocityCommand,
+    force_speed_cap,
 )
 from impact_governor.ingest import FORCE_COLUMNS, RANGE_COLUMNS, _read_csv_columns
 from impact_governor.fit import BODY_REGION_LIMITS_N
+from impact_governor.profile import (
+    AirframeProfile,
+    PolyModel,
+    _check_restitution_range,
+    linspace,
+    load_profile,
+    polyval,
+)
 from impact_governor.sim import (
     SimScenario,
     SimState,
@@ -1135,3 +1150,145 @@ def test_governed_stream_matches_oracle_path(tmp_path, cfg, messages, tail):
             rc = stream.run_stream(GovernorRuntime(cfg, PROFILE), lines, out, compliance=log)
         texts.append((rc, out.getvalue(), path.read_text()))
     assert texts[0] == texts[1]
+
+
+# --- airframe model: Horner, grids, force map --------------------------------
+#
+# One difference is intended: an EC_r of NaN on the domain now fails the range
+# check, where the numpy check's NaN minimum and maximum let the profile pass
+# (test_fit.py::test_profile_refuses_non_finite_values). The models drawn here
+# keep EC_r finite.
+
+
+def oracle_avg_force_on_grid(grid, profile):
+    lo, hi = profile.restitution.domain
+    clamped = np.clip(grid, lo, hi)
+    ec_r = np.clip(npoly.polyval(clamped, profile.restitution.coefficients), 0.0, None)
+    return profile.mass_kg * grid * (1.0 + np.sqrt(ec_r)) / profile.dt_s
+
+
+def oracle_avg_impact_force(v, profile):
+    """The scalar force path: numpy's polyval at the clamped speed."""
+    rest = profile.restitution
+    ec_r = float(npoly.polyval(rest.clamp(v), rest.coefficients))
+    return profile.mass_kg * v * (1.0 + math.sqrt(max(ec_r, 0.0))) / profile.dt_s
+
+
+def oracle_force_speed_cap(f_star, profile, cfg):
+    """The cap and whether the force map decreases on the numpy grid."""
+    vmax = cfg.v_platform_max_mps
+    fvals = oracle_avg_force_on_grid(np.linspace(0.0, vmax, 1000), profile)
+    warned = bool(np.any(np.diff(fvals) < -1e-9))
+    if oracle_avg_impact_force(vmax, profile) < f_star:
+        return vmax, warned
+    lo, hi = 0.0, vmax
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        if oracle_avg_impact_force(mid, profile) > f_star:
+            hi = mid
+        else:
+            lo = mid
+    return lo, warned
+
+
+def oracle_check_restitution_range(model):
+    grid = np.linspace(model.domain[0], model.domain[1], 1000)
+    vals = npoly.polyval(grid, model.coefficients)
+    if float(np.min(vals)) < -1e-9 or float(np.max(vals)) > 1.0 + 1e-9:
+        bad = vals[(vals < -1e-9) | (vals > 1.0 + 1e-9)]
+        return float(bad[0])
+    return None
+
+
+def oracle_peak_to_average_ratio(profile):
+    v_ref = 0.5 * (profile.restitution.domain[0] + profile.restitution.domain[1])
+    f_avg = oracle_avg_impact_force(v_ref, profile)
+    if f_avg <= 0:
+        raise InvariantViolation("average force non-positive at reference speed")
+    return profile.f_max_ref_N / f_avg
+
+
+@settings(max_examples=1000, deadline=None)
+@given(coeffs=st.lists(st.floats(), min_size=1, max_size=6), x=st.floats(),
+       lo=st.floats(-10.0, 10.0), width=st.floats(0.0, 10.0))
+def test_polyval_and_evaluate_match_numpy(coeffs, x, lo, width):
+    with np.errstate(all="ignore"):
+        assert float_bits(polyval(x, coeffs)) == float_bits(float(npoly.polyval(x, coeffs)))
+        model = PolyModel(coeffs, len(coeffs) - 1, 1.0, 0.0, (lo, lo + width))
+        want = float(npoly.polyval(model.clamp(x), coeffs))
+    assert float_bits(model.evaluate(x)) == float_bits(want)
+
+
+# numpy.linspace takes another branch where the step underflows to zero on a
+# nonzero (subnormal) span, so spans start at 1e-300
+@settings(max_examples=500, deadline=None)
+@given(start=st.floats(-1e3, 1e3, allow_subnormal=False),
+       span=st.just(0.0) | st.floats(1e-300, 1e3))
+def test_linspace_matches_numpy(start, span):
+    stop = start + span
+    assert tree_bits(linspace(start, stop)) == tree_bits(np.linspace(start, stop, 1000).tolist())
+
+
+@st.composite
+def restitution_models(draw):
+    lo = draw(st.floats(0.0, 15.0))
+    width = draw(st.just(0.0) | st.floats(0.01, 10.0))
+    kind = draw(st.sampled_from(["line", "steep", "gentle", "wild", "edge"]))
+    if kind in ("line", "steep"):  # through two EC_r values in [0, 1]
+        y_lo, y_hi = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        if kind == "steep":  # a fall steep enough to bend v (1 + e(v)) down
+            y_lo, y_hi = 0.5 + 0.5 * y_lo, 0.1 * y_hi
+            width = draw(st.floats(0.05, 2.0))
+        slope = 0.0 if width == 0.0 else (y_hi - y_lo) / width
+        coeffs = [y_lo - slope * lo, slope]
+    elif kind == "gentle":
+        coeffs = [draw(st.floats(0.0, 1.0)), draw(st.floats(-0.1, 0.1)),
+                  draw(st.floats(-0.01, 0.01))]
+    elif kind == "wild":
+        coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    else:  # a constant at the edges of the [0, 1] tolerance
+        coeffs = [draw(st.sampled_from([-2e-9, -1e-9, -5e-10, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9]))]
+    return PolyModel(coeffs, len(coeffs) - 1, 1.0, 0.0, (lo, lo + width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=restitution_models(), mass=st.floats(0.05, 5.0), dt=st.floats(0.005, 0.2),
+       vmax=st.floats(0.5, 40.0), f_star=st.floats(1.0, 210.0), f_peak=st.floats(1.0, 500.0),
+       bind_at=st.none() | st.just(1.0) | st.floats(0.99, 1.0))
+def test_airframe_model_matches_numpy_oracles(model, mass, dt, vmax, f_star, f_peak, bind_at):
+    offending = _check_restitution_range(model)
+    assert tree_bits(offending) == tree_bits(oracle_check_restitution_range(model))
+    make = lambda: AirframeProfile("P", mass, dt, 0.0, model, 0.0, f_peak)  # noqa: E731
+    if offending is not None:
+        with pytest.raises(RestitutionOutOfRange):
+            make()
+        return
+    profile = make()
+
+    grid = oracle_avg_force_on_grid(np.linspace(0.0, vmax, 1000), profile).tolist()
+    assert tree_bits([profile.avg_force(v) for v in linspace(0.0, vmax)]) == tree_bits(grid)
+
+    if bind_at is not None:  # a limit that binds at or just below vmax
+        f_star = max(oracle_avg_impact_force(bind_at * vmax, profile), f_star * 1e-3)
+    cfg = GovernorConfig(v_platform_max_mps=vmax)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cap = force_speed_cap(f_star, profile, cfg)
+    warned = any(issubclass(w.category, NonMonotoneForceMapWarning) for w in caught)
+    assert tree_bits((cap, warned)) == tree_bits(oracle_force_speed_cap(f_star, profile, cfg))
+
+    outcomes = []
+    for ratio in (profile.peak_to_average_ratio, lambda: oracle_peak_to_average_ratio(profile)):
+        try:
+            outcomes.append(float_bits(ratio()))
+        except InvariantViolation as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("name", ["carbon_0deg", "bamboo_0deg"])
+def test_force_grid_matches_numpy_on_shipped_profiles(name):
+    profile = load_profile(REPO_ROOT / "profiles" / f"{name}.json")
+    vmax = GovernorConfig().v_platform_max_mps
+    grid = oracle_avg_force_on_grid(np.linspace(0.0, vmax, 1000), profile).tolist()
+    assert tree_bits([profile.avg_force(v) for v in linspace(0.0, vmax)]) == tree_bits(grid)
