@@ -132,19 +132,20 @@ def _ensure_out(args) -> Path:
     return out
 
 
-def _governor_config(data: dict) -> GovernorConfig:
-    """``GovernorConfig.from_dict`` with a bad value reported as bad input."""
-    try:
-        return GovernorConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise GovernorConfigError(f"bad governor config: {exc}") from exc
+def _governor_overrides(args) -> dict:
+    """The governor settings the command line sets, for ``{**base, **overrides}``.
 
-
-def _cli_f_star(args) -> float | None:
-    """The force target the command line sets: --f-star, then --body-region."""
-    if args.f_star is None and args.body_region:
-        return BODY_REGION_LIMITS_N[args.body_region]
-    return args.f_star
+    The force target is --f-star, else the --body-region limit; with
+    neither, the base's own f_star_n or body_region decides.
+    """
+    overrides = {}
+    if args.f_star is not None:
+        overrides["f_star_n"] = args.f_star
+    elif args.body_region:
+        overrides["f_star_n"] = BODY_REGION_LIMITS_N[args.body_region]
+    if args.mode:
+        overrides["mode"] = args.mode
+    return overrides
 
 
 # --- analyze ----------------------------------------------------------------
@@ -282,11 +283,8 @@ def cmd_fit(args) -> int:
 
 
 def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None]:
-    """Merge config file, body-region table and CLI overrides.
-
-    Precedence for the force target: --f-star, then --body-region, then the
-    config file's f_star_n, then its body_region, then the default.
-    """
+    """The config file's governor settings under the command line's, its profile
+    and its compliance log (paths relative to the config file)."""
     data = {}
     config_dir = Path.cwd()
     if args.config:
@@ -296,39 +294,18 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
             raise GovernorConfigError("governor config must be a JSON object")
         config_dir = Path(args.config).resolve().parent
 
-    region = data.get("body_region")
-    if region is not None and (not isinstance(region, str) or region not in BODY_REGION_LIMITS_N):
-        raise GovernorConfigError(
-            f"unknown body_region {region!r}; expected one of {sorted(BODY_REGION_LIMITS_N)}"
-        )
-    f_star = _cli_f_star(args)
-    if f_star is None:
-        f_star = data.get("f_star_n", BODY_REGION_LIMITS_N.get(region))
-
-    merged = dict(data)
-    if f_star is not None:
-        merged["f_star_n"] = f_star
-    if args.mode:
-        merged["mode"] = args.mode
-    cfg = _governor_config(merged)
-
-    profile_path = None
-    if args.profile:
-        profile_path = Path(args.profile)
-    elif "profile" in data:
-        profile_path = _config_path(data, "profile", config_dir)
+    settings = {k: v for k, v in data.items() if k not in ("profile", "compliance_log")}
+    cfg = GovernorConfig.from_dict({**settings, **_governor_overrides(args)})
+    profile_path = Path(args.profile) if args.profile else _config_path(data, "profile", config_dir)
     if profile_path is None:
         raise IngestError("govern needs an airframe profile (--profile or config)")
-    profile = load_profile(profile_path)
-
-    compliance_path = None
-    if "compliance_log" in data:
-        compliance_path = _config_path(data, "compliance_log", config_dir)
-    return cfg, profile, compliance_path
+    return cfg, load_profile(profile_path), _config_path(data, "compliance_log", config_dir)
 
 
-def _config_path(data: dict, key: str, config_dir: Path) -> Path:
+def _config_path(data: dict, key: str, config_dir: Path) -> Path | None:
     """A path from the governor config, relative to the config's directory."""
+    if key not in data:
+        return None
     value = data[key]
     if not isinstance(value, str):
         raise GovernorConfigError(f"bad governor config: {key} must be a path, got {value!r}")
@@ -340,8 +317,7 @@ def cmd_govern(args) -> int:
     out = _ensure_out(args)
     started = _utc_now()
     cfg, profile, compliance_path = _resolve_governor_setup(args)
-    if compliance_path is None:
-        compliance_path = out / "compliance.csv"
+    compliance_path = compliance_path or out / "compliance.csv"
     runtime = GovernorRuntime(cfg, profile)
     log.info(
         "governor up: v_force=%.4g m/s, zone=%.4g m, mode=%s",
@@ -384,14 +360,8 @@ def cmd_simulate(args) -> int:
     out = _ensure_out(args)
     started = _utc_now()
     scenario = load_scenario(args.scenario)
-    updates = {}
-    if args.mode:
-        updates["mode"] = args.mode
-    f_star = _cli_f_star(args)
-    if f_star is not None:
-        updates["f_star_n"] = f_star
-    if updates:
-        scenario.cfg = _governor_config({**scenario.cfg.to_dict(), **updates})
+    overrides = _governor_overrides(args)
+    scenario.cfg = GovernorConfig.from_dict({**scenario.cfg.to_dict(), **overrides})
 
     rows, summary = run_scenario(scenario)
     traj = out / "trajectory.csv"
@@ -408,7 +378,7 @@ def cmd_simulate(args) -> int:
     outputs.append(summary_path.name)
     _write_run_manifest(
         out, "simulate", [args.scenario], outputs,
-        {"scenario": str(args.scenario), **updates},
+        {"scenario": str(args.scenario), **overrides},
         started,
     )
 
@@ -543,24 +513,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2, help="restitution fit degree")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("govern", help="run the streaming velocity governor")
+    overrides = argparse.ArgumentParser(add_help=False)  # read by _governor_overrides
+    overrides.add_argument("--mode", choices=("binary", "ramp"))
+    overrides.add_argument("--f-star", type=float, dest="f_star", help="force target [N]")
+    overrides.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
+
+    p = sub.add_parser("govern", parents=[overrides], help="run the streaming velocity governor")
     transport = p.add_mutually_exclusive_group(required=True)
     transport.add_argument("--stdin", action="store_true", help="NDJSON on stdio")
     transport.add_argument("--udp", type=int, metavar="PORT", help="UDP datagrams")
     p.add_argument("--config", help="governor config JSON")
     p.add_argument("--profile", help="airframe profile JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("binary", "ramp"))
-    p.add_argument("--f-star", type=float, dest="f_star", help="force target [N]")
-    p.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
     p.set_defaults(func=cmd_govern)
 
-    p = sub.add_parser("simulate", help="closed-loop scenario validation")
+    p = sub.add_parser("simulate", parents=[overrides], help="closed-loop scenario validation")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("binary", "ramp"))
-    p.add_argument("--f-star", type=float, dest="f_star")
-    p.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

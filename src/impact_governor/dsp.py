@@ -101,6 +101,10 @@ class KalmanConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.sigma_s <= 0 or self.measurement_noise_r <= 0:
             raise ValueError("sigma_s and measurement_noise_r must be positive")
+        if not all(0 < p < math.inf for p in self.initial_covariance):
+            raise NonPositiveDefiniteCovariance(
+                f"initial_covariance entries must be finite and > 0, got {self.initial_covariance}"
+            )
 
 
 def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
-from .errors import NonMonotoneForceMapWarning
+from .errors import GovernorConfigError, NonMonotoneForceMapWarning
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, linspace
 
 CAP_EPSILON = 1e-9
@@ -30,6 +30,8 @@ CAP_EPSILON = 1e-9
 _NORM_SLACK = 1e-12
 
 _BISECT_WIDTH = 1e-7
+
+_F_STAR_MAX_N = max(BODY_REGION_LIMITS_N.values())
 
 
 @dataclass
@@ -71,24 +73,46 @@ class GovernorConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.mode not in ("binary", "ramp"):
             raise ValueError(f"mode must be 'binary' or 'ramp', got {self.mode!r}")
-        limit = max(BODY_REGION_LIMITS_N.values())
-        if self.f_star_n > limit:
+        if self.f_star_n > _F_STAR_MAX_N:
             raise ValueError(
                 f"f_star_n {self.f_star_n:g} N exceeds the largest body-region "
-                f"limit {limit:g} N"
+                f"limit {_F_STAR_MAX_N:g} N"
             )
         if self.stale_cap_mps is not None:
             _check_finite("stale_cap_mps", self.stale_cap_mps)
             if self.stale_cap_mps < 0:
                 raise ValueError("stale_cap_mps must be >= 0 when set")
+        if type(self.f_star_is_peak) is not bool:  # the string "false" is truthy
+            raise ValueError(f"f_star_is_peak must be true or false, got {self.f_star_is_peak!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GovernorConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        return cls(**known)
+        """The one reader of governor settings: the keys ``t_q_s``, ``a_mps2``,
+        ``c_m``, ``v_cruise_mps``, ``f_star_n``, ``v_platform_max_mps``,
+        ``staleness_timeout_s``, ``mode``, ``stale_cap_mps``, ``f_star_is_peak``
+        and ``body_region`` (its limit is the ``f_star_n`` when that is absent).
+        Any other key (ignored, it could only leave a looser default in force)
+        or a bad value raises GovernorConfigError."""
+        if not isinstance(d, dict):
+            raise GovernorConfigError("governor config must be a JSON object")
+        settings = dict(d)
+        region = settings.pop("body_region", None)
+        unknown = ", ".join(map(repr, sorted(settings.keys() - cls.__dataclass_fields__.keys())))
+        if unknown:
+            raise GovernorConfigError(f"bad governor config: unknown key {unknown}")
+        if region is not None:
+            if not isinstance(region, str) or region not in BODY_REGION_LIMITS_N:
+                raise GovernorConfigError(
+                    f"unknown body_region {region!r}; expected one of {sorted(BODY_REGION_LIMITS_N)}"
+                )
+            settings.setdefault("f_star_n", BODY_REGION_LIMITS_N[region])
+        try:
+            return cls(**settings)
+        except ValueError as exc:
+            raise GovernorConfigError(f"bad governor config: {exc}") from exc
 
 
 def _check_finite(name: str, value) -> None:
@@ -212,15 +236,15 @@ def fuse_caps(d: float, cfg: GovernorConfig, profile: AirframeProfile) -> tuple[
     if contact does happen). The source labels which constraint bound.
     """
     v_force = force_speed_cap(cfg.f_star_n, profile, cfg)
-    return _fuse_with_vforce(d, cfg, v_force)
+    if cfg.mode == "ramp":
+        return _ramp_cap(d, cfg, v_force)
+    if d < iso_radius(cfg.v_cruise_mps, cfg):
+        return v_force, "force"
+    return cfg.v_platform_max_mps, "none"
 
 
-def _fuse_with_vforce(d: float, cfg: GovernorConfig, v_force: float) -> tuple[float, str]:
+def _ramp_cap(d: float, cfg: GovernorConfig, v_force: float) -> tuple[float, str]:
     vmax = cfg.v_platform_max_mps
-    if cfg.mode == "binary":
-        if d < iso_radius(cfg.v_cruise_mps, cfg):
-            return v_force, "force"
-        return vmax, "none"
     v_iso = iso_speed_cap(d, cfg)  # saturates at vmax
     if v_iso <= v_force:
         return v_force, "force"
@@ -274,25 +298,22 @@ class GovernorRuntime:
 
     def __init__(self, cfg: GovernorConfig, profile: AirframeProfile):
         self.cfg = cfg
-        self.profile = profile
-        eff = cfg
+        f_star = cfg.f_star_n
         if cfg.f_star_is_peak:
-            eff = replace(
-                cfg,
-                f_star_n=cfg.f_star_n / profile.peak_to_average_ratio(),
-                f_star_is_peak=False,
-            )
-        self._eff_cfg = eff
-        self.f_star_effective_n = eff.f_star_n
-        self.v_force = force_speed_cap(eff.f_star_n, profile, eff)
+            f_star = cfg.f_star_n / profile.peak_to_average_ratio()
+            if not 0 < f_star <= _F_STAR_MAX_N:
+                raise GovernorConfigError(
+                    f"bad governor config: peak target {cfg.f_star_n:g} N is an average target "
+                    f"of {f_star:g} N on profile {profile.name!r}, outside (0, {_F_STAR_MAX_N:g}] N"
+                )
+        self.f_star_effective_n = f_star
+        self.v_force = force_speed_cap(f_star, profile, cfg)
         stale = self.v_force if cfg.stale_cap_mps is None else min(cfg.stale_cap_mps, self.v_force)
         self.stale_cap = stale
         self.s_zone = iso_radius(cfg.v_cruise_mps, cfg)
-        self._s_release = 1.05 * self.s_zone
         self._engaged = False
         self._snapshot: tuple[float, float, float | None, str] | None = None
         self._s_live = self.s_zone
-        self._last_emitted_t: float | None = None
         self.last_record: ComplianceRecord | None = None
 
     # -- telemetry intake ---------------------------------------------------
@@ -309,17 +330,21 @@ class GovernorRuntime:
         if math.isnan(d) or d < 0.0 or not math.isfinite(t):
             self._snapshot = (d, t, None, "stale-failsafe")
             return
-        if self._eff_cfg.mode == "ramp":
+        cfg = self.cfg
+        if cfg.mode == "binary":
+            if d < self.s_zone:
+                cap, source = self.v_force, "force"
+            else:
+                cap, source = cfg.v_platform_max_mps, "none"
+        else:
             if not self._engaged and d < self.s_zone:
                 self._engaged = True
-            elif self._engaged and d > self._s_release:
+            elif self._engaged and d > 1.05 * self.s_zone:
                 self._engaged = False
             if self._engaged:
-                cap, source = _fuse_with_vforce(d, self._eff_cfg, self.v_force)
+                cap, source = _ramp_cap(d, cfg, self.v_force)
             else:
-                cap, source = self._eff_cfg.v_platform_max_mps, "none"
-        else:
-            cap, source = _fuse_with_vforce(d, self._eff_cfg, self.v_force)
+                cap, source = cfg.v_platform_max_mps, "none"
         self._snapshot = (d, t, cap, source)  # single atomic publish
 
     def on_odom(self, vx: float, vy: float, vz: float, t: float) -> None:
@@ -339,7 +364,7 @@ class GovernorRuntime:
     def on_command(self, cmd: VelocityCommand) -> VelocityCommand:
         """Limit one velocity command against the freshest cap and log it."""
         flags: list[str] = []
-        if self._last_emitted_t is not None and cmd.timestamp < self._last_emitted_t:
+        if self.last_record is not None and cmd.timestamp < self.last_record.timestamp:
             flags.append("clock-skew")
 
         snap = self._snapshot
@@ -349,7 +374,7 @@ class GovernorRuntime:
             d, t_range, cap, source = snap
             if cap is None:
                 flags.append("invalid-range")
-            elif not 0.0 <= cmd.timestamp - t_range <= self._eff_cfg.staleness_timeout_s:
+            elif not 0.0 <= cmd.timestamp - t_range <= self.cfg.staleness_timeout_s:
                 cap = None
         if cap is None:
             cap, source = self.stale_cap, "stale-failsafe"
@@ -375,5 +400,4 @@ class GovernorRuntime:
             violated=out_speed > cap + CAP_EPSILON,
             flags=flags,
         )
-        self._last_emitted_t = cmd.timestamp
         return out

@@ -102,7 +102,9 @@ class AirframeProfile:
     downgraded: bool = False
 
     def __post_init__(self) -> None:
-        for name, value in (("mass", self.mass_kg), ("dt", self.dt_s)):
+        for name, value in (
+            ("mass", self.mass_kg), ("dt", self.dt_s), ("f_max_ref_N", self.f_max_ref_N)
+        ):
             if not 0 < value < math.inf:  # NaN would leave the force cap at vmax
                 raise InvariantViolation(f"profile {name} must be finite and > 0, got {value}")
         if self.restitution.domain[0] > self.restitution.domain[1]:

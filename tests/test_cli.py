@@ -419,6 +419,30 @@ def _case_config_value(**values):
     return case
 
 
+def _case_profile_value(f_star_is_peak=False, **values):
+    def case(tmp_path, monkeypatch):
+        save_profile(make_profile(), tmp_path / "p.json")
+        data = json.loads((tmp_path / "p.json").read_text())
+        (tmp_path / "p.json").write_text(json.dumps({**data, **values}))
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"profile": "p.json", "f_star_is_peak": f_star_is_peak})
+        )
+        return ["govern", "--stdin", "--config", str(tmp_path / "cfg.json")]
+
+    return case
+
+
+def _case_scenario_governor(**values):
+    def case(tmp_path, monkeypatch):
+        data = json.loads((REPO_ROOT / "scenarios" / "three_humans_chest.json").read_text())
+        data["governor"].update(values)
+        data["profile_path"] = str(REPO_ROOT / "profiles" / "carbon_0deg.json")
+        (tmp_path / "s.json").write_text(json.dumps(data))
+        return ["simulate", str(tmp_path / "s.json")]
+
+    return case
+
+
 def _case_nan_f_star(tmp_path, monkeypatch):
     save_profile(make_profile(), tmp_path / "p.json")
     return ["govern", "--stdin", "--f-star", "nan", "--profile", str(tmp_path / "p.json")]
@@ -462,13 +486,33 @@ def _case_nan_override(tmp_path, monkeypatch):
          "error: bad governor config: stale_cap_mps must be a finite number, got True"),
         (_case_bad_override, 2, "error: bad governor config: f_star_n 9999 N exceeds"),
         (_case_nan_override, 2, "error: bad governor config: f_star_n must be a finite number"),
+        (_case_config_value(f_star=65), 2, "error: bad governor config: unknown key 'f_star'"),
+        (_case_scenario_governor(body_regoin="face"), 2,
+         "error: bad governor config: unknown key 'body_regoin'"),
+        (_case_scenario_governor(body_region="elbow"), 2, "error: unknown body_region 'elbow'"),
+        (_case_config_value(f_star_is_peak="false"), 2,
+         "error: bad governor config: f_star_is_peak must be true or false, got 'false'"),
+        (_case_config_value(f_star_is_peak=0), 2,
+         "error: bad governor config: f_star_is_peak must be true or false, got 0"),
+        (_case_profile_value(f_max_ref_N=0.0, f_star_is_peak=True), 4,
+         "error: profile f_max_ref_N must be finite and > 0, got 0.0"),
+        (_case_profile_value(f_max_ref_N=math.nan, f_star_is_peak=True), 4,
+         "error: profile f_max_ref_N must be finite and > 0, got nan"),
+        (_case_profile_value(f_max_ref_N=-1.0), 4,
+         "error: profile f_max_ref_N must be finite and > 0, got -1.0"),
+        (_case_profile_value(f_max_ref_N=1.0, f_star_is_peak=True), 2,
+         "error: bad governor config: peak target 140 N is an average target of "),
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
          "governor-config-compliance-path",
          "ingest", "fit", "scenario", "file-not-found", "json", "summary", "governor-config",
          "governor-config-f-star", "governor-config-nan-f-star", "governor-config-infinity",
-         "governor-config-bool", "simulate-override", "simulate-nan-override"],
+         "governor-config-bool", "simulate-override", "simulate-nan-override",
+         "governor-config-unknown-key", "scenario-governor-unknown-key",
+         "scenario-governor-body-region", "governor-config-peak-string",
+         "governor-config-peak-int", "profile-f-max-zero", "profile-f-max-nan",
+         "profile-f-max-negative", "governor-config-peak-above-limit"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
@@ -531,6 +575,51 @@ def test_f_star_outranks_body_region_in_govern_and_simulate(monkeypatch, capsys,
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["v_force_mps"] == pytest.approx(govern_cap, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "flags, settings, cap",
+    [
+        (["--f-star", "100", "--body-region", "face"], {"f_star_n": 150, "body_region": "back"},
+         10.42),
+        (["--body-region", "face"], {"f_star_n": 150, "body_region": "back"}, 6.77),
+        ([], {"f_star_n": 100, "body_region": "face"}, 10.42),
+        ([], {"body_region": "face"}, 6.77),
+        ([], {}, 14.59),
+    ],
+    ids=["cli-f-star", "cli-body-region", "file-f-star", "file-body-region", "default"],
+)
+def test_force_target_precedence_in_govern_and_simulate(
+    monkeypatch, capsys, tmp_path, flags, settings, cap
+):
+    # carbon_0deg caps 100 N at 10.42 m/s, the face limit (65 N) at 6.77 and
+    # the 140 N default at 14.59; a 20 m/s platform maximum binds at none
+    profile = str(REPO_ROOT / "profiles" / "carbon_0deg.json")
+    settings = {**settings, "v_platform_max_mps": 20}
+    config = tmp_path / "gov.json"
+    config.write_text(json.dumps({**settings, "profile": profile}))
+    code, stdout = _govern_stdin(
+        monkeypatch, capsys,
+        [
+            {"type": "range", "d_m": 4.0, "t_s": 0.0},
+            {"type": "cmd", "vx": 20.0, "vy": 0.0, "vz": 0.0, "t_s": 0.1},
+        ],
+        extra_args=["--config", str(config), *flags],
+        out=tmp_path / "gov",
+    )
+    assert code == 0
+    govern_cap = json.loads(stdout.splitlines()[0])["cap_mps"]
+    assert govern_cap == pytest.approx(cap, abs=0.01)
+
+    data = json.loads((REPO_ROOT / "scenarios" / "three_humans_chest.json").read_text())
+    data["governor"] = settings
+    data["profile_path"] = profile
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(scenario), "--out", str(out), *flags]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "summary.json").read_text())["v_force_mps"] == govern_cap
 
 
 def test_simulate_missing_scenario_exits_input_error(tmp_path):

@@ -109,12 +109,17 @@ def test_profile_validation():
         ("mass_kg", math.inf, InvariantViolation),
         ("dt_s", math.nan, InvariantViolation),
         ("dt_s", math.inf, InvariantViolation),
+        ("f_max_ref_N", 0.0, InvariantViolation),
+        ("f_max_ref_N", -100.0, InvariantViolation),
+        ("f_max_ref_N", math.nan, InvariantViolation),
+        ("f_max_ref_N", math.inf, InvariantViolation),
         ("coeffs", [math.nan], RestitutionOutOfRange),
         ("domain", [math.nan, 4.0], RestitutionOutOfRange),
     ],
 )
 def test_profile_refuses_non_finite_values(key, value, error):
-    # each of these once loaded and gave a force cap at the platform maximum
+    # each of these once loaded: the mass and dt cases gave a force cap at the
+    # platform maximum, an f_max_ref_N ended a peak-target run in a traceback
     d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
     if key in ("coeffs", "domain"):
         d["restitution"][key] = value

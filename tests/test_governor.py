@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from impact_governor.errors import NonMonotoneForceMapWarning
+from impact_governor.errors import GovernorConfigError, NonMonotoneForceMapWarning
 from impact_governor.fit import AirframeProfile, PolyModel
 from impact_governor.governor import (
     CAP_EPSILON,
@@ -188,10 +188,11 @@ def test_config_defaults_and_round_trip(default_cfg):
     assert default_cfg.f_star_n == 140.0
     back = GovernorConfig.from_dict(default_cfg.to_dict())
     assert back == default_cfg
-    # unknown keys are ignored, making configs forward compatible
+    # an unknown key is refused: ignored, it could only leave a looser default in force
     d = default_cfg.to_dict()
     d["someday"] = 1
-    assert GovernorConfig.from_dict(d) == default_cfg
+    with pytest.raises(GovernorConfigError, match="unknown key 'someday'"):
+        GovernorConfig.from_dict(d)
 
 
 def test_config_validation():
