@@ -1,24 +1,27 @@
 """What the governor actually caps, and why.
 
 Prints the force-safe speed for each body-region contact limit using a
-shipped airframe profile, then tabulates the fused speed cap versus
-nearest-person distance in both binary and ramp modes.
+shipped airframe profile, then feeds one GovernorRuntime per mode a drone
+approaching a person from 45 m to 0.5 m and prints the cap each emits.
 
 Run:  python3 demos/03_governor_caps.py
 """
 
 from pathlib import Path
 
-from impact_governor.fit import BODY_REGION_LIMITS_N, load_profile
 from impact_governor.governor import (
     GovernorConfig,
+    GovernorRuntime,
+    VelocityCommand,
     avg_impact_force,
     force_speed_cap,
-    fuse_caps,
     iso_radius,
 )
+from impact_governor.profile import BODY_REGION_LIMITS_N, load_profile
 
 PROFILE = Path(__file__).resolve().parents[1] / "profiles" / "carbon_0deg.json"
+
+APPROACH_M = (45.0, 25.0, 15.0, 10.0, 8.5, 8.4, 8.0, 7.0, 6.0, 4.0, 2.0, 0.5)
 
 
 def main():
@@ -38,18 +41,26 @@ def main():
         print(f"  {region:6s} {f_star:5.0f} N -> v_force = {v:6.2f} m/s "
               f"(predicts {f_check:6.1f} N){note}")
 
-    print("\nfused cap vs distance (binary @ chest 140 N, ramp @ face 65 N):")
-    ramp_cfg = GovernorConfig(mode="ramp", f_star_n=65.0)
+    print("\ncap emitted on approach (binary @ chest 140 N, ramp @ face 65 N):")
+    runtimes = (
+        GovernorRuntime(cfg, profile),
+        GovernorRuntime(GovernorConfig(mode="ramp", f_star_n=65.0), profile),
+    )
     print(f"  {'d [m]':>7s} {'binary/chest':>14s} {'ramp/face':>14s}")
-    for d in (0.5, 2.0, 4.0, 6.0, 7.0, 8.0, 8.4, 10.0, 15.0, 25.0, 45.0):
-        b_cap, b_src = fuse_caps(d, cfg, profile)
-        r_cap, r_src = fuse_caps(d, ramp_cfg, profile)
-        print(f"  {d:7.1f} {b_cap:8.2f} {b_src:>5s} {r_cap:8.2f} {r_src:>5s}")
+    for i, d in enumerate(APPROACH_M):
+        t = 0.1 * i
+        row = f"  {d:7.1f}"
+        for rt in runtimes:
+            rt.on_range(d, t)
+            rt.on_command(VelocityCommand(cfg.v_platform_max_mps, 0.0, 0.0, t))
+            rec = rt.last_record
+            row += f" {rec.cap_mps:8.2f} {rec.cap_source:>5s}"
+        print(row)
 
-    print("\nbinary mode slams to v_force anywhere inside the cruise zone and")
-    print("releases outside it; ramp mode follows the stopping-envelope")
-    print("inversion but never dips below the force-safe speed, so contact")
-    print("stays force-bounded either way.")
+    print("\nboth modes engage below S(v_cruise). Binary mode slams to v_force")
+    print("inside the zone; ramp mode follows the stopping-envelope inversion")
+    print("but never dips below the force-safe speed, so contact stays")
+    print("force-bounded either way. Binary releases at S, ramp only above 1.05 S.")
 
 
 if __name__ == "__main__":

@@ -296,10 +296,14 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None
 
     settings = {k: v for k, v in data.items() if k not in ("profile", "compliance_log")}
     cfg = GovernorConfig.from_dict({**settings, **_governor_overrides(args)})
-    profile_path = Path(args.profile) if args.profile else _config_path(data, "profile", config_dir)
+    # both config paths are checked even where --profile takes precedence
+    profile_path = _config_path(data, "profile", config_dir)
+    compliance_path = _config_path(data, "compliance_log", config_dir)
+    if args.profile:
+        profile_path = Path(args.profile)
     if profile_path is None:
         raise IngestError("govern needs an airframe profile (--profile or config)")
-    return cfg, load_profile(profile_path), _config_path(data, "compliance_log", config_dir)
+    return cfg, load_profile(profile_path), compliance_path
 
 
 def _config_path(data: dict, key: str, config_dir: Path) -> Path | None:

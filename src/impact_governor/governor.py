@@ -226,24 +226,9 @@ def force_speed_cap(f_star: float, profile: AirframeProfile, cfg: GovernorConfig
     return lo
 
 
-def fuse_caps(d: float, cfg: GovernorConfig, profile: AirframeProfile) -> tuple[float, str]:
-    """Combine the distance cap and the force cap for a fresh distance d.
-
-    Binary mode: inside the cruise-speed zone radius the cap drops to the
-    force-safe speed, outside it is the platform maximum. Ramp mode: the cap
-    follows the zone-radius inversion, never above the platform maximum and
-    never below the force-safe speed (which alone guarantees force compliance
-    if contact does happen). The source labels which constraint bound.
-    """
-    v_force = force_speed_cap(cfg.f_star_n, profile, cfg)
-    if cfg.mode == "ramp":
-        return _ramp_cap(d, cfg, v_force)
-    if d < iso_radius(cfg.v_cruise_mps, cfg):
-        return v_force, "force"
-    return cfg.v_platform_max_mps, "none"
-
-
 def _ramp_cap(d: float, cfg: GovernorConfig, v_force: float) -> tuple[float, str]:
+    """Engaged ramp-mode cap: the zone-radius inversion, never above the
+    platform maximum and never below the force-safe speed."""
     vmax = cfg.v_platform_max_mps
     v_iso = iso_speed_cap(d, cfg)  # saturates at vmax
     if v_iso <= v_force:
@@ -288,9 +273,12 @@ class GovernorRuntime:
     range reading is valid and at most ``staleness_timeout_s`` older than
     the command. A reading stamped after the command is not fresh.
 
-    In ramp mode the zone engagement carries 5% hysteresis (engage when the
-    distance drops below S(v_cruise), release only above 1.05x that radius)
-    so that hovering at the boundary cannot chatter the cap on and off.
+    ``on_range`` is the one place a distance becomes a cap. A valid reading
+    below S(v_cruise) engages the zone in both modes. Binary mode releases
+    it at any reading at or above S; ramp mode only above 1.05 S, so that
+    hovering at the boundary cannot chatter the cap on and off. Outside the
+    zone the cap is the platform maximum (source ``none``); inside it is the
+    force-safe speed in binary mode and the ramp cap in ramp mode.
 
     Only the latest compliance record is kept (``last_record``); the caller
     that needs the history is its sink.
@@ -311,6 +299,11 @@ class GovernorRuntime:
         stale = self.v_force if cfg.stale_cap_mps is None else min(cfg.stale_cap_mps, self.v_force)
         self.stale_cap = stale
         self.s_zone = iso_radius(cfg.v_cruise_mps, cfg)
+        # an engaged zone releases at a reading above this; in binary mode it is
+        # the float just below S, so that S itself releases
+        self._release_m = (
+            1.05 * self.s_zone if cfg.mode == "ramp" else math.nextafter(self.s_zone, 0.0)
+        )
         self._engaged = False
         self._snapshot: tuple[float, float, float | None, str] | None = None
         self._s_live = self.s_zone
@@ -324,27 +317,23 @@ class GovernorRuntime:
         A NaN or negative distance, or a non-finite time, is no valid
         measurement: it is published without a cap, so commands take the
         stale failsafe flagged ``invalid-range`` until the next valid
-        reading. It leaves the ramp hysteresis as it was. An infinite
+        reading. It leaves the zone engagement as it was. An infinite
         distance (nobody in the field) is valid.
         """
         if math.isnan(d) or d < 0.0 or not math.isfinite(t):
             self._snapshot = (d, t, None, "stale-failsafe")
             return
+        if d < self.s_zone:
+            self._engaged = True
+        elif d > self._release_m:
+            self._engaged = False
         cfg = self.cfg
-        if cfg.mode == "binary":
-            if d < self.s_zone:
-                cap, source = self.v_force, "force"
-            else:
-                cap, source = cfg.v_platform_max_mps, "none"
+        if not self._engaged:
+            cap, source = cfg.v_platform_max_mps, "none"
+        elif cfg.mode == "ramp":
+            cap, source = _ramp_cap(d, cfg, self.v_force)
         else:
-            if not self._engaged and d < self.s_zone:
-                self._engaged = True
-            elif self._engaged and d > 1.05 * self.s_zone:
-                self._engaged = False
-            if self._engaged:
-                cap, source = _ramp_cap(d, cfg, self.v_force)
-            else:
-                cap, source = cfg.v_platform_max_mps, "none"
+            cap, source = self.v_force, "force"
         self._snapshot = (d, t, cap, source)  # single atomic publish
 
     def on_odom(self, vx: float, vy: float, vz: float, t: float) -> None:

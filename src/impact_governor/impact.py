@@ -93,21 +93,14 @@ METRIC_FIELDS = (
 METRICS_CSV_COLUMNS = ("configuration", "mass_kg", "angle_deg") + METRIC_FIELDS + ("flags",)
 
 
-def detect_impact(
-    time: np.ndarray,
-    force: np.ndarray,
-    velocity: np.ndarray,
-    f_thresh: float = F_THRESHOLD_N,
-    v_thresh: float = V_THRESHOLD_MPS,
-    speed_window_s: float = SPEED_WINDOW_S,
-) -> ImpactWindow:
+def detect_impact(time: np.ndarray, force: np.ndarray, velocity: np.ndarray) -> ImpactWindow:
     """Find the contact onset and extent.
 
-    Onset is the first sample where force exceeds ``f_thresh`` while the
-    estimated speed exceeds ``v_thresh`` (the velocity gate rejects bench
-    knocks and cable tugs). The window ends one sample after the last
+    Onset is the first sample where force exceeds ``F_THRESHOLD_N`` while the
+    estimated speed exceeds ``V_THRESHOLD_MPS`` (the velocity gate rejects
+    bench knocks and cable tugs). The window ends one sample after the last
     above-threshold force sample. ``v_in`` is the mean |velocity| over the
-    ``speed_window_s`` preceding onset.
+    ``SPEED_WINDOW_S`` preceding onset.
     """
     time = np.asarray(time, dtype=float)
     force = np.asarray(force, dtype=float)
@@ -117,13 +110,13 @@ def detect_impact(
             f"time/force/velocity shapes differ: {time.shape}, {force.shape}, {velocity.shape}"
         )
 
-    above = force > f_thresh
+    above = force > F_THRESHOLD_N
     if not above.any():
-        raise NoImpactFound(f"no sample exceeds {f_thresh:g} N")
-    joint = above & (np.abs(velocity) > v_thresh)
+        raise NoImpactFound(f"no sample exceeds {F_THRESHOLD_N:g} N")
+    joint = above & (np.abs(velocity) > V_THRESHOLD_MPS)
     if not joint.any():
         raise VelocityTooLow(
-            f"force exceeds {f_thresh:g} N but never while |v| > {v_thresh:g} m/s"
+            f"force exceeds {F_THRESHOLD_N:g} N but never while |v| > {V_THRESHOLD_MPS:g} m/s"
         )
 
     i_start = int(np.argmax(joint))
@@ -133,7 +126,7 @@ def detect_impact(
     i_end = min(i_last_above + 1, time.size - 1)
     t_end = float(time[i_end])
 
-    pre = (time >= t_start - speed_window_s) & (time < t_start)
+    pre = (time >= t_start - SPEED_WINDOW_S) & (time < t_start)
     if not pre.any():
         raise VelocityTooLow("no pre-impact samples to estimate approach speed")
     v_in = float(np.mean(np.abs(velocity[pre])))
@@ -156,7 +149,7 @@ def _cumulative_rectified(window: ImpactWindow) -> tuple[np.ndarray, float]:
     return cum, dt
 
 
-def contact_duration(window: ImpactWindow, f_thresh: float = F_THRESHOLD_N) -> float:
+def contact_duration(window: ImpactWindow) -> float:
     """Effective contact duration: time from onset until the cumulative
     rectified impulse reaches 99% of its value at the last downward crossing
     of the force threshold.
@@ -168,7 +161,7 @@ def contact_duration(window: ImpactWindow, f_thresh: float = F_THRESHOLD_N) -> f
     count, so multi-stage contacts are spanned.
     """
     cum, _ = _cumulative_rectified(window)
-    above = np.flatnonzero(window.force > f_thresh)
+    above = np.flatnonzero(window.force > F_THRESHOLD_N)
     i_cap = min(int(above[-1]) + 1, window.force.size - 1) if above.size else cum.size - 1
     target = IMPULSE_FRACTION * cum[i_cap]
     idx = int(np.argmax(cum >= target))
@@ -190,17 +183,14 @@ def peak_force(window: ImpactWindow) -> float:
 
 
 def rebound_velocity(
-    window: ImpactWindow,
-    mass: float,
-    post_velocity: np.ndarray,
-    speed_window_s: float = SPEED_WINDOW_S,
+    window: ImpactWindow, mass: float, post_velocity: np.ndarray
 ) -> tuple[float, float, list[str]]:
     """Two independent rebound-speed estimates.
 
     ``post_velocity`` is a velocity series starting at the window end (the
     caller supplies the best available estimate for that segment; see
     summarize_trial). The kinematic estimate averages |post_velocity| over the
-    first ``speed_window_s``. The impulse-route estimate is J/m - v_in, floored
+    first ``SPEED_WINDOW_S``. The impulse-route estimate is J/m - v_in, floored
     at zero; when J/m < v_in the flag ``negative-impulse-residual`` marks that
     the rectified impulse undercounted (support losses), in which case the
     kinematic estimate is the one to trust.
@@ -213,7 +203,7 @@ def rebound_velocity(
 
     flags: list[str] = []
     dt = float(window.time[1] - window.time[0])
-    k = max(int(round(speed_window_s / dt)), 1)
+    k = max(int(round(SPEED_WINDOW_S / dt)), 1)
     if post_velocity.size < k:
         flags.append("short-rebound-window")
         k = post_velocity.size
@@ -243,14 +233,7 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
     return ec_i, ec_r
 
 
-def summarize_trial(
-    record: TrialRecord,
-    filter_spec: FilterSpec | None = None,
-    despike_window: int = RESAMPLED_DESPIKE_WINDOW,
-    despike_k: float = 3.0,
-    f_thresh: float = F_THRESHOLD_N,
-    v_thresh: float = V_THRESHOLD_MPS,
-) -> ImpactMetrics:
+def summarize_trial(record: TrialRecord) -> ImpactMetrics:
     """Run the full conditioning + detection + metrics chain on one trial.
 
     Force takes the zero-phase low-pass; range takes despike then the Kalman
@@ -262,18 +245,17 @@ def summarize_trial(
     the window end fully informed by the whole rebound.
     """
     dt = 1.0 / record.fs
-    spec = filter_spec if filter_spec is not None else FilterSpec(fs=record.fs)
-    force_f = butterworth_lowpass(record.force_total, spec)
+    force_f = butterworth_lowpass(record.force_total, FilterSpec(fs=record.fs))
 
-    range_d = median_despike(record.range_resampled, window=despike_window, k=despike_k)
+    range_d = median_despike(record.range_resampled, window=RESAMPLED_DESPIKE_WINDOW)
     kcfg = KalmanConfig(
         dt=dt,
         initial_state=(float(range_d[0]), -abs(record.meta.nominal_speed_mps)),
     )
     _, vel = kalman_smooth(range_d, kcfg)
 
-    window = detect_impact(record.time, force_f, vel, f_thresh, v_thresh)
-    dt_j = contact_duration(window, f_thresh)
+    window = detect_impact(record.time, force_f, vel)
+    dt_j = contact_duration(window)
     j = rectified_impulse(window)
     f_max = peak_force(window)
 

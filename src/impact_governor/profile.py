@@ -139,8 +139,10 @@ class AirframeProfile:
         """
         v_ref = 0.5 * (self.restitution.domain[0] + self.restitution.domain[1])
         f_avg = self.avg_force(v_ref)
-        if f_avg <= 0:
-            raise InvariantViolation("average force non-positive at reference speed")
+        if not 0 < f_avg < math.inf:  # an overflowed force would make the ratio 0
+            raise InvariantViolation(
+                f"average force at the reference speed must be finite and > 0, got {f_avg}"
+            )
         return self.f_max_ref_N / f_avg
 
     def to_dict(self) -> dict:

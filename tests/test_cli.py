@@ -419,6 +419,13 @@ def _case_config_value(**values):
     return case
 
 
+def _case_config_profile_under_flag(tmp_path, monkeypatch):
+    save_profile(make_profile(), tmp_path / "p.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"profile": 5}))
+    return ["govern", "--stdin", "--config", str(tmp_path / "cfg.json"),
+            "--profile", str(tmp_path / "p.json")]
+
+
 def _case_profile_value(f_star_is_peak=False, **values):
     def case(tmp_path, monkeypatch):
         save_profile(make_profile(), tmp_path / "p.json")
@@ -467,6 +474,8 @@ def _case_nan_override(tmp_path, monkeypatch):
         (_case_unknown_body_region, 2, "error: unknown body_region 'elbow'"),
         (_case_config_value(body_region=["face"]), 2, "error: unknown body_region ['face']"),
         (_case_config_value(profile=5), 2, "error: bad governor config: profile must be a path"),
+        (_case_config_profile_under_flag, 2,
+         "error: bad governor config: profile must be a path, got 5"),
         (_case_config_value(compliance_log=5), 2,
          "error: bad governor config: compliance_log must be a path"),
         (_case_no_profile, 2, "error: govern needs an airframe profile (--profile or config)"),
@@ -502,9 +511,12 @@ def _case_nan_override(tmp_path, monkeypatch):
          "error: profile f_max_ref_N must be finite and > 0, got -1.0"),
         (_case_profile_value(f_max_ref_N=1.0, f_star_is_peak=True), 2,
          "error: bad governor config: peak target 140 N is an average target of "),
+        (_case_profile_value(mass_kg=1e300, dt_s=1e-10, f_star_is_peak=True), 4,
+         "error: average force at the reference speed must be finite and > 0, got inf"),
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
+         "governor-config-profile-path-under-flag",
          "governor-config-compliance-path",
          "ingest", "fit", "scenario", "file-not-found", "json", "summary", "governor-config",
          "governor-config-f-star", "governor-config-nan-f-star", "governor-config-infinity",
@@ -512,7 +524,8 @@ def _case_nan_override(tmp_path, monkeypatch):
          "governor-config-unknown-key", "scenario-governor-unknown-key",
          "scenario-governor-body-region", "governor-config-peak-string",
          "governor-config-peak-int", "profile-f-max-zero", "profile-f-max-nan",
-         "profile-f-max-negative", "governor-config-peak-above-limit"],
+         "profile-f-max-negative", "governor-config-peak-above-limit",
+         "profile-average-force-overflow"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

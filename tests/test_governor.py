@@ -8,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from impact_governor.errors import GovernorConfigError, NonMonotoneForceMapWarning
+from impact_governor.errors import (
+    GovernorConfigError,
+    InvariantViolation,
+    NonMonotoneForceMapWarning,
+)
 from impact_governor.fit import AirframeProfile, PolyModel
 from impact_governor.governor import (
     CAP_EPSILON,
@@ -17,7 +21,6 @@ from impact_governor.governor import (
     VelocityCommand,
     avg_impact_force,
     force_speed_cap,
-    fuse_caps,
     iso_radius,
     iso_speed_cap,
     limit_command,
@@ -124,28 +127,6 @@ def test_force_speed_cap_warns_on_non_monotone_map(default_cfg):
         v = force_speed_cap(35.0, profile, default_cfg)
     # the bracket answer still respects the limit
     assert avg_impact_force(v, profile) <= 35.0 + 1e-6
-
-
-# --- cap fusion --------------------------------------------------------------
-
-
-def test_fuse_caps_binary(const_profile, default_cfg):
-    v_force = force_speed_cap(140.0, const_profile, default_cfg)
-    cap, source = fuse_caps(5.0, default_cfg, const_profile)
-    assert (cap, source) == (pytest.approx(v_force), "force")
-    cap, source = fuse_caps(8.4, default_cfg, const_profile)  # boundary is outside
-    assert (cap, source) == (20.0, "none")
-
-
-def test_fuse_caps_ramp(const_profile):
-    cfg = GovernorConfig(mode="ramp", f_star_n=65.0)
-    v_force = force_speed_cap(65.0, const_profile, cfg)
-    # inside reach margin the distance cap is zero, but the force-safe speed
-    # still guarantees contact compliance, so the fused cap floors there
-    assert fuse_caps(1.0, cfg, const_profile) == (pytest.approx(v_force), "force")
-    cap, source = fuse_caps(8.4, cfg, const_profile)
-    assert source == "iso" and cap == pytest.approx(8.0, abs=1e-9)
-    assert fuse_caps(100.0, cfg, const_profile) == (20.0, "none")
 
 
 # --- command saturation ------------------------------------------------------
@@ -258,6 +239,10 @@ def test_runtime_binary_open_field_passes_through(const_profile, default_cfg):
     cmd = VelocityCommand(6.0, 0.0, 0.0, timestamp=0.1)
     assert rt.on_command(cmd) is cmd
     assert rt.last_record.cap_source == "none"
+    rt.on_range(5.0, t=0.2)
+    rt.on_range(8.4, t=0.3)  # S(v_cruise) = 8.4 itself releases the zone
+    rt.on_command(VelocityCommand(19.0, 0.0, 0.0, timestamp=0.35))
+    assert (rt.last_record.cap_mps, rt.last_record.cap_source) == (20.0, "none")
 
 
 def test_runtime_stale_failsafe(const_profile, default_cfg):
@@ -354,6 +339,14 @@ def test_runtime_peak_force_target(const_profile, default_cfg):
     # and the plain config is untouched
     rt_plain = GovernorRuntime(default_cfg, const_profile)
     assert rt_plain.f_star_effective_n == 140.0
+
+
+def test_runtime_refuses_peak_target_when_average_force_overflows():
+    # finite mass and contact time whose average force at the reference speed
+    # is inf: the ratio would read 0 and the conversion divide by it
+    profile = make_profile(mass_kg=1e300, dt_s=1e-10)
+    with pytest.raises(InvariantViolation, match="must be finite and > 0, got inf"):
+        GovernorRuntime(GovernorConfig(f_star_is_peak=True), profile)
 
 
 def test_runtime_records_accumulate(const_profile, default_cfg):
