@@ -1,5 +1,7 @@
 """Allow ``python -m impact_governor`` to behave like the console script."""
 
-from .cli import entrypoint
+import sys
 
-entrypoint()
+from .node import main
+
+sys.exit(main())

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end of the bench-analysis commands.
 
 Subcommands mirror the bench-to-flight workflow:
 
@@ -6,47 +6,27 @@ Subcommands mirror the bench-to-flight workflow:
   configuration summaries
 * ``fit``      — configuration summaries -> airframe profile JSON
 * ``govern``   — run the streaming velocity governor on stdin/stdout or UDP
+  (served by ``node``, which the entry point runs without this module)
 * ``simulate`` — closed-loop kinematic validation of a scenario file
 * ``report``   — metrics/summaries/profiles -> markdown bench report
 
-Exit codes: 0 success, 2 bad or missing input, 3 runtime/protocol
-failure on a stream, 4 invariant violation detected in outputs.
-Every run writes ``run_manifest.json`` (inputs, outputs, config hash,
-tool version) into the output directory for traceability.  Set
-``IMPACT_GOVERNOR_LOG=DEBUG|INFO|WARNING|ERROR`` for stderr logging.
+Exit codes, ``run_manifest.json`` and logging are shared with ``node``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
-import os
 import re
-import signal
 import sys
-import threading
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    GovernorConfigError,
-    ImpactGovernorError,
-    IngestError,
-    InvariantViolation,
-    ProtocolError,
-    RestitutionOutOfRange,
-)
-from .fit import (
-    BODY_REGION_LIMITS_N,
-    build_airframe_profile,
-    load_profile,
-    save_profile,
-)
-from .governor import GovernorConfig, GovernorRuntime, force_speed_cap
+from .errors import ImpactGovernorError, IngestError, RestitutionOutOfRange
+from .fit import build_airframe_profile, load_profile, save_profile
+from .governor import GovernorConfig, force_speed_cap
 from .impact import (
     METRICS_CSV_COLUMNS,
     ConfigurationSummary,
@@ -55,97 +35,31 @@ from .impact import (
     summarize_trial,
 )
 from .ingest import align_streams, load_trial
+from .node import (
+    EXIT_INPUT,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    _configure_logging,
+    _ensure_out,
+    _governor_overrides,
+    _utc_now,
+    _write_run_manifest,
+    add_govern_parser,
+    overrides_parser,
+    run_command,
+)
 from .sim import (
     load_scenario,
     run_scenario,
     write_trajectory,
     write_trajectory_gnuplot,
 )
-from .stream import ComplianceLog, run_stream, run_udp
 
 log = logging.getLogger(__name__)
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_RUNTIME = 3
-EXIT_INVARIANT = 4
-
-#: exit code per exception type a subcommand may raise; the most specific
-#: class in the exception's MRO decides (IngestError, FitError and
-#: ScenarioInvariantViolation are bad input through ImpactGovernorError)
-_EXIT_CODES = {
-    ProtocolError: EXIT_RUNTIME,
-    InvariantViolation: EXIT_INVARIANT,
-    ImpactGovernorError: EXIT_INPUT,
-    FileNotFoundError: EXIT_INPUT,
-    json.JSONDecodeError: EXIT_INPUT,
-}
-
-
-def _configure_logging() -> None:
-    name = os.environ.get("IMPACT_GOVERNOR_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
-    )
 
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "unnamed"
-
-
-def _sha256_of(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
-
-
-def _write_run_manifest(
-    out_dir: Path, subcommand: str, inputs, outputs, config_obj, started: str
-) -> Path:
-    payload = {
-        "tool": "impact-governor",
-        "version": __version__,
-        "subcommand": subcommand,
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "config_sha256": _sha256_of(config_obj),
-    }
-    path = out_dir / "run_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _governor_overrides(args) -> dict:
-    """The governor settings the command line sets, for ``{**base, **overrides}``.
-
-    The force target is --f-star, else the --body-region limit; with
-    neither, the base's own f_star_n or body_region decides.
-    """
-    overrides = {}
-    if args.f_star is not None:
-        overrides["f_star_n"] = args.f_star
-    elif args.body_region:
-        overrides["f_star_n"] = BODY_REGION_LIMITS_N[args.body_region]
-    if args.mode:
-        overrides["mode"] = args.mode
-    return overrides
 
 
 # --- analyze ----------------------------------------------------------------
@@ -277,84 +191,6 @@ def cmd_fit(args) -> int:
         f"{flag}, R^2={profile.restitution.r_squared:.6g} -> {out / name}"
     )
     return EXIT_OK
-
-
-# --- govern -----------------------------------------------------------------
-
-
-def _resolve_governor_setup(args) -> tuple[GovernorConfig, "object", Path | None]:
-    """The config file's governor settings under the command line's, its profile
-    and its compliance log (paths relative to the config file)."""
-    data = {}
-    config_dir = Path.cwd()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise GovernorConfigError("governor config must be a JSON object")
-        config_dir = Path(args.config).resolve().parent
-
-    settings = {k: v for k, v in data.items() if k not in ("profile", "compliance_log")}
-    cfg = GovernorConfig.from_dict({**settings, **_governor_overrides(args)})
-    # both config paths are checked even where --profile takes precedence
-    profile_path = _config_path(data, "profile", config_dir)
-    compliance_path = _config_path(data, "compliance_log", config_dir)
-    if args.profile:
-        profile_path = Path(args.profile)
-    if profile_path is None:
-        raise IngestError("govern needs an airframe profile (--profile or config)")
-    return cfg, load_profile(profile_path), compliance_path
-
-
-def _config_path(data: dict, key: str, config_dir: Path) -> Path | None:
-    """A path from the governor config, relative to the config's directory."""
-    if key not in data:
-        return None
-    value = data[key]
-    if not isinstance(value, str):
-        raise GovernorConfigError(f"bad governor config: {key} must be a path, got {value!r}")
-    path = Path(value)
-    return path if path.is_absolute() else config_dir / path
-
-
-def cmd_govern(args) -> int:
-    out = _ensure_out(args)
-    started = _utc_now()
-    cfg, profile, compliance_path = _resolve_governor_setup(args)
-    compliance_path = compliance_path or out / "compliance.csv"
-    runtime = GovernorRuntime(cfg, profile)
-    log.info(
-        "governor up: v_force=%.4g m/s, zone=%.4g m, mode=%s",
-        runtime.v_force, runtime.s_zone, cfg.mode,
-    )
-
-    stop = threading.Event()
-
-    def _handle_term(signum, frame):
-        stop.set()
-        if not args.udp:
-            raise SystemExit(EXIT_OK)
-
-    old_handler = signal.signal(signal.SIGTERM, _handle_term)
-    compliance = ComplianceLog(compliance_path)
-    try:
-        if args.udp:
-            code = run_udp(runtime, args.udp, compliance=compliance, stop=stop)
-        else:
-            code = run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
-    except KeyboardInterrupt:
-        code = EXIT_OK
-    finally:
-        compliance.close()
-        signal.signal(signal.SIGTERM, old_handler)
-        _write_run_manifest(
-            out, "govern",
-            [args.config or "", args.profile or ""],
-            [str(compliance_path)],
-            cfg.to_dict(),
-            started,
-        )
-    return code
 
 
 # --- simulate ---------------------------------------------------------------
@@ -517,21 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2, help="restitution fit degree")
     p.set_defaults(func=cmd_fit)
 
-    overrides = argparse.ArgumentParser(add_help=False)  # read by _governor_overrides
-    overrides.add_argument("--mode", choices=("binary", "ramp"))
-    overrides.add_argument("--f-star", type=float, dest="f_star", help="force target [N]")
-    overrides.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
+    add_govern_parser(sub)
 
-    p = sub.add_parser("govern", parents=[overrides], help="run the streaming velocity governor")
-    transport = p.add_mutually_exclusive_group(required=True)
-    transport.add_argument("--stdin", action="store_true", help="NDJSON on stdio")
-    transport.add_argument("--udp", type=int, metavar="PORT", help="UDP datagrams")
-    p.add_argument("--config", help="governor config JSON")
-    p.add_argument("--profile", help="airframe profile JSON")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_govern)
-
-    p = sub.add_parser("simulate", parents=[overrides], help="closed-loop scenario validation")
+    p = sub.add_parser(
+        "simulate", parents=[overrides_parser()], help="closed-loop scenario validation"
+    )
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--emit-gnuplot", action="store_true")
@@ -547,19 +373,4 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
-        prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
-        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
-
-
-def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()
+    return run_command(build_parser().parse_args(argv))

@@ -17,7 +17,9 @@ from impact_governor.cli import (
 )
 from impact_governor.errors import ProtocolError
 from impact_governor.fit import load_profile, save_profile
+from impact_governor.governor import GovernorConfig
 from impact_governor.impact import ImpactMetrics, aggregate_configuration
+from impact_governor.node import _sha256_of
 from impact_governor.synthetic import make_campaign
 
 from conftest import child_env, make_profile
@@ -336,11 +338,127 @@ def test_govern_requires_profile(monkeypatch, tmp_path):
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
 
 
+def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
+    # the entry point serves govern without the analysis stack; a None entry
+    # in sys.modules makes any import of numpy or scipy fail
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('impact_governor', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "heavy = ('impact_governor.cli', 'impact_governor.dsp', 'impact_governor.impact',"
+        " 'impact_governor.ingest')\n"
+        "print('loaded:', ','.join(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    stdin = (
+        '{"type":"range","d_m":4.0,"t_s":0.0}\n'
+        '{"type":"cmd","vx":20.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "govern", "--stdin", "--body-region", "face",
+         "--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json"),
+         "--out", str(tmp_path / "gov")],
+        input=stdin, capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        '{"type":"cmd_limited","vx":6.772305592894554,"vy":0.0,"vz":0.0,'
+        '"cap_mps":6.772305592894554,"source":"force","t_s":0.1}',
+    ]
+    assert proc.stderr.splitlines() == ["loaded: "]
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        (["govern", "--help"], 0, "usage: impact-governor govern [-h]"),
+        (["govern", "--out", "{tmp}/out"], 2, "usage: impact-governor govern [-h]"),
+        (["govern", "--stdin", "--config", "{tmp}/cfg.json", "--profile", "{carbon}",
+          "--out", "{tmp}/out"], 2, "error: bad governor config: mode must be"),
+        (["govern", "--stdin", "--profile", "{tmp}/ghost.json", "--out", "{tmp}/out"], 2,
+         "error: [Errno 2] No such file or directory: "),
+        (["--version"], 0, "0.1.0"),
+        (["analyze", "{tmp}/nope", "--out", "{tmp}/out"], 2, "error: not a directory: "),
+    ],
+    ids=["govern-help", "govern-no-transport", "govern-bad-config",
+         "govern-missing-profile", "version", "analyze-missing-dir"],
+)
+def test_module_routes_like_cli_main(tmp_path, monkeypatch, capsys, argv, code, first_line):
+    # python -m impact_governor serves govern itself and hands the rest to
+    # cli.main: both routes give the same exit code, stdout and stderr
+    (tmp_path / "cfg.json").write_text(json.dumps({"mode": "bogus"}))
+    carbon = REPO_ROOT / "profiles" / "carbon_0deg.json"
+    argv = [a.format(tmp=tmp_path, carbon=carbon) for a in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "impact_governor", *argv], input="", capture_output=True,
+        text=True, env={**child_env(), "COLUMNS": "80"}, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (in_process, captured.out, captured.err)
+    assert proc.returncode == code
+    assert (proc.stdout or proc.stderr).startswith(first_line)
+
+
+def test_govern_manifest_reports_force_cap_evidence(monkeypatch, capsys, caplog, tmp_path):
+    # the face cap on the carbon profile lies past the 3-4 m/s the bench measured
+    caplog.set_level("INFO", logger="impact_governor.node")
+    out = tmp_path / "gov"
+    code, stdout = _govern_stdin(
+        monkeypatch, capsys,
+        [
+            {"type": "range", "d_m": 4.0, "t_s": 0.0},
+            {"type": "cmd", "vx": 20.0, "vy": 0.0, "vz": 0.0, "t_s": 0.1},
+        ],
+        extra_args=["--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json"),
+                    "--body-region", "face"],
+        out=out,
+    )
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    evidence = manifest["governor"]
+    v_force = json.loads(stdout.splitlines()[0])["cap_mps"]
+    assert evidence["v_force_mps"] == v_force
+    assert evidence["s_zone_m"] == pytest.approx(8.4)
+    assert evidence["speed_domain_mps"] == [3.0, 4.0]  # the fitted domain
+    assert evidence["extrapolation_ratio"] == v_force / 4.0 > 1.0
+    assert evidence["extrapolated"] is True
+    assert evidence["dt_s"] == 0.036
+    assert manifest["config_sha256"] == _sha256_of(GovernorConfig(f_star_n=65.0).to_dict())
+    up = [r.getMessage() for r in caplog.records if r.getMessage().startswith("governor up")]
+    assert up == [
+        "governor up: v_force=6.772 m/s, zone=8.4 m, mode=binary, measured speeds "
+        "3-4 m/s, extrapolation ratio 1.69, dt=0.036 s"
+    ]
+
+
+def test_govern_manifest_ratio_is_null_without_a_positive_measured_speed(
+    monkeypatch, capsys, tmp_path
+):
+    save_profile(make_profile(domain=(0.0, 0.0)), tmp_path / "p.json")
+    code, _ = _govern_stdin(monkeypatch, capsys, [],
+                            extra_args=["--profile", str(tmp_path / "p.json")], out=tmp_path)
+    assert code == 0
+    evidence = json.loads((tmp_path / "run_manifest.json").read_text())["governor"]
+    assert evidence["speed_domain_mps"] == [0.0, 0.0]
+    assert evidence["extrapolation_ratio"] is None and evidence["extrapolated"] is True
+
+
 def _case_protocol(tmp_path, monkeypatch):
     def broken_transport(*args, **kwargs):
         raise ProtocolError("stream framing lost")
 
-    monkeypatch.setattr("impact_governor.cli.run_stream", broken_transport)
+    monkeypatch.setattr("impact_governor.node.run_stream", broken_transport)
     save_profile(make_profile(), tmp_path / "p.json")
     return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
 
