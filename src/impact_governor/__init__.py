@@ -16,9 +16,11 @@ Typical flow, one module per stage::
     runtime = governor.GovernorRuntime(governor.GovernorConfig(), profile)
 
 Import the stage modules directly.  The package itself loads none of
-them, so ``profile``, ``governor``, ``stream``, ``sim`` and ``node`` (the
-``govern`` command) run without numpy or scipy and without the analysis
-stages.  The CLI (``impact-governor``) wraps the same steps; see the README.
+them, so ``profile``, ``governor``, ``stream``, ``sim`` and ``node`` run
+without numpy or scipy and without the analysis stages.  The CLI
+(``impact-governor``, parsed and run by ``node``) wraps the same steps and
+loads the analysis stages, through ``cli``, only for the commands that use
+them; see the README.
 """
 
 __version__ = "0.1.0"

@@ -1,21 +1,20 @@
-"""Command-line front end of the bench-analysis commands.
+"""The bench-analysis commands of the command line.
 
-Subcommands mirror the bench-to-flight workflow:
+Each ``cmd_<name>`` runs one subcommand of the workflow:
 
 * ``analyze``  — trial manifests -> per-trial metrics CSV + per-speed
   configuration summaries
 * ``fit``      — configuration summaries -> airframe profile JSON
-* ``govern``   — run the streaming velocity governor on stdin/stdout or UDP
-  (served by ``node``, which the entry point runs without this module)
 * ``simulate`` — closed-loop kinematic validation of a scenario file
 * ``report``   — metrics/summaries/profiles -> markdown bench report
 
-Exit codes, ``run_manifest.json`` and logging are shared with ``node``.
+The parser, the entry point and the exit codes live in ``node``, which
+loads this module (and with it numpy and scipy) only to run one of these
+commands; ``govern`` runs in ``node`` itself. ``main`` is ``node.main``.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import logging
@@ -23,8 +22,15 @@ import re
 import sys
 from pathlib import Path
 
-from . import __version__
-from .errors import ImpactGovernorError, IngestError, RestitutionOutOfRange
+from .errors import (
+    EXIT_INPUT,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    ImpactGovernorError,
+    IngestError,
+    InvariantViolation,
+    RestitutionOutOfRange,
+)
 from .fit import build_airframe_profile, load_profile, save_profile
 from .governor import GovernorConfig, force_speed_cap
 from .impact import (
@@ -35,19 +41,8 @@ from .impact import (
     summarize_trial,
 )
 from .ingest import align_streams, load_trial
-from .node import (
-    EXIT_INPUT,
-    EXIT_INVARIANT,
-    EXIT_OK,
-    _configure_logging,
-    _ensure_out,
-    _governor_overrides,
-    _utc_now,
-    _write_run_manifest,
-    add_govern_parser,
-    overrides_parser,
-    run_command,
-)
+from .node import _ensure_out, _governor_overrides, _utc_now, _write_run_manifest
+from .node import main  # noqa: F401  (cli.main is the one entry point too)
 from .sim import (
     load_scenario,
     run_scenario,
@@ -98,12 +93,10 @@ def cmd_analyze(args) -> int:
     started = _utc_now()
     in_dir = Path(args.input_dir)
     if not in_dir.is_dir():
-        print(f"error: not a directory: {in_dir}", file=sys.stderr)
-        return EXIT_INPUT
+        raise IngestError(f"not a directory: {in_dir}")
     manifests = sorted(p for p in in_dir.glob("*.json") if _is_trial_manifest(p))
     if not manifests:
-        print(f"error: no trial manifests found in {in_dir}", file=sys.stderr)
-        return EXIT_INPUT
+        raise IngestError(f"no trial manifests found in {in_dir}")
 
     processed: list[tuple] = []  # (manifest_path, meta, metrics)
     failures = 0
@@ -176,8 +169,7 @@ def cmd_fit(args) -> int:
     try:
         profile = build_airframe_profile(summaries, restitution_degree=args.degree)
     except RestitutionOutOfRange as exc:
-        print(f"error: fitted model breaks physics: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantViolation(f"fitted model breaks physics: {exc}") from exc
     name = f"profile_{_slug(profile.name)}.json"
     save_profile(profile, out / name)
     _write_run_manifest(
@@ -329,48 +321,3 @@ def cmd_report(args) -> int:
     )
     print(f"wrote {report}")
     return EXIT_OK
-
-
-# --- parser -----------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="impact-governor",
-        description="Bench impact characterization and velocity governing",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("analyze", help="process trial manifests into metrics")
-    p.add_argument("input_dir", help="directory of trial manifest JSON files")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("fit", help="fit an airframe profile from summaries")
-    p.add_argument("summaries", nargs="+", help="configuration summary JSON files")
-    p.add_argument("--out", required=True)
-    p.add_argument("--degree", type=int, default=2, help="restitution fit degree")
-    p.set_defaults(func=cmd_fit)
-
-    add_govern_parser(sub)
-
-    p = sub.add_parser(
-        "simulate", parents=[overrides_parser()], help="closed-loop scenario validation"
-    )
-    p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-gnuplot", action="store_true")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("report", help="render a markdown bench report")
-    p.add_argument("inputs", nargs="+", help="metrics CSV / summary / profile files")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    _configure_logging()
-    return run_command(build_parser().parse_args(argv))

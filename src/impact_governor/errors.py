@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the exit codes
+of the command line (``node.run_command`` maps each error to one)."""
+
+EXIT_OK = 0
+EXIT_INPUT = 2  # bad or missing input
+EXIT_RUNTIME = 3  # runtime or protocol failure on a stream
+EXIT_INVARIANT = 4  # an output or a loaded object breaks a physical invariant
 
 
 class ImpactGovernorError(Exception):
@@ -121,6 +127,10 @@ class GovernorConfigError(ImpactGovernorError):
 
 class ProtocolError(ImpactGovernorError):
     """Malformed or unknown message on the streaming interface."""
+
+
+class TransportError(ImpactGovernorError):
+    """The streaming interface cannot be opened (a UDP port that will not bind)."""
 
 
 # --- sim ------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Flight-side command line: ``govern``, and the plumbing every command shares.
+"""The command line: one parser, one entry point, one failure path, and ``govern``.
 
-``main`` is the one entry point of ``impact-governor`` and of
-``python -m impact_governor``. It serves ``govern`` here and hands every
-other command to ``cli.main``. This module loads only the standard library
-and the runtime modules (``profile``, ``governor``, ``stream``), so the
-governor answers its first message without loading numpy or scipy.
-
-Exit codes: 0 success, 2 bad or missing input, 3 runtime/protocol
-failure on a stream, 4 invariant violation detected in outputs.
-Every run writes ``run_manifest.json`` (inputs, outputs, config hash,
-tool version) into the output directory for traceability.  Set
+``main`` is the entry point of ``impact-governor`` and of
+``python -m impact_governor``; ``build_parser`` defines all five commands.
+``govern`` runs here, and the analysis commands load ``cli`` (numpy, scipy)
+only when they run: this module loads only the standard library and the
+runtime modules, so ``--help``, ``--version`` and ``govern`` start without
+the analysis stack. Commands raise; ``run_command`` alone prints
+``error: ...`` and picks the exit code (see ``errors``). Every run writes
+``run_manifest.json`` (inputs, outputs, config hash, tool version) into
+the output directory for traceability.  Set
 ``IMPACT_GOVERNOR_LOG=DEBUG|INFO|WARNING|ERROR`` for stderr logging.
 """
 
@@ -28,11 +27,16 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
+    EXIT_INPUT,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    EXIT_RUNTIME,
     GovernorConfigError,
     ImpactGovernorError,
     IngestError,
     InvariantViolation,
     ProtocolError,
+    TransportError,
 )
 from .governor import GovernorConfig, GovernorRuntime
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, load_profile
@@ -40,16 +44,12 @@ from .stream import ComplianceLog, run_stream, run_udp
 
 log = logging.getLogger(__name__)
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_RUNTIME = 3
-EXIT_INVARIANT = 4
-
 #: exit code per exception type a subcommand may raise; the most specific
 #: class in the exception's MRO decides (IngestError, FitError and
 #: ScenarioInvariantViolation are bad input through ImpactGovernorError)
 _EXIT_CODES = {
     ProtocolError: EXIT_RUNTIME,
+    TransportError: EXIT_RUNTIME,
     InvariantViolation: EXIT_INVARIANT,
     ImpactGovernorError: EXIT_INPUT,
     FileNotFoundError: EXIT_INPUT,
@@ -121,29 +121,6 @@ def _governor_overrides(args) -> dict:
     return overrides
 
 
-def overrides_parser() -> argparse.ArgumentParser:
-    """The governor flags ``govern`` and ``simulate`` share (read by _governor_overrides)."""
-    overrides = argparse.ArgumentParser(add_help=False)
-    overrides.add_argument("--mode", choices=("binary", "ramp"))
-    overrides.add_argument("--f-star", type=float, dest="f_star", help="force target [N]")
-    overrides.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
-    return overrides
-
-
-def add_govern_parser(sub) -> None:
-    """Add the ``govern`` subcommand to the subparsers ``sub``."""
-    p = sub.add_parser(
-        "govern", parents=[overrides_parser()], help="run the streaming velocity governor"
-    )
-    transport = p.add_mutually_exclusive_group(required=True)
-    transport.add_argument("--stdin", action="store_true", help="NDJSON on stdio")
-    transport.add_argument("--udp", type=int, metavar="PORT", help="UDP datagrams")
-    p.add_argument("--config", help="governor config JSON")
-    p.add_argument("--profile", help="airframe profile JSON")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_govern)
-
-
 def run_command(args) -> int:
     """Run the parsed subcommand; an error it raises becomes its exit code."""
     try:
@@ -200,8 +177,7 @@ def _force_cap_evidence(runtime: GovernorRuntime, profile: AirframeProfile) -> d
         "v_force_mps": runtime.v_force,
         "s_zone_m": runtime.s_zone,
         "speed_domain_mps": list(domain),
-        # a profile may load with a measured domain of [0, 0]
-        "extrapolation_ratio": runtime.v_force / domain[1] if domain[1] > 0 else None,
+        "extrapolation_ratio": runtime.v_force / domain[1],  # the profile keeps domain[1] > 0
         "extrapolated": profile.restitution.extrapolated(runtime.v_force),
         "dt_s": profile.dt_s,
     }
@@ -214,25 +190,24 @@ def cmd_govern(args) -> int:
     compliance_path = compliance_path or out / "compliance.csv"
     runtime = GovernorRuntime(cfg, profile)
     evidence = _force_cap_evidence(runtime, profile)
-    ratio = evidence["extrapolation_ratio"]
     log.info(
         "governor up: v_force=%.4g m/s, zone=%.4g m, mode=%s, measured speeds "
-        "%.4g-%.4g m/s, extrapolation ratio %s, dt=%.4g s",
+        "%.4g-%.4g m/s, extrapolation ratio %.3g, dt=%.4g s",
         runtime.v_force, runtime.s_zone, cfg.mode, *evidence["speed_domain_mps"],
-        "n/a" if ratio is None else f"{ratio:.3g}", profile.dt_s,
+        evidence["extrapolation_ratio"], profile.dt_s,
     )
 
     stop = threading.Event()
 
     def _handle_term(signum, frame):
         stop.set()
-        if not args.udp:
+        if args.udp is None:
             raise SystemExit(EXIT_OK)
 
     old_handler = signal.signal(signal.SIGTERM, _handle_term)
     compliance = ComplianceLog(compliance_path)
     try:
-        if args.udp:
+        if args.udp is not None:
             code = run_udp(runtime, args.udp, compliance=compliance, stop=stop)
         else:
             code = run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
@@ -252,14 +227,73 @@ def cmd_govern(args) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    """Entry point: serve ``govern`` here, hand every other command to ``cli.main``."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] != ["govern"]:
-        from . import cli  # loads the analysis stack: numpy and scipy
+# --- command line -----------------------------------------------------------
 
-        return cli.main(argv)
+
+def port(text: str) -> int:
+    """A UDP port number (argparse names this function for a non-number)."""
+    number = int(text)
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {number}")
+    return number
+
+
+def _run_analysis(args) -> int:
+    """Run ``cli.cmd_<subcommand>``, looked up on the module at call time so
+    that a wrapper set on the module attribute is what runs."""
+    from . import cli  # loads the analysis stack: numpy and scipy
+
+    return getattr(cli, f"cmd_{args.subcommand}")(args)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="impact-governor",
+        description="Bench impact characterization and velocity governing",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the governor flags govern and simulate share (read by _governor_overrides)
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--mode", choices=("binary", "ramp"))
+    overrides.add_argument("--f-star", type=float, dest="f_star", help="force target [N]")
+    overrides.add_argument("--body-region", choices=sorted(BODY_REGION_LIMITS_N))
+
+    p = sub.add_parser("analyze", help="process trial manifests into metrics")
+    p.add_argument("input_dir", help="directory of trial manifest JSON files")
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=_run_analysis)
+
+    p = sub.add_parser("fit", help="fit an airframe profile from summaries")
+    p.add_argument("summaries", nargs="+", help="configuration summary JSON files")
+    p.add_argument("--out", required=True)
+    p.add_argument("--degree", type=int, default=2, help="restitution fit degree")
+    p.set_defaults(func=_run_analysis)
+
+    p = sub.add_parser("govern", parents=[overrides], help="run the streaming velocity governor")
+    transport = p.add_mutually_exclusive_group(required=True)
+    transport.add_argument("--stdin", action="store_true", help="NDJSON on stdio")
+    transport.add_argument("--udp", type=port, metavar="PORT", help="UDP datagrams")
+    p.add_argument("--config", help="governor config JSON")
+    p.add_argument("--profile", help="airframe profile JSON")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_govern)
+
+    p = sub.add_parser("simulate", parents=[overrides], help="closed-loop scenario validation")
+    p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--out", required=True)
+    p.add_argument("--emit-gnuplot", action="store_true")
+    p.set_defaults(func=_run_analysis)
+
+    p = sub.add_parser("report", help="render a markdown bench report")
+    p.add_argument("inputs", nargs="+", help="metrics CSV / summary / profile files")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_run_analysis)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    """Entry point: parse the command line and run its subcommand."""
     _configure_logging()
-    parser = argparse.ArgumentParser(prog="impact-governor")
-    add_govern_parser(parser.add_subparsers())
-    return run_command(parser.parse_args(argv))
+    return run_command(build_parser().parse_args(argv))

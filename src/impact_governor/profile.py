@@ -107,8 +107,13 @@ class AirframeProfile:
         ):
             if not 0 < value < math.inf:  # NaN would leave the force cap at vmax
                 raise InvariantViolation(f"profile {name} must be finite and > 0, got {value}")
-        if self.restitution.domain[0] > self.restitution.domain[1]:
-            raise InvariantViolation(f"restitution domain reversed: {self.restitution.domain}")
+        domain = self.restitution.domain
+        if domain[0] < 0 or domain[1] <= 0:  # a bench measures approach speeds > 0
+            raise InvariantViolation(
+                f"measured speed domain must be a positive interval, got {domain}"
+            )
+        if domain[0] > domain[1]:
+            raise InvariantViolation(f"restitution domain reversed: {domain}")
         offending = _check_restitution_range(self.restitution)
         if offending is not None:
             raise RestitutionOutOfRange(

@@ -29,7 +29,7 @@ import socket as socket_module
 import threading
 from typing import IO, Callable, Iterable, Optional
 
-from .errors import ProtocolError
+from .errors import EXIT_OK, EXIT_RUNTIME, ProtocolError, TransportError
 from .governor import ComplianceRecord, GovernorRuntime, VelocityCommand
 
 log = logging.getLogger(__name__)
@@ -51,9 +51,6 @@ _REQUIRED_FIELDS = {
     "odom": ("vx", "vy", "vz", "t_s"),
     "cmd": ("vx", "vy", "vz", "t_s"),
 }
-
-EXIT_OK = 0
-EXIT_PROTOCOL = 3
 
 
 def _reject_constant(name: str):
@@ -231,7 +228,7 @@ def run_stream(
             except ProtocolError as exc:
                 log.error("protocol error: %s", exc)
                 emit(format_error(str(exc)))
-                return EXIT_PROTOCOL
+                return EXIT_RUNTIME
             _dispatch(runtime, msg, emit, compliance)
     finally:
         if compliance is not None:
@@ -253,11 +250,15 @@ def run_udp(
     Replies (cmd_limited or error) are sent back to the datagram's
     source address.  Runs until ``stop`` is set; a malformed datagram
     ends the loop with exit code 3 after the error reply.  ``port`` may
-    be 0 to bind an ephemeral port, reported through ``on_bound``.
+    be 0 to bind an ephemeral port, reported through ``on_bound``; a port
+    that will not bind raises TransportError.
     """
     sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_DGRAM)
     try:
-        sock.bind((host, port))
+        try:
+            sock.bind((host, port))
+        except OSError as exc:
+            raise TransportError(f"cannot bind UDP port {port}: {exc.strerror or exc}") from exc
         sock.settimeout(poll_s)
         if on_bound is not None:
             on_bound(sock.getsockname()[1])
@@ -272,7 +273,7 @@ def run_udp(
             except ProtocolError as exc:
                 log.error("protocol error from %s: %s", addr, exc)
                 sock.sendto(format_error(str(exc)).encode("utf-8"), addr)
-                return EXIT_PROTOCOL
+                return EXIT_RUNTIME
             _dispatch(
                 runtime,
                 msg,

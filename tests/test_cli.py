@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -338,28 +339,32 @@ def test_govern_requires_profile(monkeypatch, tmp_path):
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
 
 
+#: runs the entry point as ``python -m impact_governor`` with numpy and scipy
+#: blocked (a None entry in sys.modules makes their import fail), then lists
+#: the analysis modules it loaded on stderr
+_BLOCKED_ENTRY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+    "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('impact_governor', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    rc = exc.code\n"
+    "heavy = ('impact_governor.cli', 'impact_governor.dsp', 'impact_governor.impact',"
+    " 'impact_governor.ingest')\n"
+    "print('loaded:', ','.join(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
 def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
-    # the entry point serves govern without the analysis stack; a None entry
-    # in sys.modules makes any import of numpy or scipy fail
-    code = (
-        "import runpy, sys\n"
-        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
-        "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
-        "try:\n"
-        "    runpy.run_module('impact_governor', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    rc = exc.code\n"
-        "heavy = ('impact_governor.cli', 'impact_governor.dsp', 'impact_governor.impact',"
-        " 'impact_governor.ingest')\n"
-        "print('loaded:', ','.join(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
-        "sys.exit(rc)\n"
-    )
+    # govern runs in node, which loads neither cli nor the analysis stack
     stdin = (
         '{"type":"range","d_m":4.0,"t_s":0.0}\n'
         '{"type":"cmd","vx":20.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n'
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "govern", "--stdin", "--body-region", "face",
+        [sys.executable, "-c", _BLOCKED_ENTRY, "govern", "--stdin", "--body-region", "face",
          "--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json"),
          "--out", str(tmp_path / "gov")],
         input=stdin, capture_output=True, text=True, env=child_env(), timeout=60,
@@ -370,6 +375,21 @@ def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
         '"cap_mps":6.772305592894554,"source":"force","t_s":0.1}',
     ]
     assert proc.stderr.splitlines() == ["loaded: "]
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0), ([], 2)],
+                         ids=["version", "help", "bare"])
+def test_help_version_and_usage_error_load_no_analysis_stack(argv, code):
+    # the one parser lives in node: help, the version and a usage error need
+    # neither cli nor numpy and scipy, and read the same as an unblocked run
+    env = {**child_env(), "COLUMNS": "80"}
+    blocked = subprocess.run([sys.executable, "-c", _BLOCKED_ENTRY, *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+    plain = subprocess.run([sys.executable, "-m", "impact_governor", *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert blocked.returncode == plain.returncode == code
+    assert blocked.stdout == plain.stdout
+    assert blocked.stderr == plain.stderr + "loaded: \n"
 
 
 @pytest.mark.parametrize(
@@ -383,13 +403,15 @@ def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
          "error: [Errno 2] No such file or directory: "),
         (["--version"], 0, "0.1.0"),
         (["analyze", "{tmp}/nope", "--out", "{tmp}/out"], 2, "error: not a directory: "),
+        (["govern", "--stdin", "--out", "{tmp}/out", "--bogus"], 2,
+         "usage: impact-governor [-h] [--version]"),
     ],
     ids=["govern-help", "govern-no-transport", "govern-bad-config",
-         "govern-missing-profile", "version", "analyze-missing-dir"],
+         "govern-missing-profile", "version", "analyze-missing-dir", "govern-unknown-flag"],
 )
 def test_module_routes_like_cli_main(tmp_path, monkeypatch, capsys, argv, code, first_line):
-    # python -m impact_governor serves govern itself and hands the rest to
-    # cli.main: both routes give the same exit code, stdout and stderr
+    # python -m impact_governor and cli.main are one entry point with one
+    # parser: the same exit code, stdout and stderr for every command
     (tmp_path / "cfg.json").write_text(json.dumps({"mode": "bogus"}))
     carbon = REPO_ROOT / "profiles" / "carbon_0deg.json"
     argv = [a.format(tmp=tmp_path, carbon=carbon) for a in argv]
@@ -442,16 +464,44 @@ def test_govern_manifest_reports_force_cap_evidence(monkeypatch, capsys, caplog,
     ]
 
 
-def test_govern_manifest_ratio_is_null_without_a_positive_measured_speed(
-    monkeypatch, capsys, tmp_path
-):
-    save_profile(make_profile(domain=(0.0, 0.0)), tmp_path / "p.json")
-    code, _ = _govern_stdin(monkeypatch, capsys, [],
-                            extra_args=["--profile", str(tmp_path / "p.json")], out=tmp_path)
-    assert code == 0
-    evidence = json.loads((tmp_path / "run_manifest.json").read_text())["governor"]
-    assert evidence["speed_domain_mps"] == [0.0, 0.0]
-    assert evidence["extrapolation_ratio"] is None and evidence["extrapolated"] is True
+def test_govern_udp_port_out_of_range_is_a_usage_error(capsys, tmp_path, profile_path):
+    for port in ("70000", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["govern", "--udp", port, "--profile", str(profile_path),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            f"impact-governor govern: error: argument --udp: port must be 0-65535, got {port}"
+        )
+    assert not (tmp_path / "out").exists()
+
+
+def test_govern_udp_port_in_use_exits_runtime(capsys, tmp_path, profile_path):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as held:
+        held.bind(("127.0.0.1", 0))
+        port = held.getsockname()[1]
+        code = main(["govern", "--udp", str(port), "--profile", str(profile_path),
+                     "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot bind UDP port {port}: ")
+    assert len(err.splitlines()) == 1
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["subcommand"] == "govern"
+
+
+def test_govern_udp_port_zero_serves_udp(monkeypatch, tmp_path, profile_path):
+    # port 0 asks for any free port; it must not fall through to stdin
+    served = []
+
+    def fake_udp(runtime, port, **kwargs):
+        served.append(port)
+        return 0
+
+    monkeypatch.setattr("impact_governor.node.run_udp", fake_udp)
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"type":"bogus"}\n'))
+    code = main(["govern", "--udp", "0", "--profile", str(profile_path), "--out", str(tmp_path)])
+    assert (code, served) == (0, [0])
 
 
 def _case_protocol(tmp_path, monkeypatch):
@@ -486,12 +536,15 @@ def _case_no_profile(tmp_path, monkeypatch):
     return ["govern", "--stdin"]
 
 
-def _case_profile_out_of_range(tmp_path, monkeypatch):
-    save_profile(make_profile(), tmp_path / "p.json")
-    data = json.loads((tmp_path / "p.json").read_text())
-    data["restitution"]["coeffs"] = [1.5]
-    (tmp_path / "p.json").write_text(json.dumps(data))
-    return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
+def _case_profile_restitution(**values):
+    def case(tmp_path, monkeypatch):
+        save_profile(make_profile(), tmp_path / "p.json")
+        data = json.loads((tmp_path / "p.json").read_text())
+        data["restitution"].update(values)
+        (tmp_path / "p.json").write_text(json.dumps(data))
+        return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
+
+    return case
 
 
 def _case_bad_scenario(tmp_path, monkeypatch):
@@ -597,7 +650,8 @@ def _case_nan_override(tmp_path, monkeypatch):
         (_case_config_value(compliance_log=5), 2,
          "error: bad governor config: compliance_log must be a path"),
         (_case_no_profile, 2, "error: govern needs an airframe profile (--profile or config)"),
-        (_case_profile_out_of_range, 2, "error: profile EC_r leaves [0, 1] on its domain"),
+        (_case_profile_restitution(coeffs=[1.5]), 2,
+         "error: profile EC_r leaves [0, 1] on its domain"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
         (_case_bad_json, 2, "error: invalid JSON input: Expecting property name"),
@@ -631,6 +685,10 @@ def _case_nan_override(tmp_path, monkeypatch):
          "error: bad governor config: peak target 140 N is an average target of "),
         (_case_profile_value(mass_kg=1e300, dt_s=1e-10, f_star_is_peak=True), 4,
          "error: average force at the reference speed must be finite and > 0, got inf"),
+        (_case_profile_restitution(domain=[0.0, 0.0]), 4,
+         "error: measured speed domain must be a positive interval, got (0.0, 0.0)"),
+        (_case_profile_restitution(domain=[-1.0, 4.0]), 4,
+         "error: measured speed domain must be a positive interval, got (-1.0, 4.0)"),
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
@@ -643,7 +701,8 @@ def _case_nan_override(tmp_path, monkeypatch):
          "scenario-governor-body-region", "governor-config-peak-string",
          "governor-config-peak-int", "profile-f-max-zero", "profile-f-max-nan",
          "profile-f-max-negative", "governor-config-peak-above-limit",
-         "profile-average-force-overflow"],
+         "profile-average-force-overflow", "profile-domain-zero",
+         "profile-domain-negative"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -1264,10 +1264,16 @@ def restitution_models(draw):
        bind_at=st.none() | st.just(1.0) | st.floats(0.99, 1.0))
 @example(model=PolyModel([0.1], 0, 1.0, 0.0, (3.0, 4.0)), mass=1e300, dt=1e-10,  # force overflows
          vmax=20.0, f_star=140.0, f_peak=105.6, bind_at=None)
+@example(model=PolyModel([0.1], 0, 1.0, 0.0, (0.0, 0.0)), mass=0.25, dt=0.036,  # no speed > 0
+         vmax=20.0, f_star=140.0, f_peak=105.6, bind_at=None)
 def test_airframe_model_matches_numpy_oracles(model, mass, dt, vmax, f_star, f_peak, bind_at):
     offending = _check_restitution_range(model)
     assert tree_bits(offending) == tree_bits(oracle_check_restitution_range(model))
     make = lambda: AirframeProfile("P", mass, dt, 0.0, model, 0.0, f_peak)  # noqa: E731
+    if model.domain[0] < 0 or model.domain[1] <= 0:  # checked before the EC_r range
+        with pytest.raises(InvariantViolation, match="measured speed domain"):
+            make()
+        return
     if offending is not None:
         with pytest.raises(RestitutionOutOfRange):
             make()
