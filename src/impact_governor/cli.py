@@ -18,8 +18,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import re
 import sys
+import threading
+import time
 from pathlib import Path
 
 from .errors import (
@@ -88,6 +91,79 @@ def _metrics_from_row(row: dict) -> ImpactMetrics:
     return ImpactMetrics(flags=flags, **kwargs)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: the per-trial stages analyze times, as keys of run_manifest.json's ``trials``
+_STAGE_KEYS = ("load_ms", "align_ms", "summarize_ms")
+
+
+def _analyze_trial(path: Path) -> tuple:
+    """Load, align and summarize one trial.
+
+    Returns ``(outcome, stage_ms)``: the outcome is ``(meta, metrics)``, or the
+    rejection text when a stage raised an ``ImpactGovernorError``; ``stage_ms``
+    holds the milliseconds this process spent in each stage, the rejecting
+    one included, and ``None`` for a stage not reached. Any other exception
+    propagates.
+    """
+    stage_ms: list[float | None] = [None] * len(_STAGE_KEYS)
+    stage, t = 0, time.perf_counter()
+
+    def lap() -> None:
+        nonlocal stage, t
+        now = time.perf_counter()
+        stage_ms[stage] = round((now - t) * 1e3, 3)
+        stage, t = stage + 1, now
+
+    try:
+        raw = load_trial(path)
+        lap()
+        record = align_streams(raw)
+        lap()
+        metrics = summarize_trial(record)
+        lap()
+    except ImpactGovernorError as exc:
+        lap()
+        return f"{path.name}: {exc}", stage_ms
+    return (raw.meta, metrics), stage_ms
+
+
+def _analyze_share(paths: list[Path]) -> list[tuple]:
+    return [_analyze_trial(p) for p in paths]
+
+
+def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
+    """``_analyze_trial`` of every manifest, in manifest order, and the number
+    of processes that ran them.
+
+    Trial ``i`` goes to share ``i % n`` of ``n = min(usable cores, trials)``.
+    This process runs share 0 and forked workers run the others, so a worker
+    starts with the analysis stack already loaded. With one share, without
+    ``fork``, or while another thread runs (a fork could copy a lock it
+    holds), every trial runs here. A worker's exception, or a dead worker's
+    ``BrokenProcessPool``, is raised here, the first in share order.
+    """
+    n = min(_usable_cores(), len(manifests))
+    if n > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
+        n = 1
+    if n == 1:
+        return _analyze_share(manifests), 1
+
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    shares = [manifests[k::n] for k in range(n)]
+    with ProcessPoolExecutor(n - 1, mp_context=get_context("fork")) as pool:
+        futures = [pool.submit(_analyze_share, share) for share in shares[1:]]
+        done = [_analyze_share(shares[0])] + [f.result() for f in futures]
+    return [done[i % n][i // n] for i in range(len(manifests))], n
+
+
 def cmd_analyze(args) -> int:
     out = _ensure_out(args)
     started = _utc_now()
@@ -98,18 +174,18 @@ def cmd_analyze(args) -> int:
     if not manifests:
         raise IngestError(f"no trial manifests found in {in_dir}")
 
-    processed: list[tuple] = []  # (manifest_path, meta, metrics)
-    failures = 0
-    for path in manifests:
-        try:
-            raw = load_trial(path)
-            record = align_streams(raw)
-            metrics = summarize_trial(record)
-        except ImpactGovernorError as exc:
-            failures += 1
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            continue
-        processed.append((path, raw.meta, metrics))
+    results, workers = _analyze_all(manifests)
+    processed: list[tuple] = []  # (meta, metrics)
+    trials = []
+    for path, (outcome, stage_ms) in zip(manifests, results):
+        rejected = outcome if isinstance(outcome, str) else None
+        if rejected is None:
+            processed.append(outcome)
+        else:
+            print(f"error: {rejected}", file=sys.stderr)
+        trials.append(
+            {"manifest": path.name, "rejected": rejected, **dict(zip(_STAGE_KEYS, stage_ms))}
+        )
 
     outputs = []
     if processed:
@@ -117,12 +193,12 @@ def cmd_analyze(args) -> int:
         with open(metrics_csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_CSV_COLUMNS)
-            for _, _, m in processed:
+            for _, m in processed:
                 writer.writerow(_metrics_row(m))
         outputs.append(metrics_csv.name)
 
         groups: dict[tuple, list] = {}
-        for _, meta, m in processed:
+        for meta, m in processed:
             key = (meta.configuration, round(meta.nominal_speed_mps, 3))
             groups.setdefault(key, []).append(m)
         for (config, speed), members in sorted(groups.items()):
@@ -141,12 +217,13 @@ def cmd_analyze(args) -> int:
 
     outputs.append(
         _write_run_manifest(
-            out, "analyze", manifests, outputs, {"input_dir": str(in_dir)}, started
+            out, "analyze", manifests, outputs, {"input_dir": str(in_dir)}, started,
+            workers=workers, trials=trials,
         ).name
     )
     n_ok = len(processed)
     print(f"analyzed {n_ok}/{len(manifests)} trials -> {out}")
-    return EXIT_INPUT if failures else EXIT_OK
+    return EXIT_INPUT if n_ok < len(manifests) else EXIT_OK
 
 
 # --- fit --------------------------------------------------------------------

@@ -121,14 +121,21 @@ def _governor_overrides(args) -> dict:
     return overrides
 
 
+def exit_status(exc: Exception) -> tuple[int, str]:
+    """The exit code and the ``error: ...`` line of an exception in ``_EXIT_CODES``."""
+    prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+    code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+    return code, f"error: {prefix}{exc}"
+
+
 def run_command(args) -> int:
     """Run the parsed subcommand; an error it raises becomes its exit code."""
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
-        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+        code, line = exit_status(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 # --- govern -----------------------------------------------------------------
@@ -206,6 +213,7 @@ def cmd_govern(args) -> int:
 
     old_handler = signal.signal(signal.SIGTERM, _handle_term)
     compliance = ComplianceLog(compliance_path)
+    code, error = None, None  # stay None only for an exception run_command does not map
     try:
         if args.udp is not None:
             code = run_udp(runtime, args.udp, compliance=compliance, stop=stop)
@@ -213,6 +221,12 @@ def cmd_govern(args) -> int:
             code = run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
     except KeyboardInterrupt:
         code = EXIT_OK
+    except SystemExit as exc:  # SIGTERM on --stdin
+        code = exc.code
+        raise
+    except tuple(_EXIT_CODES) as exc:
+        code, error = exit_status(exc)
+        raise
     finally:
         compliance.close()
         signal.signal(signal.SIGTERM, old_handler)
@@ -223,6 +237,8 @@ def cmd_govern(args) -> int:
             cfg.to_dict(),
             started,
             governor=evidence,
+            exit_code=code,
+            error=error,
         )
     return code
 

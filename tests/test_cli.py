@@ -3,13 +3,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from impact_governor import cli
 from impact_governor.cli import (
     METRICS_CSV_COLUMNS,
     _metrics_from_row,
@@ -21,7 +25,7 @@ from impact_governor.fit import load_profile, save_profile
 from impact_governor.governor import GovernorConfig
 from impact_governor.impact import ImpactMetrics, aggregate_configuration
 from impact_governor.node import _sha256_of
-from impact_governor.synthetic import make_campaign
+from impact_governor.synthetic import make_campaign, synth_trial, write_trial
 
 from conftest import child_env, make_profile
 
@@ -153,6 +157,120 @@ def test_analyze_reports_each_failure_once(tmp_path):
     proc = _run_module("analyze", str(tmp_path / "nope"), "--out", str(tmp_path / "o2"))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: not a directory: {tmp_path / 'nope'}"]
+
+
+def _analyze_with_cores(monkeypatch, capsys, cores, campaign, out):
+    """Run ``analyze`` as if ``cores`` cores were usable: exit code, stderr's
+    ``error:`` lines and the run manifest."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    code = main(["analyze", str(campaign), "--out", str(out)])
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    return code, err, json.loads((out / "run_manifest.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def mixed_campaign(tmp_path_factory):
+    """Seven trials: trial_001 has a non-numeric force cell, trial_006 hits
+    the target below the velocity gate."""
+    out = tmp_path_factory.mktemp("mixed")
+    make_campaign(out, speeds=(3.0, 3.5), trials_per_speed=3, seed=11)
+    _set_cell(out / "trial_001_force.csv", 730, 2, "abc")
+    raw, _ = synth_trial(v_in=1.8, e=0.4, mass=0.25, tau_s=0.03, noise_force_n=0.5,
+                         noise_range_m=0.002, seed=3, configuration="Carbon-0deg")
+    raw.meta.nominal_speed_mps = 3.0
+    write_trial(raw, out, "trial_006")
+    return out
+
+
+def test_analyze_outputs_are_identical_at_every_share_count(
+    monkeypatch, capsys, tmp_path, mixed_campaign
+):
+    runs = {}
+    for cores in (1, 2, 4, 64):  # 64: more shares than the 7 trials
+        out = tmp_path / f"cores{cores}"
+        code, err, manifest = _analyze_with_cores(monkeypatch, capsys, cores, mixed_campaign, out)
+        assert manifest["workers"] == min(cores, 7)
+        files = {p.name: p.read_bytes() for p in out.glob("*") if p.name != "run_manifest.json"}
+        runs[cores] = (code, err, files)
+        trials = manifest["trials"]
+        assert [t["manifest"] for t in trials] == [f"trial_{k:03d}.json" for k in range(7)]
+        assert [t["rejected"] is not None for t in trials] == [k in (1, 6) for k in range(7)]
+        assert trials[1]["load_ms"] > 0 and trials[1]["align_ms"] is None
+        assert all(t[k] > 0 for t in trials if not t["rejected"]
+                   for k in ("load_ms", "align_ms", "summarize_ms"))
+        assert trials[6]["summarize_ms"] > 0  # the gate rejects after the DSP ran
+
+    code, err, files = runs[1]
+    assert code == 2
+    assert [ln.split(":")[1].strip() for ln in err] == ["trial_001.json", "trial_006.json"]
+    assert "is not all numbers" in err[0] and err[0] == f"error: {manifest['trials'][1]['rejected']}"
+    assert sorted(files) == [
+        "metrics.csv", "summary_Carbon-0deg_v3.5.json", "summary_Carbon-0deg_v3.json"
+    ]
+    assert len(files["metrics.csv"].decode().splitlines()) == 1 + 5
+    for cores in (2, 4, 64):
+        assert runs[cores] == runs[1], f"{cores} cores differ from one"
+
+
+def test_analyze_stays_in_process_while_another_thread_runs(
+    monkeypatch, capsys, tmp_path, mixed_campaign
+):
+    # forking a process with more than one thread can copy a held lock
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        code, err, manifest = _analyze_with_cores(
+            monkeypatch, capsys, 2, mixed_campaign, tmp_path / "out"
+        )
+    finally:
+        release.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    assert (code, len(err), manifest["workers"]) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("crash_speed", [3.0, 3.5])  # trial_000 (share 0), trial_001 (share 1)
+def test_analyze_raises_a_trial_crash_at_any_share_count(
+    monkeypatch, tmp_path, cores, crash_speed
+):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5, 4.0), trials_per_speed=1, seed=5)
+    real = cli.summarize_trial
+
+    def crash(record):
+        if record.meta.nominal_speed_mps == crash_speed:
+            raise RuntimeError(f"bug at {crash_speed} m/s")
+        return real(record)
+
+    monkeypatch.setattr(cli, "summarize_trial", crash)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match=f"^bug at {crash_speed} m/s$"):
+        main(["analyze", str(campaign), "--out", str(out)])
+    assert list(out.iterdir()) == []  # no metrics.csv short of the crashed trial
+
+
+def test_analyze_raises_when_a_worker_dies(monkeypatch, tmp_path):
+    from concurrent.futures.process import BrokenProcessPool
+
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=1, seed=5)
+    real, parent = cli.summarize_trial, os.getpid()
+
+    def die_in_worker(record):
+        if record.meta.nominal_speed_mps == 3.5:  # trial_001, share 1 of 2
+            assert os.getpid() != parent, "share 1 ran in the parent"
+            os._exit(1)
+        return real(record)
+
+    monkeypatch.setattr(cli, "summarize_trial", die_in_worker)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    out = tmp_path / "out"
+    with pytest.raises(BrokenProcessPool):
+        main(["analyze", str(campaign), "--out", str(out)])
+    assert list(out.iterdir()) == []
 
 
 # --- fit ---------------------------------------------------------------------
@@ -488,6 +606,65 @@ def test_govern_udp_port_in_use_exits_runtime(capsys, tmp_path, profile_path):
     assert err.startswith(f"error: cannot bind UDP port {port}: ")
     assert len(err.splitlines()) == 1
     assert json.loads((tmp_path / "run_manifest.json").read_text())["subcommand"] == "govern"
+
+
+def _sigterm_mid_stream():
+    yield '{"type":"range","d_m":4.0,"t_s":0.0}\n'
+    os.kill(os.getpid(), signal.SIGTERM)
+    yield '{"type":"range","d_m":4.0,"t_s":0.1}\n'
+
+
+def _raise(exc):
+    def transport(*args, **kwargs):
+        raise exc
+
+    return transport
+
+
+@pytest.mark.parametrize(
+    "stdin, patch, code, error",
+    [
+        ('{"type":"range","d_m":4.0,"t_s":0.0}\n', None, 0, None),  # EOF
+        ("{not json\n", None, 3, None),  # the error goes out as a reply
+        (_sigterm_mid_stream, None, 0, None),
+        ("", _raise(KeyboardInterrupt()), 0, None),
+        ("", _raise(ProtocolError("stream framing lost")), 3, "error: stream framing lost"),
+        ("", _raise(RuntimeError("bug")), None, None),  # a traceback, no exit code
+    ],
+    ids=["eof", "malformed-line", "sigterm", "interrupt", "protocol-error", "unmapped"],
+)
+def test_govern_manifest_records_exit_status(
+    monkeypatch, capsys, tmp_path, profile_path, stdin, patch, code, error
+):
+    monkeypatch.setattr("sys.stdin", stdin() if callable(stdin) else io.StringIO(stdin))
+    if patch is not None:
+        monkeypatch.setattr("impact_governor.node.run_stream", patch)
+    argv = ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
+    if code is None:
+        with pytest.raises(RuntimeError):
+            main(argv)
+    elif callable(stdin):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    else:
+        assert main(argv) == code
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"]) == (code, error)
+    if error is not None:
+        assert capsys.readouterr().err.splitlines() == [error]
+
+
+def test_govern_manifest_records_a_failed_bind(capsys, tmp_path, profile_path):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as held:
+        held.bind(("127.0.0.1", 0))
+        port = held.getsockname()[1]
+        code = main(["govern", "--udp", str(port), "--profile", str(profile_path),
+                     "--out", str(tmp_path)])
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert (code, manifest["exit_code"]) == (3, 3)
+    assert manifest["error"].startswith(f"error: cannot bind UDP port {port}: ")
+    assert capsys.readouterr().err.splitlines() == [manifest["error"]]
 
 
 def test_govern_udp_port_zero_serves_udp(monkeypatch, tmp_path, profile_path):
