@@ -32,9 +32,10 @@ from .errors import (
     ImpactGovernorError,
     IngestError,
     InvariantViolation,
+    MalformedRow,
     RestitutionOutOfRange,
 )
-from .fit import build_airframe_profile, load_profile, save_profile
+from .fit import build_airframe_profile, parse_profile, save_profile
 from .governor import GovernorConfig, force_speed_cap
 from .impact import (
     METRICS_CSV_COLUMNS,
@@ -229,20 +230,24 @@ def cmd_analyze(args) -> int:
 # --- fit --------------------------------------------------------------------
 
 
+def _summary_from(path, data) -> ConfigurationSummary:
+    """The configuration summary that ``path`` decoded to; anything else is an
+    IngestError naming the file."""
+    try:
+        return ConfigurationSummary.from_dict(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IngestError(
+            f"{path}: not a configuration summary ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def cmd_fit(args) -> int:
     out = _ensure_out(args)
     started = _utc_now()
     summaries = []
     for path in args.summaries:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            summaries.append(ConfigurationSummary.from_dict(data))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise IngestError(
-                f"{path}: not a configuration summary "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
+            summaries.append(_summary_from(path, json.load(fh)))
     try:
         profile = build_airframe_profile(summaries, restitution_degree=args.degree)
     except RestitutionOutOfRange as exc:
@@ -323,15 +328,23 @@ def cmd_report(args) -> int:
         p = Path(path)
         if p.suffix == ".csv":
             with open(p, "r", encoding="utf-8", newline="") as fh:
-                for row in csv.DictReader(fh):
-                    metric_rows.append(_metrics_from_row(row))
+                reader = csv.DictReader(fh)
+                for row in reader:
+                    try:
+                        metric_rows.append(_metrics_from_row(row))
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise MalformedRow(
+                            f"{p} row {reader.line_num}: not a metrics row "
+                            f"({type(exc).__name__}: {exc})"
+                        ) from exc
         elif p.suffix == ".json":
             with open(p, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if "metrics" in data:
-                summaries.append(ConfigurationSummary.from_dict(data))
-            elif "restitution" in data:
-                profiles.append(load_profile(p))
+            keys = data if isinstance(data, dict) else {}
+            if "metrics" in keys:
+                summaries.append(_summary_from(p, data))
+            elif "restitution" in keys:
+                profiles.append(parse_profile(data))
             else:
                 raise IngestError(f"unrecognized report input: {p}")
         else:

@@ -320,10 +320,13 @@ class ConfigurationSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConfigurationSummary":
-        stats = {
-            name: MetricStat(float(v["mean"]), float(v["std"]), float(v["cv"]))
-            for name, v in d["metrics"].items()
-        }
+        """The summary of a ``to_dict`` document; it must hold a stat for
+        every metric field (a KeyError names the first one missing)."""
+        metrics = d["metrics"]
+        stats = {}
+        for name in METRIC_FIELDS:
+            v = metrics[name]
+            stats[name] = MetricStat(float(v["mean"]), float(v["std"]), float(v["cv"]))
         return cls(
             configuration=str(d["configuration"]),
             n=int(d["n"]),

@@ -79,12 +79,20 @@ class PolyModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolyModel":
+        """The model of a profile's ``restitution`` document; a missing or
+        malformed field raises InvariantViolation naming it."""
+        where = "profile restitution"
+        _require_object(d, where)
+
+        def diagnostic(key: str) -> float:  # optional: NaN when absent
+            return _field(d, key, float, "a number", where) if key in d else math.nan
+
         return cls(
-            coefficients=[float(c) for c in d["coeffs"]],
-            degree=int(d["degree"]),
-            r_squared=float(d.get("r_squared", math.nan)),
-            mae=float(d.get("mae", math.nan)),
-            domain=(float(d["domain"][0]), float(d["domain"][1])),
+            coefficients=_field(d, "coeffs", _numbers, "a non-empty list of numbers", where),
+            degree=_field(d, "degree", int, "an integer", where),
+            r_squared=diagnostic("r_squared"),
+            mae=diagnostic("mae"),
+            domain=_field(d, "domain", _interval, "a list of two numbers", where),
         )
 
 
@@ -176,9 +184,40 @@ def serialize_profile(profile: AirframeProfile) -> str:
     return json.dumps(profile.to_dict(), indent=2) + "\n"
 
 
+def _require_object(d, where: str) -> None:
+    if not isinstance(d, dict):
+        raise InvariantViolation(f"{where} must be a JSON object, got {type(d).__name__}")
+
+
+def _field(d: dict, key: str, convert, kind: str, where: str):
+    """``convert(d[key])``; a missing key, or a value ``convert`` refuses, is
+    an InvariantViolation that names the field."""
+    if key not in d:
+        raise InvariantViolation(f"{where} lacks key {key!r}")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantViolation(f"{where} {key} must be {kind}, got {d[key]!r}") from exc
+
+
+def _numbers(value) -> list[float]:
+    if type(value) is not list or not value:
+        raise TypeError("not a non-empty list")
+    return [float(c) for c in value]
+
+
+def _interval(value) -> tuple[float, float]:
+    lo, hi = _numbers(value)  # a list of any other length fails to unpack
+    return lo, hi
+
+
 def parse_profile(source: str | dict) -> AirframeProfile:
-    """Parse and validate a profile JSON document (text or parsed dict)."""
+    """Parse and validate a profile JSON document (text or parsed dict).
+
+    A missing or malformed field raises InvariantViolation naming it.
+    """
     d = json.loads(source) if isinstance(source, str) else source
+    _require_object(d, "profile")
     schema = d.get("schema")
     if schema != PROFILE_SCHEMA:
         raise SchemaVersionMismatch(
@@ -188,14 +227,17 @@ def parse_profile(source: str | dict) -> AirframeProfile:
         if key not in d:
             raise InvariantViolation(f"profile lacks key {key!r}")
 
+    def number(key: str) -> float:
+        return _field(d, key, float, "a number", "profile")
+
     return AirframeProfile(
         name=str(d["name"]),
-        mass_kg=float(d["mass_kg"]),
-        dt_s=float(d["dt_s"]),
-        dt_std_s=float(d["dt_std_s"]),
+        mass_kg=number("mass_kg"),
+        dt_s=number("dt_s"),
+        dt_std_s=number("dt_std_s"),
         restitution=PolyModel.from_dict(d["restitution"]),
-        angle_deg=float(d["angle_deg"]),
-        f_max_ref_N=float(d["f_max_ref_N"]),
+        angle_deg=number("angle_deg"),
+        f_max_ref_N=number("f_max_ref_N"),
         downgraded=bool(d["restitution"].get("downgraded", False)),
     )
 

@@ -12,9 +12,10 @@ Every ``cmd`` produces exactly one reply line::
      "cap_mps": ..., "source": ..., "t_s": ...}
 
 ``range`` and ``odom`` update governor state silently.  A malformed
-message produces a single ``{"type": "error", ...}`` line and aborts the
-stream.  The same payloads ride either stdin/stdout or UDP datagrams
-(one datagram per message, replies unicast back to the sender).
+message produces a single ``{"type": "error", ...}`` line and raises
+ProtocolError, which ends the stream (exit code 3 on the command line).
+The same payloads ride either stdin/stdout or UDP datagrams (one datagram
+per message, replies unicast back to the sender) through one loop.
 
 Each emitted command is also appended to a compliance CSV so that a
 post-hoc audit can confirm the cap was honored.
@@ -27,9 +28,10 @@ import logging
 import math
 import socket as socket_module
 import threading
+from itertools import repeat
 from typing import IO, Callable, Iterable, Optional
 
-from .errors import EXIT_OK, EXIT_RUNTIME, ProtocolError, TransportError
+from .errors import EXIT_OK, ProtocolError, TransportError
 from .governor import ComplianceRecord, GovernorRuntime, VelocityCommand
 
 log = logging.getLogger(__name__)
@@ -202,37 +204,42 @@ def _dispatch(
         compliance.write(record)
 
 
+def _serve(
+    runtime: GovernorRuntime,
+    messages: Iterable[tuple[str, Callable[[str], None]]],
+    compliance: Optional[ComplianceLog],
+) -> None:
+    """Parse and dispatch each ``(text, emit)`` message; a malformed one gets
+    one error reply through its ``emit``, then its ProtocolError propagates."""
+    try:
+        for text, emit in messages:
+            try:
+                msg = parse_message(text)
+            except ProtocolError as exc:
+                emit(format_error(str(exc)))
+                raise
+            _dispatch(runtime, msg, emit, compliance)
+    finally:
+        if compliance is not None:
+            compliance.flush()
+
+
 def run_stream(
     runtime: GovernorRuntime,
     lines: Iterable[str],
     out_fh: IO[str],
     compliance: Optional[ComplianceLog] = None,
 ) -> int:
-    """Consume NDJSON lines until exhaustion.
-
-    Returns 0 on a clean end of input (including an empty stream), 3
-    after emitting an error line for the first malformed message.
-    """
+    """Consume NDJSON lines until exhaustion; returns 0 on a clean end of input
+    (an empty stream included). The first malformed message gets an error line
+    and raises ProtocolError; no line after it is read."""
 
     def emit(text: str) -> None:
         out_fh.write(text + "\n")
         out_fh.flush()
 
-    try:
-        for raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                msg = parse_message(line)
-            except ProtocolError as exc:
-                log.error("protocol error: %s", exc)
-                emit(format_error(str(exc)))
-                return EXIT_RUNTIME
-            _dispatch(runtime, msg, emit, compliance)
-    finally:
-        if compliance is not None:
-            compliance.flush()
+    # each stripped non-blank line with the one emit, by C iterators: no Python frame per line
+    _serve(runtime, zip(filter(None, map(str.strip, lines)), repeat(emit)), compliance)
     return EXIT_OK
 
 
@@ -248,10 +255,10 @@ def run_udp(
     """Serve the same protocol over UDP, one message per datagram.
 
     Replies (cmd_limited or error) are sent back to the datagram's
-    source address.  Runs until ``stop`` is set; a malformed datagram
-    ends the loop with exit code 3 after the error reply.  ``port`` may
-    be 0 to bind an ephemeral port, reported through ``on_bound``; a port
-    that will not bind raises TransportError.
+    source address.  Runs until ``stop`` is set and then returns 0; a
+    malformed datagram is answered with an error reply and raises
+    ProtocolError.  ``port`` may be 0 to bind an ephemeral port, reported
+    through ``on_bound``; a port that will not bind raises TransportError.
     """
     sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_DGRAM)
     try:
@@ -263,25 +270,17 @@ def run_udp(
         if on_bound is not None:
             on_bound(sock.getsockname()[1])
         log.info("udp governor listening on %s:%d", host, sock.getsockname()[1])
-        while stop is None or not stop.is_set():
-            try:
-                data, addr = sock.recvfrom(65536)
-            except socket_module.timeout:
-                continue
-            try:
-                msg = parse_message(data.decode("utf-8", errors="replace"))
-            except ProtocolError as exc:
-                log.error("protocol error from %s: %s", addr, exc)
-                sock.sendto(format_error(str(exc)).encode("utf-8"), addr)
-                return EXIT_RUNTIME
-            _dispatch(
-                runtime,
-                msg,
-                lambda text, _addr=addr: sock.sendto(text.encode("utf-8"), _addr),
-                compliance,
-            )
+
+        def datagrams():  # stop is checked between messages, never mid-reply
+            while stop is None or not stop.is_set():
+                try:
+                    data, addr = sock.recvfrom(65536)
+                except socket_module.timeout:
+                    continue
+                text = data.decode("utf-8", errors="replace")
+                yield text, lambda reply, _addr=addr: sock.sendto(reply.encode("utf-8"), _addr)
+
+        _serve(runtime, datagrams(), compliance)
         return EXIT_OK
     finally:
-        if compliance is not None:
-            compliance.flush()
         sock.close()

@@ -1,9 +1,11 @@
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import queue
 import signal
 import socket
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from impact_governor import cli
+from impact_governor import cli, node
 from impact_governor.cli import (
     METRICS_CSV_COLUMNS,
     _metrics_from_row,
@@ -625,7 +627,9 @@ def _raise(exc):
     "stdin, patch, code, error",
     [
         ('{"type":"range","d_m":4.0,"t_s":0.0}\n', None, 0, None),  # EOF
-        ("{not json\n", None, 3, None),  # the error goes out as a reply
+        ("{not json\n", None, 3,  # the error goes out as a reply, and to stderr once
+         "error: invalid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
         (_sigterm_mid_stream, None, 0, None),
         ("", _raise(KeyboardInterrupt()), 0, None),
         ("", _raise(ProtocolError("stream framing lost")), 3, "error: stream framing lost"),
@@ -665,6 +669,37 @@ def test_govern_manifest_records_a_failed_bind(capsys, tmp_path, profile_path):
     assert (code, manifest["exit_code"]) == (3, 3)
     assert manifest["error"].startswith(f"error: cannot bind UDP port {port}: ")
     assert capsys.readouterr().err.splitlines() == [manifest["error"]]
+
+
+def test_govern_udp_malformed_datagram_exits_protocol(monkeypatch, capsys, tmp_path,
+                                                      profile_path):
+    bound = queue.Queue()
+    monkeypatch.setattr("impact_governor.node.run_udp",
+                        functools.partial(node.run_udp, on_bound=bound.put, poll_s=0.02))
+    replies = []
+
+    def client():  # govern serves in the main thread, where it can set its SIGTERM handler
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(5.0)
+            addr = ("127.0.0.1", bound.get(timeout=5.0))
+            # the junk goes out whatever comes back, so the server always ends
+            sock.sendto(b'{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":0.1}', addr)
+            sock.sendto(b"junk{", addr)
+            for _ in range(2):
+                replies.append(json.loads(sock.recvfrom(65536)[0]))
+
+    sender = threading.Thread(target=client, daemon=True)
+    sender.start()
+    code = main(["govern", "--udp", "0", "--profile", str(profile_path), "--out", str(tmp_path)])
+    sender.join(timeout=5.0)
+    assert not sender.is_alive()
+    assert [r["type"] for r in replies] == ["cmd_limited", "error"]
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    error = "error: " + replies[1]["message"]
+    assert error.startswith("error: invalid JSON: ")
+    assert (code, manifest["exit_code"], manifest["error"]) == (3, 3, error)
+    assert capsys.readouterr().err.splitlines() == [error]
+    assert len((tmp_path / "compliance.csv").read_text().splitlines()) == 2  # header, the cmd
 
 
 def test_govern_udp_port_zero_serves_udp(monkeypatch, tmp_path, profile_path):
@@ -713,15 +748,23 @@ def _case_no_profile(tmp_path, monkeypatch):
     return ["govern", "--stdin"]
 
 
-def _case_profile_restitution(**values):
+def _case_profile_edit(edit):
     def case(tmp_path, monkeypatch):
         save_profile(make_profile(), tmp_path / "p.json")
-        data = json.loads((tmp_path / "p.json").read_text())
-        data["restitution"].update(values)
+        data = edit(json.loads((tmp_path / "p.json").read_text()))
         (tmp_path / "p.json").write_text(json.dumps(data))
         return ["govern", "--stdin", "--profile", str(tmp_path / "p.json")]
 
     return case
+
+
+def _case_profile_restitution(**values):
+    return _case_profile_edit(lambda d: {**d, "restitution": {**d["restitution"], **values}})
+
+
+def _without_coeffs(data):
+    del data["restitution"]["coeffs"]
+    return data
 
 
 def _case_bad_scenario(tmp_path, monkeypatch):
@@ -829,6 +872,15 @@ def _case_nan_override(tmp_path, monkeypatch):
         (_case_no_profile, 2, "error: govern needs an airframe profile (--profile or config)"),
         (_case_profile_restitution(coeffs=[1.5]), 2,
          "error: profile EC_r leaves [0, 1] on its domain"),
+        (_case_profile_edit(_without_coeffs), 4,
+         "error: profile restitution lacks key 'coeffs'"),
+        (_case_profile_restitution(coeffs=[]), 4,
+         "error: profile restitution coeffs must be a non-empty list of numbers, got []"),
+        (_case_profile_restitution(domain=[3.0]), 4,
+         "error: profile restitution domain must be a list of two numbers, got [3.0]"),
+        (_case_profile_edit(lambda d: [d]), 4, "error: profile must be a JSON object, got list"),
+        (_case_profile_value(mass_kg="abc"), 4,
+         "error: profile mass_kg must be a number, got 'abc'"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
         (_case_bad_json, 2, "error: invalid JSON input: Expecting property name"),
@@ -871,7 +923,9 @@ def _case_nan_override(tmp_path, monkeypatch):
          "governor-config-body-region-list", "governor-config-profile-path",
          "governor-config-profile-path-under-flag",
          "governor-config-compliance-path",
-         "ingest", "fit", "scenario", "file-not-found", "json", "summary", "governor-config",
+         "ingest", "fit", "profile-no-coeffs", "profile-coeffs-empty", "profile-domain-short",
+         "profile-not-object", "profile-mass-string",
+         "scenario", "file-not-found", "json", "summary", "governor-config",
          "governor-config-f-star", "governor-config-nan-f-star", "governor-config-infinity",
          "governor-config-bool", "simulate-override", "simulate-nan-override",
          "governor-config-unknown-key", "scenario-governor-unknown-key",
@@ -1012,3 +1066,65 @@ def test_report_renders_markdown(analyzed_dir, tmp_path, profile_path):
     assert "Carbon-0deg" in text
     assert "|" in text  # tables made it in
     assert "F_max" in text
+
+
+def _without_std(summary):
+    del summary["metrics"]["ec_r"]["std"]
+    return summary
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (json.dumps(_without_std(_summary_dict(3.0, 0.1))),
+         "not a configuration summary (KeyError: 'std')"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "metrics": {}}),
+         "not a configuration summary (KeyError: 'v_in_mps')"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "n": "two"}),
+         "not a configuration summary (ValueError: "),
+    ],
+    ids=["stat-without-std", "no-stats", "n-not-a-number"],
+)
+def test_fit_and_report_refuse_a_bad_summary_alike(tmp_path, capsys, text, line):
+    (tmp_path / "s.json").write_text(text)
+    for command in ("fit", "report"):
+        assert main([command, str(tmp_path / "s.json"), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 's.json'}: {line}")
+
+
+@pytest.mark.parametrize("text", ['"metrics"', "5", "[1, 2]", "{}"])
+def test_report_refuses_json_that_is_no_summary_or_profile(tmp_path, capsys, text):
+    (tmp_path / "x.json").write_text(text)
+    assert main(["report", str(tmp_path / "x.json"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unrecognized report input: {tmp_path / 'x.json'}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "cell, why",
+    [("abc", "ValueError: could not convert string to float: 'abc'"),
+     (None, "TypeError: float() argument must be")],
+    ids=["not-a-number", "short-row"],
+)
+def test_report_bad_metrics_row_names_file_and_row(analyzed_dir, tmp_path, capsys, cell, why):
+    lines = (analyzed_dir / "metrics.csv").read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells = cells[:3] if cell is None else [*cells[:3], cell, *cells[4:]]
+    lines[2] = ",".join(cells).rstrip("\n") + "\n"
+    bad = tmp_path / "metrics.csv"
+    bad.write_text("".join(lines))
+    assert main(["report", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad} row 3: not a metrics row ({why}")
+
+
+def test_report_refuses_a_malformed_profile(tmp_path, capsys, profile_path):
+    data = json.loads(Path(profile_path).read_text())
+    del data["restitution"]["coeffs"]
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    assert main(["report", str(tmp_path / "p.json"), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: profile restitution lacks key 'coeffs'"
+    ]

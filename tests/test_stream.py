@@ -119,12 +119,16 @@ def test_run_stream_blank_lines_and_empty_input(runtime):
 def test_run_stream_malformed_line_aborts(runtime):
     out = io.StringIO()
     lines = _lines({"type": "range", "d_m": 5.0, "t_s": 0.0})
-    lines += ["{oops", json.dumps({"type": "cmd", "vx": 1, "vy": 0, "vz": 0, "t_s": 1})]
-    assert run_stream(runtime, lines, out) == 3
+    after = json.dumps({"type": "cmd", "vx": 1, "vy": 0, "vz": 0, "t_s": 1})
+    lines = iter(lines + ["{oops", after])
+    with pytest.raises(ProtocolError, match="^invalid JSON: "):
+        run_stream(runtime, lines, out)
     replies = [json.loads(l) for l in out.getvalue().splitlines()]
-    # the error is reported and nothing after the poisoned line is consumed
+    # the error is reported once and nothing after the poisoned line is consumed
     assert [r["type"] for r in replies] == ["error"]
+    assert replies[0]["message"].startswith("invalid JSON: ")
     assert runtime.last_record is None
+    assert list(lines) == [after]
 
 
 # --- compliance log ----------------------------------------------------------
@@ -201,8 +205,13 @@ def test_compliance_log_nan_distance(tmp_path, runtime):
 
 
 def _udp_server(runtime, compliance=None):
-    """Start run_udp on an ephemeral port; returns (port, stop, thread)."""
+    """Start run_udp on an ephemeral port; returns (port, stop, thread, outcome).
+
+    ``outcome`` gets the server's return value under "rc" or the exception
+    it raised under "exc" once the thread ends.
+    """
     bound = {}
+    outcome = {}
     ready = threading.Event()
     stop = threading.Event()
 
@@ -210,25 +219,21 @@ def _udp_server(runtime, compliance=None):
         bound["port"] = p
         ready.set()
 
-    thread = threading.Thread(
-        target=run_udp,
-        args=(runtime,),
-        kwargs={
-            "port": 0,
-            "compliance": compliance,
-            "stop": stop,
-            "poll_s": 0.02,
-            "on_bound": _note_port,
-        },
-        daemon=True,
-    )
+    def _serve():
+        try:
+            outcome["rc"] = run_udp(runtime, port=0, compliance=compliance, stop=stop,
+                                    poll_s=0.02, on_bound=_note_port)
+        except Exception as exc:
+            outcome["exc"] = exc
+
+    thread = threading.Thread(target=_serve, daemon=True)
     thread.start()
     assert ready.wait(timeout=5.0)
-    return bound["port"], stop, thread
+    return bound["port"], stop, thread, outcome
 
 
 def test_udp_round_trip(runtime):
-    port, stop, thread = _udp_server(runtime)
+    port, stop, thread, outcome = _udp_server(runtime)
     client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     client.settimeout(5.0)
     try:
@@ -244,20 +249,33 @@ def test_udp_round_trip(runtime):
         thread.join(timeout=5.0)
         client.close()
     assert not thread.is_alive()
+    assert outcome == {"rc": 0}
     assert runtime.last_record.timestamp == 0.1  # the one command was governed
 
 
-def test_udp_malformed_datagram_gets_error_reply(runtime):
-    port, stop, thread = _udp_server(runtime)
+def test_udp_malformed_datagram_gets_error_reply(tmp_path, runtime):
+    path = tmp_path / "compliance.csv"
     client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     client.settimeout(5.0)
-    try:
-        client.sendto(b"junk{", ("127.0.0.1", port))
-        reply = json.loads(client.recvfrom(65536)[0])
-        assert reply["type"] == "error"
-        assert "JSON" in reply["message"]
-        thread.join(timeout=5.0)  # protocol error ends the server loop
-        assert not thread.is_alive()
-    finally:
-        stop.set()
-        client.close()
+    with ComplianceLog(path) as log:
+        port, stop, thread, outcome = _udp_server(runtime, compliance=log)
+        try:
+            addr = ("127.0.0.1", port)
+            for t in (0.1, 0.2):
+                client.sendto(b'{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":%g}' % t, addr)
+                assert json.loads(client.recvfrom(65536)[0])["type"] == "cmd_limited"
+            client.sendto(b"junk{", addr)
+            reply = json.loads(client.recvfrom(65536)[0])
+            assert reply["type"] == "error"
+            assert "JSON" in reply["message"]
+            thread.join(timeout=5.0)  # protocol error ends the server loop
+            assert not thread.is_alive()
+            # the rows of the commands before the bad datagram are on disk
+            # before the log is closed
+            rows = path.read_text().splitlines()[1:]
+        finally:
+            stop.set()
+            client.close()
+    assert [row.split(",")[0] for row in rows] == ["0.1", "0.2"]
+    assert isinstance(outcome["exc"], ProtocolError)
+    assert str(outcome["exc"]) == reply["message"]
