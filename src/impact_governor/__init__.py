@@ -17,7 +17,7 @@ Typical flow, one module per stage::
 
 Import the stage modules directly.  The package itself loads none of
 them, so ``profile``, ``governor``, ``stream``, ``sim`` and ``node`` run
-without numpy or scipy and without the analysis stages.  The CLI
+without numpy and without the analysis stages.  The CLI
 (``impact-governor``, parsed and run by ``node``) wraps the same steps and
 loads the analysis stages, through ``cli``, only for the commands that use
 them; see the README.

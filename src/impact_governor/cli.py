@@ -9,7 +9,7 @@ Each ``cmd_<name>`` runs one subcommand of the workflow:
 * ``report``   — metrics/summaries/profiles -> markdown bench report
 
 The parser, the entry point and the exit codes live in ``node``, which
-loads this module (and with it numpy and scipy) only to run one of these
+loads this module (and with it numpy) only to run one of these
 commands; ``govern`` runs in ``node`` itself. ``main`` is ``node.main``.
 """
 

@@ -3,12 +3,14 @@ and zero-phase low-pass filtering of the force channel."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal
 
 from .errors import (
     CutoffAboveNyquist,
@@ -178,12 +180,134 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if self.order < 2 or self.order % 2:
             raise ValueError(f"order must be even and >= 2, got {self.order}")
-        if self.cutoff_hz <= 0:
-            raise ValueError(f"cutoff_hz must be positive, got {self.cutoff_hz}")
+        # written as "not (0 < v < inf)" so that NaN fails too
+        if not 0 < self.fs < math.inf:
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
+        if not 0 < self.cutoff_hz < math.inf:
+            raise ValueError(f"cutoff_hz must be finite and positive, got {self.cutoff_hz}")
         if self.cutoff_hz >= self.fs / 2.0:
             raise CutoffAboveNyquist(
                 f"cutoff {self.cutoff_hz:g} Hz >= Nyquist {self.fs / 2:g} Hz"
             )
+
+
+#: samples per block of the blocked recurrence in ``butterworth_lowpass``
+_BLOCK = 128
+#: blocks per matrix product there. OpenBLAS, as numpy ships it, runs a
+#: product of more than about 2**20 multiply-adds on several threads, which
+#: then spin between calls and starve analyze's worker processes; a slab of
+#: 32 blocks is 2**19.
+_SLAB = 32
+
+
+def _butter(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transfer function (b, a) of the digital Butterworth low-pass ``spec``,
+    and the poles it was built from.
+
+    The steps and their order are those of ``scipy.signal.butter(order,
+    cutoff_hz, fs=fs)``: analog prototype poles, pre-warped cutoff, bilinear
+    transform, then ``np.poly``, so b and a are the same bits.
+    """
+    n = spec.order
+    wn = np.float64(spec.cutoff_hz) / (spec.fs / 2)
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)
+    analog = warped * -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=float) / (2 * n))
+    gain = warped**n * np.real(1.0 / np.prod(4.0 - analog))
+    poles = (4.0 + analog) / (4.0 - analog)
+    return gain * np.poly(-np.ones(n)), np.poly(poles), poles
+
+
+def _taylor_shift(coeffs: np.ndarray, c: Fraction, rho: Fraction) -> list[Fraction]:
+    """Coefficients, highest power first, of p(c + rho*w) as exact fractions,
+    where p has the float coefficients ``coeffs``."""
+    acc = [Fraction(coeffs[0])]
+    for ak in coeffs[1:]:
+        acc = (
+            [rho * acc[0]]
+            + [rho * hi + c * lo for hi, lo in zip(acc[1:], acc)]
+            + [c * acc[-1] + Fraction(ak)]
+        )
+    return acc
+
+
+class _Realization(NamedTuple):
+    """A designed filter as the matrices ``_lfilter`` applies to blocks of
+    L = ``_BLOCK`` samples; the state has n = ``order`` entries."""
+
+    zero_state: np.ndarray  # (L, L): a block's response from zero state
+    to_state: np.ndarray  # (L, n): a block's input -> its end state
+    carry: np.ndarray  # (n, n): A^L, a block's start state -> its end state
+    from_state: np.ndarray  # (n, L): a block's response to its start state
+    zi: np.ndarray  # (n,): steady state under a unit step (lfilter_zi)
+
+
+@functools.lru_cache(maxsize=8)
+def _realize(spec: FilterSpec) -> _Realization:
+    """State-space form (A, B, C = e0, D) of the b/a filter of ``spec``.
+
+    It is scipy's transposed direct form II written in w = (z - c) / rho,
+    where c is the centre of the designed poles and rho their radius about
+    it; the shifted coefficients are computed exactly and rounded once. In
+    the plain companion basis the poles are ill-conditioned: at order 8 and
+    cutoff/fs 0.01, A^L rounds to a matrix with poles outside the unit
+    circle and the recurrence diverges. About their centre they are well
+    conditioned, so this realizes the b/a filter to a few ulps. The arrays are
+    read-only because every call shares them.
+    """
+    b, a, poles = _butter(spec)
+    n = spec.order
+    c = Fraction(float(poles.real.mean()))
+    rho = Fraction(float(np.abs(poles - float(c)).max()))
+    bw, aw = _taylor_shift(b, c, rho), _taylor_shift(a, c, rho)
+    d = bw[0] / aw[0]
+    # z = c + rho*w: A = c*I + rho*companion(aw)^T and B = rho*B_w
+    A = np.diag(np.full(n, float(c)))
+    A[:, 0] = [float(c * (i == 0) - rho * aw[i + 1] / aw[0]) for i in range(n)]
+    A[np.arange(n - 1), np.arange(1, n)] = float(rho)
+    B = np.array([float(rho * (bw[i + 1] - aw[i + 1] * d) / aw[0]) for i in range(n)])
+
+    # impulse[k] = A^k B; rows[k] = C A^k
+    impulse = np.empty((_BLOCK, n))
+    rows = np.empty((_BLOCK, n))
+    impulse[0], rows[0] = B, np.eye(n)[0]
+    for k in range(1, _BLOCK):
+        impulse[k] = A @ impulse[k - 1]
+        rows[k] = rows[k - 1] @ A
+    h = np.concatenate(([float(d)], impulse[:-1, 0]))
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    parts = (
+        np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0).T.copy(),
+        impulse[::-1].copy(),
+        np.linalg.matrix_power(A, _BLOCK),
+        rows.T.copy(),
+        np.linalg.solve(np.eye(n) - A, B),
+    )
+    for part in parts:
+        part.flags.writeable = False
+    return _Realization(*parts)
+
+
+def _lfilter(x: np.ndarray, state: np.ndarray, r: _Realization) -> np.ndarray:
+    """Run the filter over ``x`` from ``state``, exactly, a block at a time.
+
+    A block's response is its zero-state part (a product with the impulse
+    response's Toeplitz matrix) plus the response to its start state. Only
+    the state carry from block to block is sequential.
+    """
+    blocks = -(-x.size // _BLOCK)
+    xb = np.zeros((blocks, _BLOCK))
+    xb.reshape(-1)[: x.size] = x
+    y = np.empty_like(xb)
+    carry = r.carry
+    for i in range(0, blocks, _SLAB):
+        slab = xb[i : i + _SLAB]
+        forced = slab @ r.to_state
+        starts = np.empty_like(forced)
+        for k in range(len(slab)):
+            starts[k] = state
+            state = carry @ state + forced[k]
+        y[i : i + _SLAB] = slab @ r.zero_state + starts @ r.from_state
+    return y.reshape(-1)[: x.size]
 
 
 def butterworth_lowpass(series: np.ndarray, spec: FilterSpec = FilterSpec()) -> np.ndarray:
@@ -192,13 +316,21 @@ def butterworth_lowpass(series: np.ndarray, spec: FilterSpec = FilterSpec()) -> 
     The double pass squares the magnitude response (gain 0.5 at the design
     cutoff instead of 1/sqrt(2)) and cancels the phase, so pulse peaks stay
     where they happened — which is what impact timing metrics need.
+
+    The ends are padded as ``scipy.signal.filtfilt(b, a, x)`` pads them: an
+    odd extension of 3*(order + 1) samples, each pass starting from the steady
+    state for its first sample. Its b and a are those of
+    ``scipy.signal.butter``; the output matches scipy's to rounding.
     """
     x = np.asarray(series, dtype=float)
-    b, a = signal.butter(spec.order, spec.cutoff_hz, btype="low", fs=spec.fs)
-    padlen = 3 * max(len(a), len(b))
-    if x.size <= padlen:
+    edge = 3 * (spec.order + 1)
+    if x.size <= edge:
         raise ValueError(
             f"series of {x.size} samples too short for order-{spec.order} "
-            f"zero-phase filtering (needs > {padlen})"
+            f"zero-phase filtering (needs > {edge})"
         )
-    return signal.filtfilt(b, a, x)
+    r = _realize(spec)
+    ext = np.concatenate((2 * x[0] - x[edge:0:-1], x, 2 * x[-1] - x[-2 : -edge - 2 : -1]))
+    y = _lfilter(ext, r.zi * ext[0], r)
+    y = _lfilter(y[::-1], r.zi * y[-1], r)
+    return y[::-1][edge:-edge]

@@ -2,7 +2,7 @@
 
 ``main`` is the entry point of ``impact-governor`` and of
 ``python -m impact_governor``; ``build_parser`` defines all five commands.
-``govern`` runs here, and the analysis commands load ``cli`` (numpy, scipy)
+``govern`` runs here, and the analysis commands load ``cli`` (and numpy)
 only when they run: this module loads only the standard library and the
 runtime modules, so ``--help``, ``--version`` and ``govern`` start without
 the analysis stack. Commands raise; ``run_command`` alone prints
@@ -257,7 +257,7 @@ def port(text: str) -> int:
 def _run_analysis(args) -> int:
     """Run ``cli.cmd_<subcommand>``, looked up on the module at call time so
     that a wrapper set on the module attribute is what runs."""
-    from . import cli  # loads the analysis stack: numpy and scipy
+    from . import cli  # loads the analysis stack and numpy
 
     return getattr(cli, f"cmd_{args.subcommand}")(args)
 

@@ -77,7 +77,8 @@ def test_metrics_csv_row_round_trip():
 
 
 def test_analyze_products(analyzed_dir):
-    rows = list(csv.DictReader(open(analyzed_dir / "metrics.csv")))
+    with open(analyzed_dir / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 6
     assert all(r["configuration"] == "Carbon-0deg" for r in rows)
     for r in rows:
@@ -130,7 +131,8 @@ def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col,
     assert len(err) == 1
     assert err[0].startswith(f"error: trial_001.json: {campaign / f'trial_001_{stream}.csv'} row 731")
     assert why in err[0]
-    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert all(math.isfinite(float(r["ec_r"])) for r in rows)
     assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
@@ -459,22 +461,27 @@ def test_govern_requires_profile(monkeypatch, tmp_path):
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
 
 
-#: runs the entry point as ``python -m impact_governor`` with numpy and scipy
-#: blocked (a None entry in sys.modules makes their import fail), then lists
-#: the analysis modules it loaded on stderr
-_BLOCKED_ENTRY = (
-    "import runpy, sys\n"
-    "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
-    "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
-    "try:\n"
-    "    runpy.run_module('impact_governor', run_name='__main__')\n"
-    "except SystemExit as exc:\n"
-    "    rc = exc.code\n"
-    "heavy = ('impact_governor.cli', 'impact_governor.dsp', 'impact_governor.impact',"
-    " 'impact_governor.ingest')\n"
-    "print('loaded:', ','.join(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
-    "sys.exit(rc)\n"
-)
+def _blocked_entry(*blocked: str) -> str:
+    """Source of a ``python -c`` program that runs the entry point as ``python
+    -m impact_governor`` with the ``blocked`` packages unimportable (a None
+    entry in sys.modules makes their import fail), then lists the analysis
+    modules it loaded on stderr."""
+    return (
+        "import runpy, sys\n"
+        f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
+        "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('impact_governor', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "heavy = ('impact_governor.cli', 'impact_governor.dsp', 'impact_governor.impact',"
+        " 'impact_governor.ingest')\n"
+        "print('loaded:', ','.join(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+
+
+_BLOCKED_ENTRY = _blocked_entry("numpy", "scipy")
 
 
 def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
@@ -510,6 +517,40 @@ def test_help_version_and_usage_error_load_no_analysis_stack(argv, code):
     assert blocked.returncode == plain.returncode == code
     assert blocked.stdout == plain.stdout
     assert blocked.stderr == plain.stderr + "loaded: \n"
+
+
+def test_analysis_commands_write_the_same_files_with_scipy_blocked(tmp_path, campaign_dir):
+    # scipy is the tests' oracle only: analyze, fit, report and simulate run
+    # without it and write what an unblocked run writes
+    summaries = [f"analyze/summary_Carbon-0deg_v{v}.json" for v in ("3", "3.5", "4")]
+    commands = [
+        ["analyze", str(campaign_dir), "--out", "analyze"],
+        ["fit", *summaries, "--out", "fit"],
+        ["report", "analyze/metrics.csv", *summaries, "fit/profile_Carbon-0deg.json",
+         "--out", "report"],
+        ["simulate", str(REPO_ROOT / "scenarios" / "three_humans_face.json"), "--out", "sim"],
+    ]
+    runs = {}
+    for name, entry in (("blocked", ["-c", _blocked_entry("scipy")]),
+                        ("plain", ["-m", "impact_governor"])):
+        work = tmp_path / name
+        work.mkdir()
+        procs = [subprocess.run([sys.executable, *entry, *argv], cwd=work, capture_output=True,
+                                text=True, env=child_env(), timeout=120)
+                 for argv in commands]
+        files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*"))
+                 if p.is_file() and p.name != "run_manifest.json"}
+        runs[name] = procs, files
+
+    (blocked, blocked_files), (plain, plain_files) = runs["blocked"], runs["plain"]
+    for argv, b, p in zip(commands, blocked, plain):
+        assert b.returncode == p.returncode == 0, (argv[0], b.stderr)
+        assert b.stdout == p.stdout
+        *err, loaded = b.stderr.splitlines()
+        assert err == p.stderr.splitlines() and loaded.startswith("loaded: ")
+    assert {"analyze/metrics.csv", "fit/profile_Carbon-0deg.json", "report/report.md",
+            "sim/summary.json"} <= set(plain_files)
+    assert blocked_files == plain_files
 
 
 @pytest.mark.parametrize(
