@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -99,14 +100,89 @@ class KalmanConfig:
     initial_covariance: tuple[float, float] = (100.0, 100.0)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.sigma_s <= 0 or self.measurement_noise_r <= 0:
-            raise ValueError("sigma_s and measurement_noise_r must be positive")
+        # written as "not (0 < v < inf)" so that NaN fails too
+        for name in ("dt", "sigma_s", "measurement_noise_r"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if not all(0 < p < math.inf for p in self.initial_covariance):
             raise NonPositiveDefiniteCovariance(
                 f"initial_covariance entries must be finite and > 0, got {self.initial_covariance}"
             )
+
+
+class _GainSchedule:
+    """The Kalman gains (k0[i], k1[i]) of steps 0, 1, ... under one tuning,
+    computed as far as the longest series filtered so far.
+
+    The covariance recursion reads only the tuning, never the data, so every
+    series filtered at one tuning shares these gains. ``p`` is the posterior
+    covariance (p00, p01, p11) after the last step computed.
+    """
+
+    def __init__(
+        self, dt: float, sigma_s: float, r: float, initial_covariance: tuple[float, float]
+    ) -> None:
+        q_var = sigma_s**2
+        self.q = (q_var * dt**4 / 4.0, q_var * dt**3 / 2.0, q_var * dt**2)
+        self.dt, self.r = dt, r
+        p00, p11 = initial_covariance
+        self.p = (p00, 0.0, p11)
+        self.k0: list[float] = []
+        self.k1: list[float] = []
+        self.lock = threading.Lock()
+
+    def gains(self, n: int) -> tuple[list[float], list[float]]:
+        """The gain lists, holding at least ``n`` steps.
+
+        Raises NonPositiveDefiniteCovariance, naming the step, if the
+        covariance fails within the first ``n`` steps; the steps computed in
+        that call are then dropped, so a later call fails the same way.
+        """
+        with self.lock:
+            done = len(self.k0)
+            if n > done:
+                self._grow(done, n)
+        return self.k0, self.k1
+
+    def _grow(self, done: int, n: int) -> None:
+        dt, r = self.dt, self.r
+        q00, q01, q11 = self.q
+        p00, p01, p11 = self.p
+        k0s, k1s = self.k0, self.k1
+        for i in range(done, n):
+            # predict
+            p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
+            p01 = p01 + dt * p11 + q01
+            p11 = p11 + q11
+            # update
+            s = p00 + r
+            k0 = p00 / s
+            k1 = p01 / s
+            p11 = p11 - k1 * p01
+            p01 = (1.0 - k0) * p01
+            p00 = (1.0 - k0) * p00
+            if not (
+                math.isfinite(p00)
+                and math.isfinite(p11)
+                and p00 > 0.0
+                and p11 > 0.0
+                and p00 * p11 - p01 * p01 > 0.0
+            ):
+                del k0s[done:], k1s[done:]
+                raise NonPositiveDefiniteCovariance(
+                    f"covariance lost positive definiteness at step {i}"
+                )
+            k0s.append(k0)
+            k1s.append(k1)
+        self.p = (p00, p01, p11)
+
+
+@functools.lru_cache(maxsize=8)
+def _gain_schedule(
+    dt: float, sigma_s: float, r: float, initial_covariance: tuple[float, float]
+) -> _GainSchedule:
+    return _GainSchedule(dt, sigma_s, r, initial_covariance)
 
 
 def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -114,56 +190,38 @@ def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np
 
     Returns (position, velocity) arrays, one posterior estimate per input
     sample. Raises NonPositiveDefiniteCovariance if the covariance collapses
-    under degenerate tuning. The covariance recursion never reads the data,
-    so non-finite input cannot trip that check: it propagates into the
-    estimates instead, which is why ingest rejects non-finite samples.
+    under degenerate tuning within as many steps as the series has samples.
+
+    The covariance recursion, and so the gain of every step, never reads the
+    data: it depends on ``dt``, ``sigma_s``, ``measurement_noise_r`` and
+    ``initial_covariance`` alone. The gains are computed once per tuning,
+    cached and shared by every series filtered at it (the trials of a
+    campaign, and the forward and reverse passes of one trial); only the
+    state update runs per sample. Non-finite input cannot trip the
+    covariance check: it propagates into the estimates instead, which is why
+    ingest rejects non-finite samples.
     """
     z = np.asarray(series, dtype=float)
     if z.size < 2:
         raise ValueError(f"need at least 2 samples, got {z.size}")
 
-    dt = cfg.dt
-    q_var = cfg.sigma_s**2
-    q00 = q_var * dt**4 / 4.0
-    q01 = q_var * dt**3 / 2.0
-    q11 = q_var * dt**2
-    r = cfg.measurement_noise_r
+    dt = float(cfg.dt)
+    p00, p11 = (float(v) for v in cfg.initial_covariance)
+    schedule = _gain_schedule(dt, float(cfg.sigma_s), float(cfg.measurement_noise_r), (p00, p11))
 
     if cfg.initial_state is None:
         x0, x1 = float(z[0]), 0.0
     else:
         x0, x1 = (float(v) for v in cfg.initial_state)
-    p00, p11 = (float(v) for v in cfg.initial_covariance)
-    p01 = 0.0
+    k0s, k1s = schedule.gains(z.size)
 
     pos = []
     vel = []
-    for i, zi in enumerate(z.tolist()):
-        # predict
+    for zi, k0, k1 in zip(z.tolist(), k0s, k1s):
         x0 = x0 + dt * x1
-        p00 = p00 + dt * (2.0 * p01 + dt * p11) + q00
-        p01 = p01 + dt * p11 + q01
-        p11 = p11 + q11
-        # update
-        s = p00 + r
-        k0 = p00 / s
-        k1 = p01 / s
         innov = zi - x0
         x0 += k0 * innov
         x1 += k1 * innov
-        p11 = p11 - k1 * p01
-        p01 = (1.0 - k0) * p01
-        p00 = (1.0 - k0) * p00
-        if not (
-            math.isfinite(p00)
-            and math.isfinite(p11)
-            and p00 > 0.0
-            and p11 > 0.0
-            and p00 * p11 - p01 * p01 > 0.0
-        ):
-            raise NonPositiveDefiniteCovariance(
-                f"covariance lost positive definiteness at step {i}"
-            )
         pos.append(x0)
         vel.append(x1)
     return np.array(pos), np.array(vel)

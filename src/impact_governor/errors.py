@@ -87,6 +87,10 @@ class RestitutionAboveUnity(ImpactError):
     """Rebound speed exceeds approach speed; trial rejected as unphysical."""
 
 
+class NonFiniteEnergy(ImpactError):
+    """Incident kinetic energy is NaN or overflows a float; trial rejected."""
+
+
 class EmptyInput(ImpactError):
     """Aggregation requires at least two trials."""
 

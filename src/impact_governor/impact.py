@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolation,
     LengthMismatch,
     NoImpactFound,
+    NonFiniteEnergy,
     RestitutionAboveUnity,
     VelocityTooLow,
 )
@@ -220,7 +221,8 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
     """Incident kinetic energy and retained-energy ratio.
 
     EC_i = m v_in^2 / 2;  EC_r = (v_f / v_in)^2. A rebound faster than the
-    approach is unphysical for a passive impact and rejects the trial.
+    approach is unphysical for a passive impact and rejects the trial, as
+    does an EC_i that is not a finite number (NaN, or an overflow).
     """
     if mass <= 0 or v_in <= 0:
         raise ValueError("mass and v_in must be positive")
@@ -228,7 +230,14 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
         raise RestitutionAboveUnity(
             f"rebound {v_f:.3g} m/s exceeds approach {v_in:.3g} m/s"
         )
-    ec_i = 0.5 * mass * v_in**2
+    try:
+        ec_i = 0.5 * mass * v_in**2
+    except OverflowError:
+        ec_i = math.inf
+    if not math.isfinite(ec_i):
+        raise NonFiniteEnergy(
+            f"incident kinetic energy of {mass:.3g} kg at {v_in:.3g} m/s is not finite"
+        )
     ec_r = (v_f / v_in) ** 2
     return ec_i, ec_r
 

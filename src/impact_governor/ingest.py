@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,15 +75,16 @@ class TrialMeta:
     alignment_residual_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mass_kg <= 0:
-            raise InvariantViolation(f"mass_kg must be positive, got {self.mass_kg}")
+        # written as "not (0 < v < inf)" so that NaN fails too
+        if not 0 < self.mass_kg < math.inf:
+            raise InvariantViolation(f"mass_kg must be finite and positive, got {self.mass_kg}")
         if not 0.0 <= self.angle_deg <= 90.0:
             raise InvariantViolation(
                 f"angle_deg must lie in [0, 90], got {self.angle_deg}"
             )
-        if self.nominal_speed_mps <= 0:
+        if not 0 < self.nominal_speed_mps < math.inf:
             raise InvariantViolation(
-                f"nominal_speed_mps must be positive, got {self.nominal_speed_mps}"
+                f"nominal_speed_mps must be finite and positive, got {self.nominal_speed_mps}"
             )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from impact_governor import cli, node
+from impact_governor import cli, dsp, node
 from impact_governor.cli import (
     METRICS_CSV_COLUMNS,
     _metrics_from_row,
@@ -25,7 +25,7 @@ from impact_governor.cli import (
 from impact_governor.errors import ProtocolError
 from impact_governor.fit import load_profile, save_profile
 from impact_governor.governor import GovernorConfig
-from impact_governor.impact import ImpactMetrics, aggregate_configuration
+from impact_governor.impact import METRIC_FIELDS, ImpactMetrics, aggregate_configuration
 from impact_governor.node import _sha256_of
 from impact_governor.synthetic import make_campaign, synth_trial, write_trial
 
@@ -138,6 +138,44 @@ def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col,
     assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
         "summary_Carbon-0deg_v3.5.json"
     ]
+
+
+@pytest.mark.parametrize("key", ["nominal_speed_mps", "mass_kg"])
+def test_analyze_rejects_only_the_trial_whose_energy_overflows(tmp_path, capsys, key):
+    # 1e308 m/s overflowed v_in**2, whose OverflowError stopped the whole
+    # run; 1e308 kg wrote an ec_i_j of inf into metrics.csv
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0,), trials_per_speed=2, seed=5)
+    assert main(["analyze", str(campaign), "--out", str(tmp_path / "clean")]) == 0
+    manifest = campaign / "trial_001.json"
+    doc = json.loads(manifest.read_text())
+    doc[key] = 1e308
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    assert main(["analyze", str(campaign), "--out", str(tmp_path / "out")]) == 2
+
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(err) == 1
+    assert err[0].startswith("error: trial_001.json: incident kinetic energy of ")
+    assert err[0].endswith(" is not finite")
+    clean = (tmp_path / "clean" / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert (tmp_path / "out" / "metrics.csv").read_bytes().splitlines(keepends=True) == clean[:2]
+
+
+def test_analyze_share_is_bitwise_independent_of_trial_order(campaign_dir):
+    # the Kalman gains one trial computes and caches serve the trials after it
+    dsp._gain_schedule.cache_clear()
+    manifests = sorted(p for p in campaign_dir.glob("*.json") if cli._is_trial_manifest(p))
+    forward = [outcome for outcome, _ in cli._analyze_share(manifests)]
+    backward = [outcome for outcome, _ in cli._analyze_share(manifests[::-1])][::-1]
+
+    def bits(outcome):
+        _, m = outcome
+        return [float(getattr(m, f)).hex() for f in METRIC_FIELDS] + m.flags
+
+    assert len(forward) == 6 and all(isinstance(o, tuple) for o in forward)
+    assert [bits(o) for o in forward] == [bits(o) for o in backward]
 
 
 def _run_module(*argv):

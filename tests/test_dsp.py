@@ -105,6 +105,12 @@ def test_kalman_config_validation():
         KalmanConfig(dt=0.0)
     with pytest.raises(ValueError):
         KalmanConfig(dt=1e-3, sigma_s=0.0)
+    # an infinite measurement noise made every gain 0, so the filter ignored
+    # every reading; a NaN or infinite dt or sigma_s failed only when filtering
+    for name in ("dt", "sigma_s", "measurement_noise_r"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                KalmanConfig(**{"dt": 1e-3, name: value})
 
 
 # --- Butterworth -------------------------------------------------------------

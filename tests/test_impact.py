@@ -8,6 +8,7 @@ from impact_governor.errors import (
     InvariantViolation,
     LengthMismatch,
     NoImpactFound,
+    NonFiniteEnergy,
     RestitutionAboveUnity,
     VelocityTooLow,
 )
@@ -186,6 +187,11 @@ def test_kinetic_energies():
         kinetic_energies(0.25, 4.0, 4.01)
     with pytest.raises(ValueError):
         kinetic_energies(0.0, 4.0, 1.0)
+    # v_in**2 overflowed with an OverflowError, which stopped the whole
+    # analyze; an overflowing product became inf in metrics.csv
+    for mass, v_in in ((0.25, 1e308), (1e308, 4.0), (0.25, math.nan)):
+        with pytest.raises(NonFiniteEnergy, match="is not finite$"):
+            kinetic_energies(mass, v_in, 1.0)
 
 
 # --- full-trial summary ------------------------------------------------------

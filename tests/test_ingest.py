@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ def test_meta_validation():
         TrialMeta("x", mass_kg=0.25, angle_deg=91, nominal_speed_mps=3, material="m")
     with pytest.raises(InvariantViolation):
         TrialMeta("x", mass_kg=0.25, angle_deg=0, nominal_speed_mps=-1, material="m")
+    # NaN passed the "<= 0" checks these replaced
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvariantViolation, match="^mass_kg must be finite"):
+            TrialMeta("x", mass_kg=bad, angle_deg=0, nominal_speed_mps=3, material="m")
+        with pytest.raises(InvariantViolation, match="^nominal_speed_mps must be finite"):
+            TrialMeta("x", mass_kg=0.25, angle_deg=0, nominal_speed_mps=bad, material="m")
+
+
+@pytest.mark.parametrize("key", ["mass_kg", "nominal_speed_mps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_load_trial_rejects_a_non_finite_manifest_number(tmp_path, key, value):
+    # a NaN or infinite approach speed seeded the Kalman with it, and the trial
+    # was then rejected for a velocity gate it had no chance to pass
+    raw, _ = synth_trial(kind="elastic", seed=3)
+    manifest = write_trial(raw, tmp_path, "t0")
+    doc = json.loads(manifest.read_text())
+    doc[key] = value
+    manifest.write_text(json.dumps(doc))  # as NaN or Infinity
+    with pytest.raises(InvariantViolation, match=f"^{key} must be finite and positive"):
+        load_trial(manifest)
 
 
 def test_sum_load_cells_is_plain_sum():

@@ -34,6 +34,7 @@ from hypothesis.extra.numpy import arrays
 from impact_governor.dsp import (
     MAD_SCALE,
     KalmanConfig,
+    _gain_schedule,
     kalman_smooth,
     median_despike,
 )
@@ -615,11 +616,7 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(z=range_series(), cfg=kalman_configs, reverse=st.booleans())
-def test_kalman_matches_oracle(z, cfg, reverse):
-    if reverse:  # the rebound pass filters a reversed view
-        z = z[::-1]
+def assert_kalman_matches_oracle(z, cfg):
     with np.errstate(all="ignore"):
         want = _outcome(oracle_kalman_smooth, z, cfg)
         got = _outcome(kalman_smooth, z, cfg)
@@ -628,6 +625,65 @@ def test_kalman_matches_oracle(z, cfg, reverse):
     else:
         assert_bitwise(got[0], want[0])
         assert_bitwise(got[1], want[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=range_series(), cfg=kalman_configs, reverse=st.booleans())
+def test_kalman_matches_oracle(z, cfg, reverse):
+    if reverse:  # the rebound pass filters a reversed view
+        z = z[::-1]
+    assert_kalman_matches_oracle(z, cfg)
+
+
+@pytest.mark.parametrize("order", ["long-short", "short-long", "forward-reversed-tail"])
+def test_kalman_gains_cached_by_one_call_serve_the_next(order):
+    # one cached gain schedule per tuning, grown to the longest series seen
+    _gain_schedule.cache_clear()
+    dt = 1.0 / 6250.0
+    rng = np.random.default_rng(5)
+    z = 3.0 - 3.0 * dt * np.arange(3000) + rng.normal(0.0, 0.002, 3000)
+    cfg = KalmanConfig(dt=dt, initial_state=(3.0, -3.0))
+    tail = z[2200:]
+    calls = {
+        "long-short": [(z, cfg), (z[:700], cfg)],
+        "short-long": [(z[:700], cfg), (z, cfg)],
+        "forward-reversed-tail": [
+            (z, cfg),
+            (tail[::-1], KalmanConfig(dt=dt, initial_state=(float(tail[-1]), 0.0))),
+        ],
+    }[order]
+    for series, c in calls:
+        assert_kalman_matches_oracle(series, c)
+    assert _gain_schedule.cache_info().currsize == 1
+
+
+#: a tuning that ``kalman_configs`` can draw whose covariance first fails at
+#: step 259
+FAILING_TUNING = dict(
+    dt=1e-5, sigma_s=1e-4, measurement_noise_r=4e-3, initial_covariance=(1e-21, 1.0)
+)
+
+
+@pytest.mark.parametrize("longer_first", [False, True])
+def test_kalman_gain_schedule_fails_only_past_the_failing_step(longer_first):
+    _gain_schedule.cache_clear()
+    cfg = KalmanConfig(**FAILING_TUNING)
+    z = np.linspace(1.0, 0.0, 400)
+    with pytest.raises(NonPositiveDefiniteCovariance) as failed:
+        oracle_kalman_smooth(z, cfg)
+    m = int(str(failed.value).rsplit(" ", 1)[1])
+    assert 0 < m < z.size - 1
+    lengths = [m + 1, m, z.size, m] if longer_first else [m, m + 1, m, z.size]
+    for n in lengths:  # m samples succeed, m + 1 or more fail
+        assert_kalman_matches_oracle(z[:n], cfg)
+
+
+def test_kalman_gain_schedule_cache_is_bounded():
+    bound = _gain_schedule.cache_info().maxsize
+    z = np.linspace(1.0, 0.0, 50)
+    for k in range(bound + 3):
+        assert_kalman_matches_oracle(z, KalmanConfig(dt=1e-3 * (k + 1)))
+    assert _gain_schedule.cache_info().currsize == bound
 
 
 def test_kalman_matches_oracle_on_two_samples_and_degenerate_tuning():
