@@ -12,7 +12,7 @@ import dataclasses
 import tempfile
 from pathlib import Path
 
-from impact_governor.fit import BODY_REGION_LIMITS_N
+from impact_governor.profile import BODY_REGION_LIMITS_N
 from impact_governor.sim import load_scenario, run_scenario, write_trajectory
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "three_humans_chest.json"

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from impact_governor.fit import load_profile
+from impact_governor.profile import load_profile
 from impact_governor.governor import GovernorConfig, GovernorRuntime
 from impact_governor.stream import ComplianceLog, run_stream
 

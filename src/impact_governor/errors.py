@@ -18,7 +18,7 @@ class IngestError(ImpactGovernorError):
 
 
 class MissingColumn(IngestError):
-    """A required CSV column or manifest key is absent."""
+    """A required CSV column is absent (a missing manifest key is a ManifestError)."""
 
 
 class RateMismatch(IngestError):
@@ -43,7 +43,7 @@ class AlignmentOutOfTolerance(IngestError):
 
 
 class ManifestError(IngestError):
-    """Trial manifest is malformed or references missing files."""
+    """Trial manifest is malformed, holds a bad number or references missing files."""
 
 
 class LengthMismatch(ImpactGovernorError):
@@ -52,68 +52,56 @@ class LengthMismatch(ImpactGovernorError):
 
 # --- dsp ------------------------------------------------------------------
 
-class DspError(ImpactGovernorError):
-    pass
-
-
-class WindowTooLarge(DspError):
+class WindowTooLarge(ImpactGovernorError):
     """Despike window exceeds the series length."""
 
 
-class CutoffAboveNyquist(DspError):
+class CutoffAboveNyquist(ImpactGovernorError):
     """Filter cutoff at or above half the sample rate."""
 
 
-class NonPositiveDefiniteCovariance(DspError):
+class NonPositiveDefiniteCovariance(ImpactGovernorError):
     """Kalman covariance lost positive definiteness (numerical failure)."""
 
 
 # --- impact ---------------------------------------------------------------
 
-class ImpactError(ImpactGovernorError):
-    pass
-
-
-class NoImpactFound(ImpactError):
+class NoImpactFound(ImpactGovernorError):
     """No sample exceeds the force detection threshold."""
 
 
-class VelocityTooLow(ImpactError):
+class VelocityTooLow(ImpactGovernorError):
     """Force threshold met, but never together with the velocity gate:
     the candidate event looks like a false positive (bench knock, cable tug)."""
 
 
-class RestitutionAboveUnity(ImpactError):
+class RestitutionAboveUnity(ImpactGovernorError):
     """Rebound speed exceeds approach speed; trial rejected as unphysical."""
 
 
-class NonFiniteEnergy(ImpactError):
+class NonFiniteEnergy(ImpactGovernorError):
     """Incident kinetic energy is NaN or overflows a float; trial rejected."""
 
 
-class EmptyInput(ImpactError):
+class EmptyInput(ImpactGovernorError):
     """Aggregation requires at least two trials."""
 
 
 # --- fit ------------------------------------------------------------------
 
-class FitError(ImpactGovernorError):
-    pass
-
-
-class Underdetermined(FitError):
+class Underdetermined(ImpactGovernorError):
     """Fewer points than polynomial coefficients."""
 
 
-class DegenerateX(FitError):
+class DegenerateX(ImpactGovernorError):
     """All abscissae identical; no polynomial fit possible."""
 
 
-class RestitutionOutOfRange(FitError):
+class RestitutionOutOfRange(ImpactGovernorError):
     """Fitted restitution leaves [0, 1] somewhere on its domain."""
 
 
-class SchemaVersionMismatch(FitError):
+class SchemaVersionMismatch(ImpactGovernorError):
     """Profile file schema version is not supported."""
 
 

@@ -141,13 +141,13 @@ def detect_impact(time: np.ndarray, force: np.ndarray, velocity: np.ndarray) -> 
     )
 
 
-def _cumulative_rectified(window: ImpactWindow) -> tuple[np.ndarray, float]:
+def _cumulative_rectified(window: ImpactWindow) -> np.ndarray:
     dt = float(window.time[1] - window.time[0])
     fpos = np.clip(window.force, 0.0, None)
     cum = np.empty_like(fpos)
     cum[0] = 0.0
     np.cumsum((fpos[1:] + fpos[:-1]) * (0.5 * dt), out=cum[1:])
-    return cum, dt
+    return cum
 
 
 def contact_duration(window: ImpactWindow) -> float:
@@ -161,7 +161,7 @@ def contact_duration(window: ImpactWindow) -> float:
     creep the target upward. Sub-threshold lulls between contact stages still
     count, so multi-stage contacts are spanned.
     """
-    cum, _ = _cumulative_rectified(window)
+    cum = _cumulative_rectified(window)
     above = np.flatnonzero(window.force > F_THRESHOLD_N)
     i_cap = min(int(above[-1]) + 1, window.force.size - 1) if above.size else cum.size - 1
     target = IMPULSE_FRACTION * cum[i_cap]
@@ -173,7 +173,7 @@ def rectified_impulse(window: ImpactWindow) -> float:
     """Transferred impulse J: trapezoidal integral of max(F, 0) over the
     contact window. Rectification keeps plate-resonance undershoot (the
     sensor swinging negative) from cancelling real momentum transfer."""
-    cum, _ = _cumulative_rectified(window)
+    cum = _cumulative_rectified(window)
     stop = window.contact_slice().stop
     return float(cum[stop - 1])
 

@@ -130,7 +130,6 @@ class TrialRecord:
 
     time: np.ndarray             # s, uniform
     force_total: np.ndarray      # N, summed load cells
-    accel: np.ndarray            # m/s^2
     range_resampled: np.ndarray  # m, zero-order hold
     fs: float
     meta: TrialMeta
@@ -236,6 +235,19 @@ def read_range_csv(path: str | Path, fs: float = FS_RANGE_DEFAULT) -> dict[str, 
     return cols
 
 
+def _manifest_number(path: Path, manifest: dict, key: str, rate: float | None = None) -> float:
+    """``manifest[key]`` as a float, or ``rate`` when a sample-rate key is
+    absent. A value float() refuses, or a rate that is not finite and > 0, is
+    a ManifestError naming the manifest and the key."""
+    try:
+        value = float(manifest.get(key, rate))
+    except (TypeError, ValueError, OverflowError):
+        raise ManifestError(f"{path}: {key} is not a number: {manifest[key]!r}") from None
+    if rate is not None and not 0 < value < math.inf:  # NaN fails too
+        raise ManifestError(f"{path}: {key} must be finite and > 0, got {value:g}")
+    return value
+
+
 def load_trial(path: str | Path) -> RawAcquisition:
     """Load one trial from its manifest JSON.
 
@@ -252,13 +264,13 @@ def load_trial(path: str | Path) -> RawAcquisition:
 
     meta = TrialMeta(
         configuration=str(manifest["configuration"]),
-        mass_kg=float(manifest["mass_kg"]),
-        angle_deg=float(manifest["angle_deg"]),
-        nominal_speed_mps=float(manifest["nominal_speed_mps"]),
+        mass_kg=_manifest_number(path, manifest, "mass_kg"),
+        angle_deg=_manifest_number(path, manifest, "angle_deg"),
+        nominal_speed_mps=_manifest_number(path, manifest, "nominal_speed_mps"),
         material=str(manifest["material"]),
     )
-    fs_force = float(manifest.get("sample_rate_force_hz", FS_FORCE_DEFAULT))
-    fs_range = float(manifest.get("sample_rate_range_hz", FS_RANGE_DEFAULT))
+    fs_force = _manifest_number(path, manifest, "sample_rate_force_hz", FS_FORCE_DEFAULT)
+    fs_range = _manifest_number(path, manifest, "sample_rate_range_hz", FS_RANGE_DEFAULT)
 
     force_path = path.parent / manifest["force_csv"]
     range_path = path.parent / manifest["range_csv"]
@@ -299,10 +311,6 @@ def sum_load_cells(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray
     return f1 + f2 + f3
 
 
-def _grid_residual(trigger_time: float, time: np.ndarray) -> float:
-    return float(np.min(np.abs(time - trigger_time)))
-
-
 def align_streams(raw: RawAcquisition) -> TrialRecord:
     """Merge the two streams onto the force grid with the trigger at t = 0.
 
@@ -319,8 +327,9 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
     if raw.trigger_time_range is None:
         raise TriggerMissing("range stream has no trigger edge")
 
-    residual = _grid_residual(raw.trigger_time_force, raw.force_time) + _grid_residual(
-        raw.trigger_time_range, raw.range_time
+    i_trig = int(np.argmin(np.abs(raw.force_time - raw.trigger_time_force)))
+    residual = float(abs(raw.force_time[i_trig] - raw.trigger_time_force)) + float(
+        np.min(np.abs(raw.range_time - raw.trigger_time_range))
     )
     if residual > ALIGNMENT_TOLERANCE_S:
         raise AlignmentOutOfTolerance(
@@ -329,7 +338,6 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
         )
 
     n = raw.force_time.size
-    i_trig = int(np.argmin(np.abs(raw.force_time - raw.trigger_time_force)))
     # Regenerate the ideal grid (row timestamps may carry logger jitter within
     # the rate tolerance; downstream math assumes an exactly uniform step).
     time = (np.arange(n) - i_trig) / raw.fs_force
@@ -355,7 +363,6 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
     return TrialRecord(
         time=time,
         force_total=force_total[keep],
-        accel=np.asarray(raw.accel, dtype=float)[keep],
         range_resampled=np.asarray(range_resampled, dtype=float),
         fs=raw.fs_force,
         meta=meta,

@@ -45,7 +45,7 @@ from .stream import ComplianceLog, run_stream, run_udp
 log = logging.getLogger(__name__)
 
 #: exit code per exception type a subcommand may raise; the most specific
-#: class in the exception's MRO decides (IngestError, FitError and
+#: class in the exception's MRO decides (IngestError, the fit errors and
 #: ScenarioInvariantViolation are bad input through ImpactGovernorError)
 _EXIT_CODES = {
     ProtocolError: EXIT_RUNTIME,

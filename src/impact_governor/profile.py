@@ -136,14 +136,9 @@ class AirframeProfile:
         return math.sqrt(max(self.retained_energy_at(v), 0.0))
 
     def avg_force(self, v: float) -> float:
-        """Predicted average contact force at approach speed v: m v (1 + e(v)) / dt.
-
-        The one definition of the force map; e(v) is e_hat_at(v), inlined
-        for the governor's 1000-point grid.
-        """
-        rest = self.restitution
-        ec_r = polyval(min(max(v, rest.domain[0]), rest.domain[1]), rest.coefficients)
-        return self.mass_kg * v * (1.0 + math.sqrt(max(ec_r, 0.0))) / self.dt_s
+        """Predicted average contact force at approach speed v: m v (1 + e(v)) / dt,
+        the one definition of the force map."""
+        return self.mass_kg * v * (1.0 + self.e_hat_at(v)) / self.dt_s
 
     def peak_to_average_ratio(self) -> float:
         """Reference peak force over the predicted average force at the domain

@@ -251,7 +251,10 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
 
     rows: list[tuple] = []
     entries: list[ZoneEntry] = []
-    in_zone = nearest_human_distance(state.position, humans) < s_zone
+    # measured at the start and after every step; a detection reports the
+    # value measured at its position
+    d_true = nearest_human_distance(state.position, humans)
+    in_zone = d_true < s_zone
     if in_zone:
         entries.append(ZoneEntry(t_entry_s=0.0))
     violations = 0
@@ -263,7 +266,7 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     for _ in range(n_steps):
         t = state.t
         if t >= next_detection_t - 1e-12:
-            runtime.on_range(nearest_human_distance(state.position, humans), t)
+            runtime.on_range(d_true, t)
             next_detection_t += period
         vx, vy = state.velocity
         runtime.on_odom(vx, vy, 0.0, t)

@@ -138,8 +138,7 @@ class ComplianceLog:
     """Append-only CSV sink for per-command compliance records."""
 
     def __init__(self, path):
-        self._path = str(path)
-        self._fh = open(self._path, "a", encoding="utf-8")
+        self._fh = open(path, "a", encoding="utf-8")
         if self._fh.tell() == 0:
             self._fh.write(",".join(COMPLIANCE_COLUMNS) + "\n")
             self._fh.flush()

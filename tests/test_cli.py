@@ -6,6 +6,7 @@ import json
 import math
 import os
 import queue
+import shutil
 import signal
 import socket
 import subprocess
@@ -161,6 +162,51 @@ def test_analyze_rejects_only_the_trial_whose_energy_overflows(tmp_path, capsys,
     assert err[0].endswith(" is not finite")
     clean = (tmp_path / "clean" / "metrics.csv").read_bytes().splitlines(keepends=True)
     assert (tmp_path / "out" / "metrics.csv").read_bytes().splitlines(keepends=True) == clean[:2]
+
+
+_MANIFEST_NUMBERS = (
+    "mass_kg", "angle_deg", "nominal_speed_mps", "sample_rate_force_hz", "sample_rate_range_hz"
+)
+_BAD_RATES = (0, -1, math.nan, math.inf)
+
+
+@pytest.fixture(scope="module")
+def three_trials(tmp_path_factory):
+    """A three-trial campaign and the metrics.csv lines of its clean analyze run."""
+    campaign = tmp_path_factory.mktemp("three")
+    make_campaign(campaign, speeds=(3.0,), trials_per_speed=3, seed=5)
+    out = tmp_path_factory.mktemp("three_clean")
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 0
+    return campaign, (out / "metrics.csv").read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in _MANIFEST_NUMBERS for value in ("abc", None, [1])]
+    + [(key, value) for key in _MANIFEST_NUMBERS[3:] for value in _BAD_RATES],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_analyze_rejects_only_the_trial_with_a_bad_manifest_number(
+    monkeypatch, capsys, tmp_path, three_trials, key, value
+):
+    # float() of such a value raised a TypeError or ValueError that stopped
+    # the whole run; a NaN rate was reported as a time-span mismatch
+    campaign, clean = three_trials
+    work = shutil.copytree(campaign, tmp_path / "campaign")
+    manifest = work / "trial_001.json"
+    doc = json.loads(manifest.read_text())
+    doc[key] = value
+    manifest.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    capsys.readouterr()
+
+    assert main(["analyze", str(work), "--out", str(tmp_path / "out")]) == 2
+
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(err) == 1
+    assert err[0].startswith(f"error: trial_001.json: {manifest}: {key} ")
+    lines = (tmp_path / "out" / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert lines == [clean[0], clean[1], clean[3]]
 
 
 def test_analyze_share_is_bitwise_independent_of_trial_order(campaign_dir):

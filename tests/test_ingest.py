@@ -230,7 +230,7 @@ def test_align_is_idempotent_on_aligned_data():
     raw.force_channels = np.column_stack(
         [first.force_total, np.zeros_like(first.force_total), np.zeros_like(first.force_total)]
     )
-    raw.accel = first.accel.copy()
+    raw.accel = np.zeros_like(first.time)  # align_streams does not read it
     raw.force_trigger = (first.time >= 0).astype(float)
     raw.range_time = first.time.copy()
     raw.range_m = first.range_resampled.copy()

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from impact_governor import sim
 from impact_governor.errors import ScenarioInvariantViolation
 from impact_governor.governor import GovernorConfig, VelocityCommand
 from impact_governor.sim import (
@@ -192,6 +193,20 @@ def test_face_scenario_forces_real_braking():
     assert summary["zone_entries"]
     assert summary["max_time_to_compliance_s"] > 0.0
     assert summary["min_distance_m"] > scenario.cfg.c_m
+
+
+def test_nearest_distance_is_measured_once_per_position(monkeypatch):
+    # a detection reports the distance already measured at its position
+    calls = 0
+
+    def counted(position, humans):
+        nonlocal calls
+        calls += 1
+        return nearest_human_distance(position, humans)
+
+    monkeypatch.setattr(sim, "nearest_human_distance", counted)
+    _, summary = run_scenario(load_scenario(REPO_ROOT / "scenarios" / "three_humans_chest.json"))
+    assert calls == summary["steps"] + 1
 
 
 def test_runs_are_deterministic():
