@@ -112,7 +112,8 @@ class InvariantViolation(ImpactGovernorError):
 # --- governor -------------------------------------------------------------
 
 class GovernorConfigError(ImpactGovernorError):
-    """A governor configuration value is mistyped or out of range."""
+    """A governor configuration value is mistyped or out of range, or the
+    compliance log cannot be opened or holds another header."""
 
 
 # --- streaming ------------------------------------------------------------

@@ -154,7 +154,6 @@ class ComplianceRecord:
     input_speed_mps: float
     output_speed_mps: float
     d_m: float
-    s_m: float
     cap_mps: float
     cap_source: str
     violated: bool
@@ -263,11 +262,11 @@ def _saturate(cmd: VelocityCommand, n: float, cap: float) -> VelocityCommand:
 class GovernorRuntime:
     """Stateful streaming governor.
 
-    Telemetry intake (range, odometry) and command limiting may run on
-    different threads: intake publishes one immutable snapshot (distance,
-    time, cap, source) per range update, and the limiter only reads the
-    latest snapshot — it never blocks on intake. Cap math happens on the
-    intake side.
+    Range intake and command limiting may run on different threads: intake
+    publishes one immutable snapshot (distance, time, cap, source) per range
+    update, and the limiter only reads the latest snapshot — it never blocks
+    on intake. Cap math happens on the intake side. Odometry has no intake:
+    no cap depends on the platform's measured speed.
 
     The runtime fails closed: a command gets the stale cap unless the latest
     range reading is valid and at most ``staleness_timeout_s`` older than
@@ -306,10 +305,9 @@ class GovernorRuntime:
         )
         self._engaged = False
         self._snapshot: tuple[float, float, float | None, str] | None = None
-        self._s_live = self.s_zone
         self.last_record: ComplianceRecord | None = None
 
-    # -- telemetry intake ---------------------------------------------------
+    # -- range intake -------------------------------------------------------
 
     def on_range(self, d: float, t: float) -> None:
         """Ingest a nearest-person distance measurement taken at time t.
@@ -335,18 +333,6 @@ class GovernorRuntime:
         else:
             cap, source = self.v_force, "force"
         self._snapshot = (d, t, cap, source)  # single atomic publish
-
-    def on_odom(self, vx: float, vy: float, vz: float, t: float) -> None:
-        """Ingest platform odometry; keeps the live zone radius for logging.
-
-        A NaN component falls back to the cruise-speed zone radius.
-        """
-        try:
-            v = math.sqrt(vx**2 + vy**2 + vz**2)
-        except OverflowError:  # as in VelocityCommand.speed
-            v = math.hypot(vx, vy, vz)
-        s = iso_radius(v, self.cfg)
-        self._s_live = self.s_zone if math.isnan(s) else s
 
     # -- command limiting ---------------------------------------------------
 
@@ -383,7 +369,6 @@ class GovernorRuntime:
             input_speed_mps=in_speed,
             output_speed_mps=out_speed,
             d_m=d,
-            s_m=self._s_live,
             cap_mps=cap,
             cap_source=source,
             violated=out_speed > cap + CAP_EPSILON,

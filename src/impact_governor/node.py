@@ -212,13 +212,13 @@ def cmd_govern(args) -> int:
             raise SystemExit(EXIT_OK)
 
     old_handler = signal.signal(signal.SIGTERM, _handle_term)
-    compliance = ComplianceLog(compliance_path)
     code, error = None, None  # stay None only for an exception run_command does not map
     try:
-        if args.udp is not None:
-            code = run_udp(runtime, args.udp, compliance=compliance, stop=stop)
-        else:
-            code = run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
+        with ComplianceLog(compliance_path) as compliance:
+            if args.udp is not None:
+                code = run_udp(runtime, args.udp, compliance=compliance, stop=stop)
+            else:
+                code = run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
     except KeyboardInterrupt:
         code = EXIT_OK
     except SystemExit as exc:  # SIGTERM on --stdin
@@ -228,7 +228,6 @@ def cmd_govern(args) -> int:
         code, error = exit_status(exc)
         raise
     finally:
-        compliance.close()
         signal.signal(signal.SIGTERM, old_handler)
         _write_run_manifest(
             out, "govern",

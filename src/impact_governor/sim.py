@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,16 +64,14 @@ class SimScenario:
     def __post_init__(self) -> None:
         if not self.goals:
             raise ScenarioInvariantViolation("scenario needs at least one goal")
-        if self.physics_dt_s <= 0.0:
-            raise ScenarioInvariantViolation("physics_dt_s must be positive")
-        if self.detection_rate_hz <= 0.0:
-            raise ScenarioInvariantViolation("detection_rate_hz must be positive")
+        for name in ("physics_dt_s", "detection_rate_hz", "duration_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ScenarioInvariantViolation(f"{name} must be finite and > 0, got {value}")
         if self.physics_dt_s >= 1.0 / self.detection_rate_hz:
             raise ScenarioInvariantViolation(
                 "physics step must be shorter than the detection period"
             )
-        if self.duration_s <= 0.0:
-            raise ScenarioInvariantViolation("duration_s must be positive")
         if min(self.k_attract, self.k_repulse, self.repulse_radius_m) < 0.0:
             raise ScenarioInvariantViolation("pilot gains must be non-negative")
         if self.cfg.staleness_timeout_s < 1.0 / self.detection_rate_hz:
@@ -268,8 +267,6 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
         if t >= next_detection_t - 1e-12:
             runtime.on_range(d_true, t)
             next_detection_t += period
-        vx, vy = state.velocity
-        runtime.on_odom(vx, vy, 0.0, t)
 
         idx_before = state.goal_index
         cmd = potential_field_cmd(state, scenario)
@@ -363,14 +360,49 @@ def write_trajectory_gnuplot(rows: list[tuple], path) -> None:
             fh.write(format_trajectory_row(row, " ") + "\n")
 
 
+#: the scenario's optional numbers: top-level keys and ``gains`` keys, each
+#: with the SimScenario field it sets; an absent key keeps the field's default
+_TIMING_KEYS = ("physics_dt_s", "detection_rate_hz", "duration_s")
+_GAIN_FIELDS = {
+    "attract": "k_attract", "repulse": "k_repulse", "repulse_radius_m": "repulse_radius_m",
+}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, name: str) -> float:
+    """A finite int or float (a bool is no number) as a float; the bound
+    also refuses an int too large for a float."""
+    if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ScenarioInvariantViolation(
+            f"bad scenario definition: {name} must be a finite number, got {value!r}"
+        )
+    return float(value)
+
+
+def _point(values, name: str) -> tuple[float, float]:
+    point = tuple(_number(v, name) for v in values)
+    if len(point) != 2:
+        raise ScenarioInvariantViolation(
+            f"bad scenario definition: {name} must have two coordinates, got {list(point)}"
+        )
+    return point
+
+
 def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenario:
     """Build a scenario from its JSON form.
 
     The airframe profile comes either inline (``"profile": {...}``) or
     from ``"profile_path"`` resolved relative to the scenario file.  A
     ``"seed"`` key, written by older versions, is ignored: the simulation
-    has no randomness.
+    has no randomness.  Every number must be a finite JSON number (``json``
+    reads ``NaN`` and ``Infinity``), and every point an ``[x, y]`` pair;
+    anything else raises ScenarioInvariantViolation naming the field.
     """
+    if not isinstance(data, dict):
+        raise ScenarioInvariantViolation("bad scenario definition: scenario must be a JSON object")
+    gains = data.get("gains", {})
+    if not isinstance(gains, dict):
+        raise ScenarioInvariantViolation("bad scenario definition: gains must be a JSON object")
     try:
         governor = GovernorConfig.from_dict(data.get("governor", {}))
         if "profile" in data:
@@ -380,20 +412,20 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
             if base_dir is not None and not profile_path.is_absolute():
                 profile_path = base_dir / profile_path
             profile = load_profile(profile_path)
-        gains = data.get("gains", {})
+        numbers = {key: _number(data[key], key) for key in _TIMING_KEYS if key in data}
+        numbers.update(
+            (name, _number(gains[key], f"gains.{key}"))
+            for key, name in _GAIN_FIELDS.items()
+            if key in gains
+        )
         return SimScenario(
             name=str(data.get("name", "scenario")),
-            start=tuple(float(v) for v in data["start"]),
-            goals=[tuple(float(v) for v in g) for g in data["goals"]],
-            humans=[tuple(float(v) for v in h) for h in data.get("humans", [])],
+            start=_point(data["start"], "start"),
+            goals=[_point(g, f"goals[{i}]") for i, g in enumerate(data["goals"])],
+            humans=[_point(h, f"humans[{i}]") for i, h in enumerate(data.get("humans", []))],
             cfg=governor,
             profile=profile,
-            physics_dt_s=float(data.get("physics_dt_s", 0.004)),
-            detection_rate_hz=float(data.get("detection_rate_hz", 10.0)),
-            duration_s=float(data.get("duration_s", 30.0)),
-            k_attract=float(gains.get("attract", 1.0)),
-            k_repulse=float(gains.get("repulse", 2.0)),
-            repulse_radius_m=float(gains.get("repulse_radius_m", 3.0)),
+            **numbers,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioInvariantViolation(f"bad scenario definition: {exc}") from exc

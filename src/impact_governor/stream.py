@@ -11,11 +11,12 @@ Every ``cmd`` produces exactly one reply line::
     {"type": "cmd_limited", "vx": ..., "vy": ..., "vz": ...,
      "cap_mps": ..., "source": ..., "t_s": ...}
 
-``range`` and ``odom`` update governor state silently.  A malformed
-message produces a single ``{"type": "error", ...}`` line and raises
-ProtocolError, which ends the stream (exit code 3 on the command line).
-The same payloads ride either stdin/stdout or UDP datagrams (one datagram
-per message, replies unicast back to the sender) through one loop.
+``range`` updates governor state silently.  ``odom`` is validated like
+any other message and otherwise ignored: no cap depends on odometry.  A
+malformed message produces a single ``{"type": "error", ...}`` line and
+raises ProtocolError, which ends the stream (exit code 3 on the command
+line).  The same payloads ride either stdin/stdout or UDP datagrams (one
+datagram per message, replies unicast back to the sender) through one loop.
 
 Each emitted command is also appended to a compliance CSV so that a
 post-hoc audit can confirm the cap was honored.
@@ -31,7 +32,7 @@ import threading
 from itertools import repeat
 from typing import IO, Callable, Iterable, Optional
 
-from .errors import EXIT_OK, ProtocolError, TransportError
+from .errors import EXIT_OK, GovernorConfigError, ProtocolError, TransportError
 from .governor import ComplianceRecord, GovernorRuntime, VelocityCommand
 
 log = logging.getLogger(__name__)
@@ -41,7 +42,6 @@ COMPLIANCE_COLUMNS = (
     "input_speed_mps",
     "output_speed_mps",
     "d_m",
-    "s_m",
     "cap_mps",
     "cap_source",
     "violated",
@@ -135,24 +135,44 @@ def format_error(message: str) -> str:
 
 
 class ComplianceLog:
-    """Append-only CSV sink for per-command compliance records."""
+    """Append-only CSV sink for per-command compliance records.
+
+    A new or empty file gets the header; any other file is appended to only
+    when its first line is exactly this header, so that no row lands under
+    columns it does not match. A file that cannot be opened, or holds another
+    header, raises GovernorConfigError naming the path.
+    """
 
     def __init__(self, path):
-        self._fh = open(path, "a", encoding="utf-8")
+        header = ",".join(COMPLIANCE_COLUMNS) + "\n"
+        # "a+" writes at the end of the file wherever a read left off, and
+        # errors="replace" makes a file that is not UTF-8 a mismatched header
+        try:
+            self._fh = open(path, "a+", encoding="utf-8", errors="replace")
+        except OSError as exc:
+            raise GovernorConfigError(
+                f"cannot open compliance log {path}: {exc.strerror or exc}"
+            ) from exc
         if self._fh.tell() == 0:
-            self._fh.write(",".join(COMPLIANCE_COLUMNS) + "\n")
+            self._fh.write(header)
             self._fh.flush()
+            return
+        self._fh.seek(0)
+        if self._fh.readline(len(header)) != header:
+            self._fh.close()
+            raise GovernorConfigError(
+                f"compliance log {path} does not start with the header {header[:-1]!r}"
+            )
 
     def write(self, record: ComplianceRecord) -> None:
         # %.9g takes an int or a bool as a float and prints every NaN as "nan"
         self._fh.write(
-            "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%s\n"
+            "%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%s\n"
             % (
                 record.timestamp,
                 record.input_speed_mps,
                 record.output_speed_mps,
                 record.d_m,
-                record.s_m,
                 record.cap_mps,
                 record.cap_source,
                 "true" if record.violated else "false",
@@ -185,10 +205,7 @@ def _dispatch(
     if mtype == "range":
         runtime.on_range(float(msg["d_m"]), float(msg["t_s"]))
         return
-    if mtype == "odom":
-        runtime.on_odom(
-            float(msg["vx"]), float(msg["vy"]), float(msg["vz"]), float(msg["t_s"])
-        )
+    if mtype == "odom":  # validated by parse_message, otherwise ignored
         return
     cmd = VelocityCommand(
         vx=float(msg["vx"]),

@@ -306,9 +306,6 @@ def test_criterion_07_governor_property_suite():
             t += float(rng.uniform(0.0, 0.4))
             if rng.random() < 0.8:
                 rt.on_range(float(rng.uniform(0.0, 3.0 * s_vmax)), t)
-            if rng.random() < 0.5:
-                v = rng.normal(0.0, cfg.v_platform_max_mps, size=3)
-                rt.on_odom(float(v[0]), float(v[1]), float(v[2]), t)
 
             scale = cfg.v_platform_max_mps * (10.0 if rng.random() < 0.1 else 0.8)
             vec = rng.normal(0.0, scale, size=3)

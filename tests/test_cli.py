@@ -439,7 +439,7 @@ def test_govern_stdin_caps_and_logs(monkeypatch, capsys, tmp_path, profile_path)
 
     compliance = (out / "compliance.csv").read_text().splitlines()
     assert len(compliance) == 2
-    assert compliance[1].split(",")[6] == "force"
+    assert compliance[1].split(",")[5] == "force"
     assert json.loads((out / "run_manifest.json").read_text())["subcommand"] == "govern"
 
 
@@ -511,7 +511,7 @@ def test_govern_caps_finite_huge_command_and_odometry(monkeypatch, capsys, tmp_p
     assert math.hypot(reply["vx"], reply["vy"], reply["vz"]) <= reply["cap_mps"] + 1e-9
     assert reply["vx"] == -reply["vy"] > 0  # direction kept
     row = (out / "compliance.csv").read_text().splitlines()[1].split(",")
-    assert row[1] == "1.41421356e+200" and row[4] == "inf" and row[7] == "false"
+    assert row[1] == "1.41421356e+200" and row[6] == "false"
 
 
 def test_govern_malformed_stream_exits_protocol(
@@ -794,6 +794,50 @@ def test_govern_manifest_records_a_failed_bind(capsys, tmp_path, profile_path):
     assert (code, manifest["exit_code"]) == (3, 3)
     assert manifest["error"].startswith(f"error: cannot bind UDP port {port}: ")
     assert capsys.readouterr().err.splitlines() == [manifest["error"]]
+
+
+_HEADER = "t_s,input_speed_mps,output_speed_mps,d_m,cap_mps,cap_source,violated,flags"
+#: the compliance header written before the s_m column was dropped
+_NINE_COLUMN_HEADER = _HEADER.replace(",d_m,", ",d_m,s_m,") + "\n"
+_HEADER_ERROR = "error: compliance log {log} does not start with the header '" + _HEADER + "'"
+
+
+@pytest.mark.parametrize(
+    "name, make, error",
+    [
+        ("audit.csv", Path.mkdir, "error: cannot open compliance log {log}: Is a directory"),
+        ("missing/audit.csv", None,
+         "error: cannot open compliance log {log}: No such file or directory"),
+        ("audit.csv", lambda log: log.write_text("t_s,foo\n"), _HEADER_ERROR),
+        ("audit.csv", lambda log: log.write_text(_NINE_COLUMN_HEADER + "0.1,20,6.77,5,8.4,6.77,"
+                                                 "force,false,\n"), _HEADER_ERROR),
+        ("audit.csv", lambda log: log.write_text(_HEADER), _HEADER_ERROR),
+    ],
+    ids=["directory", "missing-directory", "foreign-header", "nine-column-header",
+         "header-without-newline"],
+)
+def test_govern_refuses_a_compliance_log_it_cannot_use(
+    monkeypatch, capsys, tmp_path, profile_path, name, make, error
+):
+    log = tmp_path / name
+    if make is not None:
+        make(log)
+    before = log.read_bytes() if log.is_file() else None
+    config = tmp_path / "governor.json"
+    config.write_text(json.dumps({"compliance_log": name}))
+    handler = signal.getsignal(signal.SIGTERM)
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO('{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n')
+    )
+    code = main(["govern", "--stdin", "--config", str(config), "--profile", str(profile_path),
+                 "--out", str(tmp_path / "out")])
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    captured = capsys.readouterr()
+    assert (code, manifest["exit_code"], manifest["error"]) == (2, 2, error.format(log=log))
+    assert captured.err.splitlines() == [manifest["error"]]
+    assert captured.out == ""  # refused before the first message
+    assert signal.getsignal(signal.SIGTERM) is handler
+    assert (log.read_bytes() if log.is_file() else None) == before
 
 
 def test_govern_udp_malformed_datagram_exits_protocol(monkeypatch, capsys, tmp_path,

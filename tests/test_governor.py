@@ -221,7 +221,6 @@ def test_runtime_precomputes_caps(const_profile, default_cfg):
 def test_runtime_binary_caps_inside_zone(const_profile, default_cfg):
     rt = GovernorRuntime(default_cfg, const_profile)
     rt.on_range(5.0, t=0.0)
-    rt.on_odom(3.0, 4.0, 0.0, t=0.01)
     out = rt.on_command(VelocityCommand(20.0, 0.0, 0.0, timestamp=0.05))
     assert out.speed() == pytest.approx(rt.v_force)
     rec = rt.last_record
@@ -230,7 +229,6 @@ def test_runtime_binary_caps_inside_zone(const_profile, default_cfg):
     assert rec.input_speed_mps == pytest.approx(20.0)
     assert rec.output_speed_mps <= rec.cap_mps + CAP_EPSILON
     assert not rec.violated and rec.flags == []
-    assert rec.s_m == pytest.approx(iso_radius(5.0, default_cfg))  # |v| = 5
 
 
 def test_runtime_binary_open_field_passes_through(const_profile, default_cfg):
@@ -393,7 +391,6 @@ _components = st.one_of(st.floats(-25.0, 25.0), st.just(math.nan))
 _events = st.lists(
     st.one_of(
         st.tuples(st.just("range"), _distances, _times),
-        st.tuples(st.just("odom"), _components, _components, _components, _times),
         st.tuples(st.just("cmd"), _components, _components, _components, _times),
     ),
     max_size=40,
@@ -422,9 +419,6 @@ def test_runtime_fails_closed_on_bad_telemetry(mode, events):
                 elif engaged and d > 1.05 * S_ZONE:
                     engaged = False
             rt.on_range(d, t)
-            continue
-        if kind == "odom":
-            rt.on_odom(*values)
             continue
 
         cmd = VelocityCommand(*values)
@@ -509,11 +503,9 @@ def test_runtime_saturates_finite_huge_velocities(vx, vy, vz, d, mode):
 
     rt = GovernorRuntime(GovernorConfig(mode=mode, f_star_n=F_STAR_FACE), make_profile())
     rt.on_range(d, 0.0)
-    rt.on_odom(vx, vy, vz, 0.0)
     out = rt.on_command(VelocityCommand(vx, vy, vz, 0.01))
     rec = rt.last_record
     assert all(math.isfinite(c) for c in (out.vx, out.vy, out.vz))
     assert out.speed() <= rec.cap_mps + CAP_EPSILON
     assert not rec.violated and rec.flags == []
     assert rec.input_speed_mps == want
-    assert rec.s_m == iso_radius(want, rt.cfg)

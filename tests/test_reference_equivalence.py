@@ -294,7 +294,6 @@ class OracleRuntime(GovernorRuntime):
             input_speed_mps=in_speed,
             output_speed_mps=out_speed,
             d_m=d,
-            s_m=self._s_live,
             cap_mps=cap,
             cap_source=source,
             violated=out_speed > cap + CAP_EPSILON,
@@ -341,7 +340,6 @@ def oracle_run_scenario(scenario):
             d_detect = oracle_nearest_human_distance(state.position, scenario.humans)
             runtime.on_range(d_detect, t)
             next_detection_t += period
-        runtime.on_odom(float(state.velocity[0]), float(state.velocity[1]), 0.0, t)
 
         idx_before = state.goal_index
         cmd = oracle_potential_field_cmd(state, scenario)
@@ -480,7 +478,6 @@ class OracleComplianceLog(stream.ComplianceLog):
             _oracle_fmt(record.input_speed_mps),
             _oracle_fmt(record.output_speed_mps),
             _oracle_fmt(record.d_m),
-            _oracle_fmt(record.s_m),
             _oracle_fmt(record.cap_mps),
             record.cap_source,
             "true" if record.violated else "false",
@@ -1124,7 +1121,7 @@ CAP_SOURCES = ["none", "iso", "force", "stale-failsafe"]
        cap=reply_caps, source=st.sampled_from(CAP_SOURCES))
 def test_format_cmd_limited_matches_oracle(parts, cap, source):
     out = VelocityCommand(*parts)
-    record = ComplianceRecord(parts[3], 0.0, 0.0, 0.0, 0.0, cap, source, False)
+    record = ComplianceRecord(parts[3], 0.0, 0.0, 0.0, cap, source, False)
     assert stream.format_cmd_limited(out, record) == oracle_format_cmd_limited(out, record)
 
 
@@ -1151,7 +1148,7 @@ def _row_bytes(log_class, path, records):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=st.lists(
-    st.builds(ComplianceRecord, row_numbers, row_numbers, row_numbers, row_numbers, row_numbers,
+    st.builds(ComplianceRecord, row_numbers, row_numbers, row_numbers, row_numbers,
               row_numbers, st.sampled_from(CAP_SOURCES), st.booleans(),
               st.lists(st.sampled_from(FLAGS), unique=True)),
     min_size=1, max_size=5,

@@ -55,6 +55,9 @@ def make_scenario(**overrides):
         {"detection_rate_hz": 0.0},
         {"physics_dt_s": 0.2},  # longer than the 10 Hz detection period
         {"duration_s": -1.0},
+        {"physics_dt_s": math.nan},
+        {"detection_rate_hz": math.nan},
+        {"duration_s": math.inf},  # no step count
         {"k_repulse": -0.5},
         {"cfg": GovernorConfig(staleness_timeout_s=0.05)},  # < detection period
     ],
@@ -272,6 +275,49 @@ def test_scenario_seed_key_is_ignored():
 def test_scenario_from_dict_rejects_missing_keys():
     with pytest.raises(ScenarioInvariantViolation):
         scenario_from_dict({"name": "nope", "goals": [[1.0, 1.0]]})
+
+
+def _edited(**values):
+    data = scenario_to_dict(make_scenario(humans=[(3.0, 1.0)]))
+    return {**data, **values}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([_edited()], "scenario must be a JSON object"),
+        (_edited(gains=[1.0, 2.0, 3.0]), "gains must be a JSON object"),
+        (_edited(physics_dt_s=math.nan), "physics_dt_s must be a finite number, got nan"),
+        (_edited(duration_s=math.inf), "duration_s must be a finite number, got inf"),
+        (_edited(detection_rate_hz=math.nan),
+         "detection_rate_hz must be a finite number, got nan"),
+        (_edited(humans=[[3.0, 1.0, 0.0]]), "humans[0] must have two coordinates"),
+        (_edited(goals=[[20.0, 0.0], [1.0]]), "goals[1] must have two coordinates"),
+        (_edited(start=[math.nan, 0.0]), "start must be a finite number, got nan"),
+        (_edited(goals=[[math.inf, 0.0]]), "goals[0] must be a finite number, got inf"),
+        (_edited(gains={"repulse": math.nan}), "gains.repulse must be a finite number, got nan"),
+        (_edited(duration_s=True), "duration_s must be a finite number, got True"),
+        (_edited(gains={"attract": "1.0"}), "gains.attract must be a finite number, got '1.0'"),
+        (_edited(humans=[[3.0, 10**400]]), "humans[0] must be a finite number, got 1000"),
+    ],
+    ids=["list", "gains-list", "nan-step", "infinite-duration", "nan-rate", "human-3d",
+         "goal-1d", "nan-start", "infinite-goal", "nan-gain", "bool-duration", "string-gain",
+         "huge-int-human"],
+)
+def test_scenario_from_dict_fails_closed(data, field):
+    with pytest.raises(ScenarioInvariantViolation) as exc:
+        scenario_from_dict(data)
+    assert str(exc.value).startswith(f"bad scenario definition: {field}")
+
+
+def test_scenario_from_dict_leaves_absent_numbers_at_their_defaults():
+    data = scenario_to_dict(make_scenario())
+    for key in ("physics_dt_s", "detection_rate_hz", "duration_s", "gains"):
+        del data[key]
+    scenario = scenario_from_dict(data)
+    defaults = {f.name: f.default for f in dataclasses.fields(SimScenario)
+                if f.default is not dataclasses.MISSING}
+    assert {name: getattr(scenario, name) for name in defaults} == defaults
 
 
 def test_scenario_profile_path_resolves_relative(tmp_path):

@@ -4,6 +4,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from impact_governor.errors import ProtocolError
 from impact_governor.governor import GovernorConfig, GovernorRuntime
@@ -150,9 +152,9 @@ def test_compliance_log_contents(tmp_path, runtime):
     assert float(fields[1]) == 20.0
     assert float(fields[2]) == pytest.approx(runtime.v_force, abs=1e-6)
     assert fields[3] == "5"
-    assert fields[6] == "force"
-    assert fields[7] == "false"
-    assert fields[8] == ""
+    assert fields[5] == "force"
+    assert fields[6] == "false"
+    assert fields[7] == ""
 
 
 def test_int_config_caps_keep_their_json_text(tmp_path, const_profile):
@@ -171,7 +173,7 @@ def test_int_config_caps_keep_their_json_text(tmp_path, const_profile):
         '"source":"stale-failsafe","t_s":5.0}\n'
     )
     rows = path.read_text().splitlines()[1:]
-    assert rows == ["0.1,3,3,30,8.4,20,none,false,", "5,3,0,30,8.4,0,stale-failsafe,false,"]
+    assert rows == ["0.1,3,3,30,20,none,false,", "5,3,0,30,0,stale-failsafe,false,"]
 
 
 def test_compliance_log_appends_without_second_header(tmp_path, runtime):
@@ -198,7 +200,67 @@ def test_compliance_log_nan_distance(tmp_path, runtime):
         )
     row = path.read_text().splitlines()[1].split(",")
     assert row[3] == "nan"  # never saw a range measurement
-    assert row[6] == "stale-failsafe"
+    assert row[5] == "stale-failsafe"
+
+
+# --- odometry ----------------------------------------------------------------
+
+_times = st.floats(0.0, 3.0)
+_speeds = st.floats(-25.0, 25.0)
+_range_or_cmd = st.one_of(
+    st.fixed_dictionaries({"type": st.just("range"), "d_m": st.floats(0.0, 30.0), "t_s": _times}),
+    st.fixed_dictionaries(
+        {"type": st.just("cmd"), "vx": _speeds, "vy": _speeds, "vz": _speeds, "t_s": _times}
+    ),
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_odom = st.fixed_dictionaries(
+    {"type": st.just("odom"), "vx": _finite, "vy": _finite, "vz": _finite, "t_s": _finite}
+)
+_BAD_ODOM = [
+    '{"type":"odom","vx":NaN,"vy":0,"vz":0,"t_s":0}',
+    '{"type":"odom","vx":1e999,"vy":0,"vz":0,"t_s":0}',
+    '{"type":"odom","vx":1,"vy":0,"t_s":0}',
+    '{"type":"odom","vx":"fast","vy":0,"vz":0,"t_s":0}',
+    '{"type":"odom","vx":true,"vy":0,"vz":0,"t_s":0}',
+]
+
+
+def _governed(tmp_path, mode, lines):
+    """Replies and compliance bytes of ``lines`` through a fresh runtime, and
+    the ProtocolError that ended the stream (None on a clean end)."""
+    path = tmp_path / "c.csv"
+    path.unlink(missing_ok=True)
+    out, error = io.StringIO(), None
+    with ComplianceLog(path) as log:
+        try:
+            run_stream(GovernorRuntime(GovernorConfig(mode=mode), make_profile()), lines, out, log)
+        except ProtocolError as exc:
+            error = exc
+    return out.getvalue(), path.read_bytes(), error
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(["binary", "ramp"]), messages=st.lists(_range_or_cmd, max_size=30),
+       odoms=st.lists(st.tuples(st.integers(0, 30), _odom), max_size=10),
+       bad=st.none() | st.sampled_from(_BAD_ODOM))
+def test_odometry_changes_no_reply_and_no_compliance_byte(tmp_path, mode, messages, odoms, bad):
+    lines = _lines(*messages)
+    with_odom = list(lines)
+    for at, odom in sorted(odoms, key=lambda o: o[0], reverse=True):
+        with_odom.insert(min(at, len(lines)), json.dumps(odom))
+    replies, rows, error = _governed(tmp_path, mode, lines)
+    assert error is None
+    if bad is None:
+        assert _governed(tmp_path, mode, with_odom) == (replies, rows, None)
+        return
+    # a malformed odom still ends the stream after one error reply
+    after = json.dumps({"type": "cmd", "vx": 1.0, "vy": 0.0, "vz": 0.0, "t_s": 9.0})
+    got_replies, got_rows, error = _governed(tmp_path, mode, with_odom + [bad, after])
+    assert isinstance(error, ProtocolError)
+    assert got_replies == replies + format_error(str(error)) + "\n"
+    assert got_rows == rows
 
 
 # --- UDP ---------------------------------------------------------------------
