@@ -45,7 +45,7 @@ from .impact import (
     summarize_trial,
 )
 from .ingest import align_streams, load_trial
-from .node import _ensure_out, _governor_overrides, _utc_now, _write_run_manifest
+from .node import _governor_overrides
 from .node import main  # noqa: F401  (cli.main is the one entry point too)
 from .sim import (
     load_scenario,
@@ -165,19 +165,20 @@ def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
     return [done[i % n][i // n] for i in range(len(manifests))], n
 
 
-def cmd_analyze(args) -> int:
-    out = _ensure_out(args)
-    started = _utc_now()
+def cmd_analyze(args, run: dict) -> int:
+    out = Path(args.out)
     in_dir = Path(args.input_dir)
+    run["config"] = {"input_dir": str(in_dir)}
     if not in_dir.is_dir():
         raise IngestError(f"not a directory: {in_dir}")
     manifests = sorted(p for p in in_dir.glob("*.json") if _is_trial_manifest(p))
+    run["inputs"] = manifests
     if not manifests:
         raise IngestError(f"no trial manifests found in {in_dir}")
 
-    results, workers = _analyze_all(manifests)
+    results, run["workers"] = _analyze_all(manifests)
     processed: list[tuple] = []  # (meta, metrics)
-    trials = []
+    trials = run["trials"] = []
     for path, (outcome, stage_ms) in zip(manifests, results):
         rejected = outcome if isinstance(outcome, str) else None
         if rejected is None:
@@ -188,7 +189,7 @@ def cmd_analyze(args) -> int:
             {"manifest": path.name, "rejected": rejected, **dict(zip(_STAGE_KEYS, stage_ms))}
         )
 
-    outputs = []
+    outputs = run["outputs"]
     if processed:
         metrics_csv = out / "metrics.csv"
         with open(metrics_csv, "w", encoding="utf-8", newline="") as fh:
@@ -216,12 +217,6 @@ def cmd_analyze(args) -> int:
                 fh.write("\n")
             outputs.append(name)
 
-    outputs.append(
-        _write_run_manifest(
-            out, "analyze", manifests, outputs, {"input_dir": str(in_dir)}, started,
-            workers=workers, trials=trials,
-        ).name
-    )
     n_ok = len(processed)
     print(f"analyzed {n_ok}/{len(manifests)} trials -> {out}")
     return EXIT_INPUT if n_ok < len(manifests) else EXIT_OK
@@ -241,9 +236,10 @@ def _summary_from(path, data) -> ConfigurationSummary:
         ) from exc
 
 
-def cmd_fit(args) -> int:
-    out = _ensure_out(args)
-    started = _utc_now()
+def cmd_fit(args, run: dict) -> int:
+    out = Path(args.out)
+    run["inputs"] = args.summaries
+    run["config"] = {"degree": args.degree, "summaries": [str(s) for s in args.summaries]}
     summaries = []
     for path in args.summaries:
         with open(path, "r", encoding="utf-8") as fh:
@@ -254,11 +250,7 @@ def cmd_fit(args) -> int:
         raise InvariantViolation(f"fitted model breaks physics: {exc}") from exc
     name = f"profile_{_slug(profile.name)}.json"
     save_profile(profile, out / name)
-    _write_run_manifest(
-        out, "fit", args.summaries, [name],
-        {"degree": args.degree, "summaries": [str(s) for s in args.summaries]},
-        started,
-    )
+    run["outputs"].append(name)
     flag = " (downgraded to constant)" if profile.downgraded else ""
     print(
         f"profile {profile.name}: restitution degree {profile.restitution.degree}"
@@ -270,17 +262,19 @@ def cmd_fit(args) -> int:
 # --- simulate ---------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    out = _ensure_out(args)
-    started = _utc_now()
-    scenario = load_scenario(args.scenario)
+def cmd_simulate(args, run: dict) -> int:
+    out = Path(args.out)
     overrides = _governor_overrides(args)
+    run["inputs"] = [args.scenario]
+    run["config"] = {"scenario": str(args.scenario), **overrides}
+    scenario = load_scenario(args.scenario)
     scenario.cfg = GovernorConfig.from_dict({**scenario.cfg.to_dict(), **overrides})
 
     rows, summary = run_scenario(scenario)
     traj = out / "trajectory.csv"
     write_trajectory(rows, traj)
-    outputs = [traj.name]
+    outputs = run["outputs"]
+    outputs.append(traj.name)
     if args.emit_gnuplot:
         dat = out / "trajectory.dat"
         write_trajectory_gnuplot(rows, dat)
@@ -290,11 +284,6 @@ def cmd_simulate(args) -> int:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     outputs.append(summary_path.name)
-    _write_run_manifest(
-        out, "simulate", [args.scenario], outputs,
-        {"scenario": str(args.scenario), **overrides},
-        started,
-    )
 
     ok = summary["violations"] == 0 and summary["reach_margin_breaches"] == 0
     print(
@@ -318,9 +307,10 @@ def _fmt_pm(mean: float, std: float, scale: float = 1.0, digits: int = 1) -> str
     return f"{mean * scale:.{digits}f} +/- {std * scale:.{digits}f}"
 
 
-def cmd_report(args) -> int:
-    out = _ensure_out(args)
-    started = _utc_now()
+def cmd_report(args, run: dict) -> int:
+    out = Path(args.out)
+    run["inputs"] = args.inputs
+    run["config"] = {"inputs": [str(i) for i in args.inputs]}
     summaries: list[ConfigurationSummary] = []
     profiles = []
     metric_rows: list[ImpactMetrics] = []
@@ -405,9 +395,6 @@ def cmd_report(args) -> int:
     report = out / "report.md"
     with open(report, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
-    _write_run_manifest(
-        out, "report", args.inputs, [report.name],
-        {"inputs": [str(i) for i in args.inputs]}, started,
-    )
+    run["outputs"].append(report.name)
     print(f"wrote {report}")
     return EXIT_OK

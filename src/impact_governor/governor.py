@@ -17,6 +17,7 @@ staleness failsafe, and logs one compliance record per emitted command.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -32,6 +33,7 @@ _NORM_SLACK = 1e-12
 _BISECT_WIDTH = 1e-7
 
 _F_STAR_MAX_N = max(BODY_REGION_LIMITS_N.values())
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -121,9 +123,10 @@ def _check_finite(name: str, value) -> None:
     NaN passes every ``<=`` bound check, and an infinite platform maximum
     never ends the force-cap bisection. With exact int and float types, a
     cap taken from the config prints in a reply as ``json.dumps`` prints it
-    (``stream.format_cmd_limited`` relies on that).
+    (``stream.format_cmd_limited`` relies on that). An int past the float
+    range is no finite number either.
     """
-    if (type(value) is not float and type(value) is not int) or not math.isfinite(value):
+    if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

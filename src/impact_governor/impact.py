@@ -330,19 +330,29 @@ class ConfigurationSummary:
     @classmethod
     def from_dict(cls, d: dict) -> "ConfigurationSummary":
         """The summary of a ``to_dict`` document; it must hold a stat for
-        every metric field (a KeyError names the first one missing)."""
+        every metric field (a KeyError names the first one missing) and a
+        number wherever ``to_dict`` writes one (a ValueError names the value)."""
         metrics = d["metrics"]
         stats = {}
         for name in METRIC_FIELDS:
             v = metrics[name]
-            stats[name] = MetricStat(float(v["mean"]), float(v["std"]), float(v["cv"]))
+            stats[name] = MetricStat(_number(v["mean"]), _number(v["std"]), _number(v["cv"]))
+        if type(d["n"]) is not int:  # int() would take a bool, and truncate 2.5
+            raise ValueError(f"n must be an integer, got {d['n']!r}")
         return cls(
             configuration=str(d["configuration"]),
-            n=int(d["n"]),
-            mass_kg=float(d["mass_kg"]),
-            angle_deg=float(d["angle_deg"]),
+            n=d["n"],
+            mass_kg=_number(d["mass_kg"]),
+            angle_deg=_number(d["angle_deg"]),
             stats=stats,
         )
+
+
+def _number(value) -> float:
+    """A JSON number as a float; float() alone takes a bool or a numeric string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
 
 
 def aggregate_configuration(metrics: list[ImpactMetrics]) -> ConfigurationSummary:

@@ -237,12 +237,16 @@ def read_range_csv(path: str | Path, fs: float = FS_RANGE_DEFAULT) -> dict[str, 
 
 def _manifest_number(path: Path, manifest: dict, key: str, rate: float | None = None) -> float:
     """``manifest[key]`` as a float, or ``rate`` when a sample-rate key is
-    absent. A value float() refuses, or a rate that is not finite and > 0, is
-    a ManifestError naming the manifest and the key."""
+    absent. A value that is not an int or float a float can hold, or a rate
+    that is not finite and > 0, is a ManifestError naming the manifest and
+    the key."""
+    value = manifest.get(key, rate)
     try:
-        value = float(manifest.get(key, rate))
-    except (TypeError, ValueError, OverflowError):
-        raise ManifestError(f"{path}: {key} is not a number: {manifest[key]!r}") from None
+        if type(value) not in (int, float):  # float() takes a bool or a numeric string
+            raise TypeError
+        value = float(value)
+    except (TypeError, OverflowError):
+        raise ManifestError(f"{path}: {key} is not a number: {value!r}") from None
     if rate is not None and not 0 < value < math.inf:  # NaN fails too
         raise ManifestError(f"{path}: {key} must be finite and > 0, got {value:g}")
     return value

@@ -6,9 +6,10 @@
 only when they run: this module loads only the standard library and the
 runtime modules, so ``--help``, ``--version`` and ``govern`` start without
 the analysis stack. Commands raise; ``run_command`` alone prints
-``error: ...`` and picks the exit code (see ``errors``). Every run writes
-``run_manifest.json`` (inputs, outputs, config hash, tool version) into
-the output directory for traceability.  Set
+``error: ...`` and picks the exit code (see ``errors``). It also writes
+``run_manifest.json`` into the output directory for every run, failed or
+not: the inputs, outputs, config hash and tool version the command
+recorded, the exit code and the ``error:`` line. Set
 ``IMPACT_GOVERNOR_LOG=DEBUG|INFO|WARNING|ERROR`` for stderr logging.
 """
 
@@ -73,36 +74,30 @@ def _sha256_of(obj) -> str:
     ).hexdigest()
 
 
-def _write_run_manifest(
-    out_dir: Path, subcommand: str, inputs, outputs, config_obj, started: str, **sections
-) -> Path:
-    """Write ``run_manifest.json``; ``sections`` are extra top-level keys."""
+def _write_run_manifest(out_dir: Path, subcommand: str, started: str, run: dict, **outcome):
+    """Write ``run_manifest.json`` from the command's ``run`` record; its keys
+    past ``inputs``, ``outputs`` and ``config`` are extra top-level sections."""
+    sections = dict(run)
+    config = sections.pop("config")
     payload = {
         "tool": "impact-governor",
         "version": __version__,
         "subcommand": subcommand,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "config_sha256": _sha256_of(config_obj),
+        "inputs": [str(p) for p in sections.pop("inputs")],
+        "outputs": [str(p) for p in sections.pop("outputs")],
+        "config_sha256": None if config is None else _sha256_of(config),
         **sections,
+        **outcome,
     }
-    path = out_dir / "run_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return path
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _governor_overrides(args) -> dict:
@@ -129,13 +124,30 @@ def exit_status(exc: Exception) -> tuple[int, str]:
 
 
 def run_command(args) -> int:
-    """Run the parsed subcommand; an error it raises becomes its exit code."""
+    """Run the parsed subcommand; an error it raises becomes its exit code.
+
+    ``args.func(args, run)`` fills ``run``: its ``inputs``, ``config``, any
+    extra manifest sections, and ``outputs`` as it writes them. Whatever the
+    outcome, ``run_manifest.json`` then records it with the exit code and
+    the ``error:`` line; both stay null for an exception that is not mapped,
+    which propagates with its traceback.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    started = _utc_now()
+    run = {"inputs": [], "outputs": [], "config": None}
+    code, error = None, None
     try:
-        return args.func(args)
+        code = args.func(args, run)
+    except SystemExit as exc:  # govern's SIGTERM on --stdin
+        code = exc.code
+        raise
     except tuple(_EXIT_CODES) as exc:
-        code, line = exit_status(exc)
-        print(line, file=sys.stderr)
-        return code
+        code, error = exit_status(exc)
+        print(error, file=sys.stderr)
+    finally:
+        _write_run_manifest(out, args.subcommand, started, run, exit_code=code, error=error)
+    return code
 
 
 # --- govern -----------------------------------------------------------------
@@ -190,13 +202,13 @@ def _force_cap_evidence(runtime: GovernorRuntime, profile: AirframeProfile) -> d
     }
 
 
-def cmd_govern(args) -> int:
-    out = _ensure_out(args)
-    started = _utc_now()
+def cmd_govern(args, run: dict) -> int:
+    run["inputs"] = [args.config or "", args.profile or ""]
     cfg, profile, compliance_path = _resolve_governor_setup(args)
-    compliance_path = compliance_path or out / "compliance.csv"
+    compliance_path = compliance_path or Path(args.out) / "compliance.csv"
+    run["config"] = cfg.to_dict()
     runtime = GovernorRuntime(cfg, profile)
-    evidence = _force_cap_evidence(runtime, profile)
+    run["governor"] = evidence = _force_cap_evidence(runtime, profile)
     log.info(
         "governor up: v_force=%.4g m/s, zone=%.4g m, mode=%s, measured speeds "
         "%.4g-%.4g m/s, extrapolation ratio %.3g, dt=%.4g s",
@@ -212,34 +224,16 @@ def cmd_govern(args) -> int:
             raise SystemExit(EXIT_OK)
 
     old_handler = signal.signal(signal.SIGTERM, _handle_term)
-    code, error = None, None  # stay None only for an exception run_command does not map
     try:
         with ComplianceLog(compliance_path) as compliance:
+            run["outputs"].append(compliance_path)
             if args.udp is not None:
-                code = run_udp(runtime, args.udp, compliance=compliance, stop=stop)
-            else:
-                code = run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
+                return run_udp(runtime, args.udp, compliance=compliance, stop=stop)
+            return run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
     except KeyboardInterrupt:
-        code = EXIT_OK
-    except SystemExit as exc:  # SIGTERM on --stdin
-        code = exc.code
-        raise
-    except tuple(_EXIT_CODES) as exc:
-        code, error = exit_status(exc)
-        raise
+        return EXIT_OK
     finally:
         signal.signal(signal.SIGTERM, old_handler)
-        _write_run_manifest(
-            out, "govern",
-            [args.config or "", args.profile or ""],
-            [str(compliance_path)],
-            cfg.to_dict(),
-            started,
-            governor=evidence,
-            exit_code=code,
-            error=error,
-        )
-    return code
 
 
 # --- command line -----------------------------------------------------------
@@ -253,12 +247,12 @@ def port(text: str) -> int:
     return number
 
 
-def _run_analysis(args) -> int:
+def _run_analysis(args, run: dict) -> int:
     """Run ``cli.cmd_<subcommand>``, looked up on the module at call time so
     that a wrapper set on the module attribute is what runs."""
     from . import cli  # loads the analysis stack and numpy
 
-    return getattr(cli, f"cmd_{args.subcommand}")(args)
+    return getattr(cli, f"cmd_{args.subcommand}")(args, run)
 
 
 def build_parser() -> argparse.ArgumentParser:

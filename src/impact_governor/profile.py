@@ -85,11 +85,17 @@ class PolyModel:
         _require_object(d, where)
 
         def diagnostic(key: str) -> float:  # optional: NaN when absent
-            return _field(d, key, float, "a number", where) if key in d else math.nan
+            return _field(d, key, _number, "a number", where) if key in d else math.nan
 
+        coefficients = _field(d, "coeffs", _numbers, "a non-empty list of numbers", where)
+        degree = _field(d, "degree", _integer, "an integer", where)
+        if degree != len(coefficients) - 1:
+            raise InvariantViolation(
+                f"{where} degree must be len(coeffs) - 1 = {len(coefficients) - 1}, got {degree}"
+            )
         return cls(
-            coefficients=_field(d, "coeffs", _numbers, "a non-empty list of numbers", where),
-            degree=_field(d, "degree", int, "an integer", where),
+            coefficients=coefficients,
+            degree=degree,
             r_squared=diagnostic("r_squared"),
             mae=diagnostic("mae"),
             domain=_field(d, "domain", _interval, "a list of two numbers", where),
@@ -195,10 +201,22 @@ def _field(d: dict, key: str, convert, kind: str, where: str):
         raise InvariantViolation(f"{where} {key} must be {kind}, got {d[key]!r}") from exc
 
 
+def _number(value) -> float:
+    if type(value) not in (int, float):  # a bool is no number
+        raise TypeError("not a number")
+    return float(value)  # OverflowError past the float range
+
+
+def _integer(value) -> int:
+    if type(value) is not int:  # int() would take a bool, and truncate 2.9
+        raise TypeError("not an integer")
+    return value
+
+
 def _numbers(value) -> list[float]:
     if type(value) is not list or not value:
         raise TypeError("not a non-empty list")
-    return [float(c) for c in value]
+    return [_number(c) for c in value]
 
 
 def _interval(value) -> tuple[float, float]:
@@ -223,7 +241,7 @@ def parse_profile(source: str | dict) -> AirframeProfile:
             raise InvariantViolation(f"profile lacks key {key!r}")
 
     def number(key: str) -> float:
-        return _field(d, key, float, "a number", "profile")
+        return _field(d, key, _number, "a number", "profile")
 
     return AirframeProfile(
         name=str(d["name"]),

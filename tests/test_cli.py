@@ -182,7 +182,7 @@ def three_trials(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "key, value",
-    [(key, value) for key in _MANIFEST_NUMBERS for value in ("abc", None, [1])]
+    [(key, value) for key in _MANIFEST_NUMBERS for value in ("abc", None, [1], True, "3.0")]
     + [(key, value) for key in _MANIFEST_NUMBERS[3:] for value in _BAD_RATES],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
@@ -318,6 +318,13 @@ def test_analyze_stays_in_process_while_another_thread_runs(
     assert (code, len(err), manifest["workers"]) == (2, 2, 1)
 
 
+def _assert_only_a_crash_manifest(out):
+    """``out`` holds only the manifest of a run that ended in a traceback."""
+    assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["outputs"], manifest["exit_code"], manifest["error"]) == ([], None, None)
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("crash_speed", [3.0, 3.5])  # trial_000 (share 0), trial_001 (share 1)
 def test_analyze_raises_a_trial_crash_at_any_share_count(
@@ -337,7 +344,7 @@ def test_analyze_raises_a_trial_crash_at_any_share_count(
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match=f"^bug at {crash_speed} m/s$"):
         main(["analyze", str(campaign), "--out", str(out)])
-    assert list(out.iterdir()) == []  # no metrics.csv short of the crashed trial
+    _assert_only_a_crash_manifest(out)  # no metrics.csv short of the crashed trial
 
 
 def test_analyze_raises_when_a_worker_dies(monkeypatch, tmp_path):
@@ -358,7 +365,7 @@ def test_analyze_raises_when_a_worker_dies(monkeypatch, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(BrokenProcessPool):
         main(["analyze", str(campaign), "--out", str(out)])
-    assert list(out.iterdir()) == []
+    _assert_only_a_crash_manifest(out)
 
 
 # --- fit ---------------------------------------------------------------------
@@ -1063,6 +1070,10 @@ def _case_nan_override(tmp_path, monkeypatch):
          "error: bad governor config: v_platform_max_mps must be a finite number, got inf"),
         (_case_config_value(stale_cap_mps=True), 2,
          "error: bad governor config: stale_cap_mps must be a finite number, got True"),
+        (_case_config_value(v_platform_max_mps=10**400), 2,
+         "error: bad governor config: v_platform_max_mps must be a finite number, got 1000"),
+        (_case_scenario_governor(c_m=10**400), 2,
+         "error: bad governor config: c_m must be a finite number, got 1000"),
         (_case_bad_override, 2, "error: bad governor config: f_star_n 9999 N exceeds"),
         (_case_nan_override, 2, "error: bad governor config: f_star_n must be a finite number"),
         (_case_config_value(f_star=65), 2, "error: bad governor config: unknown key 'f_star'"),
@@ -1096,7 +1107,8 @@ def _case_nan_override(tmp_path, monkeypatch):
          "profile-not-object", "profile-mass-string",
          "scenario", "file-not-found", "json", "summary", "governor-config",
          "governor-config-f-star", "governor-config-nan-f-star", "governor-config-infinity",
-         "governor-config-bool", "simulate-override", "simulate-nan-override",
+         "governor-config-bool", "governor-config-huge-int",
+         "scenario-governor-huge-int", "simulate-override", "simulate-nan-override",
          "governor-config-unknown-key", "scenario-governor-unknown-key",
          "scenario-governor-body-region", "governor-config-peak-string",
          "governor-config-peak-int", "profile-f-max-zero", "profile-f-max-nan",
@@ -1108,7 +1120,41 @@ def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code,
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     argv = case(tmp_path, monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out")]) == code
-    assert capsys.readouterr().err.splitlines()[0].startswith(first_line)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(first_line)
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"]) == (code, err[0])
+
+
+@pytest.mark.parametrize(
+    "subcommand, make, error",
+    [
+        ("analyze", lambda d: d / "nope", "error: not a directory: {path}"),
+        ("fit", lambda d: d / "ghost.json",
+         "error: [Errno 2] No such file or directory: '{path}'"),
+        ("simulate", lambda d: _write(d / "s.json", "[1, 2]"),
+         "error: bad scenario definition: scenario must be a JSON object"),
+        ("report", lambda d: _write(d / "notes.txt", "hello"),
+         "error: unrecognized report input: {path}"),
+    ],
+    ids=["analyze-missing-directory", "fit-missing-file", "simulate-json-list",
+         "report-unrecognized-input"],
+)
+def test_every_subcommand_records_its_failure_in_the_manifest(
+    tmp_path, capsys, subcommand, make, error
+):
+    path = make(tmp_path)
+    code = main([subcommand, str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert (code, err) == (2, [error.format(path=path)])
+    assert (manifest["exit_code"], manifest["error"]) == (code, err[0])
+    assert (manifest["subcommand"], manifest["outputs"]) == (subcommand, [])
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
 
 
 # --- simulate ----------------------------------------------------------------
@@ -1242,6 +1288,11 @@ def _without_std(summary):
     return summary
 
 
+def _with_string_mean(summary):
+    summary["metrics"]["f_max_n"]["mean"] = "100.0"
+    return summary
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -1251,8 +1302,18 @@ def _without_std(summary):
          "not a configuration summary (KeyError: 'v_in_mps')"),
         (json.dumps({**_summary_dict(3.0, 0.1), "n": "two"}),
          "not a configuration summary (ValueError: "),
+        # int() and float() took these: n 2.5 was 2 and a mass of true 1 kg
+        (json.dumps({**_summary_dict(3.0, 0.1), "n": 2.5}),
+         "not a configuration summary (ValueError: n must be an integer, got 2.5)"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "n": True}),
+         "not a configuration summary (ValueError: n must be an integer, got True)"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "mass_kg": True}),
+         "not a configuration summary (ValueError: not a number: True)"),
+        (json.dumps(_with_string_mean(_summary_dict(3.0, 0.1))),
+         "not a configuration summary (ValueError: not a number: '100.0')"),
     ],
-    ids=["stat-without-std", "no-stats", "n-not-a-number"],
+    ids=["stat-without-std", "no-stats", "n-not-a-number", "n-fraction", "n-bool",
+         "mass-bool", "mean-string"],
 )
 def test_fit_and_report_refuse_a_bad_summary_alike(tmp_path, capsys, text, line):
     (tmp_path / "s.json").write_text(text)

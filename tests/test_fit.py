@@ -115,18 +115,28 @@ def test_profile_validation():
         ("f_max_ref_N", math.inf, InvariantViolation),
         ("coeffs", [math.nan], RestitutionOutOfRange),
         ("domain", [math.nan, 4.0], RestitutionOutOfRange),
+        ("dt_s", True, InvariantViolation),
+        ("mass_kg", "0.25", InvariantViolation),
+        ("coeffs", [True], InvariantViolation),
+        ("domain", [3.0, "4.0"], InvariantViolation),
+        ("degree", 2.9, InvariantViolation),
+        ("degree", True, InvariantViolation),
+        ("degree", 2, InvariantViolation),  # the profile has one coefficient
     ],
 )
 def test_profile_refuses_non_finite_values(key, value, error):
     # each of these once loaded: the mass and dt cases gave a force cap at the
-    # platform maximum, an f_max_ref_N ended a peak-target run in a traceback
+    # platform maximum, an f_max_ref_N ended a peak-target run in a traceback,
+    # a dt_s of true was a 1 s contact time and a degree of 2.9 was 2
     d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
-    if key in ("coeffs", "domain"):
+    if key in ("coeffs", "domain", "degree"):
         d["restitution"][key] = value
     else:
         d[key] = value
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         parse_profile(json.dumps(d))
+    if type(value) is not float and error is InvariantViolation:  # a type or a degree
+        assert f" {key} must be " in str(exc.value)
 
 
 def _summary(v, ec_r, config="Carbon-0deg"):

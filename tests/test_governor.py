@@ -197,12 +197,13 @@ _NUMERIC_FIELDS = (
 
 @pytest.mark.parametrize("name", _NUMERIC_FIELDS)
 @pytest.mark.parametrize(
-    "value", [math.nan, math.inf, -math.inf, True, False, np.float64(1.0), "1.0"],
-    ids=["nan", "inf", "-inf", "true", "false", "numpy", "str"],
+    "value", [math.nan, math.inf, -math.inf, True, False, np.float64(1.0), "1.0", 10**400],
+    ids=["nan", "inf", "-inf", "true", "false", "numpy", "str", "huge-int"],
 )
 def test_config_rejects_non_finite_bool_and_non_numbers(name, value):
     # NaN passes every <= bound, an infinite platform maximum never ends the
-    # force-cap bisection, and a bool would reach the wire as true/false
+    # force-cap bisection, a bool would reach the wire as true/false, and
+    # math.isfinite raises OverflowError on an int past the float range
     with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
         GovernorConfig(**{name: value})
 
