@@ -165,6 +165,36 @@ def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
     return [done[i % n][i // n] for i in range(len(manifests))], n
 
 
+def _summaries(processed: list[tuple]) -> list[tuple[str, list]]:
+    """The file name and the metrics of each configuration summary to write:
+    one per (configuration, nominal speed) with two trials or more, in
+    sorted order. Two that would write one file are an IngestError naming
+    both and the file."""
+    groups: dict[tuple, list] = {}
+    for meta, m in processed:
+        key = (meta.configuration, round(meta.nominal_speed_mps, 3))
+        groups.setdefault(key, []).append(m)
+    named: dict[str, tuple] = {}
+    summaries = []
+    for (config, speed), members in sorted(groups.items()):
+        if len(members) < 2:
+            log.warning(
+                "skipping aggregate for %s @ %g m/s: only %d trial",
+                config, speed, len(members),
+            )
+            continue
+        name = f"summary_{_slug(config)}_v{speed:g}.json"
+        if name in named:
+            other, other_speed = named[name]
+            raise IngestError(
+                f"configurations {other!r} @ {other_speed:g} m/s and {config!r} @ "
+                f"{speed:g} m/s would both write {name}"
+            )
+        named[name] = (config, speed)
+        summaries.append((name, members))
+    return summaries
+
+
 def cmd_analyze(args, run: dict) -> int:
     out = Path(args.out)
     in_dir = Path(args.input_dir)
@@ -189,6 +219,7 @@ def cmd_analyze(args, run: dict) -> int:
             {"manifest": path.name, "rejected": rejected, **dict(zip(_STAGE_KEYS, stage_ms))}
         )
 
+    summaries = _summaries(processed)  # refuses names that collide before any write
     outputs = run["outputs"]
     if processed:
         metrics_csv = out / "metrics.csv"
@@ -199,23 +230,11 @@ def cmd_analyze(args, run: dict) -> int:
                 writer.writerow(_metrics_row(m))
         outputs.append(metrics_csv.name)
 
-        groups: dict[tuple, list] = {}
-        for meta, m in processed:
-            key = (meta.configuration, round(meta.nominal_speed_mps, 3))
-            groups.setdefault(key, []).append(m)
-        for (config, speed), members in sorted(groups.items()):
-            if len(members) < 2:
-                log.warning(
-                    "skipping aggregate for %s @ %g m/s: only %d trial",
-                    config, speed, len(members),
-                )
-                continue
-            summary = aggregate_configuration(members)
-            name = f"summary_{_slug(config)}_v{speed:g}.json"
-            with open(out / name, "w", encoding="utf-8") as fh:
-                json.dump(summary.to_dict(), fh, indent=2)
-                fh.write("\n")
-            outputs.append(name)
+    for name, members in summaries:
+        with open(out / name, "w", encoding="utf-8") as fh:
+            json.dump(aggregate_configuration(members).to_dict(), fh, indent=2)
+            fh.write("\n")
+        outputs.append(name)
 
     n_ok = len(processed)
     print(f"analyzed {n_ok}/{len(manifests)} trials -> {out}")

@@ -34,11 +34,6 @@ SPEED_WINDOW_S = 0.010
 #: fraction of the contact impulse that defines the effective duration
 IMPULSE_FRACTION = 0.99
 
-#: pipeline despike window on the resampled grid — covers five native range
-#: periods (6250/1000 Hz), so a single bad range reading held by the
-#: zero-order hold is still a minority within the window
-RESAMPLED_DESPIKE_WINDOW = 31
-
 
 @dataclass
 class ImpactWindow:
@@ -245,18 +240,21 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
 def summarize_trial(record: TrialRecord) -> ImpactMetrics:
     """Run the full conditioning + detection + metrics chain on one trial.
 
-    Force takes the zero-phase low-pass; range takes despike then the Kalman
-    filter (initialised at the manifest's nominal approach speed, negative
-    because range shrinks on approach). The rebound segment is re-estimated by
-    running the same Kalman over the post-contact range in reverse time: a
-    forward filter tuned for smooth approach cannot re-converge within 10 ms
-    of a multi-m/s velocity reversal, whereas the reverse-time pass reaches
-    the window end fully informed by the whole rebound.
+    Force takes the zero-phase low-pass. The range readings are despiked as
+    logged, at the sensor's own rate, so that one bad reading is one sample of
+    its window whatever that rate. The despiked readings are then held onto
+    the force grid and take the Kalman filter (initialised at the manifest's
+    nominal approach speed, negative because range shrinks on approach). The
+    rebound segment is re-estimated by running the same Kalman over the
+    post-contact range in reverse time: a forward filter tuned for smooth
+    approach cannot re-converge within 10 ms of a multi-m/s velocity
+    reversal, whereas the reverse-time pass reaches the window end fully
+    informed by the whole rebound.
     """
     dt = 1.0 / record.fs
     force_f = butterworth_lowpass(record.force_total, FilterSpec(fs=record.fs))
 
-    range_d = median_despike(record.range_resampled, window=RESAMPLED_DESPIKE_WINDOW)
+    range_d = median_despike(record.range_m)[record.range_index]
     kcfg = KalmanConfig(
         dt=dt,
         initial_state=(float(range_d[0]), -abs(record.meta.nominal_speed_mps)),

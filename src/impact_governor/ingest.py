@@ -13,9 +13,11 @@ manifest describing the airframe under test:
 
 Both loggers record the same hardware sync pulse in their ``trigger`` column
 (0/1; the first rising edge defines that stream's trigger time). Alignment
-shifts both timelines so the pulse sits at t = 0 and resamples range onto the
-force grid by zero-order hold — range values are never interpolated, every
-resampled value is one of the original readings.
+shifts both timelines so the pulse sits at t = 0 and maps each force-grid
+sample to the range reading it holds by zero-order hold. The record keeps the
+range readings as logged, so that they can be conditioned at the sensor's own
+rate; range values are never interpolated, every held value is one of the
+original readings.
 """
 
 from __future__ import annotations
@@ -125,14 +127,22 @@ class TrialRecord:
     """Streams merged onto the force-logger grid, trigger at t = 0.
 
     ``time`` is the ideal uniform grid (step 1/fs) anchored at the trigger
-    sample; negative times precede the sync pulse.
+    sample; negative times precede the sync pulse. ``range_m`` holds the
+    range readings as logged, and ``range_index[i]`` is the reading that the
+    zero-order hold holds at ``time[i]``.
     """
 
-    time: np.ndarray             # s, uniform
-    force_total: np.ndarray      # N, summed load cells
-    range_resampled: np.ndarray  # m, zero-order hold
+    time: np.ndarray         # s, uniform
+    force_total: np.ndarray  # N, summed load cells
+    range_m: np.ndarray      # m, native range readings
+    range_index: np.ndarray  # index into range_m for each grid sample
     fs: float
     meta: TrialMeta
+
+    @property
+    def range_resampled(self) -> np.ndarray:
+        """The range on the force grid, m, by zero-order hold."""
+        return self.range_m[self.range_index]
 
 
 def _first_rising_edge(time: np.ndarray, trigger: np.ndarray) -> float | None:
@@ -358,7 +368,6 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
     time = time[keep]
     idx = np.searchsorted(range_time_aligned, time, side="right") - 1
     idx = np.clip(idx, 0, raw.range_m.size - 1)
-    range_resampled = raw.range_m[idx]
 
     force_total = sum_load_cells(
         raw.force_channels[:, 0], raw.force_channels[:, 1], raw.force_channels[:, 2]
@@ -367,7 +376,8 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
     return TrialRecord(
         time=time,
         force_total=force_total[keep],
-        range_resampled=np.asarray(range_resampled, dtype=float),
+        range_m=np.asarray(raw.range_m, dtype=float),
+        range_index=idx,
         fs=raw.fs_force,
         meta=meta,
     )

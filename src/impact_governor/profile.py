@@ -213,6 +213,18 @@ def _integer(value) -> int:
     return value
 
 
+def _string(value) -> str:
+    if type(value) is not str:  # str() would name a list "['x']"
+        raise TypeError("not a string")
+    return value
+
+
+def _boolean(value) -> bool:
+    if type(value) is not bool:  # bool("false") is True
+        raise TypeError("not a boolean")
+    return value
+
+
 def _numbers(value) -> list[float]:
     if type(value) is not list or not value:
         raise TypeError("not a non-empty list")
@@ -232,9 +244,9 @@ def parse_profile(source: str | dict) -> AirframeProfile:
     d = json.loads(source) if isinstance(source, str) else source
     _require_object(d, "profile")
     schema = d.get("schema")
-    if schema != PROFILE_SCHEMA:
+    if type(schema) is not int or schema != PROFILE_SCHEMA:  # 1.0 == True == 1
         raise SchemaVersionMismatch(
-            f"profile schema {schema!r} not supported (expected {PROFILE_SCHEMA})"
+            f"profile schema {schema!r} not supported (expected the integer {PROFILE_SCHEMA})"
         )
     for key in ("name", "mass_kg", "dt_s", "dt_std_s", "restitution", "angle_deg", "f_max_ref_N"):
         if key not in d:
@@ -243,15 +255,22 @@ def parse_profile(source: str | dict) -> AirframeProfile:
     def number(key: str) -> float:
         return _field(d, key, _number, "a number", "profile")
 
+    rest = d["restitution"]
+    restitution = PolyModel.from_dict(rest)  # checks first that rest is an object
+    downgraded = (
+        _field(rest, "downgraded", _boolean, "a boolean", "profile restitution")
+        if "downgraded" in rest
+        else False
+    )
     return AirframeProfile(
-        name=str(d["name"]),
+        name=_field(d, "name", _string, "a string", "profile"),
         mass_kg=number("mass_kg"),
         dt_s=number("dt_s"),
         dt_std_s=number("dt_std_s"),
-        restitution=PolyModel.from_dict(d["restitution"]),
+        restitution=restitution,
         angle_deg=number("angle_deg"),
         f_max_ref_N=number("f_max_ref_N"),
-        downgraded=bool(d["restitution"].get("downgraded", False)),
+        downgraded=downgraded,
     )
 
 

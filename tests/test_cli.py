@@ -209,6 +209,35 @@ def test_analyze_rejects_only_the_trial_with_a_bad_manifest_number(
     assert lines == [clean[0], clean[1], clean[3]]
 
 
+def test_analyze_refuses_two_configurations_that_share_a_summary_name(
+    monkeypatch, capsys, tmp_path, campaign_dir
+):
+    # "Carbon 0deg" and "Carbon_0deg" both slug to Carbon_0deg: the second
+    # configuration's summaries overwrote the first's, and the manifest listed
+    # each file twice
+    work = shutil.copytree(campaign_dir, tmp_path / "campaign")
+    for manifest in sorted(work.glob("trial_*.json")):
+        doc = json.loads(manifest.read_text())
+        doc["configuration"] = "Carbon 0deg"
+        manifest.write_text(json.dumps(doc))
+        doc["configuration"] = "Carbon_0deg"
+        (work / f"twin_{manifest.name}").write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    capsys.readouterr()
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(work), "--out", str(out)]) == 2
+
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
+        "error: configurations 'Carbon 0deg' @ 3 m/s and 'Carbon_0deg' @ 3 m/s "
+        "would both write summary_Carbon_0deg_v3.json"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["outputs"]) == (2, [])
+
+
 def test_analyze_share_is_bitwise_independent_of_trial_order(campaign_dir):
     # the Kalman gains one trial computes and caches serve the trials after it
     dsp._gain_schedule.cache_clear()

@@ -122,14 +122,23 @@ def test_profile_validation():
         ("degree", 2.9, InvariantViolation),
         ("degree", True, InvariantViolation),
         ("degree", 2, InvariantViolation),  # the profile has one coefficient
+        ("name", ["x"], InvariantViolation),
+        ("name", 7, InvariantViolation),
+        ("downgraded", "false", InvariantViolation),
+        ("downgraded", 0, InvariantViolation),
+        ("schema", True, SchemaVersionMismatch),
+        ("schema", 1.0, SchemaVersionMismatch),
+        ("schema", "1", SchemaVersionMismatch),
     ],
 )
 def test_profile_refuses_non_finite_values(key, value, error):
     # each of these once loaded: the mass and dt cases gave a force cap at the
     # platform maximum, an f_max_ref_N ended a peak-target run in a traceback,
-    # a dt_s of true was a 1 s contact time and a degree of 2.9 was 2
+    # a dt_s of true was a 1 s contact time and a degree of 2.9 was 2; a name
+    # of ["x"] was "['x']", a downgraded of "false" was true and a schema of
+    # true or 1.0 was schema 1
     d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
-    if key in ("coeffs", "domain", "degree"):
+    if key in ("coeffs", "domain", "degree", "downgraded"):
         d["restitution"][key] = value
     else:
         d[key] = value
@@ -137,6 +146,8 @@ def test_profile_refuses_non_finite_values(key, value, error):
         parse_profile(json.dumps(d))
     if type(value) is not float and error is InvariantViolation:  # a type or a degree
         assert f" {key} must be " in str(exc.value)
+    if key == "schema":
+        assert f"schema {value!r} not supported" in str(exc.value)
 
 
 def _summary(v, ec_r, config="Carbon-0deg"):

@@ -221,6 +221,38 @@ def test_summarize_trial_two_stage_spans_both_lobes():
     assert m.f_max_n == pytest.approx(truth["f_max_n"], rel=5e-3)
 
 
+def _relog_range(raw, step):
+    """``raw`` with its range stream re-logged at 1/step of the rate: every
+    step-th row, in phase with the trigger row."""
+    i_trig = int(np.flatnonzero(raw.range_trigger >= 0.5)[0])
+    rows = np.arange(i_trig % step, raw.range_time.size, step)
+    raw.range_time = raw.range_time[rows]
+    raw.range_m = raw.range_m[rows]
+    raw.range_trigger = raw.range_trigger[rows]
+    raw.fs_range = raw.fs_range / step
+    return raw
+
+
+def test_one_bad_range_reading_at_250_hz_leaves_v_in_alone():
+    # Held onto the 6250 Hz grid, one 250 Hz reading fills 25 samples, more
+    # than half of a 31-sample window, so a despike on that grid keeps it.
+    # Despiked as logged, it is one reading of five.
+    approach_s = 0.57
+    raw, _ = synth_trial(kind="elastic", v_in=4.0, e=0.4, approach_s=approach_s,
+                         noise_range_m=0.002, seed=3)
+    raw = _relog_range(raw, 4)
+    assert raw.fs_range == 250.0
+    clean = summarize_trial(align_streams(raw))
+
+    t_aligned = raw.range_time - raw.trigger_time_range
+    j = int(np.argmax(t_aligned >= approach_s - 0.010))  # 10 ms before contact
+    assert t_aligned[j] < approach_s
+    raw.range_m[j] += 0.5
+    spiked = summarize_trial(align_streams(raw))
+    assert spiked.v_in_mps == pytest.approx(clean.v_in_mps, rel=1e-3)
+    assert spiked.f_max_n == clean.f_max_n
+
+
 # --- aggregation -------------------------------------------------------------
 
 

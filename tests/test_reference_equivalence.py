@@ -38,7 +38,7 @@ from impact_governor.dsp import (
     kalman_smooth,
     median_despike,
 )
-from impact_governor import stream
+from impact_governor import impact, stream
 from impact_governor.errors import (
     EmptyStream,
     InvariantViolation,
@@ -59,7 +59,7 @@ from impact_governor.governor import (
     VelocityCommand,
     force_speed_cap,
 )
-from impact_governor.ingest import FORCE_COLUMNS, RANGE_COLUMNS, _read_csv_columns
+from impact_governor.ingest import FORCE_COLUMNS, RANGE_COLUMNS, _read_csv_columns, align_streams
 from impact_governor.fit import BODY_REGION_LIMITS_N
 from impact_governor.profile import (
     AirframeProfile,
@@ -79,6 +79,7 @@ from impact_governor.sim import (
     run_scenario,
     step,
 )
+from impact_governor.synthetic import synth_trial
 
 from conftest import make_profile
 
@@ -747,6 +748,23 @@ def test_despike_matches_oracle_on_signed_zero_edges(window):
         x[spike_at] = 9.0
         want = oracle_median_despike(x, window)
         assert_bitwise(median_despike(x, window), want)
+
+
+def test_pipeline_despikes_the_native_range_then_holds_it(monkeypatch):
+    # the Kalman filter takes the readings as logged, despiked over a window
+    # of native readings, then held onto the force grid
+    raw, _ = synth_trial(kind="elastic", noise_range_m=0.002, seed=4)
+    raw.range_m[300] += 0.5
+    record = align_streams(raw)
+    seen = []
+
+    def recording_kalman(series, cfg):
+        seen.append(np.array(series, copy=True))
+        return kalman_smooth(series, cfg)
+
+    monkeypatch.setattr(impact, "kalman_smooth", recording_kalman)
+    impact.summarize_trial(record)
+    assert_bitwise(seen[0], oracle_median_despike(raw.range_m)[record.range_index])
 
 
 # --- simulation: pilot, integrator, nearest human, closed loop ---------------
