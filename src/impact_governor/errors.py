@@ -1,5 +1,8 @@
-"""Exception and warning types shared across the package, and the exit codes
-of the command line (``node.run_command`` maps each error to one)."""
+"""Exception and warning types shared across the package, the exit codes of
+the command line (``node.run_command`` maps each error to one), and the one
+reader for a field of a JSON input."""
+
+import math
 
 EXIT_OK = 0
 EXIT_INPUT = 2  # bad or missing input
@@ -137,3 +140,37 @@ class ScenarioInvariantViolation(ImpactGovernorError):
 class NonMonotoneForceMapWarning(UserWarning):
     """The predicted average-force map F(v) decreases somewhere on [0, v_max];
     the bisection cap is still valid but the model deserves a look."""
+
+
+# --- JSON fields ------------------------------------------------------------
+
+#: the smallest int that float() refuses (it rounds up past the largest float)
+INT_OVERFLOW = 2**1024 - 2**970
+
+#: the kinds of value a JSON field holds, as an error message names them: a
+#: number is an exact int or float (never a bool or a string), finite unless
+#: its field is one of the few that may hold NaN or an infinity
+FINITE = "a finite number"
+NUMBER = "a number"
+INT = "an integer"
+STR = "a string"
+BOOL = "true or false"
+
+_TYPES = {INT: int, STR: str, BOOL: bool}
+
+
+def read_field(value, kind: str, name: str, error: type[Exception] = ValueError):
+    """``value`` if it is of ``kind``, a number as a float; anything else
+    raises ``error`` naming the field and the value.
+
+    An int counts as a number only when float() gives a finite float; a
+    ``NUMBER`` may be a float NaN or infinity, a ``FINITE`` number may not.
+    """
+    if kind in (FINITE, NUMBER):
+        if type(value) is float and (kind == NUMBER or -math.inf < value < math.inf):
+            return value
+        if type(value) is int and -INT_OVERFLOW < value < INT_OVERFLOW:
+            return float(value)
+    elif type(value) is _TYPES[kind]:
+        return value
+    raise error(f"{name} must be {kind}, got {value!r}")

@@ -17,11 +17,10 @@ staleness failsafe, and logs one compliance record per emitted command.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
-from .errors import GovernorConfigError, NonMonotoneForceMapWarning
+from .errors import BOOL, FINITE, GovernorConfigError, NonMonotoneForceMapWarning, read_field
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, linspace
 
 CAP_EPSILON = 1e-9
@@ -33,7 +32,6 @@ _NORM_SLACK = 1e-12
 _BISECT_WIDTH = 1e-7
 
 _F_STAR_MAX_N = max(BODY_REGION_LIMITS_N.values())
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -60,6 +58,9 @@ class GovernorConfig:
     f_star_is_peak: bool = False
 
     def __post_init__(self) -> None:
+        # each value is checked, not converted: an int stays an int, so a cap
+        # taken from the config prints in a reply as json.dumps prints it
+        # (stream.format_cmd_limited relies on that)
         for name in (
             "t_q_s",
             "a_mps2",
@@ -70,10 +71,10 @@ class GovernorConfig:
             "staleness_timeout_s",
         ):
             value = getattr(self, name)
-            _check_finite(name, value)
+            read_field(value, FINITE, name)  # NaN would pass every bound below
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.mode not in ("binary", "ramp"):
+        if self.mode not in ("binary", "ramp"):  # no other value equals either
             raise ValueError(f"mode must be 'binary' or 'ramp', got {self.mode!r}")
         if self.f_star_n > _F_STAR_MAX_N:
             raise ValueError(
@@ -81,11 +82,10 @@ class GovernorConfig:
                 f"limit {_F_STAR_MAX_N:g} N"
             )
         if self.stale_cap_mps is not None:
-            _check_finite("stale_cap_mps", self.stale_cap_mps)
+            read_field(self.stale_cap_mps, FINITE, "stale_cap_mps")
             if self.stale_cap_mps < 0:
                 raise ValueError("stale_cap_mps must be >= 0 when set")
-        if type(self.f_star_is_peak) is not bool:  # the string "false" is truthy
-            raise ValueError(f"f_star_is_peak must be true or false, got {self.f_star_is_peak!r}")
+        read_field(self.f_star_is_peak, BOOL, "f_star_is_peak")  # "false" is truthy
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,19 +115,6 @@ class GovernorConfig:
             return cls(**settings)
         except ValueError as exc:
             raise GovernorConfigError(f"bad governor config: {exc}") from exc
-
-
-def _check_finite(name: str, value) -> None:
-    """Refuse anything but a finite int or float (a bool is no number).
-
-    NaN passes every ``<=`` bound check, and an infinite platform maximum
-    never ends the force-cap bisection. With exact int and float types, a
-    cap taken from the config prints in a reply as ``json.dumps`` prints it
-    (``stream.format_cmd_limited`` relies on that). An int past the float
-    range is no finite number either.
-    """
-    if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass

@@ -15,6 +15,10 @@ import numpy as np
 
 from .dsp import FilterSpec, KalmanConfig, butterworth_lowpass, kalman_smooth, median_despike
 from .errors import (
+    FINITE,
+    INT,
+    NUMBER,
+    STR,
     EmptyInput,
     InvariantViolation,
     LengthMismatch,
@@ -22,6 +26,7 @@ from .errors import (
     NonFiniteEnergy,
     RestitutionAboveUnity,
     VelocityTooLow,
+    read_field,
 )
 from .ingest import TrialRecord
 
@@ -329,28 +334,25 @@ class ConfigurationSummary:
     def from_dict(cls, d: dict) -> "ConfigurationSummary":
         """The summary of a ``to_dict`` document; it must hold a stat for
         every metric field (a KeyError names the first one missing) and a
-        number wherever ``to_dict`` writes one (a ValueError names the value)."""
+        value of the kind ``to_dict`` writes in each field, a finite number
+        but for the ``cv`` (a ValueError names the field and the value)."""
         metrics = d["metrics"]
         stats = {}
         for name in METRIC_FIELDS:
             v = metrics[name]
-            stats[name] = MetricStat(_number(v["mean"]), _number(v["std"]), _number(v["cv"]))
-        if type(d["n"]) is not int:  # int() would take a bool, and truncate 2.5
-            raise ValueError(f"n must be an integer, got {d['n']!r}")
+            where = f"metrics.{name}"
+            stats[name] = MetricStat(
+                read_field(v["mean"], FINITE, f"{where}.mean"),
+                read_field(v["std"], FINITE, f"{where}.std"),
+                read_field(v["cv"], NUMBER, f"{where}.cv"),  # NaN when the mean is 0
+            )
         return cls(
-            configuration=str(d["configuration"]),
-            n=d["n"],
-            mass_kg=_number(d["mass_kg"]),
-            angle_deg=_number(d["angle_deg"]),
+            configuration=read_field(d["configuration"], STR, "configuration"),
+            n=read_field(d["n"], INT, "n"),
+            mass_kg=read_field(d["mass_kg"], FINITE, "mass_kg"),
+            angle_deg=read_field(d["angle_deg"], FINITE, "angle_deg"),
             stats=stats,
         )
-
-
-def _number(value) -> float:
-    """A JSON number as a float; float() alone takes a bool or a numeric string."""
-    if type(value) not in (int, float):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
 
 
 def aggregate_configuration(metrics: list[ImpactMetrics]) -> ConfigurationSummary:

@@ -25,12 +25,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    FINITE,
+    STR,
     AlignmentOutOfTolerance,
     EmptyStream,
     InvariantViolation,
@@ -40,6 +42,7 @@ from .errors import (
     MissingColumn,
     RateMismatch,
     TriggerMissing,
+    read_field,
 )
 
 FS_FORCE_DEFAULT = 6250.0
@@ -74,7 +77,6 @@ class TrialMeta:
     angle_deg: float
     nominal_speed_mps: float
     material: str
-    alignment_residual_s: float = 0.0
 
     def __post_init__(self) -> None:
         # written as "not (0 < v < inf)" so that NaN fails too
@@ -245,27 +247,12 @@ def read_range_csv(path: str | Path, fs: float = FS_RANGE_DEFAULT) -> dict[str, 
     return cols
 
 
-def _manifest_number(path: Path, manifest: dict, key: str, rate: float | None = None) -> float:
-    """``manifest[key]`` as a float, or ``rate`` when a sample-rate key is
-    absent. A value that is not an int or float a float can hold, or a rate
-    that is not finite and > 0, is a ManifestError naming the manifest and
-    the key."""
-    value = manifest.get(key, rate)
-    try:
-        if type(value) not in (int, float):  # float() takes a bool or a numeric string
-            raise TypeError
-        value = float(value)
-    except (TypeError, OverflowError):
-        raise ManifestError(f"{path}: {key} is not a number: {value!r}") from None
-    if rate is not None and not 0 < value < math.inf:  # NaN fails too
-        raise ManifestError(f"{path}: {key} must be finite and > 0, got {value:g}")
-    return value
-
-
 def load_trial(path: str | Path) -> RawAcquisition:
     """Load one trial from its manifest JSON.
 
     Stream paths in the manifest are resolved relative to the manifest file.
+    A field of the wrong kind, or a sample rate that is not > 0, is a
+    ManifestError naming the manifest and the key.
     """
     path = Path(path)
     try:
@@ -276,18 +263,24 @@ def load_trial(path: str | Path) -> RawAcquisition:
     if missing:
         raise ManifestError(f"{path} lacks manifest key(s) {missing}")
 
-    meta = TrialMeta(
-        configuration=str(manifest["configuration"]),
-        mass_kg=_manifest_number(path, manifest, "mass_kg"),
-        angle_deg=_manifest_number(path, manifest, "angle_deg"),
-        nominal_speed_mps=_manifest_number(path, manifest, "nominal_speed_mps"),
-        material=str(manifest["material"]),
-    )
-    fs_force = _manifest_number(path, manifest, "sample_rate_force_hz", FS_FORCE_DEFAULT)
-    fs_range = _manifest_number(path, manifest, "sample_rate_range_hz", FS_RANGE_DEFAULT)
+    def read(key: str, kind: str, default=None):
+        return read_field(manifest.get(key, default), kind, f"{path}: {key}", ManifestError)
 
-    force_path = path.parent / manifest["force_csv"]
-    range_path = path.parent / manifest["range_csv"]
+    meta = TrialMeta(
+        configuration=read("configuration", STR),
+        mass_kg=read("mass_kg", FINITE),
+        angle_deg=read("angle_deg", FINITE),
+        nominal_speed_mps=read("nominal_speed_mps", FINITE),
+        material=read("material", STR),
+    )
+    fs_force = read("sample_rate_force_hz", FINITE, FS_FORCE_DEFAULT)
+    fs_range = read("sample_rate_range_hz", FINITE, FS_RANGE_DEFAULT)
+    for key, rate in (("sample_rate_force_hz", fs_force), ("sample_rate_range_hz", fs_range)):
+        if rate <= 0:
+            raise ManifestError(f"{path}: {key} must be > 0, got {rate:g}")
+
+    force_path = path.parent / read("force_csv", STR)
+    range_path = path.parent / read("range_csv", STR)
     for p in (force_path, range_path):
         if not p.exists():
             raise ManifestError(f"{path} references missing stream file {p}")
@@ -372,12 +365,11 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
     force_total = sum_load_cells(
         raw.force_channels[:, 0], raw.force_channels[:, 1], raw.force_channels[:, 2]
     )
-    meta = replace(raw.meta, alignment_residual_s=residual)
     return TrialRecord(
         time=time,
         force_total=force_total[keep],
         range_m=np.asarray(raw.range_m, dtype=float),
         range_index=idx,
         fs=raw.fs_force,
-        meta=meta,
+        meta=raw.meta,
     )

@@ -14,7 +14,17 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvariantViolation, RestitutionOutOfRange, SchemaVersionMismatch
+from .errors import (
+    BOOL,
+    FINITE,
+    INT,
+    NUMBER,
+    STR,
+    InvariantViolation,
+    RestitutionOutOfRange,
+    SchemaVersionMismatch,
+    read_field,
+)
 
 PROFILE_SCHEMA = 1
 
@@ -85,20 +95,25 @@ class PolyModel:
         _require_object(d, where)
 
         def diagnostic(key: str) -> float:  # optional: NaN when absent
-            return _field(d, key, _number, "a number", where) if key in d else math.nan
+            return _value(d, key, NUMBER, where) if key in d else math.nan
 
-        coefficients = _field(d, "coeffs", _numbers, "a non-empty list of numbers", where)
-        degree = _field(d, "degree", _integer, "an integer", where)
+        coefficients = _number_list(d, "coeffs", where)
+        degree = _value(d, "degree", INT, where)
         if degree != len(coefficients) - 1:
             raise InvariantViolation(
                 f"{where} degree must be len(coeffs) - 1 = {len(coefficients) - 1}, got {degree}"
+            )
+        domain = _number_list(d, "domain", where)
+        if len(domain) != 2:
+            raise InvariantViolation(
+                f"{where} domain must be a list of two numbers, got {d['domain']!r}"
             )
         return cls(
             coefficients=coefficients,
             degree=degree,
             r_squared=diagnostic("r_squared"),
             mae=diagnostic("mae"),
-            domain=_field(d, "domain", _interval, "a list of two numbers", where),
+            domain=tuple(domain),
         )
 
 
@@ -190,50 +205,26 @@ def _require_object(d, where: str) -> None:
         raise InvariantViolation(f"{where} must be a JSON object, got {type(d).__name__}")
 
 
-def _field(d: dict, key: str, convert, kind: str, where: str):
-    """``convert(d[key])``; a missing key, or a value ``convert`` refuses, is
-    an InvariantViolation that names the field."""
+def _get(d: dict, key: str, where: str):
     if key not in d:
         raise InvariantViolation(f"{where} lacks key {key!r}")
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvariantViolation(f"{where} {key} must be {kind}, got {d[key]!r}") from exc
+    return d[key]
 
 
-def _number(value) -> float:
-    if type(value) not in (int, float):  # a bool is no number
-        raise TypeError("not a number")
-    return float(value)  # OverflowError past the float range
+def _value(d: dict, key: str, kind: str, where: str):
+    """``d[key]`` read as ``kind``; a missing key, or a value of another kind,
+    is an InvariantViolation that names the field."""
+    return read_field(_get(d, key, where), kind, f"{where} {key}", InvariantViolation)
 
 
-def _integer(value) -> int:
-    if type(value) is not int:  # int() would take a bool, and truncate 2.9
-        raise TypeError("not an integer")
-    return value
-
-
-def _string(value) -> str:
-    if type(value) is not str:  # str() would name a list "['x']"
-        raise TypeError("not a string")
-    return value
-
-
-def _boolean(value) -> bool:
-    if type(value) is not bool:  # bool("false") is True
-        raise TypeError("not a boolean")
-    return value
-
-
-def _numbers(value) -> list[float]:
-    if type(value) is not list or not value:
-        raise TypeError("not a non-empty list")
-    return [_number(c) for c in value]
-
-
-def _interval(value) -> tuple[float, float]:
-    lo, hi = _numbers(value)  # a list of any other length fails to unpack
-    return lo, hi
+def _number_list(d: dict, key: str, where: str) -> list[float]:
+    """``d[key]``, a non-empty list, with each item read as a finite number."""
+    values = _get(d, key, where)
+    if type(values) is not list or not values:
+        raise InvariantViolation(
+            f"{where} {key} must be a non-empty list of numbers, got {values!r}"
+        )
+    return [read_field(v, FINITE, f"{where} {key}", InvariantViolation) for v in values]
 
 
 def parse_profile(source: str | dict) -> AirframeProfile:
@@ -243,34 +234,26 @@ def parse_profile(source: str | dict) -> AirframeProfile:
     """
     d = json.loads(source) if isinstance(source, str) else source
     _require_object(d, "profile")
-    schema = d.get("schema")
-    if type(schema) is not int or schema != PROFILE_SCHEMA:  # 1.0 == True == 1
+    schema = read_field(d.get("schema"), INT, "profile schema", SchemaVersionMismatch)
+    if schema != PROFILE_SCHEMA:
         raise SchemaVersionMismatch(
             f"profile schema {schema!r} not supported (expected the integer {PROFILE_SCHEMA})"
         )
-    for key in ("name", "mass_kg", "dt_s", "dt_std_s", "restitution", "angle_deg", "f_max_ref_N"):
-        if key not in d:
-            raise InvariantViolation(f"profile lacks key {key!r}")
-
-    def number(key: str) -> float:
-        return _field(d, key, _number, "a number", "profile")
-
-    rest = d["restitution"]
+    rest = _get(d, "restitution", "profile")
     restitution = PolyModel.from_dict(rest)  # checks first that rest is an object
-    downgraded = (
-        _field(rest, "downgraded", _boolean, "a boolean", "profile restitution")
-        if "downgraded" in rest
-        else False
-    )
     return AirframeProfile(
-        name=_field(d, "name", _string, "a string", "profile"),
-        mass_kg=number("mass_kg"),
-        dt_s=number("dt_s"),
-        dt_std_s=number("dt_std_s"),
+        name=_value(d, "name", STR, "profile"),
+        mass_kg=_value(d, "mass_kg", FINITE, "profile"),
+        dt_s=_value(d, "dt_s", FINITE, "profile"),
+        dt_std_s=_value(d, "dt_std_s", FINITE, "profile"),
         restitution=restitution,
-        angle_deg=number("angle_deg"),
-        f_max_ref_N=number("f_max_ref_N"),
-        downgraded=downgraded,
+        angle_deg=_value(d, "angle_deg", FINITE, "profile"),
+        f_max_ref_N=_value(d, "f_max_ref_N", FINITE, "profile"),
+        downgraded=(
+            _value(rest, "downgraded", BOOL, "profile restitution")
+            if "downgraded" in rest
+            else False
+        ),
     )
 
 

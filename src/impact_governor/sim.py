@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ScenarioInvariantViolation
+from .errors import FINITE, STR, ScenarioInvariantViolation, read_field
 from .profile import AirframeProfile, load_profile, parse_profile
 from .governor import GovernorConfig, GovernorRuntime, VelocityCommand
 
@@ -366,25 +365,12 @@ _TIMING_KEYS = ("physics_dt_s", "detection_rate_hz", "duration_s")
 _GAIN_FIELDS = {
     "attract": "k_attract", "repulse": "k_repulse", "repulse_radius_m": "repulse_radius_m",
 }
-_FLOAT_MAX = sys.float_info.max
-
-
-def _number(value, name: str) -> float:
-    """A finite int or float (a bool is no number) as a float; the bound
-    also refuses an int too large for a float."""
-    if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ScenarioInvariantViolation(
-            f"bad scenario definition: {name} must be a finite number, got {value!r}"
-        )
-    return float(value)
 
 
 def _point(values, name: str) -> tuple[float, float]:
-    point = tuple(_number(v, name) for v in values)
+    point = tuple(read_field(v, FINITE, name) for v in values)
     if len(point) != 2:
-        raise ScenarioInvariantViolation(
-            f"bad scenario definition: {name} must have two coordinates, got {list(point)}"
-        )
+        raise ValueError(f"{name} must have two coordinates, got {list(point)}")
     return point
 
 
@@ -395,8 +381,9 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
     from ``"profile_path"`` resolved relative to the scenario file.  A
     ``"seed"`` key, written by older versions, is ignored: the simulation
     has no randomness.  Every number must be a finite JSON number (``json``
-    reads ``NaN`` and ``Infinity``), and every point an ``[x, y]`` pair;
-    anything else raises ScenarioInvariantViolation naming the field.
+    reads ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the
+    name a string; anything else raises ScenarioInvariantViolation naming
+    the field.
     """
     if not isinstance(data, dict):
         raise ScenarioInvariantViolation("bad scenario definition: scenario must be a JSON object")
@@ -412,14 +399,14 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
             if base_dir is not None and not profile_path.is_absolute():
                 profile_path = base_dir / profile_path
             profile = load_profile(profile_path)
-        numbers = {key: _number(data[key], key) for key in _TIMING_KEYS if key in data}
+        numbers = {key: read_field(data[key], FINITE, key) for key in _TIMING_KEYS if key in data}
         numbers.update(
-            (name, _number(gains[key], f"gains.{key}"))
+            (name, read_field(gains[key], FINITE, f"gains.{key}"))
             for key, name in _GAIN_FIELDS.items()
             if key in gains
         )
         return SimScenario(
-            name=str(data.get("name", "scenario")),
+            name=read_field(data.get("name", "scenario"), STR, "name"),
             start=_point(data["start"], "start"),
             goals=[_point(g, f"goals[{i}]") for i, g in enumerate(data["goals"])],
             humans=[_point(h, f"humans[{i}]") for i, h in enumerate(data.get("humans", []))],

@@ -32,7 +32,7 @@ import threading
 from itertools import repeat
 from typing import IO, Callable, Iterable, Optional
 
-from .errors import EXIT_OK, GovernorConfigError, ProtocolError, TransportError
+from .errors import EXIT_OK, INT_OVERFLOW, GovernorConfigError, ProtocolError, TransportError
 from .governor import ComplianceRecord, GovernorRuntime, VelocityCommand
 
 log = logging.getLogger(__name__)
@@ -64,9 +64,6 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _SCAN = _DECODER.scan_once
 
-#: the smallest int that float() refuses (it rounds up past the largest float)
-_INT_OVERFLOW = 2**1024 - 2**970
-
 
 def parse_message(text: str) -> dict:
     """Decode one NDJSON message and validate its shape.
@@ -96,12 +93,13 @@ def parse_message(text: str) -> dict:
         raise ProtocolError(f"unknown message type: {mtype!r}")
     for key in _REQUIRED_FIELDS[mtype]:
         value = msg.get(key)
+        # errors.read_field's rule for a finite number, inline on the hot path:
         # the decoder makes exact int, float and bool only, and a bool is no
-        # number; an int past _INT_OVERFLOW would make float() raise
+        # number; an int past INT_OVERFLOW would make float() raise
         if type(value) is float:
             finite = -math.inf < value < math.inf  # a literal like 1e999 decodes to inf
         elif type(value) is int:
-            finite = -_INT_OVERFLOW < value < _INT_OVERFLOW
+            finite = -INT_OVERFLOW < value < INT_OVERFLOW
         else:
             raise ProtocolError(f"{mtype} message field {key!r} must be a number")
         if not finite:

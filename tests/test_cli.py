@@ -191,6 +191,34 @@ def test_analyze_rejects_only_the_trial_with_a_bad_manifest_number(
 ):
     # float() of such a value raised a TypeError or ValueError that stopped
     # the whole run; a NaN rate was reported as a time-span mismatch
+    err, manifest = _analyze_with_trial_001_edited(
+        monkeypatch, capsys, tmp_path, three_trials, key, value
+    )
+    assert err.startswith(f"error: trial_001.json: {manifest}: {key} ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in ("force_csv", "range_csv") for value in (5, None, ["x.csv"])]
+    + [("configuration", ["Carbon-0deg"]), ("material", 7)],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_analyze_rejects_only_the_trial_with_a_manifest_name_that_is_no_string(
+    monkeypatch, capsys, tmp_path, three_trials, key, value
+):
+    # a stream path of another type raised a TypeError that ended the whole
+    # run in a traceback and a null exit_code; a configuration or a material
+    # of another type went through str() into the metrics and summary names
+    err, manifest = _analyze_with_trial_001_edited(
+        monkeypatch, capsys, tmp_path, three_trials, key, value
+    )
+    assert err == f"error: trial_001.json: {manifest}: {key} must be a string, got {value!r}"
+
+
+def _analyze_with_trial_001_edited(monkeypatch, capsys, tmp_path, three_trials, key, value):
+    """Analyze a copy of the three-trial campaign with ``key`` of trial_001's
+    manifest set to ``value``: the run must exit 2 and write the other two
+    trials as the clean run did. Returns the one error line and the manifest."""
     campaign, clean = three_trials
     work = shutil.copytree(campaign, tmp_path / "campaign")
     manifest = work / "trial_001.json"
@@ -200,13 +228,17 @@ def test_analyze_rejects_only_the_trial_with_a_bad_manifest_number(
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     capsys.readouterr()
 
-    assert main(["analyze", str(work), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["analyze", str(work), "--out", str(out)]) == 2
 
     err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
     assert len(err) == 1
-    assert err[0].startswith(f"error: trial_001.json: {manifest}: {key} ")
-    lines = (tmp_path / "out" / "metrics.csv").read_bytes().splitlines(keepends=True)
+    lines = (out / "metrics.csv").read_bytes().splitlines(keepends=True)
     assert lines == [clean[0], clean[1], clean[3]]
+    run = json.loads((out / "run_manifest.json").read_text())
+    assert run["exit_code"] == 2
+    assert [t["rejected"] for t in run["trials"]] == [None, err[0][len("error: "):], None]
+    return err[0], manifest
 
 
 def test_analyze_refuses_two_configurations_that_share_a_summary_name(
@@ -1085,7 +1117,7 @@ def _case_nan_override(tmp_path, monkeypatch):
          "error: profile restitution domain must be a list of two numbers, got [3.0]"),
         (_case_profile_edit(lambda d: [d]), 4, "error: profile must be a JSON object, got list"),
         (_case_profile_value(mass_kg="abc"), 4,
-         "error: profile mass_kg must be a number, got 'abc'"),
+         "error: profile mass_kg must be a finite number, got 'abc'"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
         (_case_bad_json, 2, "error: invalid JSON input: Expecting property name"),
@@ -1116,7 +1148,7 @@ def _case_nan_override(tmp_path, monkeypatch):
         (_case_profile_value(f_max_ref_N=0.0, f_star_is_peak=True), 4,
          "error: profile f_max_ref_N must be finite and > 0, got 0.0"),
         (_case_profile_value(f_max_ref_N=math.nan, f_star_is_peak=True), 4,
-         "error: profile f_max_ref_N must be finite and > 0, got nan"),
+         "error: profile f_max_ref_N must be a finite number, got nan"),
         (_case_profile_value(f_max_ref_N=-1.0), 4,
          "error: profile f_max_ref_N must be finite and > 0, got -1.0"),
         (_case_profile_value(f_max_ref_N=1.0, f_star_is_peak=True), 2,
@@ -1317,8 +1349,9 @@ def _without_std(summary):
     return summary
 
 
-def _with_string_mean(summary):
-    summary["metrics"]["f_max_n"]["mean"] = "100.0"
+def _with_stat(metric, stat, value):
+    summary = _summary_dict(3.0, 0.1)
+    summary["metrics"][metric][stat] = value
     return summary
 
 
@@ -1337,19 +1370,45 @@ def _with_string_mean(summary):
         (json.dumps({**_summary_dict(3.0, 0.1), "n": True}),
          "not a configuration summary (ValueError: n must be an integer, got True)"),
         (json.dumps({**_summary_dict(3.0, 0.1), "mass_kg": True}),
-         "not a configuration summary (ValueError: not a number: True)"),
-        (json.dumps(_with_string_mean(_summary_dict(3.0, 0.1))),
-         "not a configuration summary (ValueError: not a number: '100.0')"),
+         "not a configuration summary (ValueError: mass_kg must be a finite number, got True)"),
+        (json.dumps(_with_stat("f_max_n", "mean", "100.0")),
+         "not a configuration summary (ValueError: metrics.f_max_n.mean must be a finite number, "
+         "got '100.0')"),
+        # float() of an int past the float range raised an OverflowError that
+        # ended fit and report in a traceback with a null exit_code
+        (json.dumps({**_summary_dict(3.0, 0.1), "mass_kg": 10**400}),
+         "not a configuration summary (ValueError: mass_kg must be a finite number, got 1000"),
+        (json.dumps(_with_stat("v_in_mps", "mean", -(10**400))),
+         "not a configuration summary (ValueError: metrics.v_in_mps.mean must be a finite "
+         "number, got -1000"),
+        # these loaded, and fit wrote a NaN or a name like "['Carbon-0deg']"
+        # into the profile
+        (json.dumps(_with_stat("dt_j_s", "std", math.nan)),
+         "not a configuration summary (ValueError: metrics.dt_j_s.std must be a finite number, "
+         "got nan)"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "angle_deg": math.nan}),
+         "not a configuration summary (ValueError: angle_deg must be a finite number, got nan)"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "configuration": ["Carbon-0deg"]}),
+         "not a configuration summary (ValueError: configuration must be a string, "
+         "got ['Carbon-0deg'])"),
+        (json.dumps(_with_stat("ec_r", "cv", "nan")),
+         "not a configuration summary (ValueError: metrics.ec_r.cv must be a number, got 'nan')"),
     ],
     ids=["stat-without-std", "no-stats", "n-not-a-number", "n-fraction", "n-bool",
-         "mass-bool", "mean-string"],
+         "mass-bool", "mean-string", "mass-huge-int", "mean-huge-int", "std-nan", "angle-nan",
+         "configuration-list", "cv-string"],
 )
 def test_fit_and_report_refuse_a_bad_summary_alike(tmp_path, capsys, text, line):
     (tmp_path / "s.json").write_text(text)
     for command in ("fit", "report"):
-        assert main([command, str(tmp_path / "s.json"), "--out", str(tmp_path / command)]) == 2
+        out = tmp_path / command
+        assert main([command, str(tmp_path / "s.json"), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 's.json'}: {line}")
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["error"]) == (2, err[0])
+        assert manifest["outputs"] == []
+
 
 
 @pytest.mark.parametrize("text", ['"metrics"', "5", "[1, 2]", "{}"])

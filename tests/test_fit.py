@@ -113,8 +113,11 @@ def test_profile_validation():
         ("f_max_ref_N", -100.0, InvariantViolation),
         ("f_max_ref_N", math.nan, InvariantViolation),
         ("f_max_ref_N", math.inf, InvariantViolation),
-        ("coeffs", [math.nan], RestitutionOutOfRange),
-        ("domain", [math.nan, 4.0], RestitutionOutOfRange),
+        ("coeffs", [math.nan], InvariantViolation),
+        ("domain", [math.nan, 4.0], InvariantViolation),
+        ("dt_std_s", math.nan, InvariantViolation),
+        ("angle_deg", math.inf, InvariantViolation),
+        ("r_squared", "1.0", InvariantViolation),
         ("dt_s", True, InvariantViolation),
         ("mass_kg", "0.25", InvariantViolation),
         ("coeffs", [True], InvariantViolation),
@@ -136,18 +139,19 @@ def test_profile_refuses_non_finite_values(key, value, error):
     # platform maximum, an f_max_ref_N ended a peak-target run in a traceback,
     # a dt_s of true was a 1 s contact time and a degree of 2.9 was 2; a name
     # of ["x"] was "['x']", a downgraded of "false" was true and a schema of
-    # true or 1.0 was schema 1
+    # true or 1.0 was schema 1; a NaN dt_std_s or an infinite angle_deg loaded
+    # and was written back as NaN or Infinity, which is not JSON
     d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
-    if key in ("coeffs", "domain", "degree", "downgraded"):
+    if key in ("coeffs", "domain", "degree", "downgraded", "r_squared"):
         d["restitution"][key] = value
     else:
         d[key] = value
     with pytest.raises(error) as exc:
         parse_profile(json.dumps(d))
-    if type(value) is not float and error is InvariantViolation:  # a type or a degree
+    if error is InvariantViolation:  # a type, a non-finite number or a degree
         assert f" {key} must be " in str(exc.value)
     if key == "schema":
-        assert f"schema {value!r} not supported" in str(exc.value)
+        assert f"schema must be an integer, got {value!r}" in str(exc.value)
 
 
 def _summary(v, ec_r, config="Carbon-0deg"):
@@ -206,6 +210,18 @@ def test_profile_round_trip_exact(const_profile):
     # floats survive JSON exactly (repr round-trip)
     assert back.restitution.coefficients == const_profile.restitution.coefficients
     assert back.dt_s == const_profile.dt_s
+
+
+def test_profile_fit_diagnostics_may_be_nan_or_absent():
+    # the one pair of profile numbers that may be non-finite: NaN when absent,
+    # and written back as NaN
+    d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
+    d["restitution"]["r_squared"] = math.nan
+    del d["restitution"]["mae"]
+    profile = parse_profile(json.dumps(d))
+    assert math.isnan(profile.restitution.r_squared) and math.isnan(profile.restitution.mae)
+    back = json.loads(serialize_profile(profile))["restitution"]
+    assert math.isnan(back["r_squared"]) and math.isnan(back["mae"])
 
 
 def test_profile_schema_version_checked(const_profile):

@@ -56,8 +56,9 @@ def test_load_trial_rejects_a_non_finite_manifest_number(tmp_path, key, value):
     doc = json.loads(manifest.read_text())
     doc[key] = value
     manifest.write_text(json.dumps(doc))  # as NaN or Infinity
-    with pytest.raises(InvariantViolation, match=f"^{key} must be finite and positive"):
+    with pytest.raises(ManifestError) as exc:
         load_trial(manifest)
+    assert str(exc.value) == f"{manifest}: {key} must be a finite number, got {value!r}"
 
 
 def test_sum_load_cells_is_plain_sum():
@@ -201,8 +202,6 @@ def test_align_puts_trigger_at_zero_and_crops_to_overlap():
     phys = t_probe + raw.trigger_time_range  # back to range-logger clock
     j = int(np.searchsorted(raw.range_time, phys + 1e-12)) - 1
     assert record.range_resampled[t_probe_idx] == raw.range_m[j]
-
-    assert record.meta.alignment_residual_s <= 1e-4
 
 
 def test_align_requires_triggers():

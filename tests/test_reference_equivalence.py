@@ -18,6 +18,7 @@ import io
 import json
 import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,7 @@ from impact_governor.dsp import (
 )
 from impact_governor import impact, stream
 from impact_governor.errors import (
+    FINITE,
     EmptyStream,
     InvariantViolation,
     MalformedRow,
@@ -49,6 +51,7 @@ from impact_governor.errors import (
     ProtocolError,
     RestitutionOutOfRange,
     WindowTooLarge,
+    read_field,
 )
 from impact_governor.governor import (
     CAP_EPSILON,
@@ -1097,6 +1100,52 @@ def message_texts(draw):
 @given(text=message_texts())
 def test_parse_message_matches_oracle(text):
     assert _parse_outcome(stream.parse_message, text) == _expected_parse_outcome(text)
+
+
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+#: a value for one required field, as JSON text: every kind the decoder
+#: makes, ints on both sides of the float range's end and of the first int
+#: that float() refuses, and floats with the literals that decode to NaN or
+#: an infinity
+field_texts = st.one_of(
+    number_texts,
+    st.floats().map(json.dumps),
+    st.sampled_from(["1e999", "-1e999", "1e308", "-2e308"]),
+    st.sampled_from([_FLOAT_MAX_INT, 2**1024 - 2**970])
+    .flatmap(lambda edge: st.integers(edge - 2**971, edge + 2**971))
+    .flatmap(lambda n: st.sampled_from([n, -n]))
+    .map(str),
+    st.text(max_size=4).map(json.dumps),
+    st.lists(st.integers(0, 9), max_size=2).map(json.dumps),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mtype=st.sampled_from(["range", "cmd"]), index=st.integers(0, 3), text=field_texts)
+def test_parse_message_accepts_a_field_exactly_when_read_field_finds_a_finite_number(
+    mtype, index, text
+):
+    # parse_message keeps its own copy of the rule on the hot path
+    try:
+        value = json.loads(text)  # json reads NaN and Infinity too
+    except ValueError:  # an int past the digit limit decodes to no value
+        return
+    keys = _ORACLE_REQUIRED_FIELDS[mtype]
+    key = keys[index % len(keys)]
+    fields = [f'"{k}":{text if k == key else "0"}' for k in keys]
+    line = '{"type":"%s",%s}' % (mtype, ",".join(fields))
+    try:
+        read_field(value, FINITE, key)
+        read = True
+    except ValueError:
+        read = False
+    try:
+        stream.parse_message(line)
+        parsed = True
+    except ProtocolError:
+        parsed = False
+    assert parsed == read, (line, value)
 
 
 @pytest.mark.parametrize(

@@ -299,10 +299,13 @@ def _edited(**values):
         (_edited(duration_s=True), "duration_s must be a finite number, got True"),
         (_edited(gains={"attract": "1.0"}), "gains.attract must be a finite number, got '1.0'"),
         (_edited(humans=[[3.0, 10**400]]), "humans[0] must be a finite number, got 1000"),
+        # str() named these scenarios "['x']" and "7"
+        (_edited(name=["x"]), "name must be a string, got ['x']"),
+        (_edited(name=7), "name must be a string, got 7"),
     ],
     ids=["list", "gains-list", "nan-step", "infinite-duration", "nan-rate", "human-3d",
          "goal-1d", "nan-start", "infinite-goal", "nan-gain", "bool-duration", "string-gain",
-         "huge-int-human"],
+         "huge-int-human", "list-name", "int-name"],
 )
 def test_scenario_from_dict_fails_closed(data, field):
     with pytest.raises(ScenarioInvariantViolation) as exc:
