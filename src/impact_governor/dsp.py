@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CutoffAboveNyquist,
@@ -39,29 +38,17 @@ def median_despike(series: np.ndarray, window: int = 5, k: float = 3.0) -> np.nd
     if x.size < window:
         raise WindowTooLarge(f"series of {x.size} samples < window {window}")
 
+    # every sample's window, clipped to the series, as a row of ``window``
+    # entries with a validity mask (only the 2*half edge rows are clipped)
     half = window // 2
-    out = x.copy()
-
-    wins = sliding_window_view(x, window)
-    med = np.median(wins, axis=1)
-    mad = np.median(np.abs(wins - med[:, None]), axis=1)
-    centers = x[half : x.size - half]
-    bad = np.abs(centers - med) > k * MAD_SCALE * mad
-    out[half : x.size - half] = np.where(bad, med, centers)
-
-    # The 2*half edge samples use windows clipped to the series, of half+1 to
-    # 2*half samples: gather them as rows of 2*half with a validity mask.
-    edge = np.r_[0:half, x.size - half : x.size]
-    lo = np.maximum(edge - half, 0)
-    hi = np.minimum(edge + half + 1, x.size)
-    cols = lo[:, None] + np.arange(2 * half)
-    valid = cols < hi[:, None]
+    i = np.arange(x.size)
+    cols = np.maximum(i - half, 0)[:, None] + np.arange(window)
+    valid = cols < np.minimum(i + half + 1, x.size)[:, None]
     w = x[np.minimum(cols, x.size - 1)]
-    m = _masked_median(w, valid)
-    sigma = MAD_SCALE * _masked_median(np.abs(w - m[:, None]), valid)
-    bad = np.abs(x[edge] - m) > k * sigma
-    out[edge[bad]] = m[bad]
-    return out
+    med = _masked_median(w, valid)
+    mad = _masked_median(np.abs(w - med[:, None]), valid)
+    bad = np.abs(x - med) > k * MAD_SCALE * mad
+    return np.where(bad, med, x)
 
 
 def _masked_median(w: np.ndarray, valid: np.ndarray) -> np.ndarray:

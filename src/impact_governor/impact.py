@@ -93,6 +93,9 @@ METRIC_FIELDS = (
 
 METRICS_CSV_COLUMNS = ("configuration", "mass_kg", "angle_deg") + METRIC_FIELDS + ("flags",)
 
+#: the version of the configuration summary JSON that ``to_dict`` writes
+SUMMARY_SCHEMA = 1
+
 
 def detect_impact(time: np.ndarray, force: np.ndarray, velocity: np.ndarray) -> ImpactWindow:
     """Find the contact onset and extent.
@@ -245,26 +248,28 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
 def summarize_trial(record: TrialRecord) -> ImpactMetrics:
     """Run the full conditioning + detection + metrics chain on one trial.
 
-    Force takes the zero-phase low-pass. The range readings are despiked as
-    logged, at the sensor's own rate, so that one bad reading is one sample of
-    its window whatever that rate. The despiked readings are then held onto
-    the force grid and take the Kalman filter (initialised at the manifest's
-    nominal approach speed, negative because range shrinks on approach). The
-    rebound segment is re-estimated by running the same Kalman over the
-    post-contact range in reverse time: a forward filter tuned for smooth
-    approach cannot re-converge within 10 ms of a multi-m/s velocity
-    reversal, whereas the reverse-time pass reaches the window end fully
-    informed by the whole rebound.
+    Force takes the zero-phase low-pass. The range readings are despiked and
+    Kalman-filtered as logged, at the sensor's own rate, so that one bad
+    reading is one sample of the despike window and the filter steps once per
+    reading whatever that rate. The filter is initialised at the first reading
+    and the manifest's nominal approach speed (negative because range shrinks
+    on approach); only its velocity is held onto the force grid, for
+    detection. The rebound segment is re-estimated by running the same Kalman
+    over the readings from the contact end onward in reverse time: a forward
+    filter tuned for smooth approach cannot re-converge within 10 ms of a
+    multi-m/s velocity reversal, whereas the reverse-time pass reaches the
+    window end fully informed by the whole rebound.
     """
-    dt = 1.0 / record.fs
     force_f = butterworth_lowpass(record.force_total, FilterSpec(fs=record.fs))
 
-    range_d = median_despike(record.range_m)[record.range_index]
+    range_d = median_despike(record.range_m)
+    dt_range = 1.0 / record.fs_range
     kcfg = KalmanConfig(
-        dt=dt,
+        dt=dt_range,
         initial_state=(float(range_d[0]), -abs(record.meta.nominal_speed_mps)),
     )
-    _, vel = kalman_smooth(range_d, kcfg)
+    _, vel_native = kalman_smooth(range_d, kcfg)
+    vel = vel_native[record.range_index]
 
     window = detect_impact(record.time, force_f, vel)
     dt_j = contact_duration(window)
@@ -272,11 +277,12 @@ def summarize_trial(record: TrialRecord) -> ImpactMetrics:
     f_max = peak_force(window)
 
     i_end = int(np.searchsorted(record.time, window.t_end))
-    tail = range_d[i_end:]
+    j_end = int(record.range_index[i_end])
+    tail = range_d[j_end:]
     if tail.size >= 2:
-        rev_cfg = KalmanConfig(dt=dt, initial_state=(float(tail[-1]), 0.0))
+        rev_cfg = KalmanConfig(dt=dt_range, initial_state=(float(tail[-1]), 0.0))
         _, v_rev = kalman_smooth(tail[::-1], rev_cfg)
-        post_velocity = -v_rev[::-1]
+        post_velocity = -v_rev[::-1][record.range_index[i_end:] - j_end]
     else:
         post_velocity = vel[i_end:]
 
@@ -319,7 +325,7 @@ class ConfigurationSummary:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SUMMARY_SCHEMA,
             "configuration": self.configuration,
             "n": self.n,
             "mass_kg": self.mass_kg,
@@ -335,8 +341,18 @@ class ConfigurationSummary:
         """The summary of a ``to_dict`` document; it must hold a stat for
         every metric field (a KeyError names the first one missing) and a
         value of the kind ``to_dict`` writes in each field, a finite number
-        but for the ``cv`` (a ValueError names the field and the value)."""
+        but for the ``cv`` (a ValueError names the field and the value). A
+        schema other than the integer ``SUMMARY_SCHEMA``, or an ``n`` below
+        the 2 trials of every aggregate, is a ValueError too."""
         metrics = d["metrics"]
+        schema = read_field(d["schema"], INT, "schema")
+        if schema != SUMMARY_SCHEMA:
+            raise ValueError(
+                f"summary schema {schema!r} not supported (expected the integer {SUMMARY_SCHEMA})"
+            )
+        n = read_field(d["n"], INT, "n")
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
         stats = {}
         for name in METRIC_FIELDS:
             v = metrics[name]
@@ -348,7 +364,7 @@ class ConfigurationSummary:
             )
         return cls(
             configuration=read_field(d["configuration"], STR, "configuration"),
-            n=read_field(d["n"], INT, "n"),
+            n=n,
             mass_kg=read_field(d["mass_kg"], FINITE, "mass_kg"),
             angle_deg=read_field(d["angle_deg"], FINITE, "angle_deg"),
             stats=stats,

@@ -15,9 +15,10 @@ Both loggers record the same hardware sync pulse in their ``trigger`` column
 (0/1; the first rising edge defines that stream's trigger time). Alignment
 shifts both timelines so the pulse sits at t = 0 and maps each force-grid
 sample to the range reading it holds by zero-order hold. The record keeps the
-range readings as logged, so that they can be conditioned at the sensor's own
-rate; range values are never interpolated, every held value is one of the
-original readings.
+range readings as logged, with the range logger's rate, so that they are
+despiked and filtered at the sensor's own rate; only the velocity estimated
+from them is held onto the force grid. Range values are never interpolated:
+every held value is one of the original readings.
 """
 
 from __future__ import annotations
@@ -130,14 +131,15 @@ class TrialRecord:
 
     ``time`` is the ideal uniform grid (step 1/fs) anchored at the trigger
     sample; negative times precede the sync pulse. ``range_m`` holds the
-    range readings as logged, and ``range_index[i]`` is the reading that the
-    zero-order hold holds at ``time[i]``.
+    range readings as logged at ``fs_range``, and ``range_index[i]`` is the
+    reading that the zero-order hold holds at ``time[i]``.
     """
 
     time: np.ndarray         # s, uniform
     force_total: np.ndarray  # N, summed load cells
     range_m: np.ndarray      # m, native range readings
     range_index: np.ndarray  # index into range_m for each grid sample
+    fs_range: float          # Hz, the range logger's declared rate
     fs: float
     meta: TrialMeta
 
@@ -370,6 +372,7 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
         force_total=force_total[keep],
         range_m=np.asarray(raw.range_m, dtype=float),
         range_index=idx,
+        fs_range=raw.fs_range,
         fs=raw.fs_force,
         meta=raw.meta,
     )

@@ -338,25 +338,22 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     return rows, summary
 
 
-def format_trajectory_row(row: tuple, sep: str = ",") -> str:
-    parts = [format(float(v), ".9g") for v in row[:8]]
-    parts.append(str(row[8]))
-    return sep.join(parts)
+def _write_rows(path, header: str, sep: str, rows: list[tuple]) -> None:
+    """The header line, then each row: eight numbers as ``%.9g`` and the cap
+    source, joined by ``sep``."""
+    line = sep.join(["%.9g"] * 8 + ["%s"]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_trajectory(rows: list[tuple], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(format_trajectory_row(row) + "\n")
+    _write_rows(path, ",".join(TRAJECTORY_COLUMNS), ",", rows)
 
 
 def write_trajectory_gnuplot(rows: list[tuple], path) -> None:
     """Space-separated companion table for gnuplot (`using 1:6` etc.)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(format_trajectory_row(row, " ") + "\n")
+    _write_rows(path, "# " + " ".join(TRAJECTORY_COLUMNS), " ", rows)
 
 
 #: the scenario's optional numbers: top-level keys and ``gains`` keys, each

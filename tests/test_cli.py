@@ -1393,10 +1393,23 @@ def _with_stat(metric, stat, value):
          "got ['Carbon-0deg'])"),
         (json.dumps(_with_stat("ec_r", "cv", "nan")),
          "not a configuration summary (ValueError: metrics.ec_r.cv must be a number, got 'nan')"),
+        # these loaded: fit wrote a profile and report a row with n = -5
+        (json.dumps({**_summary_dict(3.0, 0.1), "schema": 99, "n": -5}),
+         "not a configuration summary (ValueError: summary schema 99 not supported "
+         "(expected the integer 1))"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "schema": 1.0}),
+         "not a configuration summary (ValueError: schema must be an integer, got 1.0)"),
+        (json.dumps({k: v for k, v in _summary_dict(3.0, 0.1).items() if k != "schema"}),
+         "not a configuration summary (KeyError: 'schema')"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "n": -5}),
+         "not a configuration summary (ValueError: n must be at least 2, got -5)"),
+        (json.dumps({**_summary_dict(3.0, 0.1), "n": 1}),
+         "not a configuration summary (ValueError: n must be at least 2, got 1)"),
     ],
     ids=["stat-without-std", "no-stats", "n-not-a-number", "n-fraction", "n-bool",
          "mass-bool", "mean-string", "mass-huge-int", "mean-huge-int", "std-nan", "angle-nan",
-         "configuration-list", "cv-string"],
+         "configuration-list", "cv-string", "schema-99", "schema-float", "no-schema",
+         "n-negative", "n-one"],
 )
 def test_fit_and_report_refuse_a_bad_summary_alike(tmp_path, capsys, text, line):
     (tmp_path / "s.json").write_text(text)

@@ -10,6 +10,11 @@ force map and its checks), kept verbatim. The current code must
 return bitwise-equal results (``tobytes``, or the IEEE-754 bytes of each
 float) on every input the oracles accept, and raise the same error where
 they raise one.
+
+One oracle changes the numbers on purpose: the trial summary that ran both
+Kalman passes over the range held onto the force grid, where the filter now
+runs at the range sensor's own rate. Its metrics must stay within stated
+tolerances of that oracle's.
 """
 
 import csv
@@ -34,8 +39,10 @@ from hypothesis.extra.numpy import arrays
 
 from impact_governor.dsp import (
     MAD_SCALE,
+    FilterSpec,
     KalmanConfig,
     _gain_schedule,
+    butterworth_lowpass,
     kalman_smooth,
     median_despike,
 )
@@ -62,7 +69,13 @@ from impact_governor.governor import (
     VelocityCommand,
     force_speed_cap,
 )
-from impact_governor.ingest import FORCE_COLUMNS, RANGE_COLUMNS, _read_csv_columns, align_streams
+from impact_governor.ingest import (
+    FORCE_COLUMNS,
+    RANGE_COLUMNS,
+    _read_csv_columns,
+    align_streams,
+    load_trial,
+)
 from impact_governor.fit import BODY_REGION_LIMITS_N
 from impact_governor.profile import (
     AirframeProfile,
@@ -82,7 +95,7 @@ from impact_governor.sim import (
     run_scenario,
     step,
 )
-from impact_governor.synthetic import synth_trial
+from impact_governor.synthetic import make_campaign, synth_trial
 
 from conftest import make_profile
 
@@ -186,6 +199,37 @@ def oracle_median_despike(series, window=5, k=3.0):
         if abs(x[i] - m) > k * sigma:
             out[i] = m
     return out
+
+
+def oracle_summarize_on_the_held_grid(record):
+    """``impact.summarize_trial`` as it was while both Kalman passes ran over
+    the despiked range held onto the force grid, at the force rate."""
+    dt = 1.0 / record.fs
+    force_f = butterworth_lowpass(record.force_total, FilterSpec(fs=record.fs))
+    range_d = median_despike(record.range_m)[record.range_index]
+    kcfg = KalmanConfig(
+        dt=dt, initial_state=(float(range_d[0]), -abs(record.meta.nominal_speed_mps))
+    )
+    _, vel = kalman_smooth(range_d, kcfg)
+    window = impact.detect_impact(record.time, force_f, vel)
+    i_end = int(np.searchsorted(record.time, window.t_end))
+    tail = range_d[i_end:]
+    if tail.size >= 2:
+        _, v_rev = kalman_smooth(tail[::-1], KalmanConfig(dt=dt, initial_state=(float(tail[-1]), 0.0)))
+        post_velocity = -v_rev[::-1]
+    else:
+        post_velocity = vel[i_end:]
+    v_f, _, flags = impact.rebound_velocity(window, record.meta.mass_kg, post_velocity)
+    _, ec_r = impact.kinetic_energies(record.meta.mass_kg, window.v_in, v_f)
+    return {
+        "v_in_mps": window.v_in,
+        "f_max_n": impact.peak_force(window),
+        "dt_j_s": impact.contact_duration(window),
+        "j_ns": impact.rectified_impulse(window),
+        "ec_r": ec_r,
+        "v_f_mps": v_f,
+        "flags": flags,
+    }
 
 
 @dataclass
@@ -755,19 +799,53 @@ def test_despike_matches_oracle_on_signed_zero_edges(window):
 
 def test_pipeline_despikes_the_native_range_then_holds_it(monkeypatch):
     # the Kalman filter takes the readings as logged, despiked over a window
-    # of native readings, then held onto the force grid
+    # of native readings, at the range logger's rate; detection takes the
+    # filter's velocity held onto the force grid
     raw, _ = synth_trial(kind="elastic", noise_range_m=0.002, seed=4)
     raw.range_m[300] += 0.5
     record = align_streams(raw)
-    seen = []
+    filtered, detected = [], []
 
     def recording_kalman(series, cfg):
-        seen.append(np.array(series, copy=True))
+        filtered.append((np.array(series, copy=True), cfg))
         return kalman_smooth(series, cfg)
 
+    def recording_detect(time, force, velocity):
+        detected.append(np.array(velocity, copy=True))
+        return detect_impact(time, force, velocity)
+
+    detect_impact = impact.detect_impact
     monkeypatch.setattr(impact, "kalman_smooth", recording_kalman)
+    monkeypatch.setattr(impact, "detect_impact", recording_detect)
     impact.summarize_trial(record)
-    assert_bitwise(seen[0], oracle_median_despike(raw.range_m)[record.range_index])
+    series, cfg = filtered[0]
+    assert_bitwise(series, oracle_median_despike(raw.range_m))
+    assert cfg.dt == 1.0 / raw.fs_range
+    _, vel = kalman_smooth(series, cfg)
+    assert_bitwise(detected[0], vel[record.range_index])
+
+
+#: how far the native-rate filter may move each metric from the held-grid
+#: oracle, relative; the others must keep their bits
+HELD_GRID_TOLERANCE = {"v_in_mps": 2e-4, "v_f_mps": 2.5e-3, "ec_r": 5e-3}
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [{"seed": 7}, {"seed": 901},
+     {"seed": 13, "mass": 0.27, "tau_s": 0.020, "retained_energy_poly": (0.30, -0.04)}],
+    ids=["carbon-7", "carbon-901", "bamboo-13"],
+)
+def test_native_rate_filter_stays_near_the_held_grid_oracle(tmp_path, campaign):
+    for manifest in make_campaign(tmp_path, **campaign):
+        record = align_streams(load_trial(manifest))
+        got = impact.summarize_trial(record)
+        want = oracle_summarize_on_the_held_grid(record)
+        for name in ("f_max_n", "dt_j_s", "j_ns"):
+            assert float_bits(getattr(got, name)) == float_bits(want[name]), (manifest, name)
+        assert got.flags == want["flags"], manifest
+        for name, rel in HELD_GRID_TOLERANCE.items():
+            assert getattr(got, name) == pytest.approx(want[name], rel=rel), (manifest, name)
 
 
 # --- simulation: pilot, integrator, nearest human, closed loop ---------------
