@@ -143,11 +143,19 @@ def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
     of processes that ran them.
 
     Trial ``i`` goes to share ``i % n`` of ``n = min(usable cores, trials)``.
-    This process runs share 0 and forked workers run the others, so a worker
-    starts with the analysis stack already loaded. With one share, without
-    ``fork``, or while another thread runs (a fork could copy a lock it
-    holds), every trial runs here. A worker's exception, or a dead worker's
-    ``BrokenProcessPool``, is raised here, the first in share order.
+    This process runs share 0; each other share runs in a worker forked from
+    it, so a worker starts with the analysis stack already loaded, and sends
+    its outcomes, or the exception it raised, back through its own pipe. With
+    one share, without ``fork``, or while another thread runs (a fork could
+    copy a lock it holds), every trial runs here.
+
+    The first exception in share order is raised here. A worker's exception
+    has the worker's traceback as its cause, a ``WorkerTraceback``; one
+    that cannot be pickled arrives as a RuntimeError holding that
+    traceback; a worker that exits without a result raises
+    ``BrokenProcessPool``. Every worker is reaped and every pipe closed
+    whatever the outcome; a worker still running when this process's own
+    share raises is killed.
     """
     n = min(_usable_cores(), len(manifests))
     if n > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
@@ -155,14 +163,90 @@ def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
     if n == 1:
         return _analyze_share(manifests), 1
 
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
     shares = [manifests[k::n] for k in range(n)]
-    with ProcessPoolExecutor(n - 1, mp_context=get_context("fork")) as pool:
-        futures = [pool.submit(_analyze_share, share) for share in shares[1:]]
-        done = [_analyze_share(shares[0])] + [f.result() for f in futures]
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for share in shares[1:]:
+            fd_read, fd_write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(fd_read)
+                os.close(fd_write)
+                raise
+            if pid == 0:
+                _worker(share, fd_write)
+            os.close(fd_write)
+            workers.append((pid, fd_read))
+        done = [_analyze_share(shares[0])]
+        while workers:
+            done.append(_join(*workers.pop(0)))
+    finally:
+        if workers:
+            import signal
+
+            for pid, fd_read in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.close(fd_read)
+                os.waitpid(pid, 0)
+    for outcome in done:
+        if isinstance(outcome, BaseException):
+            raise outcome
     return [done[i % n][i // n] for i in range(len(manifests))], n
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception that an analyze worker raised;
+    the ``__cause__`` of that exception where this process raises it."""
+
+
+def _worker(share: list[Path], fd_write: int) -> None:
+    """In a forked worker: write to ``fd_write`` the pickled pair of the
+    outcomes of ``share`` and ``None``, or of the exception it raised and
+    that exception's traceback text, then exit without returning."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((_analyze_share(share), None))
+        except BaseException as exc:
+            import traceback
+
+            where, text = f"analyze worker {os.getpid()}", traceback.format_exc()
+            try:
+                payload = pickle.dumps((exc, f"in {where}:\n{text}"))
+                pickle.loads(payload)  # an exception can pickle and still not load
+            except Exception:
+                payload = pickle.dumps((RuntimeError(
+                    f"{where} raised an exception that cannot be pickled:\n{text}"
+                ), None))
+        with open(fd_write, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _join(pid: int, fd_read: int):
+    """The outcomes, or the exception, that worker ``pid`` sent; reaps it."""
+    import pickle
+
+    try:
+        with open(fd_read, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        value, text = pickle.loads(payload)
+    except Exception:
+        from concurrent.futures.process import BrokenProcessPool
+
+        code = os.waitstatus_to_exitcode(status)
+        return BrokenProcessPool(f"analyze worker {pid} ended (exit code {code}) without a result")
+    if text is not None:
+        value.__cause__ = WorkerTraceback(text)
+    return value
 
 
 def _summaries(processed: list[tuple]) -> list[tuple[str, list]]:

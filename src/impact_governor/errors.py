@@ -33,8 +33,9 @@ class EmptyStream(IngestError):
 
 
 class MalformedRow(IngestError):
-    """A stream row holds a non-numeric, empty or non-finite cell, or has a
-    different number of cells than the rows before it."""
+    """A stream row holds a non-numeric, empty or non-finite cell, has a
+    different number of cells than the rows before it, or a time stamp that
+    does not exceed the one of the row before."""
 
 
 class TriggerMissing(IngestError):

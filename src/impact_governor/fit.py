@@ -78,7 +78,7 @@ def build_airframe_profile(
     y = np.array([s.stats["ec_r"].mean for s in summaries], dtype=float)
     domain = (float(np.min(x)), float(np.max(x)))
 
-    distinct = np.unique(np.round(x, 9)).size
+    distinct = len(set(np.round(x, 9).tolist()))  # np.unique would load numpy.ma
     downgraded = distinct < restitution_degree + 1
     if downgraded and restitution_degree > 0:
         const = float(np.mean(y))

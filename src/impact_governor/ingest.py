@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,33 +173,66 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
         missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumn(f"{path} lacks column(s) {missing}")
-        body = fh.readlines()
-    rows = [ln for ln in body if ln.strip(_BLANK_ROW_CHARS)]
-    if not rows:
-        raise EmptyStream(f"{path} has a header but no data rows")
-    try:
-        data = _parse_rows(rows)
-    except ValueError:
-        raise _malformed_row(path, body) from None
+        # One C pass over the rest of the file. It fails on a row that holds
+        # no data, a bad cell or a ragged row, and finds no rows in an empty
+        # body (with a warning, silenced: _parse_lines raises EmptyStream);
+        # only then are the lines read and judged one by one.
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = _parse_rows(fh)
+        except ValueError:
+            data = None
+    if data is None or not len(data):
+        data = _parse_lines(path)
     width = max(header.index(name) for name in required) + 1
     if data.shape[1] < width:
         raise MalformedRow(
-            f"{path} row {_data_row_numbers(body)[0]}: {data.shape[1]} cells, "
-            f"the header needs {width}"
+            f"{path} row {_file_row(path, 0)}: {data.shape[1]} cells, the header needs {width}"
         )
     if not np.isfinite(data).all():
         bad = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
-        raise MalformedRow(f"{path} row {_data_row_numbers(body)[bad]}: non-finite sample")
+        raise MalformedRow(f"{path} row {_file_row(path, bad)}: non-finite sample")
     return {name: data[:, header.index(name)] for name in required}
 
 
-def _parse_rows(rows: list[str]) -> np.ndarray:
+def _parse_rows(rows) -> np.ndarray:
+    """The numeric table of ``rows``, an open file or a list of lines."""
     return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _body(path: Path) -> list[str]:
+    """The lines of ``path`` after its header."""
+    with path.open(newline="") as fh:
+        next(csv.reader(fh), None)
+        return fh.readlines()
 
 
 def _data_row_numbers(body: list[str]) -> list[int]:
     """File row number (the header is row 1) of each non-blank body line."""
     return [i for i, ln in enumerate(body, start=2) if ln.strip(_BLANK_ROW_CHARS)]
+
+
+def _file_row(path: Path, k: int) -> int:
+    """File row number of data row ``k`` (from 0) of ``path``."""
+    return _data_row_numbers(_body(path))[k]
+
+
+def _parse_lines(path: Path) -> np.ndarray:
+    """The table of ``path``'s non-blank body lines, read line by line.
+
+    Only runs when the one-pass read failed or found no rows: an empty body
+    is an EmptyStream, a table that still does not parse a MalformedRow
+    naming its first bad row.
+    """
+    body = _body(path)
+    rows = [ln for ln in body if ln.strip(_BLANK_ROW_CHARS)]
+    if not rows:
+        raise EmptyStream(f"{path} has a header but no data rows")
+    try:
+        return _parse_rows(rows)
+    except ValueError:
+        raise _malformed_row(path, body) from None
 
 
 def _malformed_row(path: Path, body: list[str]) -> MalformedRow:
@@ -223,29 +257,51 @@ def _malformed_row(path: Path, body: list[str]) -> MalformedRow:
     return MalformedRow(f"{path}: the rows do not form a numeric table")
 
 
-def _check_rate(time: np.ndarray, declared_fs: float, label: str) -> None:
+def _check_rate(time: np.ndarray, declared_fs: float, path: Path) -> None:
+    """Refuse time stamps that do not strictly increase (a MalformedRow
+    naming the first row that does not step forward) or whose median step
+    is not ``1 / declared_fs`` within ``RATE_TOLERANCE`` (a RateMismatch)."""
     if time.size < 2:
         return
-    spacing = float(np.median(np.diff(time)))
+    steps = np.diff(time)
+    back = np.flatnonzero(steps <= 0)
+    if back.size:
+        k = int(back[0]) + 1
+        raise MalformedRow(
+            f"{path} row {_file_row(path, k)}: t_s {time[k]:.9g} s does not follow "
+            f"{time[k - 1]:.9g} s of the row before"
+        )
+    spacing = _median(steps)
     expected = 1.0 / declared_fs
     if abs(spacing - expected) > RATE_TOLERANCE * expected:
         raise RateMismatch(
-            f"{label}: declared {declared_fs:g} Hz but rows step "
+            f"{path}: declared {declared_fs:g} Hz but rows step "
             f"{spacing:.6g} s (expected {expected:.6g} s)"
         )
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty array of finite numbers or infinities,
+    bit for bit, without the NaN check that loads ``numpy.ma``: the middle
+    one or two values by ``np.partition``, summed as ``np.mean`` sums them
+    (from +0.0, so -0.0 and 0.0 give the same), over their count."""
+    half = x.size // 2
+    kth = [half] if x.size % 2 else [half - 1, half]
+    middle = np.partition(x, kth)[kth[0] : half + 1]
+    return float(middle.sum()) / middle.size
 
 
 def read_force_csv(path: str | Path, fs: float = FS_FORCE_DEFAULT) -> dict[str, np.ndarray]:
     """Read and validate a force-stream CSV; returns its columns by name."""
     cols = _read_csv_columns(path, FORCE_COLUMNS)
-    _check_rate(cols["t_s"], fs, str(path))
+    _check_rate(cols["t_s"], fs, Path(path))
     return cols
 
 
 def read_range_csv(path: str | Path, fs: float = FS_RANGE_DEFAULT) -> dict[str, np.ndarray]:
     """Read and validate a range-stream CSV; returns its columns by name."""
     cols = _read_csv_columns(path, RANGE_COLUMNS)
-    _check_rate(cols["t_s"], fs, str(path))
+    _check_rate(cols["t_s"], fs, Path(path))
     return cols
 
 

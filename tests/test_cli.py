@@ -12,6 +12,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -427,6 +428,90 @@ def test_analyze_raises_when_a_worker_dies(monkeypatch, tmp_path):
     with pytest.raises(BrokenProcessPool):
         main(["analyze", str(campaign), "--out", str(out)])
     _assert_only_a_crash_manifest(out)
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_analyze_leaves_no_worker_or_pipe_when_its_own_share_raises(monkeypatch, tmp_path):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=1, seed=5)
+    real, parent = cli.summarize_trial, os.getpid()
+
+    def crash_here(record):
+        if os.getpid() == parent:  # trial_000, share 0
+            raise RuntimeError("bug in the parent's share")
+        time.sleep(20.0)  # share 1 is still running when share 0 raises
+        return real(record)
+
+    monkeypatch.setattr(cli, "summarize_trial", crash_here)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    before, start = _open_fds(), time.monotonic()
+    with pytest.raises(RuntimeError, match="^bug in the parent's share$"):
+        cli._analyze_all(sorted(campaign.glob("trial_*.json")))
+    assert time.monotonic() - start < 10.0, "waited for the worker instead of ending it"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not this one")
+
+
+class _Unloadable(Exception):
+    """Pickles, but its pickled arguments (the one message) do not rebuild it."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
+@pytest.mark.parametrize("error", [ValueError, _Unpicklable, _Unloadable])
+def test_a_worker_exception_carries_the_worker_traceback(monkeypatch, tmp_path, error):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=1, seed=5)
+    real = cli.summarize_trial
+    args = ("bug", "in a worker") if error is _Unloadable else ("bug in a worker",)
+
+    def crash(record):
+        if record.meta.nominal_speed_mps == 3.5:  # trial_001, share 1 of 2
+            raise error(*args)
+        return real(record)
+
+    monkeypatch.setattr(cli, "summarize_trial", crash)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    manifests = sorted(campaign.glob("trial_*.json"))
+    if error is ValueError:
+        with pytest.raises(ValueError, match="^bug in a worker$") as exc:
+            cli._analyze_all(manifests)
+        assert isinstance(exc.value.__cause__, cli.WorkerTraceback)
+        text = str(exc.value.__cause__)
+        assert text.startswith("in analyze worker ")
+    else:
+        with pytest.raises(RuntimeError, match="^analyze worker .* cannot be pickled") as exc:
+            cli._analyze_all(manifests)
+        text = str(exc.value)
+    assert "raise error(*args)" in text
+    assert text.endswith(": bug in a worker\n")
+
+
+def test_analyze_rejects_only_the_trial_whose_clock_runs_backward(capsys, tmp_path):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    rows = (campaign / "trial_001_range.csv").read_text().splitlines(keepends=True)
+    rows[100], rows[101] = rows[101], rows[100]
+    (campaign / "trial_001_range.csv").write_text("".join(rows))
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 2
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(err) == 1 and err[0].startswith("error: trial_001.json: ")
+    assert "trial_001_range.csv row 102: t_s " in err[0]
+    metrics = (out / "metrics.csv").read_text().splitlines()
+    assert len(metrics) == 1 + 3
 
 
 # --- fit ---------------------------------------------------------------------

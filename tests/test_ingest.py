@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from impact_governor import ingest
 from impact_governor.errors import (
     AlignmentOutOfTolerance,
     EmptyStream,
@@ -156,6 +158,50 @@ def test_range_csv_rate_mismatch(tmp_path):
     p.write_text("t_s,range_m,trigger\n" + rows)
     with pytest.raises(RateMismatch):
         read_range_csv(p, fs=1000.0)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_clock_that_runs_backward_is_refused(tmp_path, swap):
+    # the median step of a swapped pair is still the declared one
+    rows = [f"{i * 0.001:.3f},1.0,0\n" for i in range(10)]
+    if swap:
+        rows[5], rows[6] = rows[6], rows[5]  # file rows 8 and 9, after a blank row 5
+        why = "t_s 0.005 s does not follow 0.006 s"
+    else:
+        rows[6] = rows[5]  # a repeated time stamp does not step forward either
+        why = "t_s 0.005 s does not follow 0.005 s"
+    p = tmp_path / "range.csv"
+    p.write_text("t_s,range_m,trigger\n" + "".join(rows[:3]) + "\n" + "".join(rows[3:]))
+    with pytest.raises(MalformedRow, match=rf"range\.csv row 9: {why} of the row before$"):
+        read_range_csv(p)
+    force = tmp_path / "force.csv"
+    force.write_text(FORCE_HEADER + FORCE_ROW + FORCE_ROW)
+    with pytest.raises(MalformedRow, match=r"force\.csv row 3: t_s 0.00016 s does not follow"):
+        read_force_csv(force)
+
+
+def test_a_well_formed_file_is_read_in_one_pass(tmp_path, monkeypatch):
+    calls = []
+
+    def parse_rows(rows):
+        calls.append(type(rows))
+        return real(rows)
+
+    real = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", parse_rows)
+    raw, _ = synth_trial(kind="elastic", seed=3)
+    load_trial(write_trial(raw, tmp_path, "t0"))
+    assert len(calls) == 2 and list not in calls  # one open file per stream
+
+
+def test_a_header_only_file_warns_nothing(tmp_path):
+    # np.loadtxt warns "input contained no data" on an empty body
+    p = tmp_path / "empty.csv"
+    p.write_text(FORCE_HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyStream, match="has a header but no data rows$"):
+            read_force_csv(p)
 
 
 def test_manifest_errors(tmp_path):

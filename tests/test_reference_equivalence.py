@@ -46,7 +46,7 @@ from impact_governor.dsp import (
     kalman_smooth,
     median_despike,
 )
-from impact_governor import impact, stream
+from impact_governor import fit, impact, stream
 from impact_governor.errors import (
     FINITE,
     EmptyStream,
@@ -72,11 +72,12 @@ from impact_governor.governor import (
 from impact_governor.ingest import (
     FORCE_COLUMNS,
     RANGE_COLUMNS,
+    _median,
     _read_csv_columns,
     align_streams,
     load_trial,
 )
-from impact_governor.fit import BODY_REGION_LIMITS_N
+from impact_governor.fit import BODY_REGION_LIMITS_N, build_airframe_profile
 from impact_governor.profile import (
     AirframeProfile,
     PolyModel,
@@ -620,6 +621,48 @@ def test_csv_reader_matches_oracle_on_random_tables(tmp_path, values, fmt, newli
     got = _read_csv_columns(p, FORCE_COLUMNS)
     for col in FORCE_COLUMNS:
         assert_bitwise(got[col], want[col])
+
+
+@settings(max_examples=200, deadline=None)
+@example(t=np.array([0.0, -0.0]))  # np.median sums from +0.0: the step -0.0 is 0.0
+@example(t=np.array([0.0, -0.0, -0.0, 0.0, 1.0]))
+@given(t=arrays(np.float64, st.integers(2, 41), elements=st.floats(-1e300, 1e300, width=64)))
+def test_step_median_matches_np_median(t):
+    # odd and even step counts, negative and signed-zero steps included
+    steps = np.diff(t)
+    assert struct.pack("<d", _median(steps)) == struct.pack("<d", float(np.median(steps)))
+
+
+distinct_speeds = st.lists(
+    st.sampled_from([0.0, -0.0, 3.0, 3.0 + 4e-10, 3.0 + 6e-10, 3.5, 3.5 - 4e-10, 1e-10]),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(speeds=distinct_speeds)
+def test_build_profile_counts_distinct_speeds_as_np_unique(speeds):
+    # the profile downgrades to a constant exactly below degree + 1 distinct
+    # speeds, so degrees 1-8 pin the count down
+    speeds = [*speeds, 4.0]  # a positive domain
+    want = np.unique(np.round(np.array(speeds), 9)).size
+    summaries = []
+    for v in speeds:
+        metrics = [impact.ImpactMetrics(
+            configuration="c", mass_kg=0.25, angle_deg=0.0, v_in_mps=3.0, f_max_n=100.0,
+            dt_j_s=0.036, j_ns=1.1, ec_i_j=1.0, ec_r=0.5, v_f_mps=1.0, e_hat=0.7,
+            v_f_impulse_mps=0.0,
+        )] * 2
+        s = impact.aggregate_configuration(metrics)
+        s.stats["v_in_mps"] = impact.MetricStat(v, 0.0, 0.0)
+        summaries.append(s)
+
+    def constant(x, y, degree):
+        return PolyModel([0.5], 0, 1.0, 0.0, (float(np.min(x)), float(np.max(x))))
+
+    with mock.patch.object(fit, "fit_polynomial", constant):
+        got = [build_airframe_profile(summaries, d).downgraded for d in range(1, 9)]
+    assert got == [want < d + 1 for d in range(1, 9)]
 
 
 # --- Kalman ------------------------------------------------------------------
