@@ -107,15 +107,3 @@ def build_airframe_profile(
         downgraded=downgraded,
     )
 
-
-def estimate_force_simple(mass_kg: float, v: float, dt_s: float) -> float:
-    """First-cut impact force from momentum over contact time: m v / dt.
-
-    Ignores rebound (underestimates whenever restitution is nonzero); useful
-    as a sanity floor next to the restitution-aware prediction.
-    """
-    if mass_kg <= 0 or dt_s <= 0:
-        raise ValueError("mass and dt must be positive")
-    if v < 0:
-        raise ValueError(f"speed must be >= 0, got {v}")
-    return mass_kg * v / dt_s

@@ -28,6 +28,7 @@ CAP_EPSILON = 1e-9
 #: relative slack when deciding a command already satisfies the cap; keeps
 #: saturation exactly idempotent without ever exceeding cap + 1e-9
 _NORM_SLACK = 1e-12
+_SLACK_FACTOR = 1.0 + _NORM_SLACK
 
 _BISECT_WIDTH = 1e-7
 
@@ -117,7 +118,7 @@ class GovernorConfig:
             raise GovernorConfigError(f"bad governor config: {exc}") from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class VelocityCommand:
     vx: float
     vy: float
@@ -138,7 +139,7 @@ class VelocityCommand:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ComplianceRecord:
     timestamp: float
     input_speed_mps: float
@@ -243,7 +244,7 @@ def limit_command(cmd: VelocityCommand, cap: float) -> VelocityCommand:
 
 def _saturate(cmd: VelocityCommand, n: float, cap: float) -> VelocityCommand:
     """Scale a finite command of speed ``n`` down to ``cap`` if it exceeds it."""
-    if n <= cap * (1.0 + _NORM_SLACK):
+    if n <= cap * _SLACK_FACTOR:
         return cmd
     s = cap / n
     return VelocityCommand(cmd.vx * s, cmd.vy * s, cmd.vz * s, cmd.timestamp)
@@ -275,6 +276,7 @@ class GovernorRuntime:
 
     def __init__(self, cfg: GovernorConfig, profile: AirframeProfile):
         self.cfg = cfg
+        self._staleness_timeout_s = cfg.staleness_timeout_s
         f_star = cfg.f_star_n
         if cfg.f_star_is_peak:
             f_star = cfg.f_star_n / profile.peak_to_average_ratio()
@@ -327,9 +329,16 @@ class GovernorRuntime:
     # -- command limiting ---------------------------------------------------
 
     def on_command(self, cmd: VelocityCommand) -> VelocityCommand:
-        """Limit one velocity command against the freshest cap and log it."""
+        """Limit one velocity command against the freshest cap and log it.
+
+        ``VelocityCommand.is_finite``, ``speed`` and ``_saturate`` are written
+        out here, in their order and with their arithmetic: this runs once
+        per command.
+        """
+        vx, vy, vz, t = cmd.vx, cmd.vy, cmd.vz, cmd.timestamp
         flags: list[str] = []
-        if self.last_record is not None and cmd.timestamp < self.last_record.timestamp:
+        last = self.last_record
+        if last is not None and t < last.timestamp:
             flags.append("clock-skew")
 
         snap = self._snapshot
@@ -339,29 +348,29 @@ class GovernorRuntime:
             d, t_range, cap, source = snap
             if cap is None:
                 flags.append("invalid-range")
-            elif not 0.0 <= cmd.timestamp - t_range <= self.cfg.staleness_timeout_s:
+            elif not 0.0 <= t - t_range <= self._staleness_timeout_s:
                 cap = None
         if cap is None:
             cap, source = self.stale_cap, "stale-failsafe"
 
-        if cmd.is_finite():
-            in_speed = cmd.speed()
-            out = _saturate(cmd, in_speed, cap)
-            out_speed = in_speed if out is cmd else out.speed()
+        if math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz):
+            try:
+                in_speed = math.sqrt(vx**2 + vy**2 + vz**2)
+            except OverflowError:  # finite parts whose squares overflow, like 1e200
+                in_speed = math.hypot(vx, vy, vz)
+            if in_speed <= cap * _SLACK_FACTOR:
+                out, out_speed = cmd, in_speed
+            else:
+                s = cap / in_speed
+                out = VelocityCommand(vx * s, vy * s, vz * s, t)
+                out_speed = out.speed()
         else:
             flags.append("non-finite-command")
             in_speed = math.nan
-            out = VelocityCommand(0.0, 0.0, 0.0, cmd.timestamp)
+            out = VelocityCommand(0.0, 0.0, 0.0, t)
             out_speed = 0.0
 
         self.last_record = ComplianceRecord(
-            timestamp=cmd.timestamp,
-            input_speed_mps=in_speed,
-            output_speed_mps=out_speed,
-            d_m=d,
-            cap_mps=cap,
-            cap_source=source,
-            violated=out_speed > cap + CAP_EPSILON,
-            flags=flags,
+            t, in_speed, out_speed, d, cap, source, out_speed > cap + CAP_EPSILON, flags
         )
         return out

@@ -144,11 +144,6 @@ class TrialRecord:
     fs: float
     meta: TrialMeta
 
-    @property
-    def range_resampled(self) -> np.ndarray:
-        """The range on the force grid, m, by zero-order hold."""
-        return self.range_m[self.range_index]
-
 
 def _first_rising_edge(time: np.ndarray, trigger: np.ndarray) -> float | None:
     high = np.flatnonzero(np.asarray(trigger) >= 0.5)
@@ -201,53 +196,66 @@ def _parse_rows(rows) -> np.ndarray:
     return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
-def _body(path: Path) -> list[str]:
-    """The lines of ``path`` after its header."""
+def _data_rows(path: Path) -> list[tuple[int, str]]:
+    """Each data row of ``path``: the file line its csv record starts on (the
+    header starts on line 1) and the record's text.
+
+    A record spans more than one line where a quoted cell holds a line
+    break, so row numbers follow records, not lines. A record of blank
+    cells is no data row. Past a cell too long for the csv module, each
+    remaining line is one record.
+    """
     with path.open(newline="") as fh:
-        next(csv.reader(fh), None)
-        return fh.readlines()
-
-
-def _data_row_numbers(body: list[str]) -> list[int]:
-    """File row number (the header is row 1) of each non-blank body line."""
-    return [i for i, ln in enumerate(body, start=2) if ln.strip(_BLANK_ROW_CHARS)]
+        lines = fh.readlines()
+    ends: list[int] = []  # the line count read at the end of each record
+    reader = csv.reader(lines)
+    try:
+        for _ in reader:
+            ends.append(reader.line_num)
+    except csv.Error:
+        pass
+    ends += range(ends[-1] + 1 if ends else 1, len(lines) + 1)
+    rows = []
+    for start, end in zip(ends, ends[1:]):
+        text = "".join(lines[start:end])
+        if text.strip(_BLANK_ROW_CHARS):
+            rows.append((start + 1, text))
+    return rows
 
 
 def _file_row(path: Path, k: int) -> int:
     """File row number of data row ``k`` (from 0) of ``path``."""
-    return _data_row_numbers(_body(path))[k]
+    return _data_rows(path)[k][0]
 
 
 def _parse_lines(path: Path) -> np.ndarray:
-    """The table of ``path``'s non-blank body lines, read line by line.
+    """The table of ``path``'s data rows, read record by record.
 
     Only runs when the one-pass read failed or found no rows: an empty body
     is an EmptyStream, a table that still does not parse a MalformedRow
     naming its first bad row.
     """
-    body = _body(path)
-    rows = [ln for ln in body if ln.strip(_BLANK_ROW_CHARS)]
+    rows = _data_rows(path)
     if not rows:
         raise EmptyStream(f"{path} has a header but no data rows")
     try:
-        return _parse_rows(rows)
+        return _parse_rows([text for _, text in rows])
     except ValueError:
-        raise _malformed_row(path, body) from None
+        raise _malformed_row(path, rows) from None
 
 
-def _malformed_row(path: Path, body: list[str]) -> MalformedRow:
+def _malformed_row(path: Path, rows: list[tuple[int, str]]) -> MalformedRow:
     """Name the first row that made the whole-table parse fail.
 
     Only runs after that parse failed. Each data row is parsed on its own; a
     row that parses but has another cell count than the first row is ragged.
     """
     width = None
-    for lineno in _data_row_numbers(body):
-        line = body[lineno - 2]
+    for lineno, text in rows:
         try:
-            cells = _parse_rows([line]).shape[1]
+            cells = _parse_rows([text]).shape[1]
         except ValueError:
-            return MalformedRow(f"{path} row {lineno}: {line.strip()!r} is not all numbers")
+            return MalformedRow(f"{path} row {lineno}: {text.strip()!r} is not all numbers")
         if width is None:
             width = cells
         elif cells != width:

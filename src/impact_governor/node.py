@@ -1,7 +1,8 @@
 """The command line: one parser, one entry point, one failure path, and ``govern``.
 
 ``main`` is the entry point of ``impact-governor`` and of
-``python -m impact_governor``; ``build_parser`` defines all five commands.
+``python -m impact_governor``; ``build_parser`` defines all five commands,
+and ``main`` builds that parser once per process.
 ``govern`` runs here, and the analysis commands load ``cli`` (and numpy)
 only when they run: this module loads only the standard library and the
 runtime modules, so ``--help``, ``--version`` and ``govern`` start without
@@ -16,6 +17,7 @@ recorded, the exit code and the ``error:`` line. Set
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -302,7 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the one parser of this process, built on first use; each parse_args
+#: call still returns a new Namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     """Entry point: parse the command line and run its subcommand."""
     _configure_logging()
-    return run_command(build_parser().parse_args(argv))
+    return run_command(_parser().parse_args(argv))

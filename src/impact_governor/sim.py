@@ -14,6 +14,13 @@ bit-identical.  The step runs on Python floats, with every norm taken by
 the C library's ``hypot`` and every expression in the order of the
 earlier numpy 2-vector code, so trajectories are also bit-identical to
 that code (``tests/test_reference_equivalence.py`` keeps it as oracle).
+
+Each person's distance is computed once per step, after integration
+(``human_distances``): the audit's nearest distance, the next detection
+and the next pilot command all read those values.  The pilot, the
+integrator and the nearest-distance reduction take and return plain
+values, and the loop looks each up on the module at every call, so that a
+wrapper set on the module attribute (``bench/tracer.py``) times its layer.
 """
 
 from __future__ import annotations
@@ -84,24 +91,6 @@ class SimScenario:
         return 1.0 / self.detection_rate_hz
 
 
-@dataclass
-class SimState:
-    """Mutable vehicle state advanced by the integrator.
-
-    ``position`` and ``velocity`` are ``(x, y)`` pairs of Python floats; the
-    integrator replaces them with new tuples each step.
-    """
-
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    t: float = 0.0
-    goal_index: int = 0
-
-    @property
-    def speed(self) -> float:
-        return _norm(*self.velocity)
-
-
 def _norm(x: float, y: float) -> float:
     """Euclidean norm, bit-identical to ``np.hypot``.
 
@@ -117,17 +106,25 @@ def _norm(x: float, y: float) -> float:
         return math.inf if x == x and y == y else math.nan
 
 
-def nearest_human_distance(
+def human_distances(
     position: tuple[float, float], humans: Sequence[tuple[float, float]]
-) -> float:
-    """Euclidean distance to the closest human, inf for an empty field.
+) -> list[float]:
+    """The distance from ``position`` to each human, in the order of ``humans``.
+
+    ``hypot`` ignores signs, so |h - p| and |p - h| are the same bits: the
+    pilot's repulsion uses these values as they are.
+    """
+    px, py = position
+    return [_norm(hx - px, hy - py) for hx, hy in humans]
+
+
+def nearest_human_distance(distances: Sequence[float]) -> float:
+    """The smallest of ``human_distances``, inf for an empty field.
 
     NaN if any distance is NaN.
     """
-    px, py = position
     nearest = math.inf
-    for hx, hy in humans:
-        d = _norm(hx - px, hy - py)
+    for d in distances:
         if d < nearest:
             nearest = d
         elif d != d:
@@ -135,23 +132,30 @@ def nearest_human_distance(
     return nearest
 
 
-def potential_field_cmd(state: SimState, scenario: SimScenario) -> VelocityCommand:
+def potential_field_cmd(
+    position: tuple[float, float],
+    distances: Sequence[float],
+    goal_index: int,
+    t: float,
+    scenario: SimScenario,
+) -> tuple[VelocityCommand, int]:
     """Pilot: attract to the active goal, repel from nearby humans.
 
-    Reaching a goal (within 0.5 m) advances ``state.goal_index`` to the
-    next goal so the vehicle shuttles back and forth.  The combined
-    desired velocity is clipped to the cruise speed; the governor, not
-    the pilot, is responsible for safety.
+    ``distances`` are the ``human_distances`` at ``position``. Reaching a
+    goal (within 0.5 m) advances to the next goal so the vehicle shuttles
+    back and forth; the command, stamped ``t``, is returned with the goal
+    index it flew toward.  The combined desired velocity is clipped to the
+    cruise speed; the governor, not the pilot, is responsible for safety.
     """
     v0 = scenario.cfg.v_cruise_mps
     goals = scenario.goals
-    px, py = state.position
-    gx, gy = goals[state.goal_index]
+    px, py = position
+    gx, gy = goals[goal_index]
     ox, oy = gx - px, gy - py
     dist = _norm(ox, oy)
     if dist < GOAL_CAPTURE_RADIUS_M and len(goals) > 1:
-        state.goal_index = (state.goal_index + 1) % len(goals)
-        gx, gy = goals[state.goal_index]
+        goal_index = (goal_index + 1) % len(goals)
+        gx, gy = goals[goal_index]
         ox, oy = gx - px, gy - py
         dist = _norm(ox, oy)
 
@@ -161,34 +165,36 @@ def potential_field_cmd(state: SimState, scenario: SimScenario) -> VelocityComma
         dx += scenario.k_attract * (ox / dist) * v0
         dy += scenario.k_attract * (oy / dist) * v0
     k_r, radius = scenario.k_repulse, scenario.repulse_radius_m
-    for hx, hy in scenario.humans:
-        ax, ay = px - hx, py - hy
-        d_h = _norm(ax, ay)
+    for (hx, hy), d_h in zip(scenario.humans, distances):
         if d_h < 1e-12 or d_h >= radius:
             continue
         weight = 1.0 - d_h / radius
-        dx += k_r * (ax / d_h) * weight * v0
-        dy += k_r * (ay / d_h) * weight * v0
+        dx += k_r * ((px - hx) / d_h) * weight * v0
+        dy += k_r * ((py - hy) / d_h) * weight * v0
 
     norm = _norm(dx, dy)
     if norm > v0 and norm > 0.0:
         scale = v0 / norm
         dx *= scale
         dy *= scale
-    return VelocityCommand(vx=dx, vy=dy, vz=0.0, timestamp=state.t)
+    return VelocityCommand(dx, dy, 0.0, t), goal_index
 
 
 def step(
-    state: SimState, cmd: VelocityCommand, dt: float, a_max: float
-) -> None:
+    position: tuple[float, float],
+    velocity: tuple[float, float],
+    cmd: VelocityCommand,
+    dt: float,
+    a_max: float,
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """Semi-implicit Euler step toward the commanded velocity.
 
     The velocity moves toward the command, with the change clipped to
-    ``a_max * dt``; the new velocity then advances the position.  E.g.
-    from v=(8,0) commanded to (3,0) with a=15, dt=0.004 the step only
-    reaches (7.94, 0).
+    ``a_max * dt``; the new velocity then advances the position, and both
+    are returned.  E.g. from v=(8,0) commanded to (3,0) with a=15,
+    dt=0.004 the step only reaches (7.94, 0).
     """
-    vx, vy = state.velocity
+    vx, vy = velocity
     dvx, dvy = cmd.vx - vx, cmd.vy - vy
     dv_norm = _norm(dvx, dvy)
     max_dv = a_max * dt
@@ -197,10 +203,8 @@ def step(
         dvx *= scale
         dvy *= scale
     vx, vy = vx + dvx, vy + dvy
-    px, py = state.position
-    state.velocity = (vx, vy)
-    state.position = (px + vx * dt, py + vy * dt)
-    state.t += dt
+    px, py = position
+    return (px + vx * dt, py + vy * dt), (vx, vy)
 
 
 @dataclass
@@ -239,51 +243,60 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     )
 
     humans = scenario.humans
+    a_max, c_m = cfg.a_mps2, cfg.c_m
     x0, y0 = scenario.start
-    state = SimState(position=(float(x0), float(y0)), velocity=(0.0, 0.0))
+    position, velocity = (float(x0), float(y0)), (0.0, 0.0)
+    t = 0.0
+    goal_index = 0
     n_steps = int(round(scenario.duration_s / dt))
     period = scenario.detection_period_s
     next_detection_t = 0.0
     compliant_speed = v_force + 1e-9
-    breach_speed = v_force + cfg.a_mps2 * dt
+    breach_speed = v_force + a_max * dt
 
     rows: list[tuple] = []
     entries: list[ZoneEntry] = []
-    # measured at the start and after every step; a detection reports the
-    # value measured at its position
-    d_true = nearest_human_distance(state.position, humans)
+    # measured at the start and after every step: the audit, the next
+    # detection and the next pilot command all use them
+    distances = human_distances(position, humans)
+    d_true = nearest_human_distance(distances)
     in_zone = d_true < s_zone
     if in_zone:
         entries.append(ZoneEntry(t_entry_s=0.0))
     violations = 0
     reach_margin_breaches = 0
     min_distance = math.inf
+    # the first step's speed is never NaN (the vehicle starts at rest), so
+    # this is the max() over the rows' speeds, and 0.0 for no rows
+    max_speed = 0.0
     max_speed_after_transient = None
     goal_switches = 0
 
     for _ in range(n_steps):
-        t = state.t
         if t >= next_detection_t - 1e-12:
             runtime.on_range(d_true, t)
             next_detection_t += period
 
-        idx_before = state.goal_index
-        cmd = potential_field_cmd(state, scenario)
-        if state.goal_index != idx_before:
+        cmd, goal = potential_field_cmd(position, distances, goal_index, t, scenario)
+        if goal != goal_index:
+            goal_index = goal
             goal_switches += 1
         limited = runtime.on_command(cmd)
         record = runtime.last_record
         if record.violated:
             violations += 1
-        step(state, limited, dt, cfg.a_mps2)
+        position, velocity = step(position, velocity, limited, dt, a_max)
+        t += dt
 
-        t = state.t
-        px, py = state.position
-        vx, vy = state.velocity
-        d_true = nearest_human_distance(state.position, humans)
+        px, py = position
+        vx, vy = velocity
+        distances = human_distances(position, humans)
+        d_true = nearest_human_distance(distances)
         if d_true < min_distance:
             min_distance = d_true
         speed = _norm(vx, vy)
+        if speed > max_speed:
+            max_speed = speed
 
         if d_true < s_zone:
             if not in_zone:
@@ -300,7 +313,7 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
                     max_speed_after_transient = speed
         in_zone = d_true < s_zone
 
-        if d_true < cfg.c_m and speed > breach_speed:
+        if d_true < c_m and speed > breach_speed:
             reach_margin_breaches += 1
 
         rows.append(
@@ -331,8 +344,8 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
         "max_time_to_compliance_s": max(times_to_comply) if times_to_comply else None,
         "max_speed_in_zone_after_transient_mps": max_speed_after_transient,
         "min_distance_m": None if math.isinf(min_distance) else min_distance,
-        "max_speed_mps": max(r[5] for r in rows) if rows else 0.0,
-        "final_position_m": list(state.position),
+        "max_speed_mps": max_speed,
+        "final_position_m": list(position),
         "goal_switches": goal_switches,
     }
     return rows, summary
@@ -421,22 +434,3 @@ def load_scenario(path) -> SimScenario:
         data = json.load(fh)
     return scenario_from_dict(data, base_dir=path.parent)
 
-
-def scenario_to_dict(scenario: SimScenario) -> dict:
-    """Inverse of scenario_from_dict with the profile inlined."""
-    return {
-        "name": scenario.name,
-        "start": list(scenario.start),
-        "goals": [list(g) for g in scenario.goals],
-        "humans": [list(h) for h in scenario.humans],
-        "physics_dt_s": scenario.physics_dt_s,
-        "detection_rate_hz": scenario.detection_rate_hz,
-        "duration_s": scenario.duration_s,
-        "gains": {
-            "attract": scenario.k_attract,
-            "repulse": scenario.k_repulse,
-            "repulse_radius_m": scenario.repulse_radius_m,
-        },
-        "governor": scenario.cfg.to_dict(),
-        "profile": scenario.profile.to_dict(),
-    }

@@ -60,6 +60,17 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_main_parses_every_command_line_with_one_parser():
+    parser = node._parser()
+    assert node._parser() is parser
+    first = parser.parse_args(["simulate", "s.json", "--out", "o", "--mode", "ramp"])
+    second = parser.parse_args(["govern", "--stdin", "--out", "o"])
+    assert first is not second
+    assert (first.scenario, first.mode) == ("s.json", "ramp")
+    # nothing of the first parse is left in the second
+    assert not hasattr(second, "scenario") and second.mode is None
+
+
 def test_metrics_csv_row_round_trip():
     m = ImpactMetrics(
         configuration="Foo-0deg", mass_kg=0.25, angle_deg=0.0, v_in_mps=3.2,
@@ -1316,6 +1327,36 @@ def test_simulate_is_deterministic_across_runs(tmp_path):
         summary = json.loads((out / "summary.json").read_text())
         assert summary["violations"] == 0
     assert digests[0] == digests[1]
+
+
+#: sha256 of trajectory.csv and summary.json for the three runs the benchmark
+#: times; a change that speeds up the loop must leave these bytes as they are
+SIMULATE_DIGESTS = {
+    ("three_humans_chest", ()): (
+        "a2fff0c075e8fd4a35f5efabe549d6fa56f6db3ab0020ca6086c006761156fa8",
+        "706e1b53d5428d4dbea28c875d72ea8019e85911ac587fa620244aae61985bf5",
+    ),
+    ("three_humans_face", ()): (
+        "86d1958a752282490ba1e4958cc9aaf3f1d3d7b674d2f06b8f1574b6b0dcf6b2",
+        "e8fefa939b8ff5c45a59c6136fe2790814cf69fc311f89149412871557de1f96",
+    ),
+    ("three_humans_chest", ("--mode", "ramp")): (
+        "2d3e4275d96add2671ce6dbaf640fd18671e195309a0b7c22df96fce93355069",
+        "706e1b53d5428d4dbea28c875d72ea8019e85911ac587fa620244aae61985bf5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, args", list(SIMULATE_DIGESTS), ids=["chest", "face", "chest-ramp"])
+def test_simulate_writes_the_pinned_bytes(tmp_path, name, args):
+    out = tmp_path / "sim"
+    assert main(["simulate", str(REPO_ROOT / "scenarios" / f"{name}.json"),
+                 "--out", str(out), *args]) == 0
+    digests = tuple(
+        hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("trajectory.csv", "summary.json")
+    )
+    assert digests == SIMULATE_DIGESTS[name, args]
 
 
 def test_simulate_emit_gnuplot_and_overrides(tmp_path):

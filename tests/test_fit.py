@@ -17,7 +17,6 @@ from impact_governor.fit import (
     AirframeProfile,
     PolyModel,
     build_airframe_profile,
-    estimate_force_simple,
     fit_polynomial,
     load_profile,
     parse_profile,
@@ -256,12 +255,6 @@ def test_shipped_profiles_parse_and_stay_physical():
 
 
 # --- misc --------------------------------------------------------------------
-
-
-def test_estimate_force_simple():
-    assert estimate_force_simple(0.25, 3.0, 0.036) == pytest.approx(0.25 * 3 / 0.036)
-    with pytest.raises(ValueError):
-        estimate_force_simple(0.25, -1.0, 0.036)
 
 
 def test_body_region_limits():

@@ -152,6 +152,27 @@ def test_non_finite_samples_are_rejected_in_both_streams(tmp_path, cell):
         read_range_csv(rng)
 
 
+def test_rows_are_numbered_from_the_line_where_each_record_starts(tmp_path):
+    # the quoted first cell spans file lines 2 and 3, so the nan is on line 6
+    p = tmp_path / "range.csv"
+    p.write_text('t_s,range_m,trigger\n"0.000\n",1.0,0\n0.001,1.0,0\n0.002,1.0,1\n0.003,nan,0\n')
+    with pytest.raises(MalformedRow, match=r"range\.csv row 6: non-finite sample$"):
+        read_range_csv(p)
+    # the line path numbers rows the same way: a blank line sends the file there
+    p.write_text('t_s,range_m,trigger\n"0.000\n",1.0,0\n\n0.001,1.0,0\n0.002,abc,1\n')
+    with pytest.raises(MalformedRow, match=r"range\.csv row 6: '0.002,abc,1' is not all numbers$"):
+        read_range_csv(p)
+
+
+def test_a_cell_past_the_csv_size_limit_is_named_by_its_line(tmp_path):
+    # the csv module refuses a cell over 131072 characters; from there on,
+    # rows are numbered line by line
+    p = tmp_path / "range.csv"
+    p.write_text("t_s,range_m,trigger\n0.000,1.0,0\n\n0.001," + "9" * 200_000 + "x,0\n0.002,1.0,1\n")
+    with pytest.raises(MalformedRow, match=r"range\.csv row 4: '0\.001,9{9}"):
+        read_range_csv(p)
+
+
 def test_range_csv_rate_mismatch(tmp_path):
     p = tmp_path / "slow.csv"
     rows = "".join(f"{i * 0.002:.6f},1.0,0\n" for i in range(50))
@@ -232,7 +253,7 @@ def test_align_puts_trigger_at_zero_and_crops_to_overlap():
     np.testing.assert_allclose(step, 1.0 / raw.fs_force, rtol=1e-9)
 
     # resampling is zero-order hold: every value is one of the raw readings
-    assert np.isin(record.range_resampled, raw.range_m).all()
+    assert np.isin(record.range_m[record.range_index], raw.range_m).all()
 
     # joint coverage only: the force grid extends RANGE_CLOCK_OFFSET_S past
     # the range logger's last physical sample and must be cropped there
@@ -247,7 +268,7 @@ def test_align_puts_trigger_at_zero_and_crops_to_overlap():
     t_probe = record.time[t_probe_idx]
     phys = t_probe + raw.trigger_time_range  # back to range-logger clock
     j = int(np.searchsorted(raw.range_time, phys + 1e-12)) - 1
-    assert record.range_resampled[t_probe_idx] == raw.range_m[j]
+    assert record.range_m[record.range_index[t_probe_idx]] == raw.range_m[j]
 
 
 def test_align_requires_triggers():
@@ -278,7 +299,7 @@ def test_align_is_idempotent_on_aligned_data():
     raw.accel = np.zeros_like(first.time)  # align_streams does not read it
     raw.force_trigger = (first.time >= 0).astype(float)
     raw.range_time = first.time.copy()
-    raw.range_m = first.range_resampled.copy()
+    raw.range_m = first.range_m[first.range_index].copy()
     raw.range_trigger = (first.time >= 0).astype(float)
     raw.trigger_time_force = 0.0
     raw.trigger_time_range = 0.0
@@ -286,4 +307,6 @@ def test_align_is_idempotent_on_aligned_data():
     second = align_streams(raw)
     np.testing.assert_array_equal(second.time, first.time)
     np.testing.assert_array_equal(second.force_total, first.force_total)
-    np.testing.assert_array_equal(second.range_resampled, first.range_resampled)
+    np.testing.assert_array_equal(
+        second.range_m[second.range_index], first.range_m[first.range_index]
+    )

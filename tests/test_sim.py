@@ -3,7 +3,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from impact_governor import sim
@@ -12,13 +11,12 @@ from impact_governor.governor import GovernorConfig, VelocityCommand
 from impact_governor.sim import (
     TRAJECTORY_COLUMNS,
     SimScenario,
-    SimState,
+    human_distances,
     load_scenario,
     nearest_human_distance,
     potential_field_cmd,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     step,
     write_trajectory,
     write_trajectory_gnuplot,
@@ -42,6 +40,26 @@ def make_scenario(**overrides):
     )
     kwargs.update(overrides)
     return SimScenario(**kwargs)
+
+
+def scenario_to_dict(scenario: SimScenario) -> dict:
+    """The JSON form of a scenario, profile inlined: what scenario_from_dict reads."""
+    return {
+        "name": scenario.name,
+        "start": list(scenario.start),
+        "goals": [list(g) for g in scenario.goals],
+        "humans": [list(h) for h in scenario.humans],
+        "physics_dt_s": scenario.physics_dt_s,
+        "detection_rate_hz": scenario.detection_rate_hz,
+        "duration_s": scenario.duration_s,
+        "gains": {
+            "attract": scenario.k_attract,
+            "repulse": scenario.k_repulse,
+            "repulse_radius_m": scenario.repulse_radius_m,
+        },
+        "governor": scenario.cfg.to_dict(),
+        "profile": scenario.profile.to_dict(),
+    }
 
 
 # --- scenario validation -----------------------------------------------------
@@ -71,38 +89,41 @@ def test_scenario_rejects_bad_parameters(overrides):
 
 
 def test_nearest_human_distance():
-    pos = np.array([0.0, 0.0])
-    assert nearest_human_distance(pos, []) == math.inf
-    assert nearest_human_distance(pos, [(3.0, 4.0), (0.0, 9.0)]) == pytest.approx(5.0)
+    pos = (0.0, 0.0)
+    assert human_distances(pos, []) == []
+    assert nearest_human_distance([]) == math.inf
+    distances = human_distances(pos, [(3.0, 4.0), (0.0, 9.0)])
+    assert distances == [5.0, 9.0]
+    assert nearest_human_distance(distances) == 5.0
+
+
+def pilot(sc, position, goal_index=0):
+    """The pilot's command and goal index at ``position``, time 0."""
+    return potential_field_cmd(
+        position, human_distances(position, sc.humans), goal_index, 0.0, sc
+    )
 
 
 def test_pilot_flies_toward_goal_at_cruise():
-    sc = make_scenario()
-    state = SimState(position=np.zeros(2), velocity=np.zeros(2))
-    cmd = potential_field_cmd(state, sc)
+    cmd, _ = pilot(make_scenario(), (0.0, 0.0))
     assert cmd.vx == pytest.approx(8.0)
     assert cmd.vy == pytest.approx(0.0)
 
 
 def test_pilot_switches_goal_on_capture():
     sc = make_scenario(goals=[(20.0, 0.0), (0.0, 0.0)])
-    state = SimState(position=np.array([19.8, 0.0]), velocity=np.zeros(2))
-    cmd = potential_field_cmd(state, sc)
-    assert state.goal_index == 1
+    cmd, goal_index = pilot(sc, (19.8, 0.0))
+    assert goal_index == 1
     assert cmd.vx < 0  # now heading back toward the origin
 
 
 def test_pilot_single_goal_never_switches():
-    sc = make_scenario()
-    state = SimState(position=np.array([19.9, 0.0]), velocity=np.zeros(2))
-    potential_field_cmd(state, sc)
-    assert state.goal_index == 0
+    _, goal_index = pilot(make_scenario(), (19.9, 0.0))
+    assert goal_index == 0
 
 
 def test_pilot_repulsion_pushes_away_from_close_human():
-    sc = make_scenario(humans=[(1.0, 0.0)])
-    state = SimState(position=np.zeros(2), velocity=np.zeros(2))
-    cmd = potential_field_cmd(state, sc)
+    cmd, _ = pilot(make_scenario(humans=[(1.0, 0.0)]), (0.0, 0.0))
     # repulsion from the human 1 m ahead overcomes the goal attraction
     assert cmd.vx < 0
 
@@ -110,10 +131,7 @@ def test_pilot_repulsion_pushes_away_from_close_human():
 def test_pilot_command_never_exceeds_cruise(rng):
     sc = make_scenario(humans=[(2.0, 1.0), (4.0, -1.0)])
     for _ in range(200):
-        state = SimState(
-            position=rng.uniform(-5, 25, size=2), velocity=np.zeros(2)
-        )
-        cmd = potential_field_cmd(state, sc)
+        cmd, _ = pilot(sc, tuple(rng.uniform(-5, 25, size=2).tolist()))
         assert cmd.speed() <= sc.cfg.v_cruise_mps + 1e-9
 
 
@@ -121,17 +139,16 @@ def test_pilot_command_never_exceeds_cruise(rng):
 
 
 def test_step_clips_acceleration():
-    state = SimState(position=np.zeros(2), velocity=np.array([8.0, 0.0]))
-    step(state, VelocityCommand(3.0, 0.0, 0.0, 0.0), dt=0.004, a_max=15.0)
-    assert state.velocity[0] == pytest.approx(7.94)  # only a*dt = 0.06 of braking
-    assert state.position[0] == pytest.approx(7.94 * 0.004)
-    assert state.t == pytest.approx(0.004)
+    position, velocity = step((0.0, 0.0), (8.0, 0.0), VelocityCommand(3.0, 0.0, 0.0, 0.0),
+                              dt=0.004, a_max=15.0)
+    assert velocity[0] == pytest.approx(7.94)  # only a*dt = 0.06 of braking
+    assert position[0] == pytest.approx(7.94 * 0.004)
 
 
 def test_step_reaches_nearby_target_exactly():
-    state = SimState(position=np.zeros(2), velocity=np.array([1.0, 0.0]))
-    step(state, VelocityCommand(1.02, 0.0, 0.0, 0.0), dt=0.004, a_max=15.0)
-    assert state.velocity[0] == pytest.approx(1.02)
+    _, velocity = step((0.0, 0.0), (1.0, 0.0), VelocityCommand(1.02, 0.0, 0.0, 0.0),
+                       dt=0.004, a_max=15.0)
+    assert velocity[0] == pytest.approx(1.02)
 
 
 # --- closed loop -------------------------------------------------------------
@@ -198,18 +215,24 @@ def test_face_scenario_forces_real_braking():
     assert summary["min_distance_m"] > scenario.cfg.c_m
 
 
-def test_nearest_distance_is_measured_once_per_position(monkeypatch):
-    # a detection reports the distance already measured at its position
-    calls = 0
+def test_distances_are_measured_once_per_position(monkeypatch):
+    # the audit, a detection and the pilot share the distances measured at
+    # their position
+    calls = {"human_distances": 0, "nearest_human_distance": 0}
 
-    def counted(position, humans):
-        nonlocal calls
-        calls += 1
-        return nearest_human_distance(position, humans)
+    def counted(name):
+        real = getattr(sim, name)
 
-    monkeypatch.setattr(sim, "nearest_human_distance", counted)
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name))
     _, summary = run_scenario(load_scenario(REPO_ROOT / "scenarios" / "three_humans_chest.json"))
-    assert calls == summary["steps"] + 1
+    assert calls == dict.fromkeys(calls, summary["steps"] + 1)
 
 
 def test_runs_are_deterministic():
