@@ -51,6 +51,7 @@ def main():
     print("the trajectories above are removed on exit; to keep and plot one:")
     print("  impact-governor simulate scenarios/three_humans_chest.json "
           "--body-region face --out sim_face")
+    print("  gnuplot> set datafile separator ','")
     print("  gnuplot> plot 'sim_face/trajectory.csv' using 2:3 with lines")
 
 

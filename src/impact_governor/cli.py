@@ -15,7 +15,6 @@ commands; ``govern`` runs in ``node`` itself. ``main`` is ``node.main``.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -32,27 +31,22 @@ from .errors import (
     ImpactGovernorError,
     IngestError,
     InvariantViolation,
-    MalformedRow,
     RestitutionOutOfRange,
 )
 from .fit import build_airframe_profile, parse_profile, save_profile
 from .governor import GovernorConfig, force_speed_cap
 from .impact import (
-    METRICS_CSV_COLUMNS,
     ConfigurationSummary,
     ImpactMetrics,
     aggregate_configuration,
+    read_metrics_csv,
     summarize_trial,
+    write_metrics_csv,
 )
-from .ingest import align_streams, load_trial
+from .ingest import align_streams, is_trial_manifest, load_trial
 from .node import _governor_overrides
 from .node import main  # noqa: F401  (cli.main is the one entry point too)
-from .sim import (
-    load_scenario,
-    run_scenario,
-    write_trajectory,
-    write_trajectory_gnuplot,
-)
+from .sim import load_scenario, run_scenario, write_trajectory
 
 log = logging.getLogger(__name__)
 
@@ -62,34 +56,6 @@ def _slug(text: str) -> str:
 
 
 # --- analyze ----------------------------------------------------------------
-
-
-def _is_trial_manifest(path: Path) -> bool:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(data, dict) and "force_csv" in data and "range_csv" in data
-
-
-def _metrics_row(m: ImpactMetrics) -> list[str]:
-    row = [m.configuration, _num(m.mass_kg), _num(m.angle_deg)]
-    row += [_num(getattr(m, f)) for f in METRICS_CSV_COLUMNS[3:-1]]
-    row.append(";".join(m.flags))
-    return row
-
-
-def _num(value: float) -> str:
-    return format(float(value), ".9g")
-
-
-def _metrics_from_row(row: dict) -> ImpactMetrics:
-    kwargs = {"configuration": row["configuration"]}
-    for name in METRICS_CSV_COLUMNS[1:-1]:
-        kwargs[name] = float(row[name])
-    flags = [f for f in row.get("flags", "").split(";") if f]
-    return ImpactMetrics(flags=flags, **kwargs)
 
 
 def _usable_cores() -> int:
@@ -285,7 +251,7 @@ def cmd_analyze(args, run: dict) -> int:
     run["config"] = {"input_dir": str(in_dir)}
     if not in_dir.is_dir():
         raise IngestError(f"not a directory: {in_dir}")
-    manifests = sorted(p for p in in_dir.glob("*.json") if _is_trial_manifest(p))
+    manifests = sorted(p for p in in_dir.glob("*.json") if is_trial_manifest(p))
     run["inputs"] = manifests
     if not manifests:
         raise IngestError(f"no trial manifests found in {in_dir}")
@@ -306,13 +272,8 @@ def cmd_analyze(args, run: dict) -> int:
     summaries = _summaries(processed)  # refuses names that collide before any write
     outputs = run["outputs"]
     if processed:
-        metrics_csv = out / "metrics.csv"
-        with open(metrics_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_CSV_COLUMNS)
-            for _, m in processed:
-                writer.writerow(_metrics_row(m))
-        outputs.append(metrics_csv.name)
+        write_metrics_csv(out / "metrics.csv", [m for _, m in processed])
+        outputs.append("metrics.csv")
 
     for name, members in summaries:
         with open(out / name, "w", encoding="utf-8") as fh:
@@ -374,14 +335,9 @@ def cmd_simulate(args, run: dict) -> int:
     scenario.cfg = GovernorConfig.from_dict({**scenario.cfg.to_dict(), **overrides})
 
     rows, summary = run_scenario(scenario)
-    traj = out / "trajectory.csv"
-    write_trajectory(rows, traj)
+    write_trajectory(rows, out / "trajectory.csv")
     outputs = run["outputs"]
-    outputs.append(traj.name)
-    if args.emit_gnuplot:
-        dat = out / "trajectory.dat"
-        write_trajectory_gnuplot(rows, dat)
-        outputs.append(dat.name)
+    outputs.append("trajectory.csv")
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -420,16 +376,7 @@ def cmd_report(args, run: dict) -> int:
     for path in args.inputs:
         p = Path(path)
         if p.suffix == ".csv":
-            with open(p, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.DictReader(fh)
-                for row in reader:
-                    try:
-                        metric_rows.append(_metrics_from_row(row))
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise MalformedRow(
-                            f"{p} row {reader.line_num}: not a metrics row "
-                            f"({type(exc).__name__}: {exc})"
-                        ) from exc
+            metric_rows += read_metrics_csv(p)
         elif p.suffix == ".json":
             with open(p, "r", encoding="utf-8") as fh:
                 data = json.load(fh)

@@ -131,13 +131,6 @@ class VelocityCommand:
         except OverflowError:  # finite parts whose squares overflow, like 1e200
             return math.hypot(self.vx, self.vy, self.vz)
 
-    def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.vx)
-            and math.isfinite(self.vy)
-            and math.isfinite(self.vz)
-        )
-
 
 @dataclass(slots=True)
 class ComplianceRecord:
@@ -237,17 +230,14 @@ def limit_command(cmd: VelocityCommand, cap: float) -> VelocityCommand:
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    if not cmd.is_finite():
-        return VelocityCommand(0.0, 0.0, 0.0, cmd.timestamp)
-    return _saturate(cmd, cmd.speed(), cap)
-
-
-def _saturate(cmd: VelocityCommand, n: float, cap: float) -> VelocityCommand:
-    """Scale a finite command of speed ``n`` down to ``cap`` if it exceeds it."""
+    vx, vy, vz, t = cmd.vx, cmd.vy, cmd.vz, cmd.timestamp
+    if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
+        return VelocityCommand(0.0, 0.0, 0.0, t)
+    n = cmd.speed()
     if n <= cap * _SLACK_FACTOR:
         return cmd
     s = cap / n
-    return VelocityCommand(cmd.vx * s, cmd.vy * s, cmd.vz * s, cmd.timestamp)
+    return VelocityCommand(vx * s, vy * s, vz * s, t)
 
 
 class GovernorRuntime:
@@ -331,9 +321,9 @@ class GovernorRuntime:
     def on_command(self, cmd: VelocityCommand) -> VelocityCommand:
         """Limit one velocity command against the freshest cap and log it.
 
-        ``VelocityCommand.is_finite``, ``speed`` and ``_saturate`` are written
-        out here, in their order and with their arithmetic: this runs once
-        per command.
+        The finiteness test, ``VelocityCommand.speed`` and the saturation of
+        ``limit_command`` are written out here, in their order and with their
+        arithmetic: this runs once per command.
         """
         vx, vy, vz, t = cmd.vx, cmd.vy, cmd.vz, cmd.timestamp
         flags: list[str] = []

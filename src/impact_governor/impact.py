@@ -8,6 +8,7 @@ speeds, kinetic-energy retention, and effective restitution.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .errors import (
     EmptyInput,
     InvariantViolation,
     LengthMismatch,
+    MalformedRow,
     NoImpactFound,
     NonFiniteEnergy,
     RestitutionAboveUnity,
@@ -91,10 +93,54 @@ METRIC_FIELDS = (
     "v_f_impulse_mps",
 )
 
-METRICS_CSV_COLUMNS = ("configuration", "mass_kg", "angle_deg") + METRIC_FIELDS + ("flags",)
+#: the numbers of a metrics CSV row, between its configuration and its flags
+_METRICS_CSV_NUMBERS = ("mass_kg", "angle_deg") + METRIC_FIELDS
+
+METRICS_CSV_COLUMNS = ("configuration",) + _METRICS_CSV_NUMBERS + ("flags",)
 
 #: the version of the configuration summary JSON that ``to_dict`` writes
 SUMMARY_SCHEMA = 1
+
+
+def write_metrics_csv(path, metrics: list[ImpactMetrics]) -> None:
+    """The ``METRICS_CSV_COLUMNS`` header, then one row per trial: each number
+    as ``%.9g`` and the flags joined by ``;``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_CSV_COLUMNS)
+        for m in metrics:
+            writer.writerow(
+                [m.configuration]
+                + [format(float(getattr(m, name)), ".9g") for name in _METRICS_CSV_NUMBERS]
+                + [";".join(m.flags)]
+            )
+
+
+def read_metrics_csv(path) -> list[ImpactMetrics]:
+    """The trials of a ``write_metrics_csv`` file, whose flags column may be
+    left out. A row of a file that lacks another column, a row with a cell
+    that is not a number and a row with fewer or more cells than the header
+    are each a MalformedRow naming the file and the row."""
+    metrics = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                configuration = row["configuration"]
+                numbers = {name: float(row[name]) for name in _METRICS_CSV_NUMBERS}
+                flags = row.get("flags", "")
+                if flags is None:
+                    raise ValueError("the row ends before its flags cell")
+                if None in row:  # where DictReader puts the cells past the header
+                    raise ValueError(f"{len(row[None])} cell(s) past the header")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRow(
+                    f"{path} row {reader.line_num}: not a metrics row "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+            flags = [f for f in flags.split(";") if f]
+            metrics.append(ImpactMetrics(configuration=configuration, flags=flags, **numbers))
+    return metrics
 
 
 def detect_impact(time: np.ndarray, force: np.ndarray, velocity: np.ndarray) -> ImpactWindow:

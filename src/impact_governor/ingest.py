@@ -69,6 +69,20 @@ MANIFEST_KEYS = (
     "range_csv",
 )
 
+#: the optional manifest keys, each overriding its stream's default rate
+SAMPLE_RATE_KEYS = ("sample_rate_force_hz", "sample_rate_range_hz")
+
+
+def is_trial_manifest(path: Path) -> bool:
+    """Whether ``path`` is a JSON object naming both stream files; one that
+    does is a trial manifest, whatever else it holds or lacks."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return False
+    return isinstance(data, dict) and "force_csv" in data and "range_csv" in data
+
 
 @dataclass
 class TrialMeta:
@@ -244,18 +258,31 @@ def _parse_lines(path: Path) -> np.ndarray:
         raise _malformed_row(path, rows) from None
 
 
+#: characters of a bad row that its error quotes; a longer row is cut to them
+_QUOTED_ROW_CHARS = 60
+
+
 def _malformed_row(path: Path, rows: list[tuple[int, str]]) -> MalformedRow:
     """Name the first row that made the whole-table parse fail.
 
     Only runs after that parse failed. Each data row is parsed on its own; a
     row that parses but has another cell count than the first row is ragged.
+    A row that does not parse is quoted, cut to its first
+    ``_QUOTED_ROW_CHARS`` characters if it is longer.
     """
     width = None
     for lineno, text in rows:
         try:
             cells = _parse_rows([text]).shape[1]
         except ValueError:
-            return MalformedRow(f"{path} row {lineno}: {text.strip()!r} is not all numbers")
+            row = text.strip()
+            quoted = repr(row)
+            if len(row) > _QUOTED_ROW_CHARS:
+                quoted = (
+                    f"{row[:_QUOTED_ROW_CHARS]!r} "
+                    f"(the first {_QUOTED_ROW_CHARS} of {len(row)} characters)"
+                )
+            return MalformedRow(f"{path} row {lineno}: {quoted} is not all numbers")
         if width is None:
             width = cells
         elif cells != width:
@@ -339,9 +366,9 @@ def load_trial(path: str | Path) -> RawAcquisition:
         nominal_speed_mps=read("nominal_speed_mps", FINITE),
         material=read("material", STR),
     )
-    fs_force = read("sample_rate_force_hz", FINITE, FS_FORCE_DEFAULT)
-    fs_range = read("sample_rate_range_hz", FINITE, FS_RANGE_DEFAULT)
-    for key, rate in (("sample_rate_force_hz", fs_force), ("sample_rate_range_hz", fs_range)):
+    defaults = (FS_FORCE_DEFAULT, FS_RANGE_DEFAULT)
+    fs_force, fs_range = (read(k, FINITE, d) for k, d in zip(SAMPLE_RATE_KEYS, defaults))
+    for key, rate in zip(SAMPLE_RATE_KEYS, (fs_force, fs_range)):
         if rate <= 0:
             raise ManifestError(f"{path}: {key} must be > 0, got {rate:g}")
 

@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[overrides], help="closed-loop scenario validation")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=_run_analysis)
 
     p = sub.add_parser("report", help="render a markdown bench report")

@@ -351,22 +351,13 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     return rows, summary
 
 
-def _write_rows(path, header: str, sep: str, rows: list[tuple]) -> None:
-    """The header line, then each row: eight numbers as ``%.9g`` and the cap
-    source, joined by ``sep``."""
-    line = sep.join(["%.9g"] * 8 + ["%s"]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % row for row in rows)
-
-
 def write_trajectory(rows: list[tuple], path) -> None:
-    _write_rows(path, ",".join(TRAJECTORY_COLUMNS), ",", rows)
-
-
-def write_trajectory_gnuplot(rows: list[tuple], path) -> None:
-    """Space-separated companion table for gnuplot (`using 1:6` etc.)."""
-    _write_rows(path, "# " + " ".join(TRAJECTORY_COLUMNS), " ", rows)
+    """The ``TRAJECTORY_COLUMNS`` header line, then each row: eight numbers as
+    ``%.9g`` and the cap source, joined by commas."""
+    line = ",".join(["%.9g"] * 8 + ["%s"]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 #: the scenario's optional numbers: top-level keys and ``gains`` keys, each

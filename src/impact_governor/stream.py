@@ -262,11 +262,11 @@ def run_udp(
     port: int,
     compliance: Optional[ComplianceLog] = None,
     stop: Optional[threading.Event] = None,
-    host: str = "127.0.0.1",
     poll_s: float = 0.2,
     on_bound: Optional[Callable[[int], None]] = None,
 ) -> int:
-    """Serve the same protocol over UDP, one message per datagram.
+    """Serve the same protocol over UDP on the loopback address, one message
+    per datagram.
 
     Replies (cmd_limited or error) are sent back to the datagram's
     source address.  Runs until ``stop`` is set and then returns 0; a
@@ -277,13 +277,13 @@ def run_udp(
     sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_DGRAM)
     try:
         try:
-            sock.bind((host, port))
+            sock.bind(("127.0.0.1", port))
         except OSError as exc:
             raise TransportError(f"cannot bind UDP port {port}: {exc.strerror or exc}") from exc
         sock.settimeout(poll_s)
         if on_bound is not None:
             on_bound(sock.getsockname()[1])
-        log.info("udp governor listening on %s:%d", host, sock.getsockname()[1])
+        log.info("udp governor listening on 127.0.0.1:%d", sock.getsockname()[1])
 
         def datagrams():  # stop is checked between messages, never mid-reply
             while stop is None or not stop.is_set():

@@ -21,8 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import (
+    FORCE_COLUMNS,
     FS_FORCE_DEFAULT,
     FS_RANGE_DEFAULT,
+    MANIFEST_KEYS,
+    RANGE_COLUMNS,
+    SAMPLE_RATE_KEYS,
     RawAcquisition,
     TrialMeta,
 )
@@ -195,45 +199,26 @@ def write_trial(raw: RawAcquisition, out_dir, stem: str) -> Path:
     """Write force/range CSVs plus the trial manifest; returns manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    force_csv = out_dir / f"{stem}_force.csv"
-    range_csv = out_dir / f"{stem}_range.csv"
+    force_path = out_dir / f"{stem}_force.csv"
+    range_path = out_dir / f"{stem}_range.csv"
     manifest = out_dir / f"{stem}.json"
 
-    with open(force_csv, "w", encoding="utf-8") as fh:
-        fh.write("t_s,f1_N,f2_N,f3_N,accel_mps2,trigger\n")
-        for k in range(raw.force_time.size):
-            fh.write(
-                "%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
-                % (
-                    raw.force_time[k],
-                    raw.force_channels[k, 0],
-                    raw.force_channels[k, 1],
-                    raw.force_channels[k, 2],
-                    raw.accel[k],
-                    int(raw.force_trigger[k]),
-                )
-            )
-    with open(range_csv, "w", encoding="utf-8") as fh:
-        fh.write("t_s,range_m,trigger\n")
-        for j in range(raw.range_time.size):
-            fh.write(
-                "%.9g,%.9g,%d\n"
-                % (raw.range_time[j], raw.range_m[j], int(raw.range_trigger[j]))
-            )
+    # each table holds the columns of its header, in order; the last, the
+    # trigger, is an integer
+    force = np.column_stack((raw.force_time, raw.force_channels, raw.accel, raw.force_trigger))
+    rng = np.column_stack((raw.range_time, raw.range_m, raw.range_trigger))
+    tables = ((force_path, FORCE_COLUMNS, force), (range_path, RANGE_COLUMNS, rng))
+    for path, columns, table in tables:
+        line = ",".join(["%.9g"] * (len(columns) - 1) + ["%d"]) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(line % tuple(row) for row in table.tolist())
 
-    payload = {
-        "configuration": raw.meta.configuration,
-        "mass_kg": raw.meta.mass_kg,
-        "angle_deg": raw.meta.angle_deg,
-        "nominal_speed_mps": raw.meta.nominal_speed_mps,
-        "material": raw.meta.material,
-        "force_csv": force_csv.name,
-        "range_csv": range_csv.name,
-        "sample_rate_force_hz": raw.fs_force,
-        "sample_rate_range_hz": raw.fs_range,
-    }
+    meta = raw.meta  # the values of the manifest keys, in their order
+    values = (meta.configuration, meta.mass_kg, meta.angle_deg, meta.nominal_speed_mps,
+              meta.material, force_path.name, range_path.name, raw.fs_force, raw.fs_range)
     with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(dict(zip(MANIFEST_KEYS + SAMPLE_RATE_KEYS, values, strict=True)), fh, indent=2)
         fh.write("\n")
     return manifest
 

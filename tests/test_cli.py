@@ -18,16 +18,18 @@ from pathlib import Path
 import pytest
 
 from impact_governor import cli, dsp, node
-from impact_governor.cli import (
-    METRICS_CSV_COLUMNS,
-    _metrics_from_row,
-    _metrics_row,
-    main,
-)
+from impact_governor.cli import main
 from impact_governor.errors import ProtocolError
 from impact_governor.fit import load_profile, save_profile
 from impact_governor.governor import GovernorConfig
-from impact_governor.impact import METRIC_FIELDS, ImpactMetrics, aggregate_configuration
+from impact_governor.impact import (
+    METRIC_FIELDS,
+    ImpactMetrics,
+    aggregate_configuration,
+    read_metrics_csv,
+    write_metrics_csv,
+)
+from impact_governor.ingest import is_trial_manifest
 from impact_governor.node import _sha256_of
 from impact_governor.synthetic import make_campaign, synth_trial, write_trial
 
@@ -71,15 +73,15 @@ def test_main_parses_every_command_line_with_one_parser():
     assert not hasattr(second, "scenario") and second.mode is None
 
 
-def test_metrics_csv_row_round_trip():
+def test_metrics_csv_row_round_trip(tmp_path):
     m = ImpactMetrics(
         configuration="Foo-0deg", mass_kg=0.25, angle_deg=0.0, v_in_mps=3.2,
         f_max_n=101.5, dt_j_s=0.0312, j_ns=1.07, ec_i_j=1.28, ec_r=0.14,
         v_f_mps=1.2, e_hat=0.375, v_f_impulse_mps=1.1,
         flags=["short-rebound-window"],
     )
-    row = dict(zip(METRICS_CSV_COLUMNS, _metrics_row(m)))
-    back = _metrics_from_row(row)
+    write_metrics_csv(tmp_path / "metrics.csv", [m])
+    [back] = read_metrics_csv(tmp_path / "metrics.csv")
     assert back.configuration == m.configuration
     assert back.flags == m.flags
     assert back.v_in_mps == pytest.approx(m.v_in_mps, rel=1e-8)
@@ -151,6 +153,27 @@ def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col,
     assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
         "summary_Carbon-0deg_v3.5.json"
     ]
+
+
+def test_analyze_quotes_a_huge_bad_row_in_a_short_error_line(tmp_path, capsys, monkeypatch):
+    # a cell past the csv module's 131072-character limit; relative paths keep
+    # the line's length independent of where the test runs
+    monkeypatch.chdir(tmp_path)
+    make_campaign(Path("campaign"), speeds=(3.0,), trials_per_speed=2, seed=5)
+    bad = Path("campaign/trial_001_force.csv")
+    _set_cell(bad, 730, 2, "9" * 200_000 + "x")
+    row = bad.read_text().splitlines()[730]
+
+    assert main(["analyze", "campaign", "--out", "out"]) == 2
+
+    [err] = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert err == (
+        f"error: trial_001.json: {bad} row 731: {row[:60]!r} "
+        f"(the first 60 of {len(row)} characters) is not all numbers"
+    )
+    assert len(err) < 300
+    manifest = json.loads(Path("out/run_manifest.json").read_text())
+    assert [t["rejected"] for t in manifest["trials"]] == [None, err.removeprefix("error: ")]
 
 
 @pytest.mark.parametrize("key", ["nominal_speed_mps", "mass_kg"])
@@ -285,7 +308,7 @@ def test_analyze_refuses_two_configurations_that_share_a_summary_name(
 def test_analyze_share_is_bitwise_independent_of_trial_order(campaign_dir):
     # the Kalman gains one trial computes and caches serve the trials after it
     dsp._gain_schedule.cache_clear()
-    manifests = sorted(p for p in campaign_dir.glob("*.json") if cli._is_trial_manifest(p))
+    manifests = sorted(p for p in campaign_dir.glob("*.json") if is_trial_manifest(p))
     forward = [outcome for outcome, _ in cli._analyze_share(manifests)]
     backward = [outcome for outcome, _ in cli._analyze_share(manifests[::-1])][::-1]
 
@@ -1359,17 +1382,16 @@ def test_simulate_writes_the_pinned_bytes(tmp_path, name, args):
     assert digests == SIMULATE_DIGESTS[name, args]
 
 
-def test_simulate_emit_gnuplot_and_overrides(tmp_path):
+def test_simulate_writes_three_files_and_takes_overrides(tmp_path):
     scenario = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
     out = tmp_path / "sim"
     assert (
-        main(
-            ["simulate", scenario, "--out", str(out), "--emit-gnuplot",
-             "--body-region", "face", "--mode", "ramp"]
-        )
+        main(["simulate", scenario, "--out", str(out), "--body-region", "face", "--mode", "ramp"])
         == 0
     )
-    assert (out / "trajectory.dat").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_manifest.json", "summary.json", "trajectory.csv"
+    ]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["v_force_mps"] == pytest.approx(6.77, abs=0.01)
     manifest = json.loads((out / "run_manifest.json").read_text())
@@ -1560,16 +1582,17 @@ def test_report_refuses_json_that_is_no_summary_or_profile(tmp_path, capsys, tex
 
 
 @pytest.mark.parametrize(
-    "cell, why",
-    [("abc", "ValueError: could not convert string to float: 'abc'"),
-     (None, "TypeError: float() argument must be")],
-    ids=["not-a-number", "short-row"],
+    "edit, why",
+    [(lambda cells: [*cells[:3], "abc", *cells[4:]],
+      "ValueError: could not convert string to float: 'abc'"),
+     (lambda cells: cells[:3], "TypeError: float() argument must be"),
+     (lambda cells: cells[:-1], "ValueError: the row ends before its flags cell"),
+     (lambda cells: [*cells, "123"], "ValueError: 1 cell(s) past the header")],
+    ids=["not-a-number", "short-row", "no-flags-cell", "extra-cell"],
 )
-def test_report_bad_metrics_row_names_file_and_row(analyzed_dir, tmp_path, capsys, cell, why):
+def test_report_bad_metrics_row_names_file_and_row(analyzed_dir, tmp_path, capsys, edit, why):
     lines = (analyzed_dir / "metrics.csv").read_text().splitlines(keepends=True)
-    cells = lines[2].split(",")
-    cells = cells[:3] if cell is None else [*cells[:3], cell, *cells[4:]]
-    lines[2] = ",".join(cells).rstrip("\n") + "\n"
+    lines[2] = ",".join(edit(lines[2].rstrip("\n").split(","))) + "\n"
     bad = tmp_path / "metrics.csv"
     bad.write_text("".join(lines))
     assert main(["report", str(bad), "--out", str(tmp_path / "out")]) == 2

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from impact_governor import ingest
+from impact_governor import ingest, synthetic
 from impact_governor.errors import (
     AlignmentOutOfTolerance,
     EmptyStream,
@@ -28,6 +28,7 @@ from impact_governor.ingest import (
 from impact_governor.synthetic import (
     RANGE_CLOCK_OFFSET_S,
     TRIGGER_TIME_S,
+    make_campaign,
     synth_trial,
     write_trial,
 )
@@ -61,6 +62,40 @@ def test_load_trial_rejects_a_non_finite_manifest_number(tmp_path, key, value):
     with pytest.raises(ManifestError) as exc:
         load_trial(manifest)
     assert str(exc.value) == f"{manifest}: {key} must be a finite number, got {value!r}"
+
+
+def test_a_campaign_writes_the_columns_that_ingest_reads(tmp_path, monkeypatch):
+    written = []  # the acquisition behind each trial make_campaign writes
+
+    def keep(raw, out_dir, stem):
+        written.append(raw)
+        return write_trial(raw, out_dir, stem)
+
+    monkeypatch.setattr(synthetic, "write_trial", keep)
+    manifests = make_campaign(tmp_path, speeds=(3.0, 3.5), trials_per_speed=1, seed=3)
+    assert len(manifests) == len(written) == 2
+    for manifest, raw in zip(manifests, written):
+        stem = manifest.stem
+        force_csv, range_csv = tmp_path / f"{stem}_force.csv", tmp_path / f"{stem}_range.csv"
+        with open(force_csv) as fh:
+            assert fh.readline() == ",".join(ingest.FORCE_COLUMNS) + "\n"
+        with open(range_csv) as fh:
+            assert fh.readline() == ",".join(ingest.RANGE_COLUMNS) + "\n"
+        force, rng = read_force_csv(force_csv), read_range_csv(range_csv)
+        # CSV float formatting keeps 9 significant digits; the trigger is exact
+        expected_force = {
+            "t_s": raw.force_time, "f1_N": raw.force_channels[:, 0],
+            "f2_N": raw.force_channels[:, 1], "f3_N": raw.force_channels[:, 2],
+            "accel_mps2": raw.accel, "trigger": raw.force_trigger,
+        }
+        expected_range = {"t_s": raw.range_time, "range_m": raw.range_m, "trigger": raw.range_trigger}
+        for got, expected in ((force, expected_force), (rng, expected_range)):
+            assert list(got) == list(expected)
+            for name, column in expected.items():
+                np.testing.assert_allclose(got[name], column, rtol=1e-8, atol=1e-12, err_msg=name)
+        doc = json.loads(manifest.read_text())
+        assert list(doc) == [*ingest.MANIFEST_KEYS, *ingest.SAMPLE_RATE_KEYS]
+        assert load_trial(manifest).meta == raw.meta
 
 
 def test_sum_load_cells_is_plain_sum():

@@ -19,7 +19,6 @@ from impact_governor.sim import (
     scenario_from_dict,
     step,
     write_trajectory,
-    write_trajectory_gnuplot,
 )
 
 from conftest import make_profile
@@ -256,23 +255,6 @@ def test_write_trajectory_round_trips(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(rows[0][0])
     assert first[8] == rows[0][8]
-
-    dat_path = tmp_path / "trajectory.dat"
-    write_trajectory_gnuplot(rows, dat_path)
-    dat_lines = dat_path.read_text().splitlines()
-    assert dat_lines[0].startswith("# t_s ")
-    assert len(dat_lines) == len(rows) + 1
-    assert len(dat_lines[1].split()) == len(TRAJECTORY_COLUMNS)
-
-
-def test_gnuplot_body_is_the_csv_body_space_separated(tmp_path):
-    rows, _ = run_scenario(load_scenario(REPO_ROOT / "scenarios" / "three_humans_face.json"))
-    write_trajectory(rows, tmp_path / "t.csv")
-    write_trajectory_gnuplot(rows, tmp_path / "t.dat")
-    csv_lines = (tmp_path / "t.csv").read_text().splitlines(keepends=True)
-    dat_lines = (tmp_path / "t.dat").read_text().splitlines(keepends=True)
-    assert dat_lines[0] == "# " + csv_lines[0].replace(",", " ")
-    assert "".join(dat_lines[1:]) == "".join(csv_lines[1:]).replace(",", " ")
 
 
 # --- serialization -----------------------------------------------------------
