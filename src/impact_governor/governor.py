@@ -251,7 +251,9 @@ class GovernorRuntime:
 
     The runtime fails closed: a command gets the stale cap unless the latest
     range reading is valid and at most ``staleness_timeout_s`` older than
-    the command. A reading stamped after the command is not fresh.
+    the command. A reading stamped after the command is not fresh. Time
+    runs forward: a valid reading stamped before the published one is not
+    published, so a late reading never widens the cap.
 
     ``on_range`` is the one place a distance becomes a cap. A valid reading
     below S(v_cruise) engages the zone in both modes. Binary mode releases
@@ -287,6 +289,10 @@ class GovernorRuntime:
         )
         self._engaged = False
         self._snapshot: tuple[float, float, float | None, str] | None = None
+        # late readings dropped by intake, and how many of them the limiter has
+        # flagged: each count has one writer, so the two sides share no flag
+        self._late_readings = 0
+        self._late_flagged = 0
         self.last_record: ComplianceRecord | None = None
 
     # -- range intake -------------------------------------------------------
@@ -299,9 +305,18 @@ class GovernorRuntime:
         stale failsafe flagged ``invalid-range`` until the next valid
         reading. It leaves the zone engagement as it was. An infinite
         distance (nobody in the field) is valid.
+
+        A valid reading stamped before the published one is late: it is not
+        published, leaves the zone engagement as it was, and the next command
+        carries the flag ``stale-range``. A non-finite stamp, which only an
+        invalid reading has, makes no reading late.
         """
         if math.isnan(d) or d < 0.0 or not math.isfinite(t):
             self._snapshot = (d, t, None, "stale-failsafe")
+            return
+        snap = self._snapshot
+        if snap is not None and t < snap[1] < math.inf:
+            self._late_readings += 1
             return
         if d < self.s_zone:
             self._engaged = True
@@ -330,6 +345,10 @@ class GovernorRuntime:
         last = self.last_record
         if last is not None and t < last.timestamp:
             flags.append("clock-skew")
+        late = self._late_readings
+        if late != self._late_flagged:
+            self._late_flagged = late
+            flags.append("stale-range")
 
         snap = self._snapshot
         if snap is None:

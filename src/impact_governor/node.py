@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import logging
 import os
 import signal
 import sys
 import threading
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +42,7 @@ from .errors import (
 )
 from .governor import GovernorConfig, GovernorRuntime
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, load_profile
-from .stream import ComplianceLog, run_stream, run_udp
+from .stream import ComplianceLog, ReplyBatch, run_stream, run_udp, stdio_lines
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +70,8 @@ def _configure_logging() -> None:
 
 
 def _sha256_of(obj) -> str:
+    import hashlib  # loaded when the manifest is written, not at govern's cold start
+
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
@@ -99,7 +100,8 @@ def _write_run_manifest(out_dir: Path, subcommand: str, started: str, run: dict,
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The UTC time to the second, as ``datetime.isoformat`` writes it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _governor_overrides(args) -> dict:
@@ -231,7 +233,9 @@ def cmd_govern(args, run: dict) -> int:
             run["outputs"].append(compliance_path)
             if args.udp is not None:
                 return run_udp(runtime, args.udp, compliance=compliance, stop=stop)
-            return run_stream(runtime, sys.stdin, sys.stdout, compliance=compliance)
+            replies = ReplyBatch(sys.stdout)
+            lines = stdio_lines(sys.stdin, replies)
+            return run_stream(runtime, lines, replies, compliance=compliance)
     except KeyboardInterrupt:
         return EXIT_OK
     finally:

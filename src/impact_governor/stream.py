@@ -18,16 +18,24 @@ raises ProtocolError, which ends the stream (exit code 3 on the command
 line).  The same payloads ride either stdin/stdout or UDP datagrams (one
 datagram per message, replies unicast back to the sender) through one loop.
 
+On stdin the governor reads at most ``READ_CHUNK`` bytes at a time, serves
+every complete line of what it read, and writes that chunk's replies to
+stdout in one write just before its next read (``stdio_lines`` with a
+``ReplyBatch``). No reply waits while the governor waits for input, so a
+live stream, which delivers one message per read, gets each reply at once;
+a replayed log gets one write per chunk instead of one per reply.
+
 Each emitted command is also appended to a compliance CSV so that a
 post-hoc audit can confirm the cap was honored.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
-import socket as socket_module
+import sys
 import threading
 from itertools import repeat
 from typing import IO, Callable, Iterable, Optional
@@ -238,6 +246,60 @@ def _serve(
             compliance.flush()
 
 
+#: the most bytes one read of stdin asks for: TextIOWrapper's own chunk size
+READ_CHUNK = 8192
+
+#: the newline rule CPython gives sys.stdin: "\n" ends a line, except on Windows
+_STDIN_NEWLINE = None if sys.platform == "win32" else "\n"
+
+
+class ReplyBatch:
+    """Reply sink that holds each written reply until ``flush``, which writes
+    them all to the text stream ``fh`` as one string and flushes ``fh``."""
+
+    def __init__(self, fh: IO[str]):
+        self._fh = fh
+        self._parts: list[str] = []
+        self.write = self._parts.append
+
+    def flush(self) -> None:
+        if self._parts:
+            text = "".join(self._parts)
+            self._parts.clear()
+            self._fh.write(text)
+            self._fh.flush()
+
+
+class _FlushBeforeRead(io.BufferedIOBase):
+    """The binary stream ``raw``, with ``sink`` flushed before each read,
+    which may block."""
+
+    def __init__(self, raw: IO[bytes], sink: ReplyBatch):
+        self._raw = raw
+        self._sink = sink
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = READ_CHUNK) -> bytes:
+        self._sink.flush()
+        return self._raw.read1(size)
+
+
+def stdio_lines(stdin: io.TextIOWrapper, sink: ReplyBatch) -> io.TextIOWrapper:
+    """The lines of ``stdin``, decoded and split by the rules of sys.stdin, from
+    reads of at most ``READ_CHUNK`` bytes of ``stdin.buffer`` with ``sink``
+    flushed before each one."""
+    lines = io.TextIOWrapper(
+        _FlushBeforeRead(stdin.buffer, sink),
+        encoding=stdin.encoding,
+        errors=stdin.errors,
+        newline=_STDIN_NEWLINE,
+    )
+    lines._CHUNK_SIZE = READ_CHUNK  # the size each read1 asks for
+    return lines
+
+
 def run_stream(
     runtime: GovernorRuntime,
     lines: Iterable[str],
@@ -246,14 +308,19 @@ def run_stream(
 ) -> int:
     """Consume NDJSON lines until exhaustion; returns 0 on a clean end of input
     (an empty stream included). The first malformed message gets an error line
-    and raises ProtocolError; no line after it is read."""
+    and raises ProtocolError; no line after it is read.
+
+    Each reply goes to ``out_fh.write`` as soon as it is formatted;
+    ``out_fh`` is flushed once, when the stream ends for any reason."""
 
     def emit(text: str) -> None:
         out_fh.write(text + "\n")
-        out_fh.flush()
 
-    # each stripped non-blank line with the one emit, by C iterators: no Python frame per line
-    _serve(runtime, zip(filter(None, map(str.strip, lines)), repeat(emit)), compliance)
+    try:
+        # each stripped non-blank line with the one emit, by C iterators: no Python frame per line
+        _serve(runtime, zip(filter(None, map(str.strip, lines)), repeat(emit)), compliance)
+    finally:
+        out_fh.flush()
     return EXIT_OK
 
 
@@ -274,7 +341,9 @@ def run_udp(
     ProtocolError.  ``port`` may be 0 to bind an ephemeral port, reported
     through ``on_bound``; a port that will not bind raises TransportError.
     """
-    sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_DGRAM)
+    import socket  # only UDP needs it: govern --stdin starts without it
+
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         try:
             sock.bind(("127.0.0.1", port))
@@ -289,7 +358,7 @@ def run_udp(
             while stop is None or not stop.is_set():
                 try:
                     data, addr = sock.recvfrom(65536)
-                except socket_module.timeout:
+                except socket.timeout:
                     continue
                 text = data.decode("utf-8", errors="replace")
                 yield text, lambda reply, _addr=addr: sock.sendto(reply.encode("utf-8"), _addr)

@@ -1,3 +1,4 @@
+import io
 import os
 from pathlib import Path
 
@@ -23,6 +24,30 @@ def make_profile(ec_r=0.145924, dt_s=0.036, mass_kg=0.25, dt_std_s=0.0033,
         angle_deg=0.0,
         f_max_ref_N=f_max_ref_N,
     )
+
+
+class _Reads(io.BufferedIOBase):
+    """Binary input that answers each ``read1`` with the next item of ``reads``
+    (as a pipe answers with what has arrived), then with b"" (end of input)."""
+
+    def __init__(self, reads):
+        self._reads = iter(reads)
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = -1) -> bytes:
+        return next(self._reads, b"")
+
+
+def stdin_of(*reads, errors: str = "strict") -> io.TextIOWrapper:
+    """A stand-in for sys.stdin on POSIX (UTF-8, "\n" ends a line) whose reads
+    return the ``reads`` in turn: each a str (encoded as UTF-8) or bytes, or
+    one iterable of them."""
+    if len(reads) == 1 and not isinstance(reads[0], (str, bytes)):
+        reads = reads[0]
+    raw = _Reads(r.encode("utf-8") if isinstance(r, str) else r for r in reads)
+    return io.TextIOWrapper(raw, encoding="utf-8", errors=errors, newline="\n")
 
 
 def child_env() -> dict:

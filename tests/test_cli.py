@@ -1,11 +1,11 @@
 import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import os
 import queue
+import select
 import shutil
 import signal
 import socket
@@ -31,9 +31,10 @@ from impact_governor.impact import (
 )
 from impact_governor.ingest import is_trial_manifest
 from impact_governor.node import _sha256_of
+from impact_governor.stream import ComplianceLog
 from impact_governor.synthetic import make_campaign, synth_trial, write_trial
 
-from conftest import child_env, make_profile
+from conftest import child_env, make_profile, stdin_of
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -603,7 +604,7 @@ def profile_path(tmp_path):
 
 def _govern_stdin(monkeypatch, capsys, messages, extra_args=(), out=None):
     text = "".join(json.dumps(m) + "\n" for m in messages)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
     code = main(["govern", "--stdin", *extra_args, "--out", str(out)])
     return code, capsys.readouterr().out
 
@@ -704,7 +705,7 @@ def test_govern_caps_finite_huge_command_and_odometry(monkeypatch, capsys, tmp_p
 def test_govern_malformed_stream_exits_protocol(
     monkeypatch, capsys, tmp_path, profile_path
 ):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{not json\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("{not json\n"))
     code = main(
         ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
     )
@@ -716,7 +717,7 @@ def test_govern_non_finite_reading_exits_protocol(
     monkeypatch, capsys, tmp_path, profile_path
 ):
     stream = '{"type":"range","d_m":NaN,"t_s":0}\n{"type":"cmd","vx":1,"vy":0,"vz":0,"t_s":0}\n'
-    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    monkeypatch.setattr("sys.stdin", stdin_of(stream))
     code = main(
         ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
     )
@@ -728,7 +729,7 @@ def test_govern_non_finite_reading_exits_protocol(
 
 
 def test_govern_requires_profile(monkeypatch, tmp_path):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
 
 
@@ -755,24 +756,82 @@ def _blocked_entry(*blocked: str) -> str:
 _BLOCKED_ENTRY = _blocked_entry("numpy", "scipy")
 
 
-def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
-    # govern runs in node, which loads neither cli nor the analysis stack
+#: govern --stdin at the face limit on the carbon profile, and its reply to a
+#: 20 m/s command 0.1 s after a 4 m reading
+_GOVERN_FACE = ["govern", "--stdin", "--body-region", "face",
+                "--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json")]
+_FACE_REPLY = ('{"type":"cmd_limited","vx":6.772305592894554,"vy":0.0,"vz":0.0,'
+               '"cap_mps":6.772305592894554,"source":"force","t_s":%r}')
+
+
+def _govern_blocked(tmp_path, entry):
+    """Run govern --stdin through the ``entry`` program on one reading and one command."""
     stdin = (
         '{"type":"range","d_m":4.0,"t_s":0.0}\n'
         '{"type":"cmd","vx":20.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n'
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _BLOCKED_ENTRY, "govern", "--stdin", "--body-region", "face",
-         "--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json"),
-         "--out", str(tmp_path / "gov")],
+        [sys.executable, "-c", entry, *_GOVERN_FACE, "--out", str(tmp_path / "gov")],
         input=stdin, capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        '{"type":"cmd_limited","vx":6.772305592894554,"vy":0.0,"vz":0.0,'
-        '"cap_mps":6.772305592894554,"source":"force","t_s":0.1}',
-    ]
+    assert proc.stdout.splitlines() == [_FACE_REPLY % 0.1]
     assert proc.stderr.splitlines() == ["loaded: "]
+
+
+def test_govern_cli_runs_with_numpy_and_scipy_blocked(tmp_path):
+    # govern runs in node, which loads neither cli nor the analysis stack
+    _govern_blocked(tmp_path, _BLOCKED_ENTRY)
+
+
+def test_govern_cli_runs_with_socket_and_datetime_blocked(tmp_path):
+    # govern --stdin starts without socket, which only --udp needs, and the
+    # manifest's time stamps need no datetime
+    _govern_blocked(tmp_path, _blocked_entry("socket", "datetime"))
+    manifest = json.loads((tmp_path / "gov" / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 0
+
+
+def _read_reply(fd: int, timeout_s: float) -> bytes:
+    """One reply line from the pipe ``fd``; b"" if none is complete in time."""
+    data, deadline = b"", time.monotonic() + timeout_s
+    while not data.endswith(b"\n"):
+        ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+        if not ready:
+            return b""
+        chunk = os.read(fd, 1)
+        if not chunk:
+            return data
+        data += chunk
+    return data
+
+
+def test_govern_answers_a_live_stream_before_the_next_message(tmp_path):
+    # a live stream sends one message and waits for its reply: the reply must
+    # come out while govern waits for input, with stdout block-buffered too
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    with open(tmp_path / "stderr", "wb") as err, subprocess.Popen(
+        [sys.executable, "-m", "impact_governor", *_GOVERN_FACE, "--out", str(tmp_path / "gov")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err, env=env, bufsize=0,
+    ) as proc:
+        try:
+            replies = []
+            for k in range(1, 6):
+                for msg in (
+                    {"type": "range", "d_m": 4.0, "t_s": k / 10 - 0.05},
+                    {"type": "odom", "vx": 1.0, "vy": 0.0, "vz": 0.0, "t_s": k / 10 - 0.01},
+                    {"type": "cmd", "vx": 20.0, "vy": 0.0, "vz": 0.0, "t_s": k / 10},
+                ):
+                    proc.stdin.write(json.dumps(msg).encode() + b"\n")
+                reply = _read_reply(proc.stdout.fileno(), 10.0).decode()
+                assert reply, f"no reply to command {k} while govern waits for input"
+                replies.append(reply)
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0, (tmp_path / "stderr").read_text()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert replies == [_FACE_REPLY % (k / 10) + "\n" for k in range(1, 6)]
 
 
 @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0), ([], 2)],
@@ -848,7 +907,7 @@ def test_module_routes_like_cli_main(tmp_path, monkeypatch, capsys, argv, code, 
     carbon = REPO_ROOT / "profiles" / "carbon_0deg.json"
     argv = [a.format(tmp=tmp_path, carbon=carbon) for a in argv]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
     try:
         in_process = main(argv)
     except SystemExit as exc:
@@ -952,7 +1011,7 @@ def _raise(exc):
 def test_govern_manifest_records_exit_status(
     monkeypatch, capsys, tmp_path, profile_path, stdin, patch, code, error
 ):
-    monkeypatch.setattr("sys.stdin", stdin() if callable(stdin) else io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin() if callable(stdin) else stdin))
     if patch is not None:
         monkeypatch.setattr("impact_governor.node.run_stream", patch)
     argv = ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
@@ -969,6 +1028,42 @@ def test_govern_manifest_records_exit_status(
     assert (manifest["exit_code"], manifest["error"]) == (code, error)
     if error is not None:
         assert capsys.readouterr().err.splitlines() == [error]
+
+
+@pytest.mark.parametrize(
+    "last, code",
+    [("", 0), ("{oops\n", 3), (None, 0)],
+    ids=["eof", "malformed-line", "sigterm"],
+)
+def test_govern_writes_every_reply_it_made_before_it_stops(
+    monkeypatch, capsys, tmp_path, profile_path, last, code
+):
+    # the replies of one read are written together; however the stream ends,
+    # each reply made before it ended is on stdout
+    commands = [{"type": "cmd", "vx": 20.0, "vy": 0.0, "vz": 0.0, "t_s": t} for t in (0.1, 0.2)]
+    text = "".join(json.dumps(m) + "\n" for m in [{"type": "range", "d_m": 4.0, "t_s": 0.0},
+                                                  *commands])
+    if last is None:  # SIGTERM once the second command is logged, mid-read
+        write = ComplianceLog.write
+
+        def write_then_term(self, record):
+            write(self, record)
+            if record.timestamp == 0.2:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(ComplianceLog, "write", write_then_term)
+        text += json.dumps(dict(commands[0], t_s=0.3)) + "\n"
+    else:
+        text += last
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
+    argv = ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    replies = [json.loads(r) for r in capsys.readouterr().out.splitlines()]
+    assert rc == code
+    assert [r.get("t_s") for r in replies] == [0.1, 0.2] + ([None] if code == 3 else [])
 
 
 def test_govern_manifest_records_a_failed_bind(capsys, tmp_path, profile_path):
@@ -1014,7 +1109,7 @@ def test_govern_refuses_a_compliance_log_it_cannot_use(
     config.write_text(json.dumps({"compliance_log": name}))
     handler = signal.getsignal(signal.SIGTERM)
     monkeypatch.setattr(
-        "sys.stdin", io.StringIO('{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n')
+        "sys.stdin", stdin_of('{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n')
     )
     code = main(["govern", "--stdin", "--config", str(config), "--profile", str(profile_path),
                  "--out", str(tmp_path / "out")])
@@ -1067,7 +1162,7 @@ def test_govern_udp_port_zero_serves_udp(monkeypatch, tmp_path, profile_path):
         return 0
 
     monkeypatch.setattr("impact_governor.node.run_udp", fake_udp)
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"type":"bogus"}\n'))
+    monkeypatch.setattr("sys.stdin", stdin_of('{"type":"bogus"}\n'))
     code = main(["govern", "--udp", "0", "--profile", str(profile_path), "--out", str(tmp_path)])
     assert (code, served) == (0, [0])
 
@@ -1297,7 +1392,7 @@ def _case_nan_override(tmp_path, monkeypatch):
          "profile-domain-negative"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
     argv = case(tmp_path, monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()

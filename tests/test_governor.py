@@ -405,21 +405,31 @@ _events = st.lists(
                               ("cmd", 9.0, 0.0, 0.0, 0.1)])
 @example(mode="binary", events=[("range", 30.0, 1e9), ("cmd", 9.0, 0.0, 0.0, 100.0)])
 @example(mode="binary", events=[("range", 30.0, math.nan), ("cmd", 9.0, 0.0, 0.0, 0.1)])
+@example(mode="binary", events=[("range", 2.0, 1.0), ("range", 30.0, 0.9),
+                                ("cmd", 9.0, 0.0, 0.0, 1.02)])
+@example(mode="ramp", events=[("range", -1.0, math.inf), ("range", 2.0, 1.0),
+                              ("cmd", 9.0, 0.0, 0.0, 1.02)])
 def test_runtime_fails_closed_on_bad_telemetry(mode, events):
     rt = GovernorRuntime(GovernorConfig(mode=mode, f_star_n=F_STAR_FACE), make_profile())
-    latest = None  # (d, t, valid) of the last range reading
-    engaged = False  # ramp hysteresis, driven by valid readings only
+    latest = None  # (d, t, valid) of the published range reading
+    engaged = False  # ramp hysteresis, driven by published valid readings only
+    late = False  # a valid reading stamped before the published one came since the last command
     for kind, *values in events:
         if kind == "range":
             d, t = values
             valid = not math.isnan(d) and d >= 0.0 and math.isfinite(t)
+            rt.on_range(d, t)
+            # time runs forward: a late valid reading is dropped; only a finite
+            # stamp can make a reading late
+            if valid and latest is not None and math.isfinite(latest[1]) and t < latest[1]:
+                late = True
+                continue
             latest = (d, t, valid)
             if valid:
                 if not engaged and d < S_ZONE:
                     engaged = True
                 elif engaged and d > 1.05 * S_ZONE:
                     engaged = False
-            rt.on_range(d, t)
             continue
 
         cmd = VelocityCommand(*values)
@@ -438,6 +448,66 @@ def test_runtime_fails_closed_on_bad_telemetry(mode, events):
         assert rec.cap_mps == pytest.approx(cap, abs=1e-6)
         assert (rec.cap_source == "stale-failsafe") == (not fresh)
         assert ("invalid-range" in rec.flags) == invalid
+        assert ("stale-range" in rec.flags) == late
+        late = False
+
+
+_grid_times = st.integers(0, 30).map(lambda k: k * 0.05)  # stamps that often tie or reorder
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["binary", "ramp"]),
+    events=st.lists(
+        st.one_of(
+            st.tuples(st.just("range"),
+                      st.one_of(st.floats(0.0, 30.0),
+                                st.sampled_from([math.inf, S_ZONE, 1.05 * S_ZONE])),
+                      _grid_times),
+            st.tuples(st.just("cmd"), _grid_times),
+        ),
+        max_size=40,
+    ),
+)
+@example(mode="binary", events=[("range", 2.0, 1.0), ("range", 30.0, 0.9), ("cmd", 1.02)])
+@example(mode="ramp", events=[("range", 2.0, 1.0), ("range", 30.0, 0.9), ("cmd", 1.02)])
+def test_a_late_range_reading_never_widens_the_cap(mode, events):
+    # the oracle publishes only the valid readings that arrive in time order
+    # (a tie is in order); a late one changes neither the cap nor the zone,
+    # and flags the next command
+    rt = GovernorRuntime(GovernorConfig(mode=mode, f_star_n=F_STAR_FACE), make_profile())
+    published = None  # (d, t)
+    engaged = False
+    late = False
+    for kind, *values in events:
+        if kind == "range":
+            d, t = values
+            rt.on_range(d, t)
+            if published is not None and t < published[1]:
+                late = True
+                continue
+            published = (d, t)
+            if d < S_ZONE:
+                engaged = True
+            elif d > (1.05 * S_ZONE if mode == "ramp" else math.nextafter(S_ZONE, 0.0)):
+                engaged = False
+            continue
+
+        (t,) = values
+        out = rt.on_command(VelocityCommand(25.0, 0.0, 0.0, t))
+        if published is None or not 0.0 <= t - published[1] <= TIMEOUT_S:
+            cap = V_FORCE_FACE
+        elif not engaged:
+            cap = V_MAX
+        elif mode == "binary":
+            cap = V_FORCE_FACE
+        else:
+            cap = max(V_FORCE_FACE, min(_zone_root(published[0]), V_MAX))
+        assert out.speed() <= cap + 1e-6
+        rec = rt.last_record
+        assert rec.cap_mps == pytest.approx(cap, abs=1e-6)
+        assert ("stale-range" in rec.flags) == late
+        late = False
 
 
 def test_runtime_modules_load_no_analysis_stack():

@@ -319,6 +319,9 @@ class OracleRuntime(GovernorRuntime):
         flags: list[str] = []
         if self._last_emitted_t is not None and cmd.timestamp < self._last_emitted_t:
             flags.append("clock-skew")
+        if self._late_readings != self._late_flagged:  # the shared intake dropped a late reading
+            self._late_flagged = self._late_readings
+            flags.append("stale-range")
 
         snap = self._snapshot
         if snap is None:

@@ -11,15 +11,18 @@ from impact_governor.errors import ProtocolError
 from impact_governor.governor import GovernorConfig, GovernorRuntime
 from impact_governor.stream import (
     COMPLIANCE_COLUMNS,
+    READ_CHUNK,
     ComplianceLog,
+    ReplyBatch,
     format_cmd_limited,
     format_error,
     parse_message,
     run_stream,
     run_udp,
+    stdio_lines,
 )
 
-from conftest import make_profile
+from conftest import make_profile, stdin_of
 
 
 @pytest.fixture
@@ -131,6 +134,117 @@ def test_run_stream_malformed_line_aborts(runtime):
     assert replies[0]["message"].startswith("invalid JSON: ")
     assert runtime.last_record is None
     assert list(lines) == [after]
+
+
+# --- stdin reader and batched replies ----------------------------------------
+
+_RANGE = '{"type":"range","d_m":4.0,"t_s":0.0}'
+_CMD = '{"type":"cmd","vx":20.0,"vy":0.0,"vz":0.0,"t_s":0.1}'
+_CAFE = '{"type":"odom","vx":0,"vy":0,"vz":0,"t_s":0.05,"note":"caf\u00e9"}'.encode("utf-8")
+_CUT = _CAFE.index(b"\xa9")  # between the two bytes of the e-acute
+
+
+class _Writes(io.StringIO):
+    """A text sink that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _outcome(lines, out):
+    """run_stream's return code or raised (type, message), with a fresh runtime."""
+    runtime = GovernorRuntime(GovernorConfig(), make_profile())
+    try:
+        return run_stream(runtime, lines, out)
+    except (ProtocolError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "reads, lines",
+    [
+        ((_RANGE[:10], _RANGE[10:] + "\n" + _CMD + "\n"), [_RANGE + "\n", _CMD + "\n"]),
+        ((_CAFE[:_CUT], _CAFE[_CUT:] + b"\n" + _CMD.encode() + b"\n"),
+         [_CAFE.decode() + "\n", _CMD + "\n"]),
+        ((_RANGE + "\r\n" + _CMD + "\r", "\n"), [_RANGE + "\r\n", _CMD + "\r\n"]),
+        ((_RANGE + "\r" + _CMD + "\n",), [_RANGE + "\r" + _CMD + "\n"]),  # a lone CR ends no line
+        (("\n\n" + _RANGE + "\n  \n", _CMD), ["\n", "\n", _RANGE + "\n", "  \n", _CMD]),
+        ((), []),
+    ],
+    ids=["line-across-reads", "utf8-across-reads", "crlf", "lone-cr", "blank-and-unterminated",
+         "empty"],
+)
+def test_stdio_lines_split_and_serve_as_stdin_itself(reads, lines):
+    # the lines and the outcome are those of iterating the stdin directly, and
+    # each read leaves its replies in one write
+    assert list(stdio_lines(stdin_of(*reads), ReplyBatch(io.StringIO()))) == lines
+    assert list(stdin_of(*reads)) == lines
+    direct, batched = io.StringIO(), _Writes()
+    replies = ReplyBatch(batched)
+    outcome = _outcome(stdio_lines(stdin_of(*reads), replies), replies)
+    assert (outcome, batched.getvalue()) == (_outcome(stdin_of(*reads), direct), direct.getvalue())
+    assert batched.writes == (1 if direct.getvalue() else 0)
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_stdio_lines_invalid_utf8_ends_as_iterating_stdin_does(errors):
+    # sys.stdin is strict under a UTF-8 locale and surrogateescape under C/POSIX
+    reads = (_RANGE + "\n" + _CMD + "\n", b'{"type":"cmd","vx":1\xff}\n' + _CMD.encode() + b"\n")
+    direct, batched = io.StringIO(), io.StringIO()
+    replies = ReplyBatch(batched)
+    outcome = _outcome(stdio_lines(stdin_of(*reads, errors=errors), replies), replies)
+    assert outcome == _outcome(stdin_of(*reads, errors=errors), direct)
+    assert outcome[0] is (UnicodeDecodeError if errors == "strict" else ProtocolError)
+    assert batched.getvalue() == direct.getvalue()
+    assert batched.getvalue().startswith('{"type":"cmd_limited"')
+
+
+def test_replies_are_written_before_each_read():
+    # a read may block: every reply to the lines already read is out before it
+    out = _Writes()
+    seen = []  # the replies on ``out`` as each read starts
+
+    def reads():
+        for chunk in (_RANGE + "\n" + _CMD + "\n" + _CMD[:9], _CMD[9:] + "\n" + _CMD + "\n",
+                      "\n" + _CMD + "\n"):
+            seen.append(out.getvalue().count("\n"))
+            yield chunk
+        seen.append(out.getvalue().count("\n"))
+
+    replies = ReplyBatch(out)
+    assert _outcome(stdio_lines(stdin_of(reads()), replies), replies) == 0
+    assert seen == [0, 1, 3, 4]
+    assert out.writes == 3  # one per read that completed a command
+
+
+def test_stdio_lines_reads_at_most_read_chunk_bytes():
+    sizes = []
+
+    class Pipe(io.BytesIO):
+        def read1(self, size=-1):
+            data = super().read1(size)
+            sizes.append(len(data))
+            return data
+
+    data = ((_RANGE + "\n" + _CMD + "\n") * 400).encode()  # about 37 KiB
+    stdin = io.TextIOWrapper(Pipe(data), encoding="utf-8", newline="\n")
+    replies = ReplyBatch(io.StringIO())
+    assert len(list(stdio_lines(stdin, replies))) == 800
+    assert max(sizes) == READ_CHUNK and sum(sizes) == len(data) and sizes[-1] == 0
+
+
+def test_malformed_line_leaves_every_earlier_reply_written():
+    out = _Writes()
+    replies = ReplyBatch(out)
+    text = _RANGE + "\n" + _CMD + "\n" + _CMD + "\n{oops\n" + _CMD + "\n"
+    outcome = _outcome(stdio_lines(stdin_of(text), replies), replies)
+    assert outcome[0] is ProtocolError
+    assert [json.loads(r)["type"] for r in out.getvalue().splitlines()] == [
+        "cmd_limited", "cmd_limited", "error"]
+    assert out.writes == 1
 
 
 # --- compliance log ----------------------------------------------------------
