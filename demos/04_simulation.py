@@ -8,7 +8,6 @@ inside every protective zone; both must come out violation-free.
 Run:  python3 demos/04_simulation.py
 """
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -19,10 +18,7 @@ SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "three_humans_che
 
 
 def run(region: str, out_dir: Path):
-    scenario = load_scenario(SCENARIO)
-    scenario.cfg = dataclasses.replace(
-        scenario.cfg, f_star_n=BODY_REGION_LIMITS_N[region]
-    )
+    scenario = load_scenario(SCENARIO, {"f_star_n": BODY_REGION_LIMITS_N[region]})
     rows, summary = run_scenario(scenario)
     traj = out_dir / f"trajectory_{region}.csv"
     write_trajectory(rows, traj)

@@ -50,7 +50,7 @@ def main():
                 out,
                 compliance=compliance,
             )
-        audit = log_path.read_text()
+        audit = log_path.read_text(encoding="utf-8")
 
     replies = iter(out.getvalue().splitlines())
     for msg in SCRIPT:

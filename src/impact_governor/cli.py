@@ -126,8 +126,6 @@ def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
     n = min(_usable_cores(), len(manifests))
     if n > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
         n = 1
-    if n == 1:
-        return _analyze_share(manifests), 1
 
     shares = [manifests[k::n] for k in range(n)]
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
@@ -331,10 +329,8 @@ def cmd_simulate(args, run: dict) -> int:
     overrides = _governor_overrides(args)
     run["inputs"] = [args.scenario]
     run["config"] = {"scenario": str(args.scenario), **overrides}
-    scenario = load_scenario(args.scenario)
-    scenario.cfg = GovernorConfig.from_dict({**scenario.cfg.to_dict(), **overrides})
 
-    rows, summary = run_scenario(scenario)
+    rows, summary = run_scenario(load_scenario(args.scenario, overrides))
     write_trajectory(rows, out / "trajectory.csv")
     outputs = run["outputs"]
     outputs.append("trajectory.csv")

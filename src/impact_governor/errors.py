@@ -33,9 +33,9 @@ class EmptyStream(IngestError):
 
 
 class MalformedRow(IngestError):
-    """A stream row holds a non-numeric, empty or non-finite cell, has a
-    different number of cells than the rows before it, or a time stamp that
-    does not exceed the one of the row before."""
+    """A stream file is not UTF-8 text, or a stream row holds a non-numeric,
+    empty or non-finite cell, has a different number of cells than the rows
+    before it, or a time stamp that does not exceed the one of the row before."""
 
 
 class TriggerMissing(IngestError):
@@ -127,7 +127,7 @@ class ProtocolError(ImpactGovernorError):
 
 
 class TransportError(ImpactGovernorError):
-    """The streaming interface cannot be opened (a UDP port that will not bind)."""
+    """The streaming interface cannot be opened (a UDP port that will not bind, a closed stdio)."""
 
 
 # --- sim ------------------------------------------------------------------

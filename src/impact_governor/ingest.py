@@ -79,7 +79,7 @@ def is_trial_manifest(path: Path) -> bool:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: not UTF-8, or no JSON json can read
         return False
     return isinstance(data, dict) and "force_csv" in data and "range_csv" in data
 
@@ -173,27 +173,32 @@ _BLANK_ROW_CHARS = " \t\r\n,"
 
 def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
     path = Path(path)
-    with path.open(newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise EmptyStream(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise MissingColumn(f"{path} lacks column(s) {missing}")
-        # One C pass over the rest of the file. It fails on a row that holds
-        # no data, a bad cell or a ragged row, and finds no rows in an empty
-        # body (with a warning, silenced: _parse_lines raises EmptyStream);
-        # only then are the lines read and judged one by one.
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = _parse_rows(fh)
-        except ValueError:
-            data = None
-    if data is None or not len(data):
-        data = _parse_lines(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise EmptyStream(f"{path} is empty") from None
+            header = [h.strip() for h in header]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise MissingColumn(f"{path} lacks column(s) {missing}")
+            # One C pass over the rest of the file. It fails on a row that holds
+            # no data, a bad cell or a ragged row, and finds no rows in an empty
+            # body (with a warning, silenced: _parse_lines raises EmptyStream);
+            # only then are the lines read and judged one by one.
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning
+                    )
+                    data = _parse_rows(fh)
+            except ValueError:
+                data = None
+        if data is None or not len(data):
+            data = _parse_lines(path)
+    except UnicodeDecodeError as exc:  # its position counts from a read chunk, not the file
+        raise MalformedRow(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
     width = max(header.index(name) for name in required) + 1
     if data.shape[1] < width:
         raise MalformedRow(
@@ -219,7 +224,7 @@ def _data_rows(path: Path) -> list[tuple[int, str]]:
     cells is no data row. Past a cell too long for the csv module, each
     remaining line is one record.
     """
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
     ends: list[int] = []  # the line count read at the end of each record
     reader = csv.reader(lines)
@@ -349,8 +354,8 @@ def load_trial(path: str | Path) -> RawAcquisition:
     """
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or no JSON json can read
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:

@@ -56,6 +56,7 @@ _EXIT_CODES = {
     ImpactGovernorError: EXIT_INPUT,
     FileNotFoundError: EXIT_INPUT,
     json.JSONDecodeError: EXIT_INPUT,
+    UnicodeDecodeError: EXIT_INPUT,  # an input file that is not UTF-8
 }
 
 
@@ -233,6 +234,8 @@ def cmd_govern(args, run: dict) -> int:
             run["outputs"].append(compliance_path)
             if args.udp is not None:
                 return run_udp(runtime, args.udp, compliance=compliance, stop=stop)
+            if None in (sys.stdin, sys.stdout):  # started with one closed (<&- or >&-)
+                raise TransportError(f"{'stdin' if sys.stdin is None else 'stdout'} is closed")
             replies = ReplyBatch(sys.stdout)
             lines = stdio_lines(sys.stdin, replies)
             return run_stream(runtime, lines, replies, compliance=compliance)

@@ -262,4 +262,4 @@ def load_profile(path: str | Path) -> AirframeProfile:
 
 
 def save_profile(profile: AirframeProfile, path: str | Path) -> None:
-    Path(path).write_text(serialize_profile(profile))
+    Path(path).write_text(serialize_profile(profile), encoding="utf-8")

@@ -8,6 +8,9 @@ governor before integration.  The run produces a trajectory table and a
 compliance summary: this is the cheap, deterministic way to confirm the
 cap logic holds in closed loop before anyone stands near a real prop.
 
+A scenario is built once, with the command line's governor settings, and
+frozen, so that its checks hold for the run.
+
 Everything is pure kinematics on a fixed step — no randomness, no
 wall-clock dependence — so two runs of the same scenario are
 bit-identical.  The step runs on Python floats, with every norm taken by
@@ -50,9 +53,10 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimScenario:
-    """Static description of one closed-loop validation run."""
+    """Static description of one closed-loop validation run; frozen, so that
+    a changed copy (``dataclasses.replace``) is checked again."""
 
     name: str
     start: tuple[float, float]
@@ -85,10 +89,6 @@ class SimScenario:
                 "staleness timeout shorter than the detection period would "
                 "trip the failsafe between healthy detections"
             )
-
-    @property
-    def detection_period_s(self) -> float:
-        return 1.0 / self.detection_rate_hz
 
 
 def _norm(x: float, y: float) -> float:
@@ -207,27 +207,17 @@ def step(
     return (px + vx * dt, py + vy * dt), (vx, vy)
 
 
-@dataclass
-class ZoneEntry:
-    t_entry_s: float
-    t_compliant_s: Optional[float] = None
-
-    @property
-    def time_to_compliance_s(self) -> Optional[float]:
-        if self.t_compliant_s is None:
-            return None
-        return self.t_compliant_s - self.t_entry_s
-
-
 def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     """Run the closed loop and audit it.
 
     Returns (trajectory rows, summary).  Rows follow
     ``TRAJECTORY_COLUMNS``; one row per physics step, logged after
     integration.  The summary counts governor violations (commands that
-    left the runtime above the active cap — must be zero), tracks every
-    entry into the protective zone with its time-to-compliance against
-    the reaction-window bound, and checks the braking-margin invariant:
+    left the runtime above the active cap — must be zero), records every
+    entry into the protective zone as the dict it prints (``t_entry_s``,
+    then ``t_compliant_s`` and ``time_to_compliance_s`` once the speed
+    is down to v_force, else None) to hold against the reaction-window
+    bound, and checks the braking-margin invariant:
     inside the residual buffer ``C`` the speed never exceeds the force
     cap by more than one acceleration step.
     """
@@ -249,20 +239,20 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     t = 0.0
     goal_index = 0
     n_steps = int(round(scenario.duration_s / dt))
-    period = scenario.detection_period_s
+    period = 1.0 / scenario.detection_rate_hz
     next_detection_t = 0.0
     compliant_speed = v_force + 1e-9
     breach_speed = v_force + a_max * dt
 
     rows: list[tuple] = []
-    entries: list[ZoneEntry] = []
+    entries: list[dict] = []
     # measured at the start and after every step: the audit, the next
     # detection and the next pilot command all use them
     distances = human_distances(position, humans)
     d_true = nearest_human_distance(distances)
     in_zone = d_true < s_zone
     if in_zone:
-        entries.append(ZoneEntry(t_entry_s=0.0))
+        entries.append({"t_entry_s": 0.0, "t_compliant_s": None, "time_to_compliance_s": None})
     violations = 0
     reach_margin_breaches = 0
     min_distance = math.inf
@@ -300,11 +290,14 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
 
         if d_true < s_zone:
             if not in_zone:
-                entries.append(ZoneEntry(t_entry_s=t))
+                entries.append(
+                    {"t_entry_s": t, "t_compliant_s": None, "time_to_compliance_s": None}
+                )
             entry = entries[-1]
-            if entry.t_compliant_s is None and speed <= compliant_speed:
-                entry.t_compliant_s = t
-            since_entry = t - entry.t_entry_s
+            if entry["t_compliant_s"] is None and speed <= compliant_speed:
+                entry["t_compliant_s"] = t
+                entry["time_to_compliance_s"] = t - entry["t_entry_s"]
+            since_entry = t - entry["t_entry_s"]
             if since_entry > transient_bound_s:
                 if (
                     max_speed_after_transient is None
@@ -321,7 +314,7 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
         )
 
     times_to_comply = [
-        e.time_to_compliance_s for e in entries if e.time_to_compliance_s is not None
+        e["time_to_compliance_s"] for e in entries if e["time_to_compliance_s"] is not None
     ]
     summary = {
         "scenario": scenario.name,
@@ -333,14 +326,7 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
         "transient_bound_s": transient_bound_s,
         "violations": violations,
         "reach_margin_breaches": reach_margin_breaches,
-        "zone_entries": [
-            {
-                "t_entry_s": e.t_entry_s,
-                "t_compliant_s": e.t_compliant_s,
-                "time_to_compliance_s": e.time_to_compliance_s,
-            }
-            for e in entries
-        ],
+        "zone_entries": entries,
         "max_time_to_compliance_s": max(times_to_comply) if times_to_comply else None,
         "max_speed_in_zone_after_transient_mps": max_speed_after_transient,
         "min_distance_m": None if math.isinf(min_distance) else min_distance,
@@ -375,24 +361,31 @@ def _point(values, name: str) -> tuple[float, float]:
     return point
 
 
-def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenario:
+def scenario_from_dict(
+    data: dict, settings: Optional[dict] = None, base_dir: Optional[Path] = None
+) -> SimScenario:
     """Build a scenario from its JSON form.
 
-    The airframe profile comes either inline (``"profile": {...}``) or
-    from ``"profile_path"`` resolved relative to the scenario file.  A
-    ``"seed"`` key, written by older versions, is ignored: the simulation
-    has no randomness.  Every number must be a finite JSON number (``json``
-    reads ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the
-    name a string; anything else raises ScenarioInvariantViolation naming
-    the field.
+    ``settings`` (governor keys, as ``node._governor_overrides`` gives them
+    for --mode and --f-star) are laid over the ``"governor"`` object before
+    its one read, so the scenario's checks see the governor that runs.  The
+    airframe profile comes either inline (``"profile": {...}``) or from
+    ``"profile_path"`` resolved relative to the scenario file.  A ``"seed"``
+    key, written by older versions, is ignored: the simulation has no
+    randomness.  Every number must be a finite JSON number (``json`` reads
+    ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the name a
+    string; anything else raises ScenarioInvariantViolation naming the field.
     """
     if not isinstance(data, dict):
         raise ScenarioInvariantViolation("bad scenario definition: scenario must be a JSON object")
     gains = data.get("gains", {})
     if not isinstance(gains, dict):
         raise ScenarioInvariantViolation("bad scenario definition: gains must be a JSON object")
+    governor = data.get("governor", {})
+    if isinstance(governor, dict):  # from_dict refuses anything else
+        governor = {**governor, **(settings or {})}
     try:
-        governor = GovernorConfig.from_dict(data.get("governor", {}))
+        cfg = GovernorConfig.from_dict(governor)
         if "profile" in data:
             profile = parse_profile(data["profile"])
         else:
@@ -411,7 +404,7 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
             start=_point(data["start"], "start"),
             goals=[_point(g, f"goals[{i}]") for i, g in enumerate(data["goals"])],
             humans=[_point(h, f"humans[{i}]") for i, h in enumerate(data.get("humans", []))],
-            cfg=governor,
+            cfg=cfg,
             profile=profile,
             **numbers,
         )
@@ -419,9 +412,10 @@ def scenario_from_dict(data: dict, base_dir: Optional[Path] = None) -> SimScenar
         raise ScenarioInvariantViolation(f"bad scenario definition: {exc}") from exc
 
 
-def load_scenario(path) -> SimScenario:
+def load_scenario(path, settings: Optional[dict] = None) -> SimScenario:
+    """``scenario_from_dict`` of the UTF-8 JSON file ``path``."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return scenario_from_dict(data, base_dir=path.parent)
+    return scenario_from_dict(data, settings, base_dir=path.parent)
 

@@ -156,6 +156,41 @@ def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col,
     ]
 
 
+def test_analyze_rejects_only_the_trial_whose_csv_is_not_utf8(tmp_path, capsys):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    force = campaign / "trial_001_force.csv"
+    data = force.read_bytes()
+    at = data.index(b"\n", len(data) // 2)
+    force.write_bytes(data[:at] + b"\xff" + data[at:])
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 2
+
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert err == [f"error: trial_001.json: {force}: byte 0xff is not UTF-8"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert [t["rejected"] is not None for t in manifest["trials"]] == [False, True, False, False]
+    assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
+        "summary_Carbon-0deg_v3.5.json"
+    ]
+
+
+def test_analyze_passes_over_a_json_file_that_is_not_utf8(tmp_path, capsys):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    (campaign / "notes.json").write_bytes(b'{"note": "caf\xe9"}')
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 0
+
+    assert "error:" not in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert [Path(p).name for p in manifest["inputs"]] == [
+        f"trial_{i:03d}.json" for i in range(4)
+    ]
+
+
 def test_analyze_quotes_a_huge_bad_row_in_a_short_error_line(tmp_path, capsys, monkeypatch):
     # a cell past the csv module's 131072-character limit; relative paths keep
     # the line's length independent of where the test runs
@@ -1066,6 +1101,20 @@ def test_govern_writes_every_reply_it_made_before_it_stops(
     assert [r.get("t_s") for r in replies] == [0.1, 0.2] + ([None] if code == 3 else [])
 
 
+@pytest.mark.parametrize("stream, redirect", [("stdin", "<&-"), ("stdout", ">&-")])
+def test_govern_refuses_a_closed_stdin_or_stdout(tmp_path, stream, redirect):
+    # a process started with that stream closed sees sys.stdin or sys.stdout as None
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "impact_governor",
+         "govern", "--stdin", "--profile", str(REPO_ROOT / "profiles" / "carbon_0deg.json"),
+         "--out", str(tmp_path)],
+        input="", capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert (proc.returncode, manifest["exit_code"]) == (3, 3)
+    assert proc.stderr.splitlines() == [manifest["error"]] == [f"error: {stream} is closed"]
+
+
 def test_govern_manifest_records_a_failed_bind(capsys, tmp_path, profile_path):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as held:
         held.bind(("127.0.0.1", 0))
@@ -1307,6 +1356,18 @@ def _case_nan_override(tmp_path, monkeypatch):
             "--f-star", "nan"]
 
 
+def _case_not_utf8(*argv):
+    """``argv`` with "BAD" replaced by a JSON file holding a byte that is not UTF-8."""
+    def case(tmp_path, monkeypatch):
+        (tmp_path / "bad.json").write_bytes(b'{"name": "x\xff"}')
+        return [str(tmp_path / "bad.json") if a == "BAD" else a for a in argv]
+
+    return case
+
+
+_NOT_UTF8 = "error: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+
+
 @pytest.mark.parametrize(
     "case, code, first_line",
     [
@@ -1373,6 +1434,11 @@ def _case_nan_override(tmp_path, monkeypatch):
          "error: measured speed domain must be a positive interval, got (0.0, 0.0)"),
         (_case_profile_restitution(domain=[-1.0, 4.0]), 4,
          "error: measured speed domain must be a positive interval, got (-1.0, 4.0)"),
+        (_case_not_utf8("fit", "BAD"), 2, _NOT_UTF8),
+        (_case_not_utf8("report", "BAD"), 2, _NOT_UTF8),
+        (_case_not_utf8("simulate", "BAD"), 2, _NOT_UTF8),
+        (_case_not_utf8("govern", "--stdin", "--profile", "BAD"), 2, _NOT_UTF8),
+        (_case_not_utf8("govern", "--stdin", "--config", "BAD"), 2, _NOT_UTF8),
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
@@ -1389,7 +1455,8 @@ def _case_nan_override(tmp_path, monkeypatch):
          "governor-config-peak-int", "profile-f-max-zero", "profile-f-max-nan",
          "profile-f-max-negative", "governor-config-peak-above-limit",
          "profile-average-force-overflow", "profile-domain-zero",
-         "profile-domain-negative"],
+         "profile-domain-negative", "fit-not-utf8", "report-not-utf8", "simulate-not-utf8",
+         "govern-profile-not-utf8", "govern-config-not-utf8"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", stdin_of(""))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -275,6 +276,28 @@ def test_manifest_errors(tmp_path):
     manifest.write_text(json.dumps(data))
     with pytest.raises(ManifestError):
         load_trial(manifest)
+
+
+def test_a_manifest_that_is_not_utf8_is_no_manifest_and_does_not_load(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_bytes(b'{"force_csv": "f.csv", "range_csv": "r.csv", "material": "caf\xe9"}')
+    assert not ingest.is_trial_manifest(p)
+    with pytest.raises(ManifestError, match="^cannot read manifest .*m.json: 'utf-8' codec"):
+        load_trial(p)
+
+
+@pytest.mark.parametrize("where", ["header", "deep"])
+def test_a_stream_that_is_not_utf8_names_the_file(tmp_path, where):
+    # the header read decodes the first chunk; a byte past it fails the one-pass
+    # parse, and then the line-by-line read
+    raw, _ = synth_trial(seed=1)
+    write_trial(raw, tmp_path, "t1")
+    p = tmp_path / "t1_force.csv"
+    data = p.read_bytes()
+    at = data.index(b"\n") if where == "header" else data.index(b"\n", len(data) // 2)
+    p.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(MalformedRow, match=f"^{re.escape(str(p))}: byte 0xff is not UTF-8$"):
+        read_force_csv(p)
 
 
 def test_align_puts_trigger_at_zero_and_crops_to_overlap():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from impact_governor import sim
-from impact_governor.errors import ScenarioInvariantViolation
+from impact_governor.errors import GovernorConfigError, ScenarioInvariantViolation
 from impact_governor.governor import GovernorConfig, VelocityCommand
 from impact_governor.sim import (
     TRAJECTORY_COLUMNS,
@@ -82,6 +82,19 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
 def test_scenario_rejects_bad_parameters(overrides):
     with pytest.raises(ScenarioInvariantViolation):
         make_scenario(**overrides)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SimScenario)])
+def test_scenario_fields_cannot_be_assigned(field):
+    # the checks of __post_init__ hold for the scenario that runs
+    scenario = make_scenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(scenario, field, getattr(scenario, field))
+
+
+def test_a_changed_copy_of_a_scenario_is_checked_again():
+    with pytest.raises(ScenarioInvariantViolation, match="staleness timeout"):
+        dataclasses.replace(make_scenario(), cfg=GovernorConfig(staleness_timeout_s=0.05))
 
 
 # --- pilot -------------------------------------------------------------------
@@ -275,6 +288,23 @@ def test_scenario_seed_key_is_ignored():
     assert "seed" not in data
     with_seed = scenario_from_dict({**data, "seed": 11})
     assert scenario_to_dict(with_seed) == data
+
+
+def test_load_scenario_lays_settings_over_the_files_governor():
+    # the same bits as a scenario whose config was swapped after loading
+    path = REPO_ROOT / "scenarios" / "three_humans_chest.json"
+    loaded = load_scenario(path)
+    swapped = dataclasses.replace(loaded, cfg=dataclasses.replace(loaded.cfg, mode="ramp"))
+    ramp = load_scenario(path, {"mode": "ramp"})
+    assert (ramp.cfg.mode, loaded.cfg.mode) == ("ramp", "binary")
+    assert ramp == swapped
+    assert json.dumps(run_scenario(ramp)) == json.dumps(run_scenario(swapped))
+
+
+def test_settings_do_not_make_a_governor_that_is_no_object_valid():
+    data = {**scenario_to_dict(make_scenario()), "governor": [["mode", "ramp"]]}
+    with pytest.raises(GovernorConfigError, match="^governor config must be a JSON object$"):
+        scenario_from_dict(data, {"mode": "ramp"})
 
 
 def test_scenario_from_dict_rejects_missing_keys():
