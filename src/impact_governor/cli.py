@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import re
-import sys
 import threading
 import time
 from pathlib import Path
@@ -32,6 +31,7 @@ from .errors import (
     IngestError,
     InvariantViolation,
     RestitutionOutOfRange,
+    read_json_file,
 )
 from .fit import build_airframe_profile, parse_profile, save_profile
 from .governor import GovernorConfig, force_speed_cap
@@ -44,7 +44,7 @@ from .impact import (
     write_metrics_csv,
 )
 from .ingest import align_streams, is_trial_manifest, load_trial
-from .node import _governor_overrides
+from .node import _governor_overrides, print_error
 from .node import main  # noqa: F401  (cli.main is the one entry point too)
 from .sim import load_scenario, run_scenario, write_trajectory
 
@@ -262,7 +262,7 @@ def cmd_analyze(args, run: dict) -> int:
         if rejected is None:
             processed.append(outcome)
         else:
-            print(f"error: {rejected}", file=sys.stderr)
+            print_error(f"error: {rejected}")
         trials.append(
             {"manifest": path.name, "rejected": rejected, **dict(zip(_STAGE_KEYS, stage_ms))}
         )
@@ -302,10 +302,7 @@ def cmd_fit(args, run: dict) -> int:
     out = Path(args.out)
     run["inputs"] = args.summaries
     run["config"] = {"degree": args.degree, "summaries": [str(s) for s in args.summaries]}
-    summaries = []
-    for path in args.summaries:
-        with open(path, "r", encoding="utf-8") as fh:
-            summaries.append(_summary_from(path, json.load(fh)))
+    summaries = [_summary_from(p, read_json_file(p, IngestError)) for p in args.summaries]
     try:
         profile = build_airframe_profile(summaries, restitution_degree=args.degree)
     except RestitutionOutOfRange as exc:
@@ -374,8 +371,7 @@ def cmd_report(args, run: dict) -> int:
         if p.suffix == ".csv":
             metric_rows += read_metrics_csv(p)
         elif p.suffix == ".json":
-            with open(p, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = read_json_file(p, IngestError)
             keys = data if isinstance(data, dict) else {}
             if "metrics" in keys:
                 summaries.append(_summary_from(p, data))

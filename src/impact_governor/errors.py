@@ -1,7 +1,9 @@
 """Exception and warning types shared across the package, the exit codes of
-the command line (``node.run_command`` maps each error to one), and the one
-reader for a field of a JSON input."""
+the command line (``node.run_command`` maps each error to one), the one
+reader of a JSON input file, the one error for a text file that is not
+UTF-8, and the one reader for a field of a JSON input."""
 
+import json
 import math
 
 EXIT_OK = 0
@@ -33,9 +35,10 @@ class EmptyStream(IngestError):
 
 
 class MalformedRow(IngestError):
-    """A stream file is not UTF-8 text, or a stream row holds a non-numeric,
-    empty or non-finite cell, has a different number of cells than the rows
-    before it, or a time stamp that does not exceed the one of the row before."""
+    """A stream file or a metrics CSV is not UTF-8 text, or a stream row holds
+    a non-numeric, empty or non-finite cell, has a different number of cells
+    than the rows before it, or a time stamp that does not exceed the one of
+    the row before (a metrics row is refused much the same way)."""
 
 
 class TriggerMissing(IngestError):
@@ -143,7 +146,7 @@ class NonMonotoneForceMapWarning(UserWarning):
     the bisection cap is still valid but the model deserves a look."""
 
 
-# --- JSON fields ------------------------------------------------------------
+# --- input files and JSON fields ------------------------------------------
 
 #: the smallest int that float() refuses (it rounds up past the largest float)
 INT_OVERFLOW = 2**1024 - 2**970
@@ -175,3 +178,25 @@ def read_field(value, kind: str, name: str, error: type[Exception] = ValueError)
     elif type(value) is _TYPES[kind]:
         return value
     raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def read_json_file(path, error: type[Exception]):
+    """The JSON document in the UTF-8 file ``path``; a file that does not
+    decode raises ``error`` naming the file, and an OSError passes through.
+
+    Not decoding covers JSON that ``json`` cannot read, a byte that is not
+    UTF-8, an integer past the digit limit of int() and nesting too deep
+    for the decoder.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+            raise error(f"{path}: invalid JSON input: {exc}") from exc
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> MalformedRow:
+    """The MalformedRow for the text file ``path`` in which ``exc`` found a
+    byte that is not UTF-8. It names the byte, not ``exc``'s position, which
+    counts from a read chunk rather than the start of the file."""
+    return MalformedRow(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")

@@ -9,6 +9,7 @@ speeds, kinetic-energy retention, and effective restitution.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ from .errors import (
     NonFiniteEnergy,
     RestitutionAboveUnity,
     VelocityTooLow,
+    not_utf8,
     read_field,
 )
 from .ingest import TrialRecord
@@ -120,26 +122,31 @@ def read_metrics_csv(path) -> list[ImpactMetrics]:
     """The trials of a ``write_metrics_csv`` file, whose flags column may be
     left out. A row of a file that lacks another column, a row with a cell
     that is not a number and a row with fewer or more cells than the header
-    are each a MalformedRow naming the file and the row."""
+    are each a MalformedRow naming the file and the row; a file that is not
+    UTF-8 text is one naming the file and the byte."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     metrics = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                configuration = row["configuration"]
-                numbers = {name: float(row[name]) for name in _METRICS_CSV_NUMBERS}
-                flags = row.get("flags", "")
-                if flags is None:
-                    raise ValueError("the row ends before its flags cell")
-                if None in row:  # where DictReader puts the cells past the header
-                    raise ValueError(f"{len(row[None])} cell(s) past the header")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(
-                    f"{path} row {reader.line_num}: not a metrics row "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-            flags = [f for f in flags.split(";") if f]
-            metrics.append(ImpactMetrics(configuration=configuration, flags=flags, **numbers))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        try:
+            configuration = row["configuration"]
+            numbers = {name: float(row[name]) for name in _METRICS_CSV_NUMBERS}
+            flags = row.get("flags", "")
+            if flags is None:
+                raise ValueError("the row ends before its flags cell")
+            if None in row:  # where DictReader puts the cells past the header
+                raise ValueError(f"{len(row[None])} cell(s) past the header")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRow(
+                f"{path} row {reader.line_num}: not a metrics row "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+        flags = [f for f in flags.split(";") if f]
+        metrics.append(ImpactMetrics(configuration=configuration, flags=flags, **numbers))
     return metrics
 
 

@@ -24,7 +24,6 @@ every held value is one of the original readings.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,7 +43,9 @@ from .errors import (
     MissingColumn,
     RateMismatch,
     TriggerMissing,
+    not_utf8,
     read_field,
+    read_json_file,
 )
 
 FS_FORCE_DEFAULT = 6250.0
@@ -77,9 +78,8 @@ def is_trial_manifest(path: Path) -> bool:
     """Whether ``path`` is a JSON object naming both stream files; one that
     does is a trial manifest, whatever else it holds or lacks."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):  # ValueError: not UTF-8, or no JSON json can read
+        data = read_json_file(path, ManifestError)
+    except (OSError, ManifestError):
         return False
     return isinstance(data, dict) and "force_csv" in data and "range_csv" in data
 
@@ -197,8 +197,8 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
                 data = None
         if data is None or not len(data):
             data = _parse_lines(path)
-    except UnicodeDecodeError as exc:  # its position counts from a read chunk, not the file
-        raise MalformedRow(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     width = max(header.index(name) for name in required) + 1
     if data.shape[1] < width:
         raise MalformedRow(
@@ -354,8 +354,8 @@ def load_trial(path: str | Path) -> RawAcquisition:
     """
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or no JSON json can read
+        manifest = read_json_file(path, ManifestError)
+    except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:

@@ -39,6 +39,7 @@ from .errors import (
     InvariantViolation,
     ProtocolError,
     TransportError,
+    read_json_file,
 )
 from .governor import GovernorConfig, GovernorRuntime
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, load_profile
@@ -55,8 +56,9 @@ _EXIT_CODES = {
     InvariantViolation: EXIT_INVARIANT,
     ImpactGovernorError: EXIT_INPUT,
     FileNotFoundError: EXIT_INPUT,
-    json.JSONDecodeError: EXIT_INPUT,
-    UnicodeDecodeError: EXIT_INPUT,  # an input file that is not UTF-8
+    # input files decode through errors.read_json_file; this row is for a
+    # byte that is not UTF-8 on govern --stdin, which decodes strictly
+    UnicodeDecodeError: EXIT_INPUT,
 }
 
 
@@ -121,11 +123,25 @@ def _governor_overrides(args) -> dict:
     return overrides
 
 
-def exit_status(exc: Exception) -> tuple[int, str]:
-    """The exit code and the ``error: ...`` line of an exception in ``_EXIT_CODES``."""
-    prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
-    code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
-    return code, f"error: {prefix}{exc}"
+def print_error(line: str) -> None:
+    """Print an ``error: ...`` line to stderr if it takes it: with stderr
+    closed or failing, the line is dropped, and no exit code or output changes."""
+    if sys.stderr is not None:  # None when started closed; print would use stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
+def _drop_a_failing_stderr() -> None:
+    """Flush stderr, and drop it if that fails: a line that an error line or
+    a log record left in its buffer would fail the flush at exit again, and
+    that would make the exit status 120."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        sys.stderr = None
 
 
 def run_command(args) -> int:
@@ -148,10 +164,12 @@ def run_command(args) -> int:
         code = exc.code
         raise
     except tuple(_EXIT_CODES) as exc:
-        code, error = exit_status(exc)
-        print(error, file=sys.stderr)
+        code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+        error = f"error: {exc}"
+        print_error(error)
     finally:
         _write_run_manifest(out, args.subcommand, started, run, exit_code=code, error=error)
+        _drop_a_failing_stderr()
     return code
 
 
@@ -164,8 +182,7 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, AirframeProfile, Path
     data = {}
     config_dir = Path.cwd()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_file(args.config, GovernorConfigError)
         if not isinstance(data, dict):
             raise GovernorConfigError("governor config must be a JSON object")
         config_dir = Path(args.config).resolve().parent

@@ -20,10 +20,12 @@ from .errors import (
     INT,
     NUMBER,
     STR,
+    IngestError,
     InvariantViolation,
     RestitutionOutOfRange,
     SchemaVersionMismatch,
     read_field,
+    read_json_file,
 )
 
 PROFILE_SCHEMA = 1
@@ -258,7 +260,9 @@ def parse_profile(source: str | dict) -> AirframeProfile:
 
 
 def load_profile(path: str | Path) -> AirframeProfile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"))
+    """The profile in the JSON file ``path``; a file that does not decode is
+    an IngestError naming it (bad input, not a broken invariant)."""
+    return parse_profile(read_json_file(path, IngestError))
 
 
 def save_profile(profile: AirframeProfile, path: str | Path) -> None:

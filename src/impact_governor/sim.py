@@ -28,13 +28,12 @@ wrapper set on the module attribute (``bench/tracer.py``) times its layer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import FINITE, STR, ScenarioInvariantViolation, read_field
+from .errors import FINITE, STR, ScenarioInvariantViolation, read_field, read_json_file
 from .profile import AirframeProfile, load_profile, parse_profile
 from .governor import GovernorConfig, GovernorRuntime, VelocityCommand
 
@@ -60,8 +59,8 @@ class SimScenario:
 
     name: str
     start: tuple[float, float]
-    goals: list[tuple[float, float]]
-    humans: list[tuple[float, float]]
+    goals: tuple[tuple[float, float], ...]
+    humans: tuple[tuple[float, float], ...]
     cfg: GovernorConfig
     profile: AirframeProfile
     physics_dt_s: float = 0.004
@@ -72,6 +71,9 @@ class SimScenario:
     repulse_radius_m: float = 3.0
 
     def __post_init__(self) -> None:
+        # held as tuples, so that no goal can be removed after the check
+        object.__setattr__(self, "goals", tuple(self.goals))
+        object.__setattr__(self, "humans", tuple(self.humans))
         if not self.goals:
             raise ScenarioInvariantViolation("scenario needs at least one goal")
         for name in ("physics_dt_s", "detection_rate_hz", "duration_s"):
@@ -408,14 +410,14 @@ def scenario_from_dict(
             profile=profile,
             **numbers,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        # RecursionError: an inline profile given as JSON text, nested too deep to decode
         raise ScenarioInvariantViolation(f"bad scenario definition: {exc}") from exc
 
 
 def load_scenario(path, settings: Optional[dict] = None) -> SimScenario:
     """``scenario_from_dict`` of the UTF-8 JSON file ``path``."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json_file(path, ScenarioInvariantViolation)
     return scenario_from_dict(data, settings, base_dir=path.parent)
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import functools
 import hashlib
@@ -176,10 +177,16 @@ def test_analyze_rejects_only_the_trial_whose_csv_is_not_utf8(tmp_path, capsys):
     ]
 
 
-def test_analyze_passes_over_a_json_file_that_is_not_utf8(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, data",
+    [("notes.json", b'{"note": "caf\xe9"}'), ("deep.json", b"[" * 200_000)],
+    ids=["not-utf8", "deep"],
+)
+def test_analyze_passes_over_a_json_file_that_does_not_decode(tmp_path, capsys, name, data):
     campaign = tmp_path / "campaign"
     make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
-    (campaign / "notes.json").write_bytes(b'{"note": "caf\xe9"}')
+    assert main(["analyze", str(campaign), "--out", str(tmp_path / "without")]) == 0
+    (campaign / name).write_bytes(data)
     out = tmp_path / "out"
 
     assert main(["analyze", str(campaign), "--out", str(out)]) == 0
@@ -189,6 +196,12 @@ def test_analyze_passes_over_a_json_file_that_is_not_utf8(tmp_path, capsys):
     assert [Path(p).name for p in manifest["inputs"]] == [
         f"trial_{i:03d}.json" for i in range(4)
     ]
+    written = sorted(p.name for p in out.iterdir() if p.name != "run_manifest.json")
+    assert written == sorted(
+        p.name for p in (tmp_path / "without").iterdir() if p.name != "run_manifest.json"
+    )
+    for name in written:
+        assert (out / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
 
 
 def test_analyze_quotes_a_huge_bad_row_in_a_short_error_line(tmp_path, capsys, monkeypatch):
@@ -1115,6 +1128,50 @@ def test_govern_refuses_a_closed_stdin_or_stdout(tmp_path, stream, redirect):
     assert proc.stderr.splitlines() == [manifest["error"]] == [f"error: {stream} is closed"]
 
 
+@pytest.mark.parametrize(
+    "redirect", ["2>&-", "2</dev/null", "2>/dev/full"], ids=["closed", "read-only", "full"]
+)
+def test_a_stderr_that_takes_no_line_changes_no_exit_status_or_output(tmp_path, redirect):
+    # closed, sys.stderr is None (and print would fall back to stdout); open for
+    # reading only or on a full device, each write to it fails. Buffered
+    # stderr, as without PYTHONUNBUFFERED, keeps a failed line for the flush
+    # at exit.
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    _set_cell(campaign / "trial_001_force.csv", 730, 2, "abc")
+    thin = tmp_path / "thin"  # one trial short: only a log record on stderr
+    make_campaign(thin, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    (thin / "trial_001.json").unlink()
+    ghost = tmp_path / "ghost.json"
+    profile = str(REPO_ROOT / "profiles" / "carbon_0deg.json")
+    runs = {
+        "fit": (["fit", str(ghost)], "", 2,
+                f"error: [Errno 2] No such file or directory: '{ghost}'"),
+        "analyze": (["analyze", str(campaign)], "", 2, None),  # one trial rejected
+        "thin": (["analyze", str(thin)], "", 0, None),
+        "govern": (["govern", "--stdin", "--profile", profile], "{not json\n", 3,
+                   "error: invalid JSON: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)"),
+    }
+    for name, (argv, stdin, code, error) in runs.items():
+        out = tmp_path / name
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "impact_governor",
+             *argv, "--out", str(out)],
+            input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        )
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert proc.returncode == manifest["exit_code"] == code, name
+        assert manifest["error"] == error
+        assert "error:" not in proc.stdout
+    for name in ("analyze", "thin"):
+        assert (tmp_path / name / "metrics.csv").is_file()
+        assert [p.name for p in sorted((tmp_path / name).glob("summary_*.json"))] == [
+            "summary_Carbon-0deg_v3.5.json"
+        ]
+
+
 def test_govern_manifest_records_a_failed_bind(capsys, tmp_path, profile_path):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as held:
         held.bind(("127.0.0.1", 0))
@@ -1356,16 +1413,37 @@ def _case_nan_override(tmp_path, monkeypatch):
             "--f-star", "nan"]
 
 
-def _case_not_utf8(*argv):
-    """``argv`` with "BAD" replaced by a JSON file holding a byte that is not UTF-8."""
+def _case_file(name, data, *argv):
+    """``argv`` with "BAD" replaced by the file ``name`` holding the bytes ``data``."""
     def case(tmp_path, monkeypatch):
-        (tmp_path / "bad.json").write_bytes(b'{"name": "x\xff"}')
-        return [str(tmp_path / "bad.json") if a == "BAD" else a for a in argv]
+        (tmp_path / name).write_bytes(data)
+        return [str(tmp_path / name) if a == "BAD" else a for a in argv]
 
     return case
 
 
-_NOT_UTF8 = "error: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+#: the argv of each command that reads a JSON input file, "BAD" standing for the file
+_JSON_READERS = {
+    "fit": ("fit", "BAD"),
+    "report": ("report", "BAD"),
+    "simulate": ("simulate", "BAD"),
+    "govern-profile": ("govern", "--stdin", "--profile", "BAD"),
+    "govern-config": ("govern", "--stdin", "--config", "BAD"),
+}
+
+_NOT_UTF8 = ("error: {tmp}/bad.json: invalid JSON input: "
+             "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte")
+
+#: per kind of JSON file that does not decode: its name, its bytes and the
+#: start of the error line ({tmp} is the test's directory)
+_UNDECODABLE = {
+    "not-utf8": ("bad.json", b'{"name": "x\xff"}', _NOT_UTF8),
+    "huge-int": ("huge.json", b'{"schema":1,"n":' + b"1" * 5000 + b"}",
+                 "error: {tmp}/huge.json: invalid JSON input: "
+                 "Exceeds the limit (4300 digits) for integer string conversion"),
+    "deep": ("deep.json", b"[" * 200_000,
+             "error: {tmp}/deep.json: invalid JSON input: maximum recursion depth exceeded"),
+}
 
 
 @pytest.mark.parametrize(
@@ -1395,7 +1473,7 @@ _NOT_UTF8 = "error: 'utf-8' codec can't decode byte 0xff in position 11: invalid
          "error: profile mass_kg must be a finite number, got 'abc'"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
-        (_case_bad_json, 2, "error: invalid JSON input: Expecting property name"),
+        (_case_bad_json, 2, "error: {tmp}/s.json: invalid JSON input: Expecting property name"),
         (_case_bad_summary, 2,
          "error: empty.json: not a configuration summary (KeyError: 'metrics')"),
         (_case_bad_governor_config, 2, "error: bad governor config: mode must be"),
@@ -1434,11 +1512,10 @@ _NOT_UTF8 = "error: 'utf-8' codec can't decode byte 0xff in position 11: invalid
          "error: measured speed domain must be a positive interval, got (0.0, 0.0)"),
         (_case_profile_restitution(domain=[-1.0, 4.0]), 4,
          "error: measured speed domain must be a positive interval, got (-1.0, 4.0)"),
-        (_case_not_utf8("fit", "BAD"), 2, _NOT_UTF8),
-        (_case_not_utf8("report", "BAD"), 2, _NOT_UTF8),
-        (_case_not_utf8("simulate", "BAD"), 2, _NOT_UTF8),
-        (_case_not_utf8("govern", "--stdin", "--profile", "BAD"), 2, _NOT_UTF8),
-        (_case_not_utf8("govern", "--stdin", "--config", "BAD"), 2, _NOT_UTF8),
+        *[(_case_file(name, data, *argv), 2, line)
+          for name, data, line in _UNDECODABLE.values() for argv in _JSON_READERS.values()],
+        (_case_file("bad.csv", b"configuration,v_in_mps\nCarbon\xff,3.0\n", "report", "BAD"), 2,
+         "error: {tmp}/bad.csv: byte 0xff is not UTF-8"),
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
@@ -1455,17 +1532,61 @@ _NOT_UTF8 = "error: 'utf-8' codec can't decode byte 0xff in position 11: invalid
          "governor-config-peak-int", "profile-f-max-zero", "profile-f-max-nan",
          "profile-f-max-negative", "governor-config-peak-above-limit",
          "profile-average-force-overflow", "profile-domain-zero",
-         "profile-domain-negative", "fit-not-utf8", "report-not-utf8", "simulate-not-utf8",
-         "govern-profile-not-utf8", "govern-config-not-utf8"],
+         "profile-domain-negative",
+         *[f"{reader}-{kind}" for kind in _UNDECODABLE for reader in _JSON_READERS],
+         "report-csv-not-utf8"],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", stdin_of(""))
     argv = case(tmp_path, monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith(first_line)
+    assert err[0].startswith(first_line.format(tmp=tmp_path))
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert (manifest["exit_code"], manifest["error"]) == (code, err[0])
+
+
+def _json_decoding(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (function, json name) of each place in ``tree`` that names one of
+    json's decoders; "<module>" for module level, and an import from json
+    or under another name counts as a use by that name."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.update((where, f"from json import {a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update((where, f"import json as {a.asname}")
+                         for a in node.names if a.name == "json" and a.asname)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "json" and node.attr in ("load", "loads", "JSONDecoder")):
+            found.add((where, f"json.{node.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_json_input_file_decodes_through_read_json_file():
+    # one owner per decode: read_json_file for files, parse_profile's text
+    # branch, and stream's own message decoder; matched by name, not line text
+    package = REPO_ROOT / "src" / "impact_governor"
+    found = {
+        (path.name, *use)
+        for path in sorted(package.glob("*.py"))
+        for use in _json_decoding(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("errors.py", "read_json_file", "json.load"),
+        ("profile.py", "parse_profile", "json.loads"),
+        ("stream.py", "<module>", "json.JSONDecoder"),
+    }
+    assert _json_decoding(ast.parse("from json import load\ndef f():\n    json.loads(s)\n")) == {
+        ("<module>", "from json import load"), ("f", "json.loads")
+    }
 
 
 @pytest.mark.parametrize(

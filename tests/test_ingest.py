@@ -278,11 +278,19 @@ def test_manifest_errors(tmp_path):
         load_trial(manifest)
 
 
-def test_a_manifest_that_is_not_utf8_is_no_manifest_and_does_not_load(tmp_path):
+@pytest.mark.parametrize(
+    "data, why",
+    [(b'{"force_csv": "f.csv", "range_csv": "r.csv", "material": "caf\xe9"}', "'utf-8' codec"),
+     (b"[" * 200_000, "maximum recursion depth exceeded"),
+     (b'{"force_csv": "f.csv", "range_csv": "r.csv", "mass_kg": ' + b"1" * 5000 + b"}",
+      re.escape("Exceeds the limit (4300 digits) for integer string conversion"))],
+    ids=["not-utf8", "deep", "huge-int"],
+)
+def test_a_manifest_that_is_not_utf8_is_no_manifest_and_does_not_load(tmp_path, data, why):
     p = tmp_path / "m.json"
-    p.write_bytes(b'{"force_csv": "f.csv", "range_csv": "r.csv", "material": "caf\xe9"}')
+    p.write_bytes(data)
     assert not ingest.is_trial_manifest(p)
-    with pytest.raises(ManifestError, match="^cannot read manifest .*m.json: 'utf-8' codec"):
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}: invalid JSON input: {why}"):
         load_trial(p)
 
 

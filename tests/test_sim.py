@@ -92,6 +92,17 @@ def test_scenario_fields_cannot_be_assigned(field):
         setattr(scenario, field, getattr(scenario, field))
 
 
+def test_goals_and_humans_are_tuples_that_cannot_be_emptied():
+    # clearing a list of goals would get round the "at least one goal" check
+    loaded = load_scenario(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+    built = make_scenario(goals=[(20.0, 0.0)], humans=[(3.0, 1.0)])
+    for scenario in (loaded, built):
+        assert type(scenario.goals) is tuple and type(scenario.humans) is tuple
+        with pytest.raises(AttributeError):
+            scenario.goals.clear()
+    assert (built.goals, built.humans) == (((20.0, 0.0),), ((3.0, 1.0),))
+
+
 def test_a_changed_copy_of_a_scenario_is_checked_again():
     with pytest.raises(ScenarioInvariantViolation, match="staleness timeout"):
         dataclasses.replace(make_scenario(), cfg=GovernorConfig(staleness_timeout_s=0.05))
@@ -337,10 +348,12 @@ def _edited(**values):
         # str() named these scenarios "['x']" and "7"
         (_edited(name=["x"]), "name must be a string, got ['x']"),
         (_edited(name=7), "name must be a string, got 7"),
+        # an inline profile given as JSON text is decoded as such
+        (_edited(profile="[" * 200_000), "maximum recursion depth exceeded"),
     ],
     ids=["list", "gains-list", "nan-step", "infinite-duration", "nan-rate", "human-3d",
          "goal-1d", "nan-start", "infinite-goal", "nan-gain", "bool-duration", "string-gain",
-         "huge-int-human", "list-name", "int-name"],
+         "huge-int-human", "list-name", "int-name", "deep-profile-text"],
 )
 def test_scenario_from_dict_fails_closed(data, field):
     with pytest.raises(ScenarioInvariantViolation) as exc:
