@@ -15,10 +15,12 @@ commands; ``govern`` runs in ``node`` itself. ``main`` is ``node.main``.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import re
+import signal
 import threading
 import time
 from pathlib import Path
@@ -31,6 +33,7 @@ from .errors import (
     IngestError,
     InvariantViolation,
     RestitutionOutOfRange,
+    open_output,
     read_json_file,
 )
 from .fit import build_airframe_profile, parse_profile, save_profile
@@ -56,13 +59,6 @@ def _slug(text: str) -> str:
 
 
 # --- analyze ----------------------------------------------------------------
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 #: the per-trial stages analyze times, as keys of run_manifest.json's ``trials``
@@ -108,76 +104,90 @@ def _analyze_all(manifests: list[Path]) -> tuple[list[tuple], int]:
     """``_analyze_trial`` of every manifest, in manifest order, and the number
     of processes that ran them.
 
-    Trial ``i`` goes to share ``i % n`` of ``n = min(usable cores, trials)``.
+    Trial ``i`` goes to share ``i % n`` of ``n = _worker_count(trials)``.
     This process runs share 0; each other share runs in a worker forked from
-    it, so a worker starts with the analysis stack already loaded, and sends
-    its outcomes, or the exception it raised, back through its own pipe. With
-    one share, without ``fork``, or while another thread runs (a fork could
-    copy a lock it holds), every trial runs here.
+    it (``_fork``), so a worker starts with the analysis stack already
+    loaded, and sends its outcomes, or the exception it raised, back
+    through its own pipe.
 
-    The first exception in share order is raised here. A worker's exception
-    has the worker's traceback as its cause, a ``WorkerTraceback``; one
-    that cannot be pickled arrives as a RuntimeError holding that
-    traceback; a worker that exits without a result raises
-    ``BrokenProcessPool``. Every worker is reaped and every pipe closed
-    whatever the outcome; a worker still running when this process's own
-    share raises is killed.
+    The first exception in share order is raised here, as ``_join`` gives
+    it. Every worker is reaped and every pipe closed whatever the outcome;
+    a worker still running when this process's own share raises is killed.
     """
-    n = min(_usable_cores(), len(manifests))
-    if n > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
-        n = 1
-
+    n = _worker_count(len(manifests))
     shares = [manifests[k::n] for k in range(n)]
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
     try:
         for share in shares[1:]:
-            fd_read, fd_write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(fd_read)
-                os.close(fd_write)
-                raise
-            if pid == 0:
-                _worker(share, fd_write)
-            os.close(fd_write)
-            workers.append((pid, fd_read))
+            workers.append(_fork(functools.partial(_analyze_share, share), "analyze worker"))
         done = [_analyze_share(shares[0])]
         while workers:
-            done.append(_join(*workers.pop(0)))
+            done.append(_join(*workers.pop(0), "analyze worker"))
     finally:
-        if workers:
-            import signal
-
-            for pid, fd_read in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.close(fd_read)
-                os.waitpid(pid, 0)
+        _kill(workers)
     for outcome in done:
         if isinstance(outcome, BaseException):
             raise outcome
     return [done[i % n][i // n] for i in range(len(manifests))], n
 
 
+# --- forked workers -----------------------------------------------------------
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(limit: int) -> int:
+    """How many processes may share work of ``limit`` parts: the usable
+    cores, at most ``limit``; 1 without ``fork``, or while another thread
+    runs (a fork could copy a lock it holds)."""
+    n = min(_usable_cores(), limit)
+    if n > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
+        return 1
+    return n
+
+
 class WorkerTraceback(Exception):
-    """The traceback, as text, of an exception that an analyze worker raised;
+    """The traceback, as text, of an exception that a forked worker raised;
     the ``__cause__`` of that exception where this process raises it."""
 
 
-def _worker(share: list[Path], fd_write: int) -> None:
-    """In a forked worker: write to ``fd_write`` the pickled pair of the
-    outcomes of ``share`` and ``None``, or of the exception it raised and
-    that exception's traceback text, then exit without returning."""
+def _fork(task, name: str) -> tuple[int, int]:
+    """Fork a worker that runs ``task()`` and sends back its result through a
+    pipe of its own; returns the worker's pid and the read end of that pipe,
+    for ``_join`` or ``_kill``."""
+    fd_read, fd_write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(fd_read)
+        os.close(fd_write)
+        raise
+    if pid == 0:
+        os.close(fd_read)
+        _worker(task, name, fd_write)
+    os.close(fd_write)
+    return pid, fd_read
+
+
+def _worker(task, name: str, fd_write: int) -> None:
+    """In a forked worker: write to ``fd_write`` the pickled pair of
+    ``task()`` and ``None``, or of the exception it raised and that
+    exception's traceback text, then exit without returning."""
     import pickle
 
     code = 1
     try:
         try:
-            payload = pickle.dumps((_analyze_share(share), None))
+            payload = pickle.dumps((task(), None))
         except BaseException as exc:
             import traceback
 
-            where, text = f"analyze worker {os.getpid()}", traceback.format_exc()
+            where, text = f"{name} {os.getpid()}", traceback.format_exc()
             try:
                 payload = pickle.dumps((exc, f"in {where}:\n{text}"))
                 pickle.loads(payload)  # an exception can pickle and still not load
@@ -192,8 +202,14 @@ def _worker(share: list[Path], fd_write: int) -> None:
         os._exit(code)
 
 
-def _join(pid: int, fd_read: int):
-    """The outcomes, or the exception, that worker ``pid`` sent; reaps it."""
+def _join(pid: int, fd_read: int, name: str):
+    """The result, or the exception, that worker ``pid`` sent; reaps it.
+
+    A worker's exception has the worker's traceback as its cause, a
+    ``WorkerTraceback``; one that cannot be pickled arrives as a
+    RuntimeError holding that traceback; a worker that exits without a
+    result gives ``BrokenProcessPool``.
+    """
     import pickle
 
     try:
@@ -207,10 +223,18 @@ def _join(pid: int, fd_read: int):
         from concurrent.futures.process import BrokenProcessPool
 
         code = os.waitstatus_to_exitcode(status)
-        return BrokenProcessPool(f"analyze worker {pid} ended (exit code {code}) without a result")
+        return BrokenProcessPool(f"{name} {pid} ended (exit code {code}) without a result")
     if text is not None:
         value.__cause__ = WorkerTraceback(text)
     return value
+
+
+def _kill(workers: list[tuple[int, int]]) -> None:
+    """Kill and reap each ``(pid, read end)`` worker, closing its pipe."""
+    for pid, fd_read in workers:
+        os.kill(pid, signal.SIGKILL)
+        os.close(fd_read)
+        os.waitpid(pid, 0)
 
 
 def _summaries(processed: list[tuple]) -> list[tuple[str, list]]:
@@ -274,7 +298,7 @@ def cmd_analyze(args, run: dict) -> int:
         outputs.append("metrics.csv")
 
     for name, members in summaries:
-        with open(out / name, "w", encoding="utf-8") as fh:
+        with open_output(out / name) as fh:
             json.dump(aggregate_configuration(members).to_dict(), fh, indent=2)
             fh.write("\n")
         outputs.append(name)
@@ -322,17 +346,29 @@ def cmd_fit(args, run: dict) -> int:
 
 
 def cmd_simulate(args, run: dict) -> int:
+    """Run the scenario closed loop; write trajectory.csv, then summary.json.
+
+    With ``_worker_count(2)`` processes, a writer forked just before the loop
+    formats and writes the trajectory while the loop runs
+    (``_simulate_with_writer``); with one, this process runs the loop and
+    then writes the rows.
+    """
     out = Path(args.out)
     overrides = _governor_overrides(args)
     run["inputs"] = [args.scenario]
     run["config"] = {"scenario": str(args.scenario), **overrides}
 
-    rows, summary = run_scenario(load_scenario(args.scenario, overrides))
-    write_trajectory(rows, out / "trajectory.csv")
+    scenario = load_scenario(args.scenario, overrides)
+    trajectory = out / "trajectory.csv"
+    if _worker_count(2) > 1:
+        summary = _simulate_with_writer(scenario, trajectory)
+    else:
+        rows, summary = run_scenario(scenario)
+        write_trajectory(rows, trajectory)
     outputs = run["outputs"]
     outputs.append("trajectory.csv")
     summary_path = out / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open_output(summary_path) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     outputs.append(summary_path.name)
@@ -350,6 +386,61 @@ def cmd_simulate(args, run: dict) -> int:
         )
     )
     return EXIT_OK if ok else EXIT_INVARIANT
+
+
+def _simulate_with_writer(scenario, path: Path) -> dict:
+    """``run_scenario(scenario)``'s summary, with its rows written to ``path``
+    by ``write_trajectory`` in a worker forked before the loop.
+
+    Each block of rows goes to the writer pickled through a pipe, and
+    ``None`` after the last; the writer formats each block as it arrives
+    and writes the file once the end mark is in, so the outcomes and the
+    file are those of the loop followed by ``write_trajectory``. The loop's
+    exception is raised first: the writer, which has not opened ``path``
+    yet, is killed. Then the writer's exception, as ``_join`` gives it.
+    """
+    import pickle
+
+    fd_rows, fd_send = os.pipe()
+    try:
+        writer = _fork(functools.partial(_write_received, fd_rows, fd_send, path),
+                       "simulate writer")
+    except BaseException:
+        os.close(fd_send)
+        raise
+    finally:
+        os.close(fd_rows)
+    try:
+        with open(fd_send, "wb") as pipe:
+            send = functools.partial(pickle.dump, file=pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            _, summary = run_scenario(scenario, send)
+            send(None)
+    except BrokenPipeError:
+        pass  # the writer has ended early, and _join says why
+    except BaseException:
+        _kill([writer])
+        raise
+    outcome = _join(*writer, "simulate writer")
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return summary
+
+
+def _write_received(fd_rows: int, fd_send: int, path: Path) -> None:
+    """In the simulate writer: ``write_trajectory`` of the blocks of rows
+    that arrive pickled on ``fd_rows``, up to the end mark ``None``; a
+    pipe that ends before the mark raises EOFError and writes nothing."""
+    import pickle
+    from itertools import chain
+
+    os.close(fd_send)  # the loop's end alone, so that its exit ends the pipe
+
+    def blocks():
+        with open(fd_rows, "rb") as pipe:
+            while (block := pickle.load(pipe)) is not None:
+                yield block
+
+    write_trajectory(chain.from_iterable(blocks()), path)
 
 
 # --- report -----------------------------------------------------------------
@@ -435,7 +526,7 @@ def cmd_report(args, run: dict) -> int:
         lines.append("")
 
     report = out / "report.md"
-    with open(report, "w", encoding="utf-8") as fh:
+    with open_output(report) as fh:
         fh.write("\n".join(lines))
     run["outputs"].append(report.name)
     print(f"wrote {report}")

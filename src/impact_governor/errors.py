@@ -1,7 +1,8 @@
 """Exception and warning types shared across the package, the exit codes of
 the command line (``node.run_command`` maps each error to one), the one
-reader of a JSON input file, the one error for a text file that is not
-UTF-8, and the one reader for a field of a JSON input."""
+reader of a JSON input file, the one opener of an output file, the one error
+for a text file that is not UTF-8, and the one reader for a field of a JSON
+input."""
 
 import json
 import math
@@ -139,6 +140,12 @@ class ScenarioInvariantViolation(ImpactGovernorError):
     """Scenario parameters are inconsistent (rates, geometry, governor config)."""
 
 
+# --- outputs --------------------------------------------------------------
+
+class OutputError(ImpactGovernorError):
+    """An output file, or the output directory, cannot be opened or created."""
+
+
 # --- warnings -------------------------------------------------------------
 
 class NonMonotoneForceMapWarning(UserWarning):
@@ -193,6 +200,15 @@ def read_json_file(path, error: type[Exception]):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
             raise error(f"{path}: invalid JSON input: {exc}") from exc
+
+
+def open_output(path, newline=None):
+    """``path`` opened to write UTF-8 text; one that cannot be opened (a
+    directory, a missing or read-only directory) raises OutputError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise OutputError(f"cannot open output {path}: {exc.strerror or exc}") from exc
 
 
 def not_utf8(path, exc: UnicodeDecodeError) -> MalformedRow:

@@ -30,6 +30,7 @@ from .errors import (
     RestitutionAboveUnity,
     VelocityTooLow,
     not_utf8,
+    open_output,
     read_field,
 )
 from .ingest import TrialRecord
@@ -107,7 +108,7 @@ SUMMARY_SCHEMA = 1
 def write_metrics_csv(path, metrics: list[ImpactMetrics]) -> None:
     """The ``METRICS_CSV_COLUMNS`` header, then one row per trial: each number
     as ``%.9g`` and the flags joined by ``;``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_CSV_COLUMNS)
         for m in metrics:

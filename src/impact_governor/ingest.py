@@ -349,14 +349,17 @@ def load_trial(path: str | Path) -> RawAcquisition:
     """Load one trial from its manifest JSON.
 
     Stream paths in the manifest are resolved relative to the manifest file.
-    A field of the wrong kind, or a sample rate that is not > 0, is a
-    ManifestError naming the manifest and the key.
+    A manifest that is not a JSON object is a ManifestError naming it; a
+    field of the wrong kind, or a sample rate that is not > 0, is one naming
+    the manifest and the key.
     """
     path = Path(path)
     try:
         manifest = read_json_file(path, ManifestError)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path}: manifest must be a JSON object")
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ManifestError(f"{path} lacks manifest key(s) {missing}")

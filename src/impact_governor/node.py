@@ -48,8 +48,9 @@ from .stream import ComplianceLog, ReplyBatch, run_stream, run_udp, stdio_lines
 log = logging.getLogger(__name__)
 
 #: exit code per exception type a subcommand may raise; the most specific
-#: class in the exception's MRO decides (IngestError, the fit errors and
-#: ScenarioInvariantViolation are bad input through ImpactGovernorError)
+#: class in the exception's MRO decides (IngestError, the fit errors,
+#: ScenarioInvariantViolation and OutputError are bad input through
+#: ImpactGovernorError)
 _EXIT_CODES = {
     ProtocolError: EXIT_RUNTIME,
     TransportError: EXIT_RUNTIME,
@@ -151,10 +152,17 @@ def run_command(args) -> int:
     extra manifest sections, and ``outputs`` as it writes them. Whatever the
     outcome, ``run_manifest.json`` then records it with the exit code and
     the ``error:`` line; both stay null for an exception that is not mapped,
-    which propagates with its traceback.
+    which propagates with its traceback. An output directory that cannot be
+    made exits 2 with its ``error:`` line alone: there is nowhere to write
+    the manifest.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print_error(f"error: cannot create output directory {out}: {exc.strerror or exc}")
+        _drop_a_failing_stderr()
+        return EXIT_INPUT
     started = _utc_now()
     run = {"inputs": [], "outputs": [], "config": None}
     code, error = None, None

@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     RestitutionOutOfRange,
     SchemaVersionMismatch,
+    open_output,
     read_field,
     read_json_file,
 )
@@ -266,4 +267,5 @@ def load_profile(path: str | Path) -> AirframeProfile:
 
 
 def save_profile(profile: AirframeProfile, path: str | Path) -> None:
-    Path(path).write_text(serialize_profile(profile), encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(serialize_profile(profile))

@@ -24,6 +24,12 @@ and the next pilot command all read those values.  The pilot, the
 integrator and the nearest-distance reduction take and return plain
 values, and the loop looks each up on the module at every call, so that a
 wrapper set on the module attribute (``bench/tracer.py``) times its layer.
+
+The run can hand its rows out as it goes: with a ``sink``, ``run_scenario``
+passes it each block of ``ROW_BLOCK`` rows as the block fills, so another
+process can write the trajectory while the loop runs (``cli.cmd_simulate``
+does), and no run holds all its rows. ``write_trajectory`` formats every row
+before it opens the file, so a run that fails leaves no trajectory behind.
 """
 
 from __future__ import annotations
@@ -31,13 +37,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import FINITE, STR, ScenarioInvariantViolation, read_field, read_json_file
+from .errors import (
+    FINITE,
+    STR,
+    ScenarioInvariantViolation,
+    open_output,
+    read_field,
+    read_json_file,
+)
 from .profile import AirframeProfile, load_profile, parse_profile
 from .governor import GovernorConfig, GovernorRuntime, VelocityCommand
 
 GOAL_CAPTURE_RADIUS_M = 0.5
+
+#: rows per block that ``run_scenario`` hands to its sink
+ROW_BLOCK = 512
 
 TRAJECTORY_COLUMNS = (
     "t_s",
@@ -209,12 +225,18 @@ def step(
     return (px + vx * dt, py + vy * dt), (vx, vy)
 
 
-def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
+def run_scenario(
+    scenario: SimScenario, sink: Optional[Callable[[list[tuple]], object]] = None
+) -> tuple[list[tuple], dict]:
     """Run the closed loop and audit it.
 
     Returns (trajectory rows, summary).  Rows follow
     ``TRAJECTORY_COLUMNS``; one row per physics step, logged after
-    integration.  The summary counts governor violations (commands that
+    integration.  With a ``sink``, each block of ``ROW_BLOCK`` rows (the
+    last one shorter) goes to ``sink`` as soon as it is complete, in order,
+    and the rows returned are none.
+
+    The summary counts governor violations (commands that
     left the runtime above the active cap — must be zero), records every
     entry into the protective zone as the dict it prints (``t_entry_s``,
     then ``t_compliant_s`` and ``time_to_compliance_s`` once the speed
@@ -264,56 +286,60 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     max_speed_after_transient = None
     goal_switches = 0
 
-    for _ in range(n_steps):
-        if t >= next_detection_t - 1e-12:
-            runtime.on_range(d_true, t)
-            next_detection_t += period
+    for first in range(0, n_steps, ROW_BLOCK):
+        for _ in range(min(ROW_BLOCK, n_steps - first)):
+            if t >= next_detection_t - 1e-12:
+                runtime.on_range(d_true, t)
+                next_detection_t += period
 
-        cmd, goal = potential_field_cmd(position, distances, goal_index, t, scenario)
-        if goal != goal_index:
-            goal_index = goal
-            goal_switches += 1
-        limited = runtime.on_command(cmd)
-        record = runtime.last_record
-        if record.violated:
-            violations += 1
-        position, velocity = step(position, velocity, limited, dt, a_max)
-        t += dt
+            cmd, goal = potential_field_cmd(position, distances, goal_index, t, scenario)
+            if goal != goal_index:
+                goal_index = goal
+                goal_switches += 1
+            limited = runtime.on_command(cmd)
+            record = runtime.last_record
+            if record.violated:
+                violations += 1
+            position, velocity = step(position, velocity, limited, dt, a_max)
+            t += dt
 
-        px, py = position
-        vx, vy = velocity
-        distances = human_distances(position, humans)
-        d_true = nearest_human_distance(distances)
-        if d_true < min_distance:
-            min_distance = d_true
-        speed = _norm(vx, vy)
-        if speed > max_speed:
-            max_speed = speed
+            px, py = position
+            vx, vy = velocity
+            distances = human_distances(position, humans)
+            d_true = nearest_human_distance(distances)
+            if d_true < min_distance:
+                min_distance = d_true
+            speed = _norm(vx, vy)
+            if speed > max_speed:
+                max_speed = speed
 
-        if d_true < s_zone:
-            if not in_zone:
-                entries.append(
-                    {"t_entry_s": t, "t_compliant_s": None, "time_to_compliance_s": None}
-                )
-            entry = entries[-1]
-            if entry["t_compliant_s"] is None and speed <= compliant_speed:
-                entry["t_compliant_s"] = t
-                entry["time_to_compliance_s"] = t - entry["t_entry_s"]
-            since_entry = t - entry["t_entry_s"]
-            if since_entry > transient_bound_s:
-                if (
-                    max_speed_after_transient is None
-                    or speed > max_speed_after_transient
-                ):
-                    max_speed_after_transient = speed
-        in_zone = d_true < s_zone
+            if d_true < s_zone:
+                if not in_zone:
+                    entries.append(
+                        {"t_entry_s": t, "t_compliant_s": None, "time_to_compliance_s": None}
+                    )
+                entry = entries[-1]
+                if entry["t_compliant_s"] is None and speed <= compliant_speed:
+                    entry["t_compliant_s"] = t
+                    entry["time_to_compliance_s"] = t - entry["t_entry_s"]
+                since_entry = t - entry["t_entry_s"]
+                if since_entry > transient_bound_s:
+                    if (
+                        max_speed_after_transient is None
+                        or speed > max_speed_after_transient
+                    ):
+                        max_speed_after_transient = speed
+            in_zone = d_true < s_zone
 
-        if d_true < c_m and speed > breach_speed:
-            reach_margin_breaches += 1
+            if d_true < c_m and speed > breach_speed:
+                reach_margin_breaches += 1
 
-        rows.append(
-            (t, px, py, vx, vy, speed, d_true, record.cap_mps, record.cap_source)
-        )
+            rows.append(
+                (t, px, py, vx, vy, speed, d_true, record.cap_mps, record.cap_source)
+            )
+        if sink is not None:
+            sink(rows)
+            rows = []
 
     times_to_comply = [
         e["time_to_compliance_s"] for e in entries if e["time_to_compliance_s"] is not None
@@ -339,13 +365,18 @@ def run_scenario(scenario: SimScenario) -> tuple[list[tuple], dict]:
     return rows, summary
 
 
-def write_trajectory(rows: list[tuple], path) -> None:
+def write_trajectory(rows: Iterable[tuple], path) -> None:
     """The ``TRAJECTORY_COLUMNS`` header line, then each row: eight numbers as
-    ``%.9g`` and the cap source, joined by commas."""
+    ``%.9g`` and the cap source, joined by commas.
+
+    Every row is formatted before ``path`` is opened, so an iterable that
+    raises leaves the file as it was; a file that cannot be opened raises
+    OutputError.
+    """
     line = ",".join(["%.9g"] * 8 + ["%s"]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        fh.writelines(line % row for row in rows)
+    text = "".join([",".join(TRAJECTORY_COLUMNS) + "\n", *(line % row for row in rows)])
+    with open_output(path) as fh:
+        fh.write(text)
 
 
 #: the scenario's optional numbers: top-level keys and ``gains`` keys, each

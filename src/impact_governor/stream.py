@@ -151,20 +151,25 @@ class ComplianceLog:
 
     def __init__(self, path):
         header = ",".join(COMPLIANCE_COLUMNS) + "\n"
-        # "a+" writes at the end of the file wherever a read left off, and
-        # errors="replace" makes a file that is not UTF-8 a mismatched header
+        # rows go through a write-only handle (a read-write one resets its
+        # decoder at every write); the header is read through its own handle,
+        # with errors="replace" making a file that is not UTF-8 a mismatch
         try:
-            self._fh = open(path, "a+", encoding="utf-8", errors="replace")
+            self._fh = open(path, "a", encoding="utf-8")
+            try:
+                with open(path, encoding="utf-8", errors="replace") as fh:
+                    first = fh.readline(len(header))
+            except BaseException:
+                self._fh.close()
+                raise
         except OSError as exc:
             raise GovernorConfigError(
                 f"cannot open compliance log {path}: {exc.strerror or exc}"
             ) from exc
-        if self._fh.tell() == 0:
+        if first == "":
             self._fh.write(header)
             self._fh.flush()
-            return
-        self._fh.seek(0)
-        if self._fh.readline(len(header)) != header:
+        elif first != header:
             self._fh.close()
             raise GovernorConfigError(
                 f"compliance log {path} does not start with the header {header[:-1]!r}"

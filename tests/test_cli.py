@@ -6,6 +6,7 @@ import json
 import math
 import os
 import queue
+import random
 import select
 import shutil
 import signal
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from impact_governor import cli, dsp, node
+from impact_governor import cli, dsp, node, sim
 from impact_governor.cli import main
 from impact_governor.errors import ProtocolError
 from impact_governor.fit import load_profile, save_profile
@@ -840,6 +841,61 @@ def test_govern_cli_runs_with_socket_and_datetime_blocked(tmp_path):
     assert manifest["exit_code"] == 0
 
 
+def _govern_trace(seed: int = 28, seconds: int = 12) -> str:
+    """A seeded NDJSON trace of 2031 messages: commands at 50 Hz, odometry at
+    100 Hz and range at 20 Hz. A person passes close twice, so the ramp cap
+    moves through none, iso and force; a half-second range dropout trips the
+    stale failsafe, and one reading is stamped before the one it follows."""
+    rng = random.Random(seed)
+    events = sorted(
+        (i / hz + phase, kind)
+        for kind, hz, phase in (("cmd", 50, 0.003), ("odom", 100, 0.001), ("range", 20, 0.0))
+        for i in range(seconds * hz)
+    )
+    lines = []
+    for t, kind in events:
+        if kind == "range":
+            if 6.0 <= t < 6.5:
+                continue
+            d = min(math.hypot(1.5, 6.0 * (t - 3.0)), math.hypot(4.0, 5.0 * (t - 8.5)), 60.0)
+            lines.append('{"type":"range","d_m":%.4f,"t_s":%.4f}' % (d + rng.gauss(0.0, 0.05), t))
+            if round(t * 20) == 200:
+                lines.append('{"type":"range","d_m":%.4f,"t_s":%.4f}' % (d, t - 0.3))
+        elif kind == "odom":
+            v = [rng.gauss(0.0, 2.0) for _ in range(3)]
+            lines.append('{"type":"odom","vx":%.4f,"vy":%.4f,"vz":%.4f,"t_s":%.4f}' % (*v, t))
+        else:
+            v = [rng.uniform(-12.0, 12.0), rng.uniform(-12.0, 12.0), rng.uniform(-1.0, 1.0)]
+            lines.append('{"type":"cmd","vx":%.4f,"vy":%.4f,"vz":%.4f,"t_s":%.4f}' % (*v, t))
+    return "".join(line + "\n" for line in lines)
+
+
+#: sha256 of govern's stdout and compliance.csv for ``_govern_trace()``; a
+#: change that speeds up the stream must leave these bytes as they are
+GOVERN_DIGESTS = (
+    "026b82ea7374a2bad310c756c6677a20242e53ba252acf98ccf472507251f274",
+    "2a114ba4eb4267b61027503b60394609d879de5b2dfda3a5aa27bf14aa97ec6f",
+)
+
+
+def test_govern_writes_the_pinned_bytes(tmp_path):
+    trace = _govern_trace()
+    proc = subprocess.run(
+        [sys.executable, "-m", "impact_governor", *_GOVERN_FACE, "--mode", "ramp",
+         "--out", str(tmp_path / "gov")],
+        input=trace.encode("utf-8"), capture_output=True, env=child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    compliance = (tmp_path / "gov" / "compliance.csv").read_bytes()
+    rows = [line.split(",") for line in compliance.decode("utf-8").splitlines()[1:]]
+    # the trace covers what it says it does
+    assert trace.count("\n") == 2031 and '"type":"odom"' in trace
+    assert {row[5] for row in rows} == {"none", "iso", "force", "stale-failsafe"}
+    assert [row[7] for row in rows].count("stale-range") == 1
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (proc.stdout, compliance))
+    assert digests == GOVERN_DIGESTS
+
+
 def _read_reply(fd: int, timeout_s: float) -> bytes:
     """One reply line from the pipe ``fd``; b"" if none is complete in time."""
     data, deadline = b"", time.monotonic() + timeout_s
@@ -1413,6 +1469,40 @@ def _case_nan_override(tmp_path, monkeypatch):
             "--f-star", "nan"]
 
 
+def _case_output_is_a_directory(name, make_argv):
+    """The argv that ``make_argv(tmp_path)`` gives, run where the output
+    ``name`` is a directory."""
+    def case(tmp_path, monkeypatch):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        return make_argv(tmp_path)
+
+    return case
+
+
+def _campaign_argv(tmp_path):
+    make_campaign(tmp_path / "campaign", speeds=(3.0,), trials_per_speed=2, seed=5)
+    return ["analyze", str(tmp_path / "campaign")]
+
+
+def _fit_argv(tmp_path):
+    paths = []
+    for v, ec in ((3.0, 0.10), (3.5, 0.12), (4.0, 0.14)):
+        paths.append(_write(tmp_path / f"s{v}.json", json.dumps(_summary_dict(v, ec))))
+    return ["fit", *map(str, paths), "--degree", "1"]
+
+
+_CHEST = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+_OUTPUT_IS_A_DIRECTORY = {
+    "simulate-trajectory": ("trajectory.csv", lambda tmp: ["simulate", _CHEST]),
+    "simulate-summary": ("summary.json", lambda tmp: ["simulate", _CHEST]),
+    "analyze-metrics": ("metrics.csv", _campaign_argv),
+    "analyze-summary": ("summary_Carbon-0deg_v3.json", _campaign_argv),
+    "fit-profile": ("profile_Bad.json", _fit_argv),
+    "report": ("report.md",
+               lambda tmp: ["report", str(REPO_ROOT / "profiles" / "carbon_0deg.json")]),
+}
+
+
 def _case_file(name, data, *argv):
     """``argv`` with "BAD" replaced by the file ``name`` holding the bytes ``data``."""
     def case(tmp_path, monkeypatch):
@@ -1516,6 +1606,9 @@ _UNDECODABLE = {
           for name, data, line in _UNDECODABLE.values() for argv in _JSON_READERS.values()],
         (_case_file("bad.csv", b"configuration,v_in_mps\nCarbon\xff,3.0\n", "report", "BAD"), 2,
          "error: {tmp}/bad.csv: byte 0xff is not UTF-8"),
+        *[(_case_output_is_a_directory(name, make_argv), 2,
+           f"error: cannot open output {{tmp}}/out/{name}: Is a directory")
+          for name, make_argv in _OUTPUT_IS_A_DIRECTORY.values()],
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
@@ -1534,7 +1627,8 @@ _UNDECODABLE = {
          "profile-average-force-overflow", "profile-domain-zero",
          "profile-domain-negative",
          *[f"{reader}-{kind}" for kind in _UNDECODABLE for reader in _JSON_READERS],
-         "report-csv-not-utf8"],
+         "report-csv-not-utf8",
+         *[f"{kind}-output-is-a-directory" for kind in _OUTPUT_IS_A_DIRECTORY]],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", stdin_of(""))
@@ -1620,6 +1714,23 @@ def _write(path, text):
     return path
 
 
+@pytest.mark.parametrize("argv", [["analyze", "."], ["simulate", _CHEST], ["govern", "--stdin"]],
+                         ids=["analyze", "simulate", "govern"])
+@pytest.mark.parametrize("under, why", [(False, "File exists"), (True, "Not a directory")],
+                         ids=["file", "under-a-file"])
+def test_an_output_directory_that_cannot_be_made_exits_input_error(
+    monkeypatch, capsys, tmp_path, argv, under, why
+):
+    # there is no directory to write a manifest into: the error line alone says it
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
+    taken = _write(tmp_path / "taken", "a file\n")
+    out = taken / "out" if under else taken
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: cannot create output directory {out}: {why}"]
+    assert (captured.out, taken.read_text()) == ("", "a file\n")
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -1663,6 +1774,137 @@ def test_simulate_writes_the_pinned_bytes(tmp_path, name, args):
         for f in ("trajectory.csv", "summary.json")
     )
     assert digests == SIMULATE_DIGESTS[name, args]
+
+
+_FORK = cli._fork
+
+
+def _simulate(monkeypatch, capsys, tmp_path, cores, argv, name="sim"):
+    """``main(["simulate", *argv])`` on ``cores`` usable cores: the exit code,
+    stdout, stderr, the output directory and the processes forked."""
+    forked = []
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, "_fork", lambda *a: forked.append(a[1]) or _FORK(*a))
+    out = tmp_path / name
+    code = main(["simulate", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out, forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name, args", list(SIMULATE_DIGESTS), ids=["chest", "face", "chest-ramp"])
+def test_simulate_writes_the_same_bytes_in_process_and_with_a_forked_writer(
+    monkeypatch, capsys, tmp_path, name, args
+):
+    argv = [str(REPO_ROOT / "scenarios" / f"{name}.json"), *args]
+    runs = [_simulate(monkeypatch, capsys, tmp_path, cores, argv, f"cores{cores}")
+            for cores in (1, 2)]
+    assert [forked for *_, forked in runs] == [[], ["simulate writer"]]
+    (code, stdout, err, one, _), (*same, all_, _) = runs
+    assert (code, stdout, err) == tuple(same) and code == 0
+    for f in ("trajectory.csv", "summary.json"):
+        assert (one / f).read_bytes() == (all_ / f).read_bytes()
+    _assert_no_child_left()
+
+
+def _peak_target_scenario(tmp_path):
+    """A scenario whose governor refuses to start: a peak target that the
+    profile's reference force turns into an average one out of range."""
+    data = json.loads((REPO_ROOT / "scenarios" / "three_humans_chest.json").read_text())
+    profile = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
+    del data["profile_path"]
+    data["profile"] = {**profile, "f_max_ref_N": 1.0}
+    data["governor"]["f_star_is_peak"] = True
+    return _write(tmp_path / "peak.json", json.dumps(data))
+
+
+def _step_that_raises_after(monkeypatch, calls):
+    real, count = sim.step, [0]
+
+    def step(*args):
+        count[0] += 1
+        if count[0] > calls:
+            raise RuntimeError("bug in the loop")
+        return real(*args)
+
+    monkeypatch.setattr(sim, "step", step)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_simulate_leaves_no_process_and_no_partial_trajectory(
+    monkeypatch, capsys, tmp_path, cores
+):
+    chest = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+    fork = [] if cores == 1 else ["simulate writer"]
+
+    code, _, err, out, forked = _simulate(monkeypatch, capsys, tmp_path, cores, [chest], "ok")
+    assert (code, err, forked) == (0, "", fork)
+    assert (out / "trajectory.csv").is_file()
+    _assert_no_child_left()
+
+    (tmp_path / "dir" / "trajectory.csv").mkdir(parents=True)
+    code, _, err, out, forked = _simulate(monkeypatch, capsys, tmp_path, cores, [chest], "dir")
+    line = f"error: cannot open output {out / 'trajectory.csv'}: Is a directory"
+    assert (code, err.splitlines(), forked) == (2, [line], fork)
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json", "trajectory.csv"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"], manifest["outputs"]) == (2, line, [])
+    _assert_no_child_left()
+
+    peak = str(_peak_target_scenario(tmp_path))
+    code, _, err, out, forked = _simulate(monkeypatch, capsys, tmp_path, cores, [peak], "peak")
+    assert code == 2 and err.startswith("error: bad governor config: peak target 140 N")
+    assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+    _assert_no_child_left()
+
+    _step_that_raises_after(monkeypatch, 3 * sim.ROW_BLOCK + 7)  # after three blocks went out
+    with pytest.raises(RuntimeError, match="^bug in the loop$"):
+        _simulate(monkeypatch, capsys, tmp_path, cores, [chest], "crash")
+    _assert_only_a_crash_manifest(tmp_path / "crash")
+    _assert_no_child_left()
+
+
+def test_simulate_raises_what_its_writer_raised_with_the_writer_traceback(
+    monkeypatch, capsys, tmp_path
+):
+    parent = os.getpid()
+
+    def write(rows, path):
+        assert os.getpid() != parent, "the trajectory was written in the parent"
+        for _ in rows:
+            pass
+        raise ValueError("bug in the writer")
+
+    monkeypatch.setattr(cli, "write_trajectory", write)
+    chest = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+    with pytest.raises(ValueError, match="^bug in the writer$") as exc:
+        _simulate(monkeypatch, capsys, tmp_path, 2, [chest])
+    assert isinstance(exc.value.__cause__, cli.WorkerTraceback)
+    assert str(exc.value.__cause__).startswith("in simulate writer ")
+    _assert_only_a_crash_manifest(tmp_path / "sim")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("after", [0, 2])  # before its first block, after its second
+def test_simulate_raises_when_its_writer_dies(monkeypatch, capsys, tmp_path, after):
+    from concurrent.futures.process import BrokenProcessPool
+
+    def write(rows, path):
+        for i, _ in enumerate(rows):
+            if i == after * sim.ROW_BLOCK:
+                os._exit(1)
+
+    monkeypatch.setattr(cli, "write_trajectory", write)
+    chest = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+    died = r"^simulate writer \d+ ended \(exit code 1\) without a result$"
+    with pytest.raises(BrokenProcessPool, match=died):
+        _simulate(monkeypatch, capsys, tmp_path, 2, [chest])
+    _assert_only_a_crash_manifest(tmp_path / "sim")
+    _assert_no_child_left()
 
 
 def test_simulate_writes_three_files_and_takes_overrides(tmp_path):

@@ -278,19 +278,27 @@ def test_manifest_errors(tmp_path):
         load_trial(manifest)
 
 
+_INVALID = "invalid JSON input: "
+_NOT_AN_OBJECT = re.escape("manifest must be a JSON object") + "$"
+
+
 @pytest.mark.parametrize(
     "data, why",
-    [(b'{"force_csv": "f.csv", "range_csv": "r.csv", "material": "caf\xe9"}', "'utf-8' codec"),
-     (b"[" * 200_000, "maximum recursion depth exceeded"),
+    [(b'{"force_csv": "f.csv", "range_csv": "r.csv", "material": "caf\xe9"}',
+      _INVALID + "'utf-8' codec"),
+     (b"[" * 200_000, _INVALID + "maximum recursion depth exceeded"),
      (b'{"force_csv": "f.csv", "range_csv": "r.csv", "mass_kg": ' + b"1" * 5000 + b"}",
-      re.escape("Exceeds the limit (4300 digits) for integer string conversion"))],
-    ids=["not-utf8", "deep", "huge-int"],
+      _INVALID + re.escape("Exceeds the limit (4300 digits) for integer string conversion")),
+     (b"5", _NOT_AN_OBJECT),
+     (json.dumps(list(ingest.MANIFEST_KEYS)).encode(), _NOT_AN_OBJECT),
+     (json.dumps(" ".join(ingest.MANIFEST_KEYS)).encode(), _NOT_AN_OBJECT)],
+    ids=["not-utf8", "deep", "huge-int", "number", "list-of-keys", "string-of-keys"],
 )
 def test_a_manifest_that_is_not_utf8_is_no_manifest_and_does_not_load(tmp_path, data, why):
     p = tmp_path / "m.json"
     p.write_bytes(data)
     assert not ingest.is_trial_manifest(p)
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}: invalid JSON input: {why}"):
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}: {why}"):
         load_trial(p)
 
 

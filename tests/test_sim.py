@@ -281,6 +281,29 @@ def test_write_trajectory_round_trips(tmp_path):
     assert first[8] == rows[0][8]
 
 
+def test_write_trajectory_formats_every_row_before_it_touches_the_file(tmp_path):
+    csv_path = tmp_path / "trajectory.csv"
+    csv_path.write_text("an earlier run\n")
+
+    def rows():
+        yield (0.0,) * 8 + ("none",)
+        raise RuntimeError("the loop broke")
+
+    with pytest.raises(RuntimeError, match="^the loop broke$"):
+        write_trajectory(rows(), csv_path)
+    assert csv_path.read_text() == "an earlier run\n"
+
+
+def test_a_sink_gets_every_row_in_blocks_and_the_summary_is_the_same():
+    scenario = load_scenario(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+    rows, summary = run_scenario(scenario)
+    blocks = []
+    assert run_scenario(scenario, blocks.append) == ([], summary)
+    full, last = divmod(len(rows), sim.ROW_BLOCK)
+    assert last and [len(b) for b in blocks] == [sim.ROW_BLOCK] * full + [last]
+    assert [row for block in blocks for row in block] == rows
+
+
 # --- serialization -----------------------------------------------------------
 
 
