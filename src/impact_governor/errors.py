@@ -1,8 +1,13 @@
 """Exception and warning types shared across the package, the exit codes of
 the command line (``node.run_command`` maps each error to one), the one
-reader of a JSON input file, the one opener of an output file, the one error
-for a text file that is not UTF-8, and the one reader for a field of a JSON
-input."""
+opener of an input file and the one of an output file, the one reader of a
+JSON input file, the one error for a text file that is not UTF-8, and the
+one reader for a field of a JSON input.
+
+A file that cannot be opened (missing, a directory, unreadable) raises an
+error of the package, never a bare OSError: an input the class its reader
+names, an output an OutputError; either exits 2 with one ``error:`` line
+that names the file."""
 
 import json
 import math
@@ -187,15 +192,25 @@ def read_field(value, kind: str, name: str, error: type[Exception] = ValueError)
     raise error(f"{name} must be {kind}, got {value!r}")
 
 
+def open_input(path, error: type[Exception], newline=None):
+    """``path`` opened to read UTF-8 text; one that cannot be opened (missing,
+    a directory, unreadable) raises ``error`` with the OSError's text, which
+    names the file."""
+    try:
+        return open(path, "r", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise error(str(exc)) from exc
+
+
 def read_json_file(path, error: type[Exception]):
-    """The JSON document in the UTF-8 file ``path``; a file that does not
-    decode raises ``error`` naming the file, and an OSError passes through.
+    """The JSON document in the UTF-8 file ``path``; a file that cannot be
+    opened or does not decode raises ``error`` naming the file.
 
     Not decoding covers JSON that ``json`` cannot read, a byte that is not
     UTF-8, an integer past the digit limit of int() and nesting too deep
     for the decoder.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, error) as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too

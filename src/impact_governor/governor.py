@@ -35,9 +35,12 @@ _BISECT_WIDTH = 1e-7
 _F_STAR_MAX_N = max(BODY_REGION_LIMITS_N.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class GovernorConfig:
-    """Operating parameters of the safety layer.
+    """Operating parameters of the safety layer; frozen, so that the checks
+    made on it when it is built, and by ``SimScenario`` or ``GovernorRuntime``
+    when they take it, hold while it is used (``dataclasses.replace`` makes a
+    changed copy, checked again).
 
     ``t_q_s`` is the end-to-end perception+response latency, ``a_mps2`` the
     worst-case deceleration, ``c_m`` the human-reach margin added to the

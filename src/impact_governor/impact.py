@@ -22,6 +22,7 @@ from .errors import (
     NUMBER,
     STR,
     EmptyInput,
+    IngestError,
     InvariantViolation,
     LengthMismatch,
     MalformedRow,
@@ -30,6 +31,7 @@ from .errors import (
     RestitutionAboveUnity,
     VelocityTooLow,
     not_utf8,
+    open_input,
     open_output,
     read_field,
 )
@@ -124,9 +126,10 @@ def read_metrics_csv(path) -> list[ImpactMetrics]:
     left out. A row of a file that lacks another column, a row with a cell
     that is not a number and a row with fewer or more cells than the header
     are each a MalformedRow naming the file and the row; a file that is not
-    UTF-8 text is one naming the file and the byte."""
+    UTF-8 text is one naming the file and the byte, and one that cannot be
+    opened an IngestError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open_input(path, IngestError, newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None

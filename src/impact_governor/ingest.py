@@ -36,6 +36,7 @@ from .errors import (
     STR,
     AlignmentOutOfTolerance,
     EmptyStream,
+    IngestError,
     InvariantViolation,
     LengthMismatch,
     MalformedRow,
@@ -44,6 +45,7 @@ from .errors import (
     RateMismatch,
     TriggerMissing,
     not_utf8,
+    open_input,
     read_field,
     read_json_file,
 )
@@ -79,7 +81,7 @@ def is_trial_manifest(path: Path) -> bool:
     does is a trial manifest, whatever else it holds or lacks."""
     try:
         data = read_json_file(path, ManifestError)
-    except (OSError, ManifestError):
+    except ManifestError:
         return False
     return isinstance(data, dict) and "force_csv" in data and "range_csv" in data
 
@@ -174,7 +176,7 @@ _BLANK_ROW_CHARS = " \t\r\n,"
 def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with open_input(path, IngestError, newline="") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -224,7 +226,7 @@ def _data_rows(path: Path) -> list[tuple[int, str]]:
     cells is no data row. Past a cell too long for the csv module, each
     remaining line is one record.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_input(path, IngestError, newline="") as fh:
         lines = fh.readlines()
     ends: list[int] = []  # the line count read at the end of each record
     reader = csv.reader(lines)
@@ -349,15 +351,14 @@ def load_trial(path: str | Path) -> RawAcquisition:
     """Load one trial from its manifest JSON.
 
     Stream paths in the manifest are resolved relative to the manifest file.
-    A manifest that is not a JSON object is a ManifestError naming it; a
-    field of the wrong kind, or a sample rate that is not > 0, is one naming
-    the manifest and the key.
+    A manifest that cannot be opened or is not a JSON object is a
+    ManifestError naming it; a field of the wrong kind, or a sample rate
+    that is not > 0, is one naming the manifest and the key. A stream file
+    that is missing is one naming both; one that exists but cannot be
+    opened (a directory, an unreadable file) is an IngestError naming it.
     """
     path = Path(path)
-    try:
-        manifest = read_json_file(path, ManifestError)
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    manifest = read_json_file(path, ManifestError)
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     missing = [k for k in MANIFEST_KEYS if k not in manifest]

@@ -37,8 +37,10 @@ from .errors import (
     ImpactGovernorError,
     IngestError,
     InvariantViolation,
+    OutputError,
     ProtocolError,
     TransportError,
+    open_output,
     read_json_file,
 )
 from .governor import GovernorConfig, GovernorRuntime
@@ -50,13 +52,13 @@ log = logging.getLogger(__name__)
 #: exit code per exception type a subcommand may raise; the most specific
 #: class in the exception's MRO decides (IngestError, the fit errors,
 #: ScenarioInvariantViolation and OutputError are bad input through
-#: ImpactGovernorError)
+#: ImpactGovernorError; an input file that cannot be opened is one of
+#: these, raised by errors.open_input)
 _EXIT_CODES = {
     ProtocolError: EXIT_RUNTIME,
     TransportError: EXIT_RUNTIME,
     InvariantViolation: EXIT_INVARIANT,
     ImpactGovernorError: EXIT_INPUT,
-    FileNotFoundError: EXIT_INPUT,
     # input files decode through errors.read_json_file; this row is for a
     # byte that is not UTF-8 on govern --stdin, which decodes strictly
     UnicodeDecodeError: EXIT_INPUT,
@@ -98,7 +100,7 @@ def _write_run_manifest(out_dir: Path, subcommand: str, started: str, run: dict,
         **sections,
         **outcome,
     }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
+    with open_output(out_dir / "run_manifest.json") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -154,7 +156,9 @@ def run_command(args) -> int:
     the ``error:`` line; both stay null for an exception that is not mapped,
     which propagates with its traceback. An output directory that cannot be
     made exits 2 with its ``error:`` line alone: there is nowhere to write
-    the manifest.
+    the manifest. A manifest that cannot be opened adds its own ``error:``
+    line and turns an exit code of 0 into 2; the outputs the command wrote
+    stay.
     """
     out = Path(args.out)
     try:
@@ -165,18 +169,24 @@ def run_command(args) -> int:
         return EXIT_INPUT
     started = _utc_now()
     run = {"inputs": [], "outputs": [], "config": None}
-    code, error = None, None
+    code, error, stop = None, None, None
     try:
         code = args.func(args, run)
     except SystemExit as exc:  # govern's SIGTERM on --stdin
-        code = exc.code
+        code, stop = exc.code, exc
         raise
     except tuple(_EXIT_CODES) as exc:
         code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
         error = f"error: {exc}"
         print_error(error)
     finally:
-        _write_run_manifest(out, args.subcommand, started, run, exit_code=code, error=error)
+        try:
+            _write_run_manifest(out, args.subcommand, started, run, exit_code=code, error=error)
+        except OutputError as exc:
+            print_error(f"error: {exc}")
+            code = code or EXIT_INPUT
+            if stop is not None:  # the SystemExit on its way out exits with it
+                stop.code = code
         _drop_a_failing_stderr()
     return code
 
@@ -281,6 +291,14 @@ def port(text: str) -> int:
     return number
 
 
+def degree(text: str) -> int:
+    """A polynomial degree (argparse names this function for a non-number)."""
+    number = int(text)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {number}")
+    return number
+
+
 def _run_analysis(args, run: dict) -> int:
     """Run ``cli.cmd_<subcommand>``, looked up on the module at call time so
     that a wrapper set on the module attribute is what runs."""
@@ -310,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit an airframe profile from summaries")
     p.add_argument("summaries", nargs="+", help="configuration summary JSON files")
     p.add_argument("--out", required=True)
-    p.add_argument("--degree", type=int, default=2, help="restitution fit degree")
+    p.add_argument("--degree", type=degree, default=2, help="restitution fit degree")
     p.set_defaults(func=_run_analysis)
 
     p = sub.add_parser("govern", parents=[overrides], help="run the streaming velocity governor")

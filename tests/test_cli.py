@@ -402,6 +402,39 @@ def _analyze_with_cores(monkeypatch, capsys, cores, campaign, out):
     return code, err, json.loads((out / "run_manifest.json").read_text())
 
 
+@pytest.mark.parametrize("stream", ["force", "range"])
+def test_analyze_rejects_only_the_trial_whose_stream_is_a_directory(
+    monkeypatch, capsys, tmp_path, stream
+):
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    bad = campaign / f"trial_001_{stream}.csv"
+    bad.unlink()
+    bad.mkdir()
+    runs = {}
+    for cores in (1, 2):
+        out = tmp_path / f"cores{cores}"
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        code = main(["analyze", str(campaign), "--out", str(out)])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.glob("*") if p.name != "run_manifest.json"}
+        runs[cores] = (code, captured.out.replace(str(out), "<out>"), captured.err, files)
+    assert runs[2] == runs[1]
+    code, stdout, stderr, files = runs[1]
+    assert code == 2
+    assert stderr.splitlines() == [f"error: trial_001.json: [Errno 21] Is a directory: '{bad}'"]
+    assert stdout == "analyzed 3/4 trials -> <out>\n"
+    assert sorted(files) == ["metrics.csv", "summary_Carbon-0deg_v3.5.json"]
+
+    # the other trials write what the campaign without trial_001 writes
+    shutil.rmtree(bad)
+    for path in campaign.glob("trial_001*"):
+        path.unlink()
+    assert main(["analyze", str(campaign), "--out", str(tmp_path / "without")]) == 0
+    capsys.readouterr()
+    assert files == {name: (tmp_path / "without" / name).read_bytes() for name in files}
+
+
 @pytest.fixture(scope="module")
 def mixed_campaign(tmp_path_factory):
     """Seven trials: trial_001 has a non-numeric force cell, trial_006 hits
@@ -639,6 +672,18 @@ def test_fit_unphysical_model_exits_invariant(tmp_path):
 
 def test_fit_missing_file_exits_input_error(tmp_path):
     assert main(["fit", str(tmp_path / "ghost.json"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("degree, why", [("-1", "degree must be >= 0, got -1"),
+                                         ("two", "invalid degree value: 'two'")])
+def test_fit_bad_degree_is_a_usage_error(capsys, tmp_path, degree, why):
+    argv = _fit_argv(tmp_path)[:-2]  # without its --degree 1
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--degree", degree, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"impact-governor fit: error: argument --degree: {why}"
+    assert not (tmp_path / "out").exists()
 
 
 # --- govern ------------------------------------------------------------------
@@ -1492,14 +1537,14 @@ def _fit_argv(tmp_path):
 
 
 _CHEST = str(REPO_ROOT / "scenarios" / "three_humans_chest.json")
+_CARBON = str(REPO_ROOT / "profiles" / "carbon_0deg.json")
 _OUTPUT_IS_A_DIRECTORY = {
     "simulate-trajectory": ("trajectory.csv", lambda tmp: ["simulate", _CHEST]),
     "simulate-summary": ("summary.json", lambda tmp: ["simulate", _CHEST]),
     "analyze-metrics": ("metrics.csv", _campaign_argv),
     "analyze-summary": ("summary_Carbon-0deg_v3.json", _campaign_argv),
     "fit-profile": ("profile_Bad.json", _fit_argv),
-    "report": ("report.md",
-               lambda tmp: ["report", str(REPO_ROOT / "profiles" / "carbon_0deg.json")]),
+    "report": ("report.md", lambda tmp: ["report", _CARBON]),
 }
 
 
@@ -1519,6 +1564,41 @@ _JSON_READERS = {
     "simulate": ("simulate", "BAD"),
     "govern-profile": ("govern", "--stdin", "--profile", "BAD"),
     "govern-config": ("govern", "--stdin", "--config", "BAD"),
+}
+
+def _case_directory(name, *argv):
+    """``argv`` with "BAD" replaced by the directory ``name``."""
+    def case(tmp_path, monkeypatch):
+        (tmp_path / name).mkdir()
+        return [str(tmp_path / name) if a == "BAD" else a for a in argv]
+
+    return case
+
+
+def _case_scenario_profile_is_a_directory(tmp_path, monkeypatch):
+    data = json.loads((REPO_ROOT / "scenarios" / "three_humans_chest.json").read_text())
+    (tmp_path / "profile.json").mkdir()
+    (tmp_path / "s.json").write_text(json.dumps({**data, "profile_path": "profile.json"}))
+    return ["simulate", str(tmp_path / "s.json")]
+
+
+def _case_config_profile_empty(tmp_path, monkeypatch):
+    # "" resolves to the config's own directory
+    (tmp_path / "cfg.json").write_text(json.dumps({"profile": ""}))
+    return ["govern", "--stdin", "--config", str(tmp_path / "cfg.json")]
+
+
+#: per input that is a directory: the case and its error line
+_INPUT_IS_A_DIRECTORY = {
+    **{reader: (_case_directory("bad.json", *argv),
+                "error: [Errno 21] Is a directory: '{tmp}/bad.json'")
+       for reader, argv in _JSON_READERS.items()},
+    "report-csv": (_case_directory("bad.csv", "report", "BAD"),
+                   "error: [Errno 21] Is a directory: '{tmp}/bad.csv'"),
+    "scenario-profile": (_case_scenario_profile_is_a_directory,
+                         "error: [Errno 21] Is a directory: '{tmp}/profile.json'"),
+    "governor-config-empty-profile": (_case_config_profile_empty,
+                                      "error: [Errno 21] Is a directory: '{tmp}'"),
 }
 
 _NOT_UTF8 = ("error: {tmp}/bad.json: invalid JSON input: "
@@ -1609,6 +1689,7 @@ _UNDECODABLE = {
         *[(_case_output_is_a_directory(name, make_argv), 2,
            f"error: cannot open output {{tmp}}/out/{name}: Is a directory")
           for name, make_argv in _OUTPUT_IS_A_DIRECTORY.values()],
+        *[(case, 2, line) for case, line in _INPUT_IS_A_DIRECTORY.values()],
     ],
     ids=["protocol", "invariant", "governor-config-not-object", "governor-config-body-region",
          "governor-config-body-region-list", "governor-config-profile-path",
@@ -1628,7 +1709,8 @@ _UNDECODABLE = {
          "profile-domain-negative",
          *[f"{reader}-{kind}" for kind in _UNDECODABLE for reader in _JSON_READERS],
          "report-csv-not-utf8",
-         *[f"{kind}-output-is-a-directory" for kind in _OUTPUT_IS_A_DIRECTORY]],
+         *[f"{kind}-output-is-a-directory" for kind in _OUTPUT_IS_A_DIRECTORY],
+         *[f"{kind}-input-is-a-directory" for kind in _INPUT_IS_A_DIRECTORY]],
 )
 def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code, first_line):
     monkeypatch.setattr("sys.stdin", stdin_of(""))
@@ -1683,6 +1765,54 @@ def test_every_json_input_file_decodes_through_read_json_file():
     }
 
 
+_OPENERS = ("open", "read_text", "write_text", "read_bytes", "write_bytes")
+
+
+def _file_opening(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (scope, name) of each place in ``tree`` that names a file opener:
+    ``open`` itself, or an attribute ``open``, ``read_text``, ``write_text``,
+    ``read_bytes`` or ``write_bytes`` of anything (``Path.open``, ``os.open``,
+    ``io.open`` too). The scope is the dotted path of the enclosing classes
+    and functions, "<module>" at module level."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, ast.Name) and node.id == "open":
+            found.add((where, "open"))
+        elif isinstance(node, ast.Attribute) and node.attr in _OPENERS:
+            found.add((where, f".{node.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_file_opens_through_errors_but_pipes_the_compliance_log_and_test_data():
+    # errors.open_input and errors.open_output own every input and output file;
+    # cli opens only pipe file descriptors, ComplianceLog keeps its own pinned
+    # error line, and synthetic writes test data
+    package = REPO_ROOT / "src" / "impact_governor"
+    found = {
+        (path.name, *use)
+        for path in sorted(package.glob("*.py")) if path.name != "synthetic.py"
+        for use in _file_opening(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("errors.py", "open_input", "open"),
+        ("errors.py", "open_output", "open"),
+        ("cli.py", "_worker", "open"),
+        ("cli.py", "_join", "open"),
+        ("cli.py", "_simulate_with_writer", "open"),
+        ("cli.py", "_write_received.blocks", "open"),
+        ("stream.py", "ComplianceLog.__init__", "open"),
+    }
+    sample = "def f(p):\n    p.read_text()\nclass C:\n    def g(self):\n        h = open\n"
+    assert _file_opening(ast.parse(sample)) == {("f", ".read_text"), ("C.g", "open")}
+
+
 @pytest.mark.parametrize(
     "subcommand, make, error",
     [
@@ -1729,6 +1859,55 @@ def test_an_output_directory_that_cannot_be_made_exits_input_error(
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: cannot create output directory {out}: {why}"]
     assert (captured.out, taken.read_text()) == ("", "a file\n")
+
+
+#: per subcommand: an argv that exits 0, and the outputs it writes
+_SUCCEEDS = {
+    "analyze": (_campaign_argv, ["metrics.csv", "summary_Carbon-0deg_v3.json"]),
+    "fit": (_fit_argv, ["profile_Bad.json"]),
+    "govern": (lambda tmp: ["govern", "--stdin", "--profile", _CARBON], ["compliance.csv"]),
+    "simulate": (lambda tmp: ["simulate", _CHEST], ["summary.json", "trajectory.csv"]),
+    "report": (lambda tmp: ["report", _CARBON], ["report.md"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", _SUCCEEDS)
+def test_a_run_manifest_that_cannot_be_written_exits_input_error(
+    monkeypatch, capsys, tmp_path, subcommand
+):
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
+    make_argv, outputs = _SUCCEEDS[subcommand]
+    out = tmp_path / "out"
+    (out / "run_manifest.json").mkdir(parents=True)
+    assert main([*make_argv(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot open output {out}/run_manifest.json: Is a directory"
+    ]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "run_manifest.json"])
+
+
+def test_a_run_manifest_that_cannot_be_written_keeps_the_command_exit_code(
+    monkeypatch, capsys, tmp_path
+):
+    (tmp_path / "out" / "run_manifest.json").mkdir(parents=True)
+    assert main([*_case_unphysical_fit(tmp_path, monkeypatch), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: fitted model breaks physics: ")
+    assert err[1:] == [f"error: cannot open output {tmp_path}/out/run_manifest.json: Is a directory"]
+
+
+def test_a_run_manifest_that_cannot_be_written_after_sigterm_exits_input_error(
+    monkeypatch, capsys, tmp_path
+):
+    # govern's SIGTERM handler stops --stdin with SystemExit(0)
+    monkeypatch.setattr("impact_governor.node.run_stream", _raise(SystemExit(0)))
+    (tmp_path / "out" / "run_manifest.json").mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        main(["govern", "--stdin", "--profile", _CARBON, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot open output {tmp_path}/out/run_manifest.json: Is a directory"
+    ]
 
 
 # --- simulate ----------------------------------------------------------------

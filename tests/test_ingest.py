@@ -10,6 +10,7 @@ from impact_governor import ingest, synthetic
 from impact_governor.errors import (
     AlignmentOutOfTolerance,
     EmptyStream,
+    IngestError,
     InvariantViolation,
     LengthMismatch,
     MalformedRow,
@@ -300,6 +301,27 @@ def test_a_manifest_that_is_not_utf8_is_no_manifest_and_does_not_load(tmp_path, 
     assert not ingest.is_trial_manifest(p)
     with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}: {why}"):
         load_trial(p)
+
+
+def test_a_manifest_that_is_a_directory_is_no_manifest_and_does_not_load(tmp_path):
+    p = tmp_path / "m.json"
+    p.mkdir()
+    assert not ingest.is_trial_manifest(p)
+    with pytest.raises(ManifestError) as exc:
+        load_trial(p)
+    assert str(exc.value) == f"[Errno 21] Is a directory: '{p}'"
+
+
+@pytest.mark.parametrize("stream", ["force", "range"])
+def test_a_stream_that_is_a_directory_is_an_ingest_error_naming_it(tmp_path, stream):
+    raw, _ = synth_trial(seed=1)
+    manifest = write_trial(raw, tmp_path, "t1")
+    p = tmp_path / f"t1_{stream}.csv"
+    p.unlink()
+    p.mkdir()
+    with pytest.raises(IngestError) as exc:
+        load_trial(manifest)
+    assert str(exc.value) == f"[Errno 21] Is a directory: '{p}'"
 
 
 @pytest.mark.parametrize("where", ["header", "deep"])

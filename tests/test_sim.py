@@ -92,6 +92,16 @@ def test_scenario_fields_cannot_be_assigned(field):
         setattr(scenario, field, getattr(scenario, field))
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(GovernorConfig)])
+def test_scenario_governor_config_fields_cannot_be_assigned(field):
+    # a staleness timeout set below the detection period after the scenario's
+    # check would have the run spend most of its steps on the failsafe
+    scenario = load_scenario(REPO_ROOT / "scenarios" / "three_humans_face.json")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(scenario.cfg, field, getattr(scenario.cfg, field))
+    assert dataclasses.replace(scenario.cfg, mode="ramp").mode == "ramp"
+
+
 def test_goals_and_humans_are_tuples_that_cannot_be_emptied():
     # clearing a list of goals would get round the "at least one goal" check
     loaded = load_scenario(REPO_ROOT / "scenarios" / "three_humans_chest.json")
