@@ -406,8 +406,9 @@ def scenario_from_dict(
     ``"profile_path"`` resolved relative to the scenario file.  A ``"seed"``
     key, written by older versions, is ignored: the simulation has no
     randomness.  Every number must be a finite JSON number (``json`` reads
-    ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the name a
-    string; anything else raises ScenarioInvariantViolation naming the field.
+    ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the name and
+    ``"profile_path"`` strings; anything else raises ScenarioInvariantViolation
+    naming the field.
     """
     if not isinstance(data, dict):
         raise ScenarioInvariantViolation("bad scenario definition: scenario must be a JSON object")
@@ -422,7 +423,7 @@ def scenario_from_dict(
         if "profile" in data:
             profile = parse_profile(data["profile"])
         else:
-            profile_path = Path(data["profile_path"])
+            profile_path = Path(read_field(data["profile_path"], STR, "profile_path"))
             if base_dir is not None and not profile_path.is_absolute():
                 profile_path = base_dir / profile_path
             profile = load_profile(profile_path)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import math
 import sys
 import threading
 from itertools import repeat
@@ -105,7 +104,8 @@ def parse_message(text: str) -> dict:
         # the decoder makes exact int, float and bool only, and a bool is no
         # number; an int past INT_OVERFLOW would make float() raise
         if type(value) is float:
-            finite = -math.inf < value < math.inf  # a literal like 1e999 decodes to inf
+            # 0.0 for every finite float, NaN for an inf (a literal like 1e999)
+            finite = value - value == 0.0
         elif type(value) is int:
             finite = -INT_OVERFLOW < value < INT_OVERFLOW
         else:
@@ -127,7 +127,7 @@ def format_cmd_limited(out: VelocityCommand, record: ComplianceRecord) -> str:
 
     Byte-equal to ``json.dumps`` of the reply with ``separators=(",", ":")``
     for what the runtime emits: the numbers are exact finite floats (the
-    command from ``_dispatch``) or ints (a cap taken from an int config
+    command as ``_serve`` builds it) or ints (a cap taken from an int config
     value, see ``GovernorConfig``), and the source is one of the four
     plain-ASCII cap sources.
     """
@@ -205,39 +205,18 @@ class ComplianceLog:
         self.close()
 
 
-def _dispatch(
-    runtime: GovernorRuntime,
-    msg: dict,
-    emit: Callable[[str], None],
-    compliance: Optional[ComplianceLog],
-) -> None:
-    """Route one validated message into the governor."""
-    mtype = msg["type"]
-    if mtype == "range":
-        runtime.on_range(float(msg["d_m"]), float(msg["t_s"]))
-        return
-    if mtype == "odom":  # validated by parse_message, otherwise ignored
-        return
-    cmd = VelocityCommand(
-        vx=float(msg["vx"]),
-        vy=float(msg["vy"]),
-        vz=float(msg["vz"]),
-        timestamp=float(msg["t_s"]),
-    )
-    out = runtime.on_command(cmd)
-    record = runtime.last_record
-    emit(format_cmd_limited(out, record))
-    if compliance is not None:
-        compliance.write(record)
-
-
 def _serve(
     runtime: GovernorRuntime,
     messages: Iterable[tuple[str, Callable[[str], None]]],
     compliance: Optional[ComplianceLog],
 ) -> None:
-    """Parse and dispatch each ``(text, emit)`` message; a malformed one gets
-    one error reply through its ``emit``, then its ProtocolError propagates."""
+    """Parse each ``(text, emit)`` message and route it into ``runtime``: a
+    ``cmd`` gets its reply through its ``emit`` (and a row in ``compliance``),
+    a ``range`` updates the runtime, an ``odom`` is dropped.  A malformed
+    message gets one error reply through its ``emit``, then its ProtocolError
+    propagates."""
+    on_range = runtime.on_range
+    on_command = runtime.on_command
     try:
         for text, emit in messages:
             try:
@@ -245,7 +224,19 @@ def _serve(
             except ProtocolError as exc:
                 emit(format_error(str(exc)))
                 raise
-            _dispatch(runtime, msg, emit, compliance)
+            mtype = msg["type"]
+            if mtype == "cmd":
+                out = on_command(
+                    VelocityCommand(
+                        float(msg["vx"]), float(msg["vy"]), float(msg["vz"]), float(msg["t_s"])
+                    )
+                )
+                record = runtime.last_record
+                emit(format_cmd_limited(out, record))
+                if compliance is not None:
+                    compliance.write(record)
+            elif mtype == "range":
+                on_range(float(msg["d_m"]), float(msg["t_s"]))
     finally:
         if compliance is not None:
             compliance.flush()

@@ -1430,6 +1430,15 @@ def _case_bad_scenario(tmp_path, monkeypatch):
     return ["simulate", str(tmp_path / "s.json")]
 
 
+def _case_scenario_profile_path(value):
+    def case(tmp_path, monkeypatch):
+        data = json.loads((REPO_ROOT / "scenarios" / "three_humans_chest.json").read_text())
+        (tmp_path / "s.json").write_text(json.dumps({**data, "profile_path": value}))
+        return ["simulate", str(tmp_path / "s.json")]
+
+    return case
+
+
 def _case_missing_file(tmp_path, monkeypatch):
     return ["simulate", str(tmp_path / "none.json")]
 
@@ -1642,6 +1651,9 @@ _UNDECODABLE = {
         (_case_profile_value(mass_kg="abc"), 4,
          "error: profile mass_kg must be a finite number, got 'abc'"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
+        *[(_case_scenario_profile_path(value), 2,
+           f"error: bad scenario definition: profile_path must be a string, got {value!r}")
+          for value in (5, None, ["carbon_0deg.json"])],
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
         (_case_bad_json, 2, "error: {tmp}/s.json: invalid JSON input: Expecting property name"),
         (_case_bad_summary, 2,
@@ -1697,7 +1709,8 @@ _UNDECODABLE = {
          "governor-config-compliance-path",
          "ingest", "fit", "profile-no-coeffs", "profile-coeffs-empty", "profile-domain-short",
          "profile-not-object", "profile-mass-string",
-         "scenario", "file-not-found", "json", "summary", "governor-config",
+         "scenario", "scenario-profile-path-int", "scenario-profile-path-null",
+         "scenario-profile-path-list", "file-not-found", "json", "summary", "governor-config",
          "governor-config-f-star", "governor-config-nan-f-star", "governor-config-infinity",
          "governor-config-bool", "governor-config-huge-int",
          "scenario-governor-huge-int", "simulate-override", "simulate-nan-override",

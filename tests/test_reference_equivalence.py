@@ -1188,8 +1188,9 @@ def _expected_parse_outcome(text):
         return "ProtocolError", f"invalid JSON: {want[1]}"  # int digit limit, nesting depth
     if not isinstance(want, dict) and want[0] == "TypeError":  # an unhashable "type"
         return "ProtocolError", f"unknown message type: {json.loads(text)['type']!r}"
-    # an int that float() refuses passed the earlier checks (and crashed
-    # _dispatch); now it is not finite, in the order the fields are checked
+    # an int that float() refuses passed the earlier checks (and crashed the
+    # stream when it routed the message); now it is not finite, in the order
+    # the fields are checked
     try:
         msg = _ORACLE_DECODER.decode(text)
         fields = _ORACLE_REQUIRED_FIELDS[msg["type"]]
@@ -1294,6 +1295,29 @@ def test_parse_message_accepts_a_field_exactly_when_read_field_finds_a_finite_nu
     except ProtocolError:
         parsed = False
     assert parsed == read, (line, value)
+
+
+@pytest.mark.parametrize(
+    "mtype, key", [(mtype, key) for mtype, keys in _ORACLE_REQUIRED_FIELDS.items() for key in keys]
+)
+@pytest.mark.parametrize(
+    "text, finite",
+    [("1.7976931348623157e308", True), ("-1.7976931348623157e308", True), ("5e-324", True),
+     ("-0.0", True), ("1e999", False), ("-1e999", False)],
+)
+def test_parse_message_finiteness_holds_at_the_float_edges(mtype, key, text, finite):
+    # the largest floats, the smallest subnormal and a negative zero are
+    # finite; literals past the largest float decode to an infinity, which is not
+    keys = _ORACLE_REQUIRED_FIELDS[mtype]
+    line = '{"type":"%s",%s}' % (mtype, ",".join(f'"{k}":{text if k == key else "0"}' for k in keys))
+    if finite:
+        msg = stream.parse_message(line)
+        assert msg == json.loads(line)
+        assert repr(msg[key]) == repr(float(text))
+    else:
+        with pytest.raises(ProtocolError) as exc:
+            stream.parse_message(line)
+        assert str(exc.value) == f"{mtype} message field {key!r} must be finite"
 
 
 @pytest.mark.parametrize(

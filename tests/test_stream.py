@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import socket
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from impact_governor import stream
 from impact_governor.errors import ProtocolError
 from impact_governor.governor import GovernorConfig, GovernorRuntime
 from impact_governor.stream import (
@@ -269,6 +271,39 @@ def test_compliance_log_contents(tmp_path, runtime):
     assert fields[5] == "force"
     assert fields[6] == "false"
     assert fields[7] == ""
+
+
+def test_each_traced_layer_is_called_once_per_message_it_handles(tmp_path, monkeypatch, runtime):
+    # bench/tracer.py times these layers by replacing the attribute that
+    # run_stream looks up; a layer inlined into the loop would leave its span
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in [(stream, "parse_message"), (stream, "format_cmd_limited"),
+                        (ComplianceLog, "write"), (GovernorRuntime, "on_command"),
+                        (GovernorRuntime, "on_range")]:
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    lines = _lines(
+        {"type": "range", "d_m": 30.0, "t_s": 0.0},
+        {"type": "odom", "vx": 3.0, "vy": 0.0, "vz": 0.0, "t_s": 0.05},
+        {"type": "cmd", "vx": 6.0, "vy": 0.0, "vz": 0.0, "t_s": 0.1},
+        {"type": "range", "d_m": 5.0, "t_s": 0.2},
+        {"type": "cmd", "vx": 20.0, "vy": 0.0, "vz": 0.0, "t_s": 0.25},
+        {"type": "odom", "vx": 3.0, "vy": 0.0, "vz": 0.0, "t_s": 0.3},
+        {"type": "cmd", "vx": 1.0, "vy": 1.0, "vz": 0.0, "t_s": 0.35},
+    )
+    out = io.StringIO()
+    with ComplianceLog(tmp_path / "compliance.csv") as log:
+        assert run_stream(runtime, ["", *lines, "  "], out, compliance=log) == 0
+    assert calls == {"parse_message": 7, "format_cmd_limited": 3, "write": 3,
+                     "on_command": 3, "on_range": 2}
+    assert len(out.getvalue().splitlines()) == 3
 
 
 def test_int_config_caps_keep_their_json_text(tmp_path, const_profile):
