@@ -341,7 +341,8 @@ class GovernorRuntime:
 
         The finiteness test, ``VelocityCommand.speed`` and the saturation of
         ``limit_command`` are written out here, in their order and with their
-        arithmetic: this runs once per command.
+        arithmetic: this runs once per command. ``VelocityCommand.speed`` is
+        written out twice, for the command and for the clipped command.
         """
         vx, vy, vz, t = cmd.vx, cmd.vy, cmd.vz, cmd.timestamp
         flags: list[str] = []
@@ -374,8 +375,12 @@ class GovernorRuntime:
                 out, out_speed = cmd, in_speed
             else:
                 s = cap / in_speed
-                out = VelocityCommand(vx * s, vy * s, vz * s, t)
-                out_speed = out.speed()
+                ox, oy, oz = vx * s, vy * s, vz * s
+                out = VelocityCommand(ox, oy, oz, t)
+                try:
+                    out_speed = math.sqrt(ox**2 + oy**2 + oz**2)
+                except OverflowError:
+                    out_speed = math.hypot(ox, oy, oz)
         else:
             flags.append("non-finite-command")
             in_speed = math.nan

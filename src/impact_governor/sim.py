@@ -18,6 +18,13 @@ the C library's ``hypot`` and every expression in the order of the
 earlier numpy 2-vector code, so trajectories are also bit-identical to
 that code (``tests/test_reference_equivalence.py`` keeps it as oracle).
 
+The per-step norms are taken inline, as ``abs(complex(x, y))``: each
+person's distance in ``human_distances``, the goal offset and the clip in
+``potential_field_cmd``, the velocity change in ``step`` and the speed in
+``run_scenario``'s loop. A Python call costs about as much as the norm. Each
+site calls ``_norm`` only from ``except OverflowError``, so an overflow, a
+NaN part or a sticky ``errno`` gives what ``_norm`` gives.
+
 Each person's distance is computed once per step, after integration
 (``human_distances``): the audit's nearest distance, the next detection
 and the next pilot command all read those values.  The pilot, the
@@ -110,7 +117,8 @@ class SimScenario:
 
 
 def _norm(x: float, y: float) -> float:
-    """Euclidean norm, bit-identical to ``np.hypot``.
+    """Euclidean norm, bit-identical to ``np.hypot``; the per-step sites take
+    it inline and call this only when the inline norm raises.
 
     ``abs(complex(x, y))`` calls the C library's ``hypot`` as ``np.hypot``
     does (``math.hypot`` rounds differently in the last bit for a few pairs
@@ -133,7 +141,14 @@ def human_distances(
     pilot's repulsion uses these values as they are.
     """
     px, py = position
-    return [_norm(hx - px, hy - py) for hx, hy in humans]
+    distances = []
+    for hx, hy in humans:
+        x, y = hx - px, hy - py
+        try:
+            distances.append(abs(complex(x, y)))
+        except OverflowError:
+            distances.append(_norm(x, y))
+    return distances
 
 
 def nearest_human_distance(distances: Sequence[float]) -> float:
@@ -170,12 +185,18 @@ def potential_field_cmd(
     px, py = position
     gx, gy = goals[goal_index]
     ox, oy = gx - px, gy - py
-    dist = _norm(ox, oy)
+    try:
+        dist = abs(complex(ox, oy))
+    except OverflowError:
+        dist = _norm(ox, oy)
     if dist < GOAL_CAPTURE_RADIUS_M and len(goals) > 1:
         goal_index = (goal_index + 1) % len(goals)
         gx, gy = goals[goal_index]
         ox, oy = gx - px, gy - py
-        dist = _norm(ox, oy)
+        try:
+            dist = abs(complex(ox, oy))
+        except OverflowError:
+            dist = _norm(ox, oy)
 
     # starting from 0.0 turns a -0.0 component into +0.0
     dx = dy = 0.0
@@ -190,7 +211,10 @@ def potential_field_cmd(
         dx += k_r * ((px - hx) / d_h) * weight * v0
         dy += k_r * ((py - hy) / d_h) * weight * v0
 
-    norm = _norm(dx, dy)
+    try:
+        norm = abs(complex(dx, dy))
+    except OverflowError:
+        norm = _norm(dx, dy)
     if norm > v0 and norm > 0.0:
         scale = v0 / norm
         dx *= scale
@@ -214,7 +238,10 @@ def step(
     """
     vx, vy = velocity
     dvx, dvy = cmd.vx - vx, cmd.vy - vy
-    dv_norm = _norm(dvx, dvy)
+    try:
+        dv_norm = abs(complex(dvx, dvy))
+    except OverflowError:
+        dv_norm = _norm(dvx, dvy)
     max_dv = a_max * dt
     if dv_norm > max_dv and dv_norm > 0.0:
         scale = max_dv / dv_norm
@@ -309,7 +336,10 @@ def run_scenario(
             d_true = nearest_human_distance(distances)
             if d_true < min_distance:
                 min_distance = d_true
-            speed = _norm(vx, vy)
+            try:
+                speed = abs(complex(vx, vy))
+            except OverflowError:
+                speed = _norm(vx, vy)
             if speed > max_speed:
                 max_speed = speed
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import csv
 import functools
 import hashlib
@@ -23,7 +24,7 @@ from impact_governor import cli, dsp, node, sim
 from impact_governor.cli import main
 from impact_governor.errors import ProtocolError
 from impact_governor.fit import load_profile, save_profile
-from impact_governor.governor import GovernorConfig
+from impact_governor.governor import GovernorConfig, GovernorRuntime
 from impact_governor.impact import (
     METRIC_FIELDS,
     ImpactMetrics,
@@ -2001,6 +2002,32 @@ def test_simulate_writes_the_same_bytes_in_process_and_with_a_forked_writer(
     for f in ("trajectory.csv", "summary.json"):
         assert (one / f).read_bytes() == (all_ / f).read_bytes()
     _assert_no_child_left()
+
+
+def test_simulate_calls_each_traced_layer_once_per_step(monkeypatch, capsys, tmp_path):
+    # bench/tracer.py times these layers by replacing the attribute that
+    # run_scenario looks up; a layer inlined into the loop would leave its span
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in [(sim, "human_distances"), (sim, "nearest_human_distance"),
+                        (sim, "potential_field_cmd"), (sim, "step"),
+                        (GovernorRuntime, "on_command"), (GovernorRuntime, "on_range")]:
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    scenario = str(REPO_ROOT / "scenarios" / "three_humans_face.json")
+    code, _, _, out, forked = _simulate(monkeypatch, capsys, tmp_path, 1, [scenario])
+    assert (code, forked) == (0, [])
+    steps = json.loads((out / "summary.json").read_text())["steps"]
+    assert steps == 7500  # 30 s at 4 ms
+    assert calls == {"human_distances": steps + 1, "nearest_human_distance": steps + 1,
+                     "potential_field_cmd": steps, "step": steps, "on_command": steps,
+                     "on_range": 300}  # one detection per 0.1 s
 
 
 def _peak_target_scenario(tmp_path):

@@ -580,3 +580,16 @@ def test_runtime_saturates_finite_huge_velocities(vx, vy, vz, d, mode):
     assert out.speed() <= rec.cap_mps + CAP_EPSILON
     assert not rec.violated and rec.flags == []
     assert rec.input_speed_mps == want
+
+
+def test_runtime_takes_the_clipped_speed_where_its_squares_overflow():
+    # a platform maximum of 1e200 clips to a command whose squares overflow:
+    # its speed falls back to hypot, as VelocityCommand.speed does
+    rt = GovernorRuntime(GovernorConfig(v_platform_max_mps=1e200), make_profile())
+    rt.on_range(math.inf, 0.0)
+    cmd = VelocityCommand(1e200, 1e200, 1e200, 0.01)
+    out = rt.on_command(cmd)
+    rec = rt.last_record
+    assert (rec.cap_mps, rec.cap_source) == (1e200, "none") and rec.input_speed_mps > 1e200
+    assert rec.output_speed_mps == out.speed() == limit_command(cmd, 1e200).speed()
+    assert not rec.violated

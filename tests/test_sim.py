@@ -184,6 +184,28 @@ def test_step_reaches_nearby_target_exactly():
     assert velocity[0] == pytest.approx(1.02)
 
 
+def test_each_inline_norm_falls_back_to_norm_where_it_overflows():
+    big = 1.5e308  # finite, but the norm of (big, big) overflows to inf
+    # a goal offset of infinite norm captures no goal, and an infinite gain
+    # turns its zero direction into NaN; before and after a capture
+    for position, goals, want_goal in [((-big / 2, -big / 2), [(big / 2, big / 2), (0.0, 0.0)], 0),
+                                       ((0.0, 0.0), [(0.0, 0.0), (big, big)], 1)]:
+        pilot = make_scenario(goals=goals, k_attract=math.inf)
+        cmd, goal = potential_field_cmd(position, [], 0, 0.0, pilot)
+        assert goal == want_goal and math.isnan(cmd.vx) and math.isnan(cmd.vy)
+    # a desired velocity of infinite norm is clipped to nothing
+    cmd, _ = potential_field_cmd((0.0, 0.0), [], 0, 0.0, make_scenario(goals=[(1.0, 1.0)],
+                                                                      k_attract=2.65e307))
+    assert (cmd.vx, cmd.vy) == (0.0, 0.0)
+    # so is a velocity change of infinite norm
+    _, velocity = step((0.0, 0.0), (0.0, 0.0), VelocityCommand(big, big, 0.0, 0.0), 0.004, 15.0)
+    assert velocity == (0.0, 0.0)
+    # the overflow leaves errno set, and CPython reports the next NaN norm as
+    # an overflow too: it is still NaN
+    inf, nan = human_distances((big, 0.0), [(0.0, big), (0.0, math.nan)])
+    assert inf == math.inf and math.isnan(nan)
+
+
 # --- closed loop -------------------------------------------------------------
 
 
