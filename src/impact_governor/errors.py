@@ -7,7 +7,13 @@ one reader for a field of a JSON input.
 A file that cannot be opened (missing, a directory, unreadable) raises an
 error of the package, never a bare OSError: an input the class its reader
 names, an output an OutputError; either exits 2 with one ``error:`` line
-that names the file."""
+that names the file.
+
+Only ``ingest`` lets numpy open a file too: its one ``np.loadtxt`` pass
+re-reads, by path, a stream that ``open_input`` has just opened to read
+the header. Where that re-read fails (the file removed in between, say),
+the line-by-line reader opens the stream again through ``open_input``,
+which names the failure."""
 
 import json
 import math

@@ -439,18 +439,23 @@ def aggregate_configuration(metrics: list[ImpactMetrics]) -> ConfigurationSummar
     if len(names) != 1:
         raise InvariantViolation(f"mixed configurations in one aggregate: {sorted(names)}")
 
-    stats: dict[str, MetricStat] = {}
-    for fname in METRIC_FIELDS:
-        vals = np.array([getattr(m, fname) for m in metrics], dtype=float)
-        mean = float(np.mean(vals))
-        std = float(np.std(vals, ddof=1))
-        cv = std / mean if mean != 0.0 else math.nan
-        stats[fname] = MetricStat(mean=mean, std=std, cv=cv)
+    # One C-contiguous (fields x trials) table, reduced along its rows: each
+    # row's sums run over contiguous memory in the order the sums over that
+    # field alone do, so the means and stds are theirs, bit for bit.
+    table = np.array(
+        [[getattr(m, name) for m in metrics] for name in _METRICS_CSV_NUMBERS], dtype=float
+    )
+    mean = dict(zip(_METRICS_CSV_NUMBERS, np.mean(table, axis=1).tolist()))
+    std = dict(zip(_METRICS_CSV_NUMBERS, np.std(table, axis=1, ddof=1).tolist()))
+    stats = {
+        f: MetricStat(mean[f], std[f], std[f] / mean[f] if mean[f] != 0.0 else math.nan)
+        for f in METRIC_FIELDS
+    }
 
     return ConfigurationSummary(
         configuration=metrics[0].configuration,
         n=len(metrics),
-        mass_kg=float(np.mean([m.mass_kg for m in metrics])),
-        angle_deg=float(np.mean([m.angle_deg for m in metrics])),
+        mass_kg=mean["mass_kg"],
+        angle_deg=mean["angle_deg"],
         stats=stats,
     )

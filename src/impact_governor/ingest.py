@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,30 +174,49 @@ def _first_rising_edge(time: np.ndarray, trigger: np.ndarray) -> float | None:
 _BLANK_ROW_CHARS = " \t\r\n,"
 
 
+#: the suffixes by which np.loadtxt opens a path as a compressed file; a
+#: plain-text stream so named would fail there (lzma's error is no OSError)
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The columns ``required`` of the CSV stream ``path``, by name.
+
+    ``errors.open_input`` opens the file and the csv module reads the
+    header. The body is then read in one ``np.loadtxt`` pass from the path
+    string, which alone gets numpy's chunked C reader (an open file or a
+    list of lines is fed to it line by line). That pass skips the header's
+    physical lines, which a quoted cell can make more than one. A name with
+    a suffix by which numpy would decompress the file (``_NUMPY_DECOMPRESSES``)
+    is read line by line instead. Where the pass fails, finds no rows or
+    cannot open the file (removed after its header was read), the lines
+    are read and judged one by one, through ``open_input`` again.
+    """
     path = Path(path)
     try:
         with open_input(path, IngestError, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                header = next(csv.reader(fh))
+                header = next(reader)
             except StopIteration:
                 raise EmptyStream(f"{path} is empty") from None
-            header = [h.strip() for h in header]
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise MissingColumn(f"{path} lacks column(s) {missing}")
-            # One C pass over the rest of the file. It fails on a row that holds
-            # no data, a bad cell or a ragged row, and finds no rows in an empty
-            # body (with a warning, silenced: _parse_lines raises EmptyStream);
-            # only then are the lines read and judged one by one.
+        header = [h.strip() for h in header]
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise MissingColumn(f"{path} lacks column(s) {missing}")
+        data = None
+        if os.path.splitext(path)[1] not in _NUMPY_DECOMPRESSES:
+            # The pass fails on a row that holds no data, a bad cell or a
+            # ragged row, and finds no rows in an empty body (with a warning,
+            # silenced: _parse_lines raises EmptyStream).
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings(
                         "ignore", "loadtxt: input contained no data", UserWarning
                     )
-                    data = _parse_rows(fh)
-            except ValueError:
-                data = None
+                    data = _parse_rows(os.fspath(path), skiprows=reader.line_num)
+            except (ValueError, OSError):
+                pass
         if data is None or not len(data):
             data = _parse_lines(path)
     except UnicodeDecodeError as exc:
@@ -212,9 +232,13 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
     return {name: data[:, header.index(name)] for name in required}
 
 
-def _parse_rows(rows) -> np.ndarray:
-    """The numeric table of ``rows``, an open file or a list of lines."""
-    return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+def _parse_rows(rows, skiprows: int = 0) -> np.ndarray:
+    """The numeric table of ``rows``, a path string or a list of lines,
+    past its first ``skiprows`` lines."""
+    return np.loadtxt(
+        rows, delimiter=",", quotechar='"', comments=None, ndmin=2,
+        skiprows=skiprows, encoding="utf-8",
+    )
 
 
 def _data_rows(path: Path) -> list[tuple[int, str]]:
@@ -252,9 +276,9 @@ def _file_row(path: Path, k: int) -> int:
 def _parse_lines(path: Path) -> np.ndarray:
     """The table of ``path``'s data rows, read record by record.
 
-    Only runs when the one-pass read failed or found no rows: an empty body
-    is an EmptyStream, a table that still does not parse a MalformedRow
-    naming its first bad row.
+    Only runs when the one-pass read failed, found no rows or was not made
+    (see ``_read_csv_columns``): an empty body is an EmptyStream, a table
+    that still does not parse a MalformedRow naming its first bad row.
     """
     rows = _data_rows(path)
     if not rows:

@@ -241,15 +241,58 @@ def test_a_clock_that_runs_backward_is_refused(tmp_path, swap):
 def test_a_well_formed_file_is_read_in_one_pass(tmp_path, monkeypatch):
     calls = []
 
-    def parse_rows(rows):
+    def parse_rows(rows, **kw):
         calls.append(type(rows))
-        return real(rows)
+        return real(rows, **kw)
 
     real = ingest._parse_rows
     monkeypatch.setattr(ingest, "_parse_rows", parse_rows)
     raw, _ = synth_trial(kind="elastic", seed=3)
     load_trial(write_trial(raw, tmp_path, "t0"))
-    assert len(calls) == 2 and list not in calls  # one open file per stream
+    # one path string per stream: only a path gets numpy's chunked C reader
+    assert calls == [str, str]
+
+
+RANGE_TEXT = "t_s,range_m,trigger\n" + "".join(f"{i * 0.001:.3f},1.{i},{i % 2}\n" for i in range(20))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_plain_stream_named_like_a_compressed_file_reads_like_csv(tmp_path, suffix):
+    # np.loadtxt would open such a path with a decompressor
+    plain, named = tmp_path / "range.csv", tmp_path / f"range.csv{suffix}"
+    plain.write_text(RANGE_TEXT)
+    named.write_text(RANGE_TEXT)
+    want, got = read_range_csv(plain), read_range_csv(named)
+    assert all(np.array_equal(got[c], want[c]) for c in want)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_header_cell_over_two_lines_is_skipped_in_the_one_pass(tmp_path, monkeypatch, newline):
+    # the pass skips the header's two physical lines, not one record
+    def no_line_path(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(ingest, "_parse_lines", no_line_path)
+    p = tmp_path / "range.csv"
+    p.write_bytes(RANGE_TEXT.replace("t_s,", f'"t_s{newline}",').replace("\n", newline).encode())
+    got = read_range_csv(p)
+    rows = np.array([line.split(",") for line in RANGE_TEXT.splitlines()[1:]], dtype=float)
+    assert all(np.array_equal(got[c], rows[:, k]) for k, c in enumerate(ingest.RANGE_COLUMNS))
+
+
+def test_a_stream_removed_after_its_header_is_an_ingest_error_naming_it(tmp_path, monkeypatch):
+    def parse_rows(rows, **kw):
+        if isinstance(rows, str):
+            p.unlink()
+        return real(rows, **kw)
+
+    real = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", parse_rows)
+    p = tmp_path / "range.csv"
+    p.write_text(RANGE_TEXT)
+    with pytest.raises(IngestError) as exc:
+        read_range_csv(p)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{p}'"
 
 
 def test_a_header_only_file_warns_nothing(tmp_path):

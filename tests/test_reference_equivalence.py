@@ -2,9 +2,9 @@
 implementations they replaced.
 
 The oracles below are the earlier, straightforward versions of the CSV
-reader, the Kalman loop, the despike edge loop, the numpy 2-vector
-simulation (pilot, integrator, nearest-human distance and closed loop), the
-governor's command limiting, the stream's message parse, reply format and
+reader, the per-field configuration summary, the Kalman loop, the despike
+edge loop, the numpy 2-vector simulation (pilot, integrator,
+nearest-human distance and closed loop), the governor's command limiting, the stream's message parse, reply format and
 compliance row, and the numpy airframe model (polyval, linspace grids, the
 force map and its checks), kept verbatim. The current code must
 return bitwise-equal results (``tobytes``, or the IEEE-754 bytes of each
@@ -51,6 +51,7 @@ from impact_governor import fit, impact, stream
 from impact_governor.errors import (
     FINITE,
     EmptyStream,
+    IngestError,
     InvariantViolation,
     MalformedRow,
     MissingColumn,
@@ -123,6 +124,23 @@ def oracle_read_csv_columns(path, required):
         raise EmptyStream(f"{path} has a header but no data rows")
     data = np.asarray(rows, dtype=float)
     return {name: data[:, header.index(name)] for name in required}
+
+
+def oracle_aggregate_configuration(metrics):
+    stats = {}
+    for fname in impact.METRIC_FIELDS:
+        vals = np.array([getattr(m, fname) for m in metrics], dtype=float)
+        mean = float(np.mean(vals))
+        std = float(np.std(vals, ddof=1))
+        cv = std / mean if mean != 0.0 else math.nan
+        stats[fname] = impact.MetricStat(mean=mean, std=std, cv=cv)
+    return impact.ConfigurationSummary(
+        configuration=metrics[0].configuration,
+        n=len(metrics),
+        mass_kg=float(np.mean([m.mass_kg for m in metrics])),
+        angle_deg=float(np.mean([m.angle_deg for m in metrics])),
+        stats=stats,
+    )
 
 
 def oracle_kalman_smooth(series, cfg):
@@ -639,6 +657,59 @@ def test_csv_reader_matches_oracle_on_random_tables(tmp_path, values, fmt, newli
         assert_bitwise(got[col], want[col])
 
 
+#: cells of a generated stream row: numbers written several ways, quoted
+#: ones among them, and cells that are not numbers or not finite
+number_cell = st.one_of(
+    finite.map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0.0", "+.5", "5.", "1E2", " 7 ", '"1.5"', '" 2 "', '"3\n"']),
+)
+odd_cell = st.sampled_from(["abc", "", "1.5.5", "nan", "-inf", "1e999", '"4', '5"'])
+number_row = st.lists(number_cell, min_size=3, max_size=3).map(",".join)
+no_data_row = st.sampled_from(["", " ", "\t", ",", ", ,", ",,,"])
+odd_row = st.one_of(
+    st.lists(st.one_of(number_cell, odd_cell), min_size=3, max_size=3),
+    st.lists(number_cell, min_size=4, max_size=4),  # ragged, unless it is the only row
+).map(",".join)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.sampled_from([RANGE_HEADER, '"t_s","range_m",trigger', '"t_s\n",range_m,trigger',
+                            'trigger,"range_m\r\n",t_s,note']),
+    lines=st.lists(st.one_of(number_row, number_row, no_data_row), max_size=12),
+    odd=st.one_of(st.none(), odd_row),
+    at=st.integers(0, 12),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=13),
+    final_newline=st.booleans(),
+)
+@example(header=RANGE_HEADER, lines=["0,1,0", "", "0.001,1,1"], odd=None, at=0,
+         ends=["\r", "\n", "\r\n"], final_newline=False)
+def test_csv_reader_matches_oracle_on_random_files(
+    tmp_path, header, lines, odd, at, ends, final_newline
+):
+    # line endings mixed or not, blank and comma-only rows, quoted and bad
+    # cells, a ragged row, and a last line with or without its newline
+    if odd is not None:
+        lines.insert(at, odd)
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate([header, *lines]))
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    p = tmp_path / "s.csv"
+    p.write_bytes(text.encode())
+    try:
+        want = oracle_read_csv_columns(p, RANGE_COLUMNS)
+    except Exception:
+        want = None
+    if want is None or not all(np.isfinite(v).all() for v in want.values()):
+        with pytest.raises(IngestError):
+            _read_csv_columns(p, RANGE_COLUMNS)
+        return
+    got = _read_csv_columns(p, RANGE_COLUMNS)
+    for col in RANGE_COLUMNS:
+        assert_bitwise(got[col], want[col])
+
+
 @settings(max_examples=200, deadline=None)
 @example(t=np.array([0.0, -0.0]))  # np.median sums from +0.0: the step -0.0 is 0.0
 @example(t=np.array([0.0, -0.0, -0.0, 0.0, 1.0]))
@@ -679,6 +750,40 @@ def test_build_profile_counts_distinct_speeds_as_np_unique(speeds):
     with mock.patch.object(fit, "fit_polynomial", constant):
         got = [build_airframe_profile(summaries, d).downgraded for d in range(1, 9)]
     assert got == [want < d + 1 for d in range(1, 9)]
+
+
+# --- configuration summary ---------------------------------------------------
+
+#: metric values, repeated ones and both zeros among them
+summary_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 3.0, 1e-300]),
+    st.floats(-1e6, 1e6, width=64),
+)
+
+
+def _summary_floats(s):
+    floats = [s.mass_kg, s.angle_deg]
+    for f in impact.METRIC_FIELDS:
+        floats += [s.stats[f].mean, s.stats[f].std, s.stats[f].cv]
+    return [struct.pack("<d", x) for x in floats]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 40).flatmap(
+        lambda n: st.lists(st.lists(summary_value, min_size=11, max_size=11), min_size=n, max_size=n)
+    )
+)
+def test_aggregate_configuration_matches_the_per_field_oracle(rows):
+    # n up to 40 runs past numpy's 8-wide pairwise-sum unroll
+    metrics = [
+        impact.ImpactMetrics("c", abs(row[0]) + 0.1, abs(row[1]) % 90.0, *row[2:])
+        for row in rows
+    ]
+    got = impact.aggregate_configuration(metrics)
+    want = oracle_aggregate_configuration(metrics)
+    assert (got.configuration, got.n) == (want.configuration, want.n)
+    assert _summary_floats(got) == _summary_floats(want)
 
 
 # --- Kalman ------------------------------------------------------------------
