@@ -47,10 +47,11 @@ class EmptyStream(IngestError):
 
 
 class MalformedRow(IngestError):
-    """A stream file or a metrics CSV is not UTF-8 text, or a stream row holds
-    a non-numeric, empty or non-finite cell, has a different number of cells
-    than the rows before it, or a time stamp that does not exceed the one of
-    the row before (a metrics row is refused much the same way)."""
+    """A stream file or a metrics CSV is not UTF-8 text, a stream header holds
+    a cell too long for the csv module, or a stream row holds a non-numeric,
+    empty or non-finite cell, has a different number of cells than the rows
+    before it, or a time stamp that does not exceed the one of the row before
+    (a metrics row is refused much the same way)."""
 
 
 class TriggerMissing(IngestError):

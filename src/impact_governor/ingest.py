@@ -186,11 +186,13 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
     header. The body is then read in one ``np.loadtxt`` pass from the path
     string, which alone gets numpy's chunked C reader (an open file or a
     list of lines is fed to it line by line). That pass skips the header's
-    physical lines, which a quoted cell can make more than one. A name with
-    a suffix by which numpy would decompress the file (``_NUMPY_DECOMPRESSES``)
-    is read line by line instead. Where the pass fails, finds no rows or
-    cannot open the file (removed after its header was read), the lines
-    are read and judged one by one, through ``open_input`` again.
+    physical lines, which a quoted cell can make more than one, and runs
+    while the file stays open: a pass that read another file
+    (``_check_same_file``) is an IngestError. A name with a suffix by which
+    numpy would decompress the file (``_NUMPY_DECOMPRESSES``) is read line
+    by line instead. Where the pass fails, finds no rows or cannot open the
+    file (removed after its header was read), the lines are read and judged
+    one by one, through ``open_input`` again.
     """
     path = Path(path)
     try:
@@ -200,23 +202,27 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
                 header = next(reader)
             except StopIteration:
                 raise EmptyStream(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise MissingColumn(f"{path} lacks column(s) {missing}")
-        data = None
-        if os.path.splitext(path)[1] not in _NUMPY_DECOMPRESSES:
-            # The pass fails on a row that holds no data, a bad cell or a
-            # ragged row, and finds no rows in an empty body (with a warning,
-            # silenced: _parse_lines raises EmptyStream).
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings(
-                        "ignore", "loadtxt: input contained no data", UserWarning
-                    )
-                    data = _parse_rows(os.fspath(path), skiprows=reader.line_num)
-            except (ValueError, OSError):
-                pass
+            except csv.Error as exc:
+                raise MalformedRow(f"{path} header: {exc}") from None
+            header = [h.strip() for h in header]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise MissingColumn(f"{path} lacks column(s) {missing}")
+            data = None
+            if os.path.splitext(path)[1] not in _NUMPY_DECOMPRESSES:
+                # The pass fails on a row that holds no data, a bad cell or a
+                # ragged row, and finds no rows in an empty body (with a
+                # warning, silenced: _parse_lines raises EmptyStream).
+                try:
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings(
+                            "ignore", "loadtxt: input contained no data", UserWarning
+                        )
+                        data = _parse_rows(os.fspath(path), skiprows=reader.line_num)
+                except (ValueError, OSError):
+                    pass
+                else:
+                    _check_same_file(path, fh)
         if data is None or not len(data):
             data = _parse_lines(path)
     except UnicodeDecodeError as exc:
@@ -230,6 +236,21 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
         bad = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
         raise MalformedRow(f"{path} row {_file_row(path, bad)}: non-finite sample")
     return {name: data[:, header.index(name)] for name in required}
+
+
+def _check_same_file(path: Path, fh) -> None:
+    """Refuse ``path`` unless it still names the open file ``fh``: its
+    device and inode, which no other file can take while ``fh`` is open.
+
+    numpy opens the path anew, and where it is gone numpy reads a sibling
+    (``path.gz``, ``.bz2``, ``.xz`` or ``.lzma``) in its place.
+    """
+    try:
+        same = os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
+    except OSError:
+        same = False
+    if not same:
+        raise IngestError(f"{path} changed while it was read")
 
 
 def _parse_rows(rows, skiprows: int = 0) -> np.ndarray:

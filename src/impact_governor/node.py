@@ -76,11 +76,25 @@ def _configure_logging() -> None:
 
 
 def _sha256_of(obj) -> str:
-    import hashlib  # loaded when the manifest is written, not at govern's cold start
+    """The SHA-256 hex digest of ``obj`` as sorted-key JSON; the package's
+    one digest (``config_sha256`` in ``run_manifest.json``).
 
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
+    It hashes with CPython's built-in SHA-256 module (``_sha2`` from 3.12,
+    ``_sha256`` before), as the stdlib's ``random`` does: ``hashlib`` loads
+    OpenSSL's libcrypto, about 3.5 MB of resident memory for one digest of
+    under 1 KB. Only a build without the built-in hashes falls back to
+    ``hashlib``. Either gives the same bytes, so ``config_sha256`` is
+    unchanged.
+    """
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+    return sha256(json.dumps(obj, sort_keys=True, default=str).encode("utf-8")).hexdigest()
 
 
 def _write_run_manifest(out_dir: Path, subcommand: str, started: str, run: dict, **outcome):

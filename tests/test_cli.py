@@ -19,6 +19,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impact_governor import cli, dsp, node, sim
 from impact_governor.cli import main
@@ -90,6 +92,41 @@ def test_metrics_csv_row_round_trip(tmp_path):
     assert back.flags == m.flags
     assert back.v_in_mps == pytest.approx(m.v_in_mps, rel=1e-8)
     assert back.ec_r == pytest.approx(m.ec_r, rel=1e-8)
+
+
+def _hashlib_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode("utf-8")).hexdigest()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.dictionaries(st.text(), _json_values, max_size=8))
+def test_sha256_of_is_hashlibs_digest_of_the_sorted_json(config):
+    assert _sha256_of(config) == _hashlib_digest(config)
+
+
+def test_sha256_of_falls_back_to_hashlib_without_the_builtin_module(monkeypatch):
+    config = GovernorConfig(f_star_n=65.0).to_dict()
+    calls = []
+
+    def spy(data):
+        calls.append(data)
+        return real(data)
+
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    assert _sha256_of(config) == _hashlib_digest(config)
+    assert len(calls) == 1  # the oracle's own call: the built-in module hashed
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # the import fails
+    assert _sha256_of(config) == _hashlib_digest(config)
+    assert len(calls) == 3
 
 
 # --- analyze -----------------------------------------------------------------
@@ -225,6 +262,30 @@ def test_analyze_quotes_a_huge_bad_row_in_a_short_error_line(tmp_path, capsys, m
     assert len(err) < 300
     manifest = json.loads(Path("out/run_manifest.json").read_text())
     assert [t["rejected"] for t in manifest["trials"]] == [None, err.removeprefix("error: ")]
+
+
+def test_analyze_rejects_only_the_trial_whose_header_cell_is_too_long(tmp_path, capsys):
+    # csv.reader raises a bare csv.Error on a cell past its 131072-character
+    # limit; read from the header, it ended the run in a traceback
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0,), trials_per_speed=2, seed=5)
+    bad = campaign / "trial_000_range.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].rstrip("\n") + "," + "x" * 200_000 + "\n"
+    bad.write_text("".join(lines))
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 2
+
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert err == [
+        f"error: trial_000.json: {bad} header: field larger than field limit (131072)"
+    ]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert [t["rejected"] for t in manifest["trials"]] == [err[0].removeprefix("error: "), None]
+    with open(out / "metrics.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
 
 
 @pytest.mark.parametrize("key", ["nominal_speed_mps", "mass_kg"])
@@ -828,11 +889,17 @@ def test_govern_requires_profile(monkeypatch, tmp_path):
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
 
 
-def _blocked_entry(*blocked: str) -> str:
+_ANALYSIS_MODULES = (
+    "impact_governor.cli", "impact_governor.dsp", "impact_governor.impact",
+    "impact_governor.ingest",
+)
+
+
+def _blocked_entry(*blocked: str, watched: tuple[str, ...] = _ANALYSIS_MODULES) -> str:
     """Source of a ``python -c`` program that runs the entry point as ``python
     -m impact_governor`` with the ``blocked`` packages unimportable (a None
-    entry in sys.modules makes their import fail), then lists the analysis
-    modules it loaded on stderr."""
+    entry in sys.modules makes their import fail), then lists the ``watched``
+    modules (by default the analysis modules) it loaded on stderr."""
     return (
         "import runpy, sys\n"
         f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
@@ -841,9 +908,8 @@ def _blocked_entry(*blocked: str) -> str:
         "    runpy.run_module('impact_governor', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "heavy = ('impact_governor.cli', 'impact_governor.dsp', 'impact_governor.impact',"
-        " 'impact_governor.ingest')\n"
-        "print('loaded:', ','.join(m for m in heavy if m in sys.modules), file=sys.stderr)\n"
+        f"watched = {watched!r}\n"
+        "print('loaded:', ','.join(m for m in watched if m in sys.modules), file=sys.stderr)\n"
         "sys.exit(rc)\n"
     )
 
@@ -885,6 +951,23 @@ def test_govern_cli_runs_with_socket_and_datetime_blocked(tmp_path):
     _govern_blocked(tmp_path, _blocked_entry("socket", "datetime"))
     manifest = json.loads((tmp_path / "gov" / "run_manifest.json").read_text())
     assert manifest["exit_code"] == 0
+
+
+def test_govern_and_simulate_load_no_openssl(tmp_path):
+    # config_sha256 comes from CPython's built-in SHA-256: hashlib would load
+    # OpenSSL's libcrypto (_hashlib), about 3.5 MB resident, for one digest
+    entry = _blocked_entry(watched=("_hashlib",))
+    _govern_blocked(tmp_path, entry)
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "simulate",
+         str(REPO_ROOT / "scenarios" / "three_humans_face.json"), "--out", str(tmp_path / "sim")],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["loaded: "]
+    for run in ("gov", "sim"):
+        digest = json.loads((tmp_path / run / "run_manifest.json").read_text())["config_sha256"]
+        assert len(digest) == 64 and int(digest, 16) >= 0
 
 
 def _govern_trace(seed: int = 28, seconds: int = 12) -> str:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import re
@@ -293,6 +294,37 @@ def test_a_stream_removed_after_its_header_is_an_ingest_error_naming_it(tmp_path
     with pytest.raises(IngestError) as exc:
         read_range_csv(p)
     assert str(exc.value) == f"[Errno 2] No such file or directory: '{p}'"
+
+
+@pytest.mark.parametrize("change", ["unlink", "replace"])
+def test_a_stream_changed_after_its_header_is_not_read_from_another_file(
+    tmp_path, monkeypatch, change
+):
+    # np.loadtxt opens the path anew, and reads range.csv.gz where range.csv is gone
+    def parse_rows(rows, **kw):
+        if isinstance(rows, str):
+            p.unlink()
+            if change == "replace":
+                p.write_text(RANGE_TEXT)
+        return real(rows, **kw)
+
+    real = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", parse_rows)
+    p = tmp_path / "range.csv"
+    p.write_text(RANGE_TEXT)
+    with gzip.open(tmp_path / "range.csv.gz", "wt") as fh:
+        fh.write("t_s,range_m,trigger\n0.000,9,0\n0.001,9,1\n")
+    with pytest.raises(IngestError) as exc:
+        read_range_csv(p)
+    assert str(exc.value) == f"{p} changed while it was read"
+
+
+def test_a_header_cell_too_long_for_the_csv_module_is_a_malformed_row(tmp_path):
+    p = tmp_path / "range.csv"
+    p.write_text(RANGE_TEXT.replace("trigger\n", "trigger," + "x" * 200_000 + "\n", 1))
+    with pytest.raises(MalformedRow) as exc:
+        read_range_csv(p)
+    assert str(exc.value) == f"{p} header: field larger than field limit (131072)"
 
 
 def test_a_header_only_file_warns_nothing(tmp_path):
