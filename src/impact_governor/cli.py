@@ -36,7 +36,7 @@ from .errors import (
     open_output,
     read_json_file,
 )
-from .fit import build_airframe_profile, parse_profile, save_profile
+from .fit import build_airframe_profile
 from .governor import GovernorConfig, force_speed_cap
 from .impact import (
     ConfigurationSummary,
@@ -49,6 +49,7 @@ from .impact import (
 from .ingest import align_streams, is_trial_manifest, load_trial
 from .node import _governor_overrides, print_error
 from .node import main  # noqa: F401  (cli.main is the one entry point too)
+from .profile import parse_profile, save_profile
 from .sim import load_scenario, run_scenario, write_trajectory
 
 log = logging.getLogger(__name__)

@@ -208,9 +208,10 @@ def run_command(args) -> int:
 # --- govern -----------------------------------------------------------------
 
 
-def _resolve_governor_setup(args) -> tuple[GovernorConfig, AirframeProfile, Path | None]:
-    """The config file's governor settings under the command line's, its profile
-    and its compliance log (paths relative to the config file)."""
+def _resolve_governor_setup(args) -> tuple[GovernorConfig, Path, Path | None]:
+    """The config file's governor settings under the command line's, the path
+    of the profile to load and the compliance log (paths relative to the
+    config file)."""
     data = {}
     config_dir = Path.cwd()
     if args.config:
@@ -228,7 +229,7 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, AirframeProfile, Path
         profile_path = Path(args.profile)
     if profile_path is None:
         raise IngestError("govern needs an airframe profile (--profile or config)")
-    return cfg, load_profile(profile_path), compliance_path
+    return cfg, profile_path, compliance_path
 
 
 def _config_path(data: dict, key: str, config_dir: Path) -> Path | None:
@@ -257,8 +258,11 @@ def _force_cap_evidence(runtime: GovernorRuntime, profile: AirframeProfile) -> d
 
 
 def cmd_govern(args, run: dict) -> int:
-    run["inputs"] = [args.config or "", args.profile or ""]
-    cfg, profile, compliance_path = _resolve_governor_setup(args)
+    if args.config:
+        run["inputs"].append(args.config)
+    cfg, profile_path, compliance_path = _resolve_governor_setup(args)
+    run["inputs"].append(profile_path)
+    profile = load_profile(profile_path)
     compliance_path = compliance_path or Path(args.out) / "compliance.csv"
     run["config"] = cfg.to_dict()
     runtime = GovernorRuntime(cfg, profile)

@@ -115,13 +115,6 @@ def parse_message(text: str) -> dict:
     return msg
 
 
-#: the reply with every number as its repr, which is what json writes for an
-#: exact finite float or int
-_CMD_LIMITED = (
-    '{"type":"cmd_limited","vx":%r,"vy":%r,"vz":%r,"cap_mps":%r,"source":"%s","t_s":%r}'
-)
-
-
 def format_cmd_limited(out: VelocityCommand, record: ComplianceRecord) -> str:
     """Serialize the governed command reply (stable key order, no spaces).
 
@@ -130,9 +123,15 @@ def format_cmd_limited(out: VelocityCommand, record: ComplianceRecord) -> str:
     command as ``_serve`` builds it) or ints (a cap taken from an int config
     value, see ``GovernorConfig``), and the source is one of the four
     plain-ASCII cap sources.
+
+    One f-string calls ``repr`` on each number directly, where ``%`` on a
+    template would build a 6-tuple and parse the template on every call; it
+    writes the same bytes as that ``%r``/``%s`` template.
     """
-    return _CMD_LIMITED % (
-        out.vx, out.vy, out.vz, record.cap_mps, record.cap_source, out.timestamp
+    return (
+        f'{{"type":"cmd_limited","vx":{out.vx!r},"vy":{out.vy!r},"vz":{out.vz!r},'
+        f'"cap_mps":{record.cap_mps!r},"source":"{record.cap_source}",'
+        f'"t_s":{out.timestamp!r}}}'
     )
 
 

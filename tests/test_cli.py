@@ -838,6 +838,40 @@ def test_govern_config_file_with_cli_precedence(
     assert json.loads(stdout.splitlines()[0])["cap_mps"] == pytest.approx(14.59, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "config, argv, inputs, code",
+    [
+        ({"profile": "profile.json"}, ["--config", "conf/governor.json"],
+         ["conf/governor.json", "{tmp}/conf/profile.json"], 0),
+        (None, ["--profile", "conf/profile.json"], ["conf/profile.json"], 0),
+        ({"profile": "profile.json"},
+         ["--config", "conf/governor.json", "--profile", "conf/profile.json"],
+         ["conf/governor.json", "conf/profile.json"], 0),
+        ({"profile": 5}, ["--config", "conf/governor.json"], ["conf/governor.json"], 2),
+    ],
+    ids=["config-profile", "cli-profile", "cli-profile-over-config", "config-fails"],
+)
+def test_govern_manifest_names_the_config_and_the_profile_it_loaded(
+    monkeypatch, capsys, tmp_path, config, argv, inputs, code
+):
+    # a relative profile in the config resolves next to the config, not the
+    # working directory, and that resolved path is the one the manifest names
+    conf = tmp_path / "conf"
+    conf.mkdir()
+    save_profile(make_profile(), conf / "profile.json")
+    if config is not None:
+        (conf / "governor.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    got, _ = _govern_stdin(
+        monkeypatch, capsys,
+        [{"type": "cmd", "vx": 1.0, "vy": 0.0, "vz": 0.0, "t_s": 0.1}],
+        extra_args=argv, out=tmp_path / "gov",
+    )
+    assert got == code
+    manifest = json.loads((tmp_path / "gov" / "run_manifest.json").read_text())
+    assert manifest["inputs"] == [p.format(tmp=tmp_path.resolve()) for p in inputs]
+
+
 def test_govern_caps_finite_huge_command_and_odometry(monkeypatch, capsys, tmp_path, profile_path):
     out = tmp_path / "gov"
     code, stdout = _govern_stdin(

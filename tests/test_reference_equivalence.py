@@ -1453,6 +1453,8 @@ def test_parse_message_matches_oracle_on_edge_lines(text):
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1e15, 1e16, -1e16,
     1.2345678901234567e17, 1e200, 1.7976931348623157e308, -1.7976931348623157e308,
+    # where repr switches between fixed and exponent notation
+    1e-4, 9.999999999999999e-05, 1e-5, -1e-5, 9999999999999998.0,
 ]
 reply_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
                          st.floats(allow_nan=False, allow_infinity=False))
