@@ -11,9 +11,10 @@ Run:  python3 demos/02_fit_profile.py
 import tempfile
 from pathlib import Path
 
-from impact_governor.fit import build_airframe_profile, save_profile
+from impact_governor.fit import build_airframe_profile
 from impact_governor.impact import aggregate_configuration, summarize_trial
 from impact_governor.ingest import align_streams, load_trial
+from impact_governor.profile import save_profile
 from impact_governor.synthetic import make_campaign
 
 TRUTH = (0.10, 0.02, -0.001)  # EC_r(v) = 0.10 + 0.02 v - 0.001 v^2

@@ -16,7 +16,6 @@ commands; ``govern`` runs in ``node`` itself. ``main`` is ``node.main``.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 import re
@@ -33,8 +32,9 @@ from .errors import (
     IngestError,
     InvariantViolation,
     RestitutionOutOfRange,
-    open_output,
     read_json_file,
+    write_json_file,
+    write_output,
 )
 from .fit import build_airframe_profile
 from .governor import GovernorConfig, force_speed_cap
@@ -299,9 +299,7 @@ def cmd_analyze(args, run: dict) -> int:
         outputs.append("metrics.csv")
 
     for name, members in summaries:
-        with open_output(out / name) as fh:
-            json.dump(aggregate_configuration(members).to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json_file(out / name, aggregate_configuration(members).to_dict())
         outputs.append(name)
 
     n_ok = len(processed)
@@ -368,11 +366,8 @@ def cmd_simulate(args, run: dict) -> int:
         write_trajectory(rows, trajectory)
     outputs = run["outputs"]
     outputs.append("trajectory.csv")
-    summary_path = out / "summary.json"
-    with open_output(summary_path) as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    outputs.append(summary_path.name)
+    write_json_file(out / "summary.json", summary)
+    outputs.append("summary.json")
 
     ok = summary["violations"] == 0 and summary["reach_margin_breaches"] == 0
     print(
@@ -527,8 +522,7 @@ def cmd_report(args, run: dict) -> int:
         lines.append("")
 
     report = out / "report.md"
-    with open_output(report) as fh:
-        fh.write("\n".join(lines))
+    write_output(report, "\n".join(lines))
     run["outputs"].append(report.name)
     print(f"wrote {report}")
     return EXIT_OK

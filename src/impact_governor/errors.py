@@ -1,13 +1,14 @@
 """Exception and warning types shared across the package, the exit codes of
 the command line (``node.run_command`` maps each error to one), the one
-opener of an input file and the one of an output file, the one reader of a
-JSON input file, the one error for a text file that is not UTF-8, and the
-one reader for a field of a JSON input.
+opener of an input file and the one writer of an output file, the one
+reader of a JSON input file, the one error for a text file that is not
+UTF-8, and the one reader for a field of a JSON input.
 
 A file that cannot be opened (missing, a directory, unreadable) raises an
 error of the package, never a bare OSError: an input the class its reader
 names, an output an OutputError; either exits 2 with one ``error:`` line
-that names the file.
+that names the file. So does an output that cannot be written: each is
+formatted whole before it is opened, so no failed command leaves one truncated.
 
 Only ``ingest`` lets numpy open a file too: its one ``np.loadtxt`` pass
 re-reads, by path, a stream that ``open_input`` has just opened to read
@@ -143,7 +144,8 @@ class ProtocolError(ImpactGovernorError):
 
 
 class TransportError(ImpactGovernorError):
-    """The streaming interface cannot be opened (a UDP port that will not bind, a closed stdio)."""
+    """The streaming interface cannot be opened (a UDP port that will not bind, a closed
+    stdio) or written (a reply reader that has gone)."""
 
 
 # --- sim ------------------------------------------------------------------
@@ -155,7 +157,7 @@ class ScenarioInvariantViolation(ImpactGovernorError):
 # --- outputs --------------------------------------------------------------
 
 class OutputError(ImpactGovernorError):
-    """An output file, or the output directory, cannot be opened or created."""
+    """An output file, or the output directory, cannot be opened, written or created."""
 
 
 # --- warnings -------------------------------------------------------------
@@ -224,13 +226,22 @@ def read_json_file(path, error: type[Exception]):
             raise error(f"{path}: invalid JSON input: {exc}") from exc
 
 
-def open_output(path, newline=None):
-    """``path`` opened to write UTF-8 text; one that cannot be opened (a
-    directory, a missing or read-only directory) raises OutputError naming it."""
+def write_output(path, text: str, newline=None) -> None:
+    """Write ``text`` to ``path`` as UTF-8, replacing the file (``newline`` as
+    for ``open``). An OSError from the open, the write or the close raises one
+    OutputError naming the file: ``cannot open output`` or ``cannot write output``."""
+    action = "open"
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            action = "write"
+            fh.write(text)
     except OSError as exc:
-        raise OutputError(f"cannot open output {path}: {exc.strerror or exc}") from exc
+        raise OutputError(f"cannot {action} output {path}: {exc.strerror or exc}") from exc
+
+
+def write_json_file(path, obj) -> None:
+    """``write_output`` of ``obj`` as JSON indented by 2, with a final newline."""
+    write_output(path, json.dumps(obj, indent=2) + "\n")
 
 
 def not_utf8(path, exc: UnicodeDecodeError) -> MalformedRow:

@@ -1,6 +1,7 @@
 """Airframe profiles fitted from aggregated bench results by least squares.
 
-The profile model itself lives in ``profile``; its API is re-exported here.
+The profile model itself lives in ``profile``, and its API is imported from
+there; only ``load_profile`` is still re-exported here, for ``bench/child.py``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateX, InvariantViolation, Underdetermined
-from .profile import (  # noqa: F401  (re-exported)
-    BODY_REGION_LIMITS_N, AirframeProfile, PolyModel,
-    load_profile, parse_profile, save_profile, serialize_profile,
-)
+from .profile import AirframeProfile, PolyModel
+from .profile import load_profile  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
     from .impact import ConfigurationSummary

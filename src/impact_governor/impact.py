@@ -32,8 +32,8 @@ from .errors import (
     VelocityTooLow,
     not_utf8,
     open_input,
-    open_output,
     read_field,
+    write_output,
 )
 from .ingest import TrialRecord
 
@@ -110,15 +110,16 @@ SUMMARY_SCHEMA = 1
 def write_metrics_csv(path, metrics: list[ImpactMetrics]) -> None:
     """The ``METRICS_CSV_COLUMNS`` header, then one row per trial: each number
     as ``%.9g`` and the flags joined by ``;``."""
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_COLUMNS)
-        for m in metrics:
-            writer.writerow(
-                [m.configuration]
-                + [format(float(getattr(m, name)), ".9g") for name in _METRICS_CSV_NUMBERS]
-                + [";".join(m.flags)]
-            )
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(METRICS_CSV_COLUMNS)
+    writer.writerows(
+        [m.configuration]
+        + [format(float(getattr(m, name)), ".9g") for name in _METRICS_CSV_NUMBERS]
+        + [";".join(m.flags)]
+        for m in metrics
+    )
+    write_output(path, text.getvalue(), newline="")
 
 
 def read_metrics_csv(path) -> list[ImpactMetrics]:

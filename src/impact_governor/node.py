@@ -40,8 +40,8 @@ from .errors import (
     OutputError,
     ProtocolError,
     TransportError,
-    open_output,
     read_json_file,
+    write_json_file,
 )
 from .governor import GovernorConfig, GovernorRuntime
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, load_profile
@@ -114,9 +114,7 @@ def _write_run_manifest(out_dir: Path, subcommand: str, started: str, run: dict,
         **sections,
         **outcome,
     }
-    with open_output(out_dir / "run_manifest.json") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json_file(out_dir / "run_manifest.json", payload)
 
 
 def _utc_now() -> str:
@@ -170,7 +168,7 @@ def run_command(args) -> int:
     the ``error:`` line; both stay null for an exception that is not mapped,
     which propagates with its traceback. An output directory that cannot be
     made exits 2 with its ``error:`` line alone: there is nowhere to write
-    the manifest. A manifest that cannot be opened adds its own ``error:``
+    the manifest. A manifest that cannot be written adds its own ``error:``
     line and turns an exit code of 0 into 2; the outputs the command wrote
     stay.
     """
@@ -291,7 +289,11 @@ def cmd_govern(args, run: dict) -> int:
                 raise TransportError(f"{'stdin' if sys.stdin is None else 'stdout'} is closed")
             replies = ReplyBatch(sys.stdout)
             lines = stdio_lines(sys.stdin, replies)
-            return run_stream(runtime, lines, replies, compliance=compliance)
+            try:
+                return run_stream(runtime, lines, replies, compliance=compliance)
+            except TransportError:  # stdout failed: drop it, as _drop_a_failing_stderr does
+                sys.stdout = None  # its unwritten replies would fail the flush at exit (status 120)
+                raise
     except KeyboardInterrupt:
         return EXIT_OK
     finally:

@@ -24,9 +24,9 @@ from .errors import (
     InvariantViolation,
     RestitutionOutOfRange,
     SchemaVersionMismatch,
-    open_output,
     read_field,
     read_json_file,
+    write_output,
 )
 
 PROFILE_SCHEMA = 1
@@ -267,5 +267,4 @@ def load_profile(path: str | Path) -> AirframeProfile:
 
 
 def save_profile(profile: AirframeProfile, path: str | Path) -> None:
-    with open_output(path) as fh:
-        fh.write(serialize_profile(profile))
+    write_output(path, serialize_profile(profile))

@@ -50,9 +50,9 @@ from .errors import (
     FINITE,
     STR,
     ScenarioInvariantViolation,
-    open_output,
     read_field,
     read_json_file,
+    write_output,
 )
 from .profile import AirframeProfile, load_profile, parse_profile
 from .governor import GovernorConfig, GovernorRuntime, VelocityCommand
@@ -405,8 +405,7 @@ def write_trajectory(rows: Iterable[tuple], path) -> None:
     """
     line = ",".join(["%.9g"] * 8 + ["%s"]) + "\n"
     text = "".join([",".join(TRAJECTORY_COLUMNS) + "\n", *(line % row for row in rows)])
-    with open_output(path) as fh:
-        fh.write(text)
+    write_output(path, text)
 
 
 #: the scenario's optional numbers: top-level keys and ``gains`` keys, each
@@ -415,6 +414,9 @@ _TIMING_KEYS = ("physics_dt_s", "detection_rate_hz", "duration_s")
 _GAIN_FIELDS = {
     "attract": "k_attract", "repulse": "k_repulse", "repulse_radius_m": "repulse_radius_m",
 }
+#: every top-level key ``scenario_from_dict`` reads ("seed" it reads and ignores)
+_SCENARIO_KEYS = {"name", "start", "goals", "humans", "gains", "governor", "profile",
+                  "profile_path", "seed", *_TIMING_KEYS}
 
 
 def _point(values, name: str) -> tuple[float, float]:
@@ -437,14 +439,23 @@ def scenario_from_dict(
     key, written by older versions, is ignored: the simulation has no
     randomness.  Every number must be a finite JSON number (``json`` reads
     ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the name and
-    ``"profile_path"`` strings; anything else raises ScenarioInvariantViolation
-    naming the field.
+    ``"profile_path"`` strings; anything else, and a key of the scenario or of
+    its ``"gains"`` that is read nowhere (a misspelt ``"humans"``, say, which
+    would leave the field empty), raises ScenarioInvariantViolation naming the
+    field or the key.
     """
     if not isinstance(data, dict):
         raise ScenarioInvariantViolation("bad scenario definition: scenario must be a JSON object")
     gains = data.get("gains", {})
     if not isinstance(gains, dict):
         raise ScenarioInvariantViolation("bad scenario definition: gains must be a JSON object")
+    unknown = sorted(data.keys() - _SCENARIO_KEYS) + [
+        f"gains.{key}" for key in sorted(gains.keys() - _GAIN_FIELDS.keys())
+    ]
+    if unknown:
+        raise ScenarioInvariantViolation(
+            f"bad scenario definition: unknown key {', '.join(map(repr, unknown))}"
+        )
     governor = data.get("governor", {})
     if isinstance(governor, dict):  # from_dict refuses anything else
         governor = {**governor, **(settings or {})}

@@ -39,7 +39,9 @@ import threading
 from itertools import repeat
 from typing import IO, Callable, Iterable, Optional
 
-from .errors import EXIT_OK, INT_OVERFLOW, GovernorConfigError, ProtocolError, TransportError
+from .errors import (
+    EXIT_OK, INT_OVERFLOW, GovernorConfigError, OutputError, ProtocolError, TransportError,
+)
 from .governor import ComplianceRecord, GovernorRuntime, VelocityCommand
 
 log = logging.getLogger(__name__)
@@ -145,10 +147,12 @@ class ComplianceLog:
     A new or empty file gets the header; any other file is appended to only
     when its first line is exactly this header, so that no row lands under
     columns it does not match. A file that cannot be opened, or holds another
-    header, raises GovernorConfigError naming the path.
+    header, raises GovernorConfigError naming the path; a row that cannot be
+    written, an OutputError naming it.
     """
 
     def __init__(self, path):
+        self._path = path
         header = ",".join(COMPLIANCE_COLUMNS) + "\n"
         # rows go through a write-only handle (a read-write one resets its
         # decoder at every write); the header is read through its own handle,
@@ -158,6 +162,9 @@ class ComplianceLog:
             try:
                 with open(path, encoding="utf-8", errors="replace") as fh:
                     first = fh.readline(len(header))
+                if first == "":
+                    self._fh.write(header)
+                    self._fh.flush()
             except BaseException:
                 self._fh.close()
                 raise
@@ -165,10 +172,7 @@ class ComplianceLog:
             raise GovernorConfigError(
                 f"cannot open compliance log {path}: {exc.strerror or exc}"
             ) from exc
-        if first == "":
-            self._fh.write(header)
-            self._fh.flush()
-        elif first != header:
+        if first not in ("", header):
             self._fh.close()
             raise GovernorConfigError(
                 f"compliance log {path} does not start with the header {header[:-1]!r}"
@@ -176,26 +180,37 @@ class ComplianceLog:
 
     def write(self, record: ComplianceRecord) -> None:
         # %.9g takes an int or a bool as a float and prints every NaN as "nan"
-        self._fh.write(
-            "%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%s\n"
-            % (
-                record.timestamp,
-                record.input_speed_mps,
-                record.output_speed_mps,
-                record.d_m,
-                record.cap_mps,
-                record.cap_source,
-                "true" if record.violated else "false",
-                ";".join(record.flags),
+        try:
+            self._fh.write(
+                "%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%s\n"
+                % (
+                    record.timestamp,
+                    record.input_speed_mps,
+                    record.output_speed_mps,
+                    record.d_m,
+                    record.cap_mps,
+                    record.cap_source,
+                    "true" if record.violated else "false",
+                    ";".join(record.flags),
+                )
             )
-        )
+        except OSError as exc:
+            raise self._cannot_write(exc) from exc
 
     def flush(self) -> None:
-        self._fh.flush()
+        try:
+            self._fh.flush()
+        except OSError as exc:
+            raise self._cannot_write(exc) from exc
 
     def close(self) -> None:
-        self._fh.flush()
-        self._fh.close()
+        try:
+            self._fh.close()  # which flushes first, and closes the file even where that fails
+        except OSError as exc:
+            raise self._cannot_write(exc) from exc
+
+    def _cannot_write(self, exc: OSError) -> OutputError:
+        return OutputError(f"cannot write compliance log {self._path}: {exc.strerror or exc}")
 
     def __enter__(self) -> "ComplianceLog":
         return self
@@ -250,7 +265,9 @@ _STDIN_NEWLINE = None if sys.platform == "win32" else "\n"
 
 class ReplyBatch:
     """Reply sink that holds each written reply until ``flush``, which writes
-    them all to the text stream ``fh`` as one string and flushes ``fh``."""
+    them all to the text stream ``fh`` as one string and flushes ``fh``; a
+    write or flush that fails (a reader that has gone, say) raises
+    TransportError."""
 
     def __init__(self, fh: IO[str]):
         self._fh = fh
@@ -261,8 +278,11 @@ class ReplyBatch:
         if self._parts:
             text = "".join(self._parts)
             self._parts.clear()
-            self._fh.write(text)
-            self._fh.flush()
+            try:
+                self._fh.write(text)
+                self._fh.flush()
+            except OSError as exc:
+                raise TransportError(f"cannot write replies: {exc.strerror or exc}") from exc
 
 
 class _FlushBeforeRead(io.BufferedIOBase):

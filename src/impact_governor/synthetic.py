@@ -14,12 +14,12 @@ at v_in rebounds at e * v_in.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from .errors import write_json_file, write_output
 from .ingest import (
     FORCE_COLUMNS,
     FS_FORCE_DEFAULT,
@@ -210,16 +210,13 @@ def write_trial(raw: RawAcquisition, out_dir, stem: str) -> Path:
     tables = ((force_path, FORCE_COLUMNS, force), (range_path, RANGE_COLUMNS, rng))
     for path, columns, table in tables:
         line = ",".join(["%.9g"] * (len(columns) - 1) + ["%d"]) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(line % tuple(row) for row in table.tolist())
+        write_output(path, "".join([",".join(columns) + "\n",
+                                    *(line % tuple(row) for row in table.tolist())]))
 
     meta = raw.meta  # the values of the manifest keys, in their order
     values = (meta.configuration, meta.mass_kg, meta.angle_deg, meta.nominal_speed_mps,
               meta.material, force_path.name, range_path.name, raw.fs_force, raw.fs_range)
-    with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump(dict(zip(MANIFEST_KEYS + SAMPLE_RATE_KEYS, values, strict=True)), fh, indent=2)
-        fh.write("\n")
+    write_json_file(manifest, dict(zip(MANIFEST_KEYS + SAMPLE_RATE_KEYS, values, strict=True)))
     return manifest
 
 

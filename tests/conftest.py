@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import impact_governor
-from impact_governor.fit import AirframeProfile, PolyModel
 from impact_governor.governor import GovernorConfig
+from impact_governor.profile import AirframeProfile, PolyModel
 
 
 def make_profile(ec_r=0.145924, dt_s=0.036, mass_kg=0.25, dt_std_s=0.0033,

@@ -19,7 +19,7 @@ import pytest
 
 from impact_governor.cli import main
 from impact_governor.dsp import FilterSpec, KalmanConfig, butterworth_lowpass, kalman_smooth
-from impact_governor.fit import fit_polynomial, load_profile, parse_profile, serialize_profile
+from impact_governor.fit import fit_polynomial
 from impact_governor.governor import (
     GovernorConfig,
     GovernorRuntime,
@@ -32,6 +32,7 @@ from impact_governor.governor import (
 )
 from impact_governor.impact import ImpactWindow, aggregate_configuration, rectified_impulse, summarize_trial
 from impact_governor.ingest import align_streams, load_trial
+from impact_governor.profile import load_profile, parse_profile, serialize_profile
 from impact_governor.synthetic import synth_trial, write_trial
 
 from conftest import make_profile

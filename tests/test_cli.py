@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from impact_governor import cli, dsp, node, sim
 from impact_governor.cli import main
 from impact_governor.errors import ProtocolError
-from impact_governor.fit import load_profile, save_profile
 from impact_governor.governor import GovernorConfig, GovernorRuntime
 from impact_governor.impact import (
     METRIC_FIELDS,
@@ -36,6 +35,7 @@ from impact_governor.impact import (
 )
 from impact_governor.ingest import is_trial_manifest
 from impact_governor.node import _sha256_of
+from impact_governor.profile import load_profile, save_profile
 from impact_governor.stream import ComplianceLog
 from impact_governor.synthetic import make_campaign, synth_trial, write_trial
 
@@ -1347,6 +1347,51 @@ def test_govern_refuses_a_closed_stdin_or_stdout(tmp_path, stream, redirect):
     assert proc.stderr.splitlines() == [manifest["error"]] == [f"error: {stream} is closed"]
 
 
+def test_govern_whose_reply_reader_has_gone_exits_transport_error(tmp_path):
+    # with stdout buffered, as without PYTHONUNBUFFERED, the failed reply stays
+    # in its buffer, and the interpreter's flush at exit would fail on it again
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    cmd = '{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":0.1}\n'
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "impact_governor", "govern", "--stdin", "--profile", _CARBON,
+         "--out", str(tmp_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    with proc:
+        proc.stdin.write(cmd)
+        proc.stdin.flush()
+        assert json.loads(proc.stdout.readline())["type"] == "cmd_limited"
+        proc.stdout.close()  # the reader goes; the next reply meets a broken pipe
+        proc.stdin.write(cmd)
+        proc.stdin.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert (code, manifest["exit_code"]) == (3, 3)
+    assert err.splitlines() == [manifest["error"]] == ["error: cannot write replies: Broken pipe"]
+
+
+def test_govern_whose_compliance_log_cannot_grow_exits_input_error(tmp_path):
+    # ulimit -f 8 keeps every file of the run under 8 blocks; Python ignores
+    # SIGXFSZ, so a write past that limit fails with EFBIG
+    trace = "".join(
+        f'{{"type":"cmd","vx":1.0,"vy":0.0,"vz":0.0,"t_s":{0.1 + i * 1e-3!r}}}\n'
+        for i in range(2000)
+    )
+    proc = subprocess.run(
+        ["sh", "-c", 'ulimit -f 8 && exec "$@"', "sh", sys.executable, "-m", "impact_governor",
+         "govern", "--stdin", "--profile", _CARBON, "--out", str(tmp_path)],
+        input=trace, capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    log = tmp_path / "compliance.csv"
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert (proc.returncode, manifest["exit_code"]) == (2, 2)
+    assert proc.stderr.splitlines() == [manifest["error"]] == [
+        f"error: cannot write compliance log {log}: File too large"
+    ]
+    assert 0 < len(proc.stdout.splitlines()) < 2000
+
+
 @pytest.mark.parametrize(
     "redirect", ["2>&-", "2</dev/null", "2>/dev/full"], ids=["closed", "read-only", "full"]
 )
@@ -1924,19 +1969,19 @@ def _file_opening(tree: ast.Module) -> set[tuple[str, str]]:
 
 
 def test_every_file_opens_through_errors_but_pipes_the_compliance_log_and_test_data():
-    # errors.open_input and errors.open_output own every input and output file;
-    # cli opens only pipe file descriptors, ComplianceLog keeps its own pinned
-    # error line, synthetic writes test data, and ingest's one np.loadtxt pass
-    # re-reads a stream that open_input has just opened
+    # errors.open_input and errors.write_output own every input and output file,
+    # synthetic's test data included; cli opens only pipe file descriptors,
+    # ComplianceLog keeps its own pinned error line, and ingest's one np.loadtxt
+    # pass re-reads a stream that open_input has just opened
     package = REPO_ROOT / "src" / "impact_governor"
     found = {
         (path.name, *use)
-        for path in sorted(package.glob("*.py")) if path.name != "synthetic.py"
+        for path in sorted(package.glob("*.py"))
         for use in _file_opening(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found == {
         ("errors.py", "open_input", "open"),
-        ("errors.py", "open_output", "open"),
+        ("errors.py", "write_output", "open"),
         ("ingest.py", "_parse_rows", ".loadtxt"),
         ("cli.py", "_worker", "open"),
         ("cli.py", "_join", "open"),
@@ -2043,6 +2088,31 @@ def test_a_run_manifest_that_cannot_be_written_after_sigterm_exits_input_error(
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot open output {tmp_path}/out/run_manifest.json: Is a directory"
     ]
+
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "name, make_argv",
+    [*_OUTPUT_IS_A_DIRECTORY.values(),
+     *[("run_manifest.json", make_argv) for make_argv, _ in _SUCCEEDS.values()]],
+    ids=[*_OUTPUT_IS_A_DIRECTORY, *(f"{command}-manifest" for command in _SUCCEEDS)],
+)
+def test_an_output_on_a_full_disk_exits_input_error(monkeypatch, capsys, tmp_path, name, make_argv):
+    # the open succeeds and the write fails: one error line and no traceback,
+    # which the manifest records where it is not the output that failed
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
+    argv = make_argv(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write output {out / name}: No space left on device"]
+    if name != "run_manifest.json":
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["error"]) == (2, err[0])
+        assert name not in manifest["outputs"]
 
 
 # --- simulate ----------------------------------------------------------------

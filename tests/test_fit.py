@@ -12,12 +12,11 @@ from impact_governor.errors import (
     SchemaVersionMismatch,
     Underdetermined,
 )
-from impact_governor.fit import (
+from impact_governor.fit import build_airframe_profile, fit_polynomial
+from impact_governor.profile import (
     BODY_REGION_LIMITS_N,
     AirframeProfile,
     PolyModel,
-    build_airframe_profile,
-    fit_polynomial,
     load_profile,
     parse_profile,
     save_profile,

@@ -13,7 +13,6 @@ from impact_governor.errors import (
     InvariantViolation,
     NonMonotoneForceMapWarning,
 )
-from impact_governor.fit import AirframeProfile, PolyModel
 from impact_governor.governor import (
     CAP_EPSILON,
     GovernorConfig,
@@ -25,6 +24,7 @@ from impact_governor.governor import (
     iso_speed_cap,
     limit_command,
 )
+from impact_governor.profile import AirframeProfile, PolyModel
 
 from conftest import child_env, make_profile
 

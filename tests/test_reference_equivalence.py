@@ -79,8 +79,9 @@ from impact_governor.ingest import (
     align_streams,
     load_trial,
 )
-from impact_governor.fit import BODY_REGION_LIMITS_N, build_airframe_profile
+from impact_governor.fit import build_airframe_profile
 from impact_governor.profile import (
+    BODY_REGION_LIMITS_N,
     AirframeProfile,
     PolyModel,
     _check_restitution_range,

@@ -405,10 +405,16 @@ def _edited(**values):
         (_edited(name=7), "name must be a string, got 7"),
         # an inline profile given as JSON text is decoded as such
         (_edited(profile="[" * 200_000), "maximum recursion depth exceeded"),
+        # a key read nowhere would leave its field at the default: refused
+        (_edited(humams=[[3.0, 1.0]]), "unknown key 'humams'"),
+        (_edited(duration=10.0), "unknown key 'duration'"),
+        (_edited(gains={"atract": 1.0}), "unknown key 'gains.atract'"),
+        (_edited(duration=10.0, gains={"atract": 1.0}), "unknown key 'duration', 'gains.atract'"),
     ],
     ids=["list", "gains-list", "nan-step", "infinite-duration", "nan-rate", "human-3d",
          "goal-1d", "nan-start", "infinite-goal", "nan-gain", "bool-duration", "string-gain",
-         "huge-int-human", "list-name", "int-name", "deep-profile-text"],
+         "huge-int-human", "list-name", "int-name", "deep-profile-text", "misspelt-humans",
+         "duration-without-unit", "misspelt-gain", "unknown-keys-together"],
 )
 def test_scenario_from_dict_fails_closed(data, field):
     with pytest.raises(ScenarioInvariantViolation) as exc:
@@ -427,7 +433,7 @@ def test_scenario_from_dict_leaves_absent_numbers_at_their_defaults():
 
 
 def test_scenario_profile_path_resolves_relative(tmp_path):
-    from impact_governor.fit import save_profile
+    from impact_governor.profile import save_profile
 
     save_profile(make_profile(name="Rel"), tmp_path / "rel.json")
     data = scenario_to_dict(make_scenario())
