@@ -1,6 +1,7 @@
 """The bench-analysis commands of the command line.
 
-Each ``cmd_<name>`` runs one subcommand of the workflow:
+Each ``cmd_<name>`` runs one subcommand of the workflow, and returns its
+exit code and the summary line that ``node.run_command`` prints:
 
 * ``analyze``  — trial manifests -> per-trial metrics CSV + per-speed
   configuration summaries
@@ -268,7 +269,7 @@ def _summaries(processed: list[tuple]) -> list[tuple[str, list]]:
     return summaries
 
 
-def cmd_analyze(args, run: dict) -> int:
+def cmd_analyze(args, run: dict) -> tuple[int, str]:
     out = Path(args.out)
     in_dir = Path(args.input_dir)
     run["config"] = {"input_dir": str(in_dir)}
@@ -303,8 +304,8 @@ def cmd_analyze(args, run: dict) -> int:
         outputs.append(name)
 
     n_ok = len(processed)
-    print(f"analyzed {n_ok}/{len(manifests)} trials -> {out}")
-    return EXIT_INPUT if n_ok < len(manifests) else EXIT_OK
+    code = EXIT_INPUT if n_ok < len(manifests) else EXIT_OK
+    return code, f"analyzed {n_ok}/{len(manifests)} trials -> {out}"
 
 
 # --- fit --------------------------------------------------------------------
@@ -321,7 +322,7 @@ def _summary_from(path, data) -> ConfigurationSummary:
         ) from exc
 
 
-def cmd_fit(args, run: dict) -> int:
+def cmd_fit(args, run: dict) -> tuple[int, str]:
     out = Path(args.out)
     run["inputs"] = args.summaries
     run["config"] = {"degree": args.degree, "summaries": [str(s) for s in args.summaries]}
@@ -334,17 +335,16 @@ def cmd_fit(args, run: dict) -> int:
     save_profile(profile, out / name)
     run["outputs"].append(name)
     flag = " (downgraded to constant)" if profile.downgraded else ""
-    print(
+    return EXIT_OK, (
         f"profile {profile.name}: restitution degree {profile.restitution.degree}"
         f"{flag}, R^2={profile.restitution.r_squared:.6g} -> {out / name}"
     )
-    return EXIT_OK
 
 
 # --- simulate ---------------------------------------------------------------
 
 
-def cmd_simulate(args, run: dict) -> int:
+def cmd_simulate(args, run: dict) -> tuple[int, str]:
     """Run the scenario closed loop; write trajectory.csv, then summary.json.
 
     With ``_worker_count(2)`` processes, a writer forked just before the loop
@@ -370,7 +370,7 @@ def cmd_simulate(args, run: dict) -> int:
     outputs.append("summary.json")
 
     ok = summary["violations"] == 0 and summary["reach_margin_breaches"] == 0
-    print(
+    return EXIT_OK if ok else EXIT_INVARIANT, (
         f"scenario {summary['scenario']}: {summary['steps']} steps, "
         f"violations={summary['violations']}, "
         f"reach_margin_breaches={summary['reach_margin_breaches']}, "
@@ -381,7 +381,6 @@ def cmd_simulate(args, run: dict) -> int:
             else "n/a"
         )
     )
-    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _simulate_with_writer(scenario, path: Path) -> dict:
@@ -446,7 +445,7 @@ def _fmt_pm(mean: float, std: float, scale: float = 1.0, digits: int = 1) -> str
     return f"{mean * scale:.{digits}f} +/- {std * scale:.{digits}f}"
 
 
-def cmd_report(args, run: dict) -> int:
+def cmd_report(args, run: dict) -> tuple[int, str]:
     out = Path(args.out)
     run["inputs"] = args.inputs
     run["config"] = {"inputs": [str(i) for i in args.inputs]}
@@ -524,5 +523,4 @@ def cmd_report(args, run: dict) -> int:
     report = out / "report.md"
     write_output(report, "\n".join(lines))
     run["outputs"].append(report.name)
-    print(f"wrote {report}")
-    return EXIT_OK
+    return EXIT_OK, f"wrote {report}"

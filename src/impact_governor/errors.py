@@ -52,7 +52,8 @@ class MalformedRow(IngestError):
     a cell too long for the csv module, or a stream row holds a non-numeric,
     empty or non-finite cell, has a different number of cells than the rows
     before it, or a time stamp that does not exceed the one of the row before
-    (a metrics row is refused much the same way)."""
+    (a metrics CSV whose header lacks a column, and a metrics row, are refused
+    much the same way)."""
 
 
 class TriggerMissing(IngestError):

@@ -124,9 +124,10 @@ def write_metrics_csv(path, metrics: list[ImpactMetrics]) -> None:
 
 def read_metrics_csv(path) -> list[ImpactMetrics]:
     """The trials of a ``write_metrics_csv`` file, whose flags column may be
-    left out. A row of a file that lacks another column, a row with a cell
-    that is not a number and a row with fewer or more cells than the header
-    are each a MalformedRow naming the file and the row; a file that is not
+    left out. A file without a header, or whose header lacks another column,
+    is a MalformedRow naming the file and the missing columns; a row with a
+    cell that is not a number and a row with fewer or more cells than the
+    header are each one naming the file and the row; a file that is not
     UTF-8 text is one naming the file and the byte, and one that cannot be
     opened an IngestError naming the file."""
     try:
@@ -136,6 +137,9 @@ def read_metrics_csv(path) -> list[ImpactMetrics]:
         raise not_utf8(path, exc) from None
     metrics = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [c for c in METRICS_CSV_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
+    if missing:
+        raise MalformedRow(f"{path}: not a metrics CSV (no column {', '.join(missing)})")
     for row in reader:
         try:
             configuration = row["configuration"]
@@ -145,7 +149,7 @@ def read_metrics_csv(path) -> list[ImpactMetrics]:
                 raise ValueError("the row ends before its flags cell")
             if None in row:  # where DictReader puts the cells past the header
                 raise ValueError(f"{len(row[None])} cell(s) past the header")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MalformedRow(
                 f"{path} row {reader.line_num}: not a metrics row "
                 f"({type(exc).__name__}: {exc})"

@@ -159,18 +159,35 @@ def _drop_a_failing_stderr() -> None:
         sys.stderr = None
 
 
+def _to_stdout(line: str | None) -> None:
+    """Print ``line``, unless None, to stdout, and flush stdout. A stdout that
+    cannot take it raises an OutputError naming stdout, and is dropped as
+    ``_drop_a_failing_stderr`` drops stderr: what it still holds would fail
+    the flush at exit again, and that would make the exit status 120."""
+    try:
+        if sys.stdout is not None:  # None when started closed, or dropped
+            if line is not None:
+                print(line)
+            sys.stdout.flush()
+    except OSError as exc:
+        sys.stdout = None
+        raise OutputError(f"cannot write to stdout: {exc.strerror or exc}") from None
+
+
 def run_command(args) -> int:
     """Run the parsed subcommand; an error it raises becomes its exit code.
 
     ``args.func(args, run)`` fills ``run``: its ``inputs``, ``config``, any
-    extra manifest sections, and ``outputs`` as it writes them. Whatever the
-    outcome, ``run_manifest.json`` then records it with the exit code and
-    the ``error:`` line; both stay null for an exception that is not mapped,
-    which propagates with its traceback. An output directory that cannot be
-    made exits 2 with its ``error:`` line alone: there is nowhere to write
-    the manifest. A manifest that cannot be written adds its own ``error:``
-    line and turns an exit code of 0 into 2; the outputs the command wrote
-    stay.
+    extra manifest sections, ``outputs`` as it writes them, and the
+    ``summary`` line to print, if any. Once it returns, that line is printed
+    and stdout flushed, so that a stdout that cannot take them fails the run
+    (``_to_stdout``). Whatever the outcome, ``run_manifest.json`` then
+    records it with the exit code and the ``error:`` line; both stay null
+    for an exception that is not mapped, which propagates with its
+    traceback. An output directory that cannot be made exits 2 with its
+    ``error:`` line alone: there is nowhere to write the manifest. A
+    manifest that cannot be written adds its own ``error:`` line and turns
+    an exit code of 0 into 2; the outputs the command wrote stay.
     """
     out = Path(args.out)
     try:
@@ -184,6 +201,7 @@ def run_command(args) -> int:
     code, error, stop = None, None, None
     try:
         code = args.func(args, run)
+        _to_stdout(run.pop("summary", None))
     except SystemExit as exc:  # govern's SIGTERM on --stdin
         code, stop = exc.code, exc
         raise
@@ -321,10 +339,12 @@ def degree(text: str) -> int:
 
 def _run_analysis(args, run: dict) -> int:
     """Run ``cli.cmd_<subcommand>``, looked up on the module at call time so
-    that a wrapper set on the module attribute is what runs."""
+    that a wrapper set on the module attribute is what runs; the summary line
+    it returns with its exit code goes to ``run`` for ``run_command``."""
     from . import cli  # loads the analysis stack and numpy
 
-    return getattr(cli, f"cmd_{args.subcommand}")(args, run)
+    code, run["summary"] = getattr(cli, f"cmd_{args.subcommand}")(args, run)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

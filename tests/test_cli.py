@@ -28,6 +28,7 @@ from impact_governor.errors import ProtocolError
 from impact_governor.governor import GovernorConfig, GovernorRuntime
 from impact_governor.impact import (
     METRIC_FIELDS,
+    METRICS_CSV_COLUMNS,
     ImpactMetrics,
     aggregate_configuration,
     read_metrics_csv,
@@ -541,6 +542,81 @@ def test_analyze_outputs_are_identical_at_every_share_count(
         assert runs[cores] == runs[1], f"{cores} cores differ from one"
 
 
+#: ``python -m impact_governor`` in a process that first pins itself to one CPU
+_PINNED_ENTRY = (
+    "import os, runpy, sys\n"
+    "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
+    "runpy.run_module('impact_governor', run_name='__main__')\n"
+)
+
+needs_pinning = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two usable CPUs",
+)
+
+
+def _pinned_and_free(tmp_path, *argv):
+    """Run the command ``argv`` in a child pinned to one CPU ("one") and in one
+    free to use them all ("all"). Per run: the exit code, stdout with the
+    output directory as <out>, stderr, every output but the run manifest,
+    and the manifest."""
+    runs = {}
+    for run, entry in (("one", ["-c", _PINNED_ENTRY]), ("all", ["-m", "impact_governor"])):
+        out = tmp_path / run
+        proc = subprocess.run([sys.executable, *entry, *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+        runs[run] = (proc.returncode, proc.stdout.replace(str(out), "<out>"), proc.stderr, files,
+                     json.loads((out / "run_manifest.json").read_text()))
+    return runs
+
+
+@needs_pinning
+def test_analyze_pinned_to_one_cpu_writes_what_it_writes_on_all(tmp_path, mixed_campaign):
+    # one usable CPU takes the in-process path, and more fork workers; the
+    # tests above set the core count, this one lets the affinity mask set it
+    runs = _pinned_and_free(tmp_path, "analyze", str(mixed_campaign))
+    *one, one_manifest = runs["one"]
+    *all_, all_manifest = runs["all"]
+    assert (one_manifest["workers"], all_manifest["workers"]) == (
+        1, min(len(os.sched_getaffinity(0)), 7)
+    )
+    assert one == all_
+    code, stdout, stderr, files = one
+    assert (code, stdout) == (2, "analyzed 5/7 trials -> <out>\n")
+    assert [line.split(":")[1] for line in stderr.splitlines()] == [
+        " trial_001.json", " trial_006.json"
+    ]
+    assert sorted(files) == [
+        "metrics.csv", "summary_Carbon-0deg_v3.5.json", "summary_Carbon-0deg_v3.json"
+    ]
+
+
+def test_analyze_reads_streams_named_like_compressed_files_as_plain_csv(
+    capsys, tmp_path, mixed_campaign
+):
+    # np.loadtxt would open *.gz and *.xz with a decompressor: the campaign with
+    # its streams renamed so, and its manifests to match, writes the same bytes
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    for manifest in sorted(mixed_campaign.glob("*.json")):
+        data = json.loads(manifest.read_text())
+        for key, suffix in (("force_csv", ".gz"), ("range_csv", ".xz")):
+            shutil.copy(mixed_campaign / data[key], renamed / (data[key] + suffix))
+            data[key] += suffix
+        (renamed / manifest.name).write_text(json.dumps(data, indent=2))
+    runs = []
+    for campaign in (mixed_campaign, renamed):
+        out = tmp_path / f"{campaign.name}-out"
+        code = main(["analyze", str(campaign), "--out", str(out)])
+        capsys.readouterr()
+        runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "run_manifest.json"}))
+    assert runs[0][0] == 2 and len(runs[0][1]) == 3
+    assert runs[1] == runs[0]
+
+
 def test_analyze_stays_in_process_while_another_thread_runs(
     monkeypatch, capsys, tmp_path, mixed_campaign
 ):
@@ -900,7 +976,11 @@ def test_govern_malformed_stream_exits_protocol(
         ["govern", "--stdin", "--profile", str(profile_path), "--out", str(tmp_path)]
     )
     assert code == 3
-    assert json.loads(capsys.readouterr().out.splitlines()[0])["type"] == "error"
+    captured = capsys.readouterr()
+    assert json.loads(captured.out.splitlines()[0])["type"] == "error"
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert captured.err.splitlines() == [manifest["error"]]
+    assert manifest["exit_code"] == 3 and manifest["error"].startswith("error: invalid JSON")
 
 
 def test_govern_non_finite_reading_exits_protocol(
@@ -929,17 +1009,22 @@ _ANALYSIS_MODULES = (
 )
 
 
-def _blocked_entry(*blocked: str, watched: tuple[str, ...] = _ANALYSIS_MODULES) -> str:
+def _blocked_entry(*blocked: str, watched: tuple[str, ...] = _ANALYSIS_MODULES,
+                   script: Path | None = None) -> str:
     """Source of a ``python -c`` program that runs the entry point as ``python
-    -m impact_governor`` with the ``blocked`` packages unimportable (a None
-    entry in sys.modules makes their import fail), then lists the ``watched``
-    modules (by default the analysis modules) it loaded on stderr."""
+    -m impact_governor``, or the ``script`` file, with the ``blocked``
+    packages unimportable (a None entry in sys.modules makes their import
+    fail), then lists the ``watched`` modules (by default the analysis
+    modules) it loaded on stderr."""
+    run = (f"runpy.run_path({str(script)!r}, run_name='__main__')" if script
+           else "runpy.run_module('impact_governor', run_name='__main__')")
     return (
         "import runpy, sys\n"
         f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
         "sys.argv = ['impact-governor', *sys.argv[1:]]\n"
+        "rc = 0\n"
         "try:\n"
-        "    runpy.run_module('impact_governor', run_name='__main__')\n"
+        f"    {run}\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
         f"watched = {watched!r}\n"
@@ -1002,6 +1087,32 @@ def test_govern_and_simulate_load_no_openssl(tmp_path):
     for run in ("gov", "sim"):
         digest = json.loads((tmp_path / run / "run_manifest.json").read_text())["config_sha256"]
         assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_analyze_and_fit_load_no_masked_arrays_executors_or_openssl(tmp_path, campaign_dir):
+    # numpy.ma, multiprocessing and concurrent.futures are start-up that neither
+    # command uses (analyze forks its own workers), and _hashlib is OpenSSL
+    entry = _blocked_entry(
+        watched=("numpy.ma", "multiprocessing", "concurrent.futures", "_hashlib")
+    )
+    summaries = [str(tmp_path / "analyze" / f"summary_Carbon-0deg_v{v}.json")
+                 for v in ("3", "3.5", "4")]
+    for argv in (["analyze", str(campaign_dir), "--out", str(tmp_path / "analyze")],
+                 ["fit", *summaries, "--out", str(tmp_path / "fit")]):
+        proc = subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True,
+                              text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "loaded: "
+
+
+@pytest.mark.parametrize("demo", ["04_simulation.py", "05_streaming_governor.py"])
+def test_the_simulation_and_streaming_demos_load_no_numpy(demo):
+    # they show the runtime side (sim, governor, stream), which needs no numpy
+    entry = _blocked_entry(watched=("numpy",), script=REPO_ROOT / "demos" / demo)
+    proc = subprocess.run([sys.executable, "-c", entry], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["loaded: "]
 
 
 def _govern_trace(seed: int = 28, seconds: int = 12) -> str:
@@ -1893,7 +2004,7 @@ def test_exit_code_per_exception_type(tmp_path, monkeypatch, capsys, case, code,
     argv = case(tmp_path, monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith(first_line.format(tmp=tmp_path))
+    assert len(err) == 1 and err[0].startswith(first_line.format(tmp=tmp_path))
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert (manifest["exit_code"], manifest["error"]) == (code, err[0])
 
@@ -2115,6 +2226,32 @@ def test_an_output_on_a_full_disk_exits_input_error(monkeypatch, capsys, tmp_pat
         assert name not in manifest["outputs"]
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("subcommand", ["analyze", "fit", "simulate", "report"])
+def test_a_stdout_that_cannot_take_the_summary_line_exits_input_error(
+    tmp_path, subcommand, unbuffered
+):
+    # unbuffered, the print of the summary line raised (a traceback, exit 1 and a
+    # null exit_code); buffered, the flush at exit failed (status 120) after a
+    # manifest that said 0
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    make_argv, _ = _SUCCEEDS[subcommand]
+    out = tmp_path / "out"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "impact_governor", *make_argv(tmp_path), "--out", str(out)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (proc.returncode, manifest["exit_code"]) == (2, 2)
+    assert proc.stderr.splitlines() == [manifest["error"]] == [
+        "error: cannot write to stdout: No space left on device"
+    ]
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -2193,6 +2330,17 @@ def test_simulate_writes_the_same_bytes_in_process_and_with_a_forked_writer(
     for f in ("trajectory.csv", "summary.json"):
         assert (one / f).read_bytes() == (all_ / f).read_bytes()
     _assert_no_child_left()
+
+
+@needs_pinning
+@pytest.mark.parametrize("name, args", list(SIMULATE_DIGESTS), ids=["chest", "face", "chest-ramp"])
+def test_simulate_pinned_to_one_cpu_writes_what_it_writes_on_all(tmp_path, name, args):
+    # one usable CPU runs the loop and then writes; two fork the writer
+    runs = _pinned_and_free(tmp_path, "simulate", str(REPO_ROOT / "scenarios" / f"{name}.json"),
+                            *args)
+    one, all_ = (run[:4] for run in (runs["one"], runs["all"]))
+    assert one == all_
+    assert one[0] == 0 and sorted(one[3]) == ["summary.json", "trajectory.csv"]
 
 
 def test_simulate_calls_each_traced_layer_once_per_step(monkeypatch, capsys, tmp_path):
@@ -2533,6 +2681,21 @@ def test_report_bad_metrics_row_names_file_and_row(analyzed_dir, tmp_path, capsy
     assert main(["report", str(bad), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad} row 3: not a metrics row ({why}")
+
+
+@pytest.mark.parametrize("text, present", [("configuration,mass_kg\n", 2), ("", 0)],
+                         ids=["two-columns", "empty"])
+def test_report_refuses_a_metrics_csv_whose_header_lacks_a_column(tmp_path, capsys, text, present):
+    # with no row to refuse, either file read as a metrics CSV of no trials
+    bad = tmp_path / "metrics.csv"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["report", str(bad), "--out", str(out)]) == 2
+    missing = METRICS_CSV_COLUMNS[present:-1]  # every column but flags is read
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}: not a metrics CSV (no column {', '.join(missing)})"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"], manifest["outputs"]) == (2, err[0], [])
 
 
 def test_report_refuses_a_malformed_profile(tmp_path, capsys, profile_path):
