@@ -311,22 +311,15 @@ def cmd_analyze(args, run: dict) -> tuple[int, str]:
 # --- fit --------------------------------------------------------------------
 
 
-def _summary_from(path, data) -> ConfigurationSummary:
-    """The configuration summary that ``path`` decoded to; anything else is an
-    IngestError naming the file."""
-    try:
-        return ConfigurationSummary.from_dict(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IngestError(
-            f"{path}: not a configuration summary ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
 def cmd_fit(args, run: dict) -> tuple[int, str]:
     out = Path(args.out)
     run["inputs"] = args.summaries
     run["config"] = {"degree": args.degree, "summaries": [str(s) for s in args.summaries]}
-    summaries = [_summary_from(p, read_json_file(p, IngestError)) for p in args.summaries]
+    summaries = [ConfigurationSummary.from_dict(read_json_file(p, IngestError), p)
+                 for p in args.summaries]
+    for i, path in enumerate(args.summaries):  # a file named twice would be two points
+        if any(os.path.samefile(p, path) for p in args.summaries[:i]):
+            raise IngestError(f"{path}: summary named twice; each file counts once")
     try:
         profile = build_airframe_profile(summaries, restitution_degree=args.degree)
     except RestitutionOutOfRange as exc:
@@ -460,7 +453,7 @@ def cmd_report(args, run: dict) -> tuple[int, str]:
             data = read_json_file(p, IngestError)
             keys = data if isinstance(data, dict) else {}
             if "metrics" in keys:
-                summaries.append(_summary_from(p, data))
+                summaries.append(ConfigurationSummary.from_dict(data, p))
             elif "restitution" in keys:
                 profiles.append(parse_profile(data))
             else:

@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package, the exit codes of
 the command line (``node.run_command`` maps each error to one), the one
 opener of an input file and the one writer of an output file, the one
-reader of a JSON input file, the one error for a text file that is not
-UTF-8, and the one reader for a field of a JSON input.
+reader of a JSON input file and of a JSON object, by the table of its keys
+and field kinds, and the one error for a text file that is not UTF-8.
 
 A file that cannot be opened (missing, a directory, unreadable) raises an
 error of the package, never a bare OSError: an input the class its reader
@@ -175,31 +175,69 @@ INT_OVERFLOW = 2**1024 - 2**970
 
 #: the kinds of value a JSON field holds, as an error message names them: a
 #: number is an exact int or float (never a bool or a string), finite unless
-#: its field is one of the few that may hold NaN or an infinity
+#: its field is one of the few that may hold NaN or an infinity; ANY is the
+#: value as it is, for its reader to check
 FINITE = "a finite number"
 NUMBER = "a number"
 INT = "an integer"
 STR = "a string"
 BOOL = "true or false"
+PAIR = "an [x, y] pair of finite numbers"
+NUMBERS = "a non-empty list of finite numbers"
+ANY = "any value"
+REQUIRED = object()  # the default of a table key that must be present
 
 _TYPES = {INT: int, STR: str, BOOL: bool}
 
 
 def read_field(value, kind: str, name: str, error: type[Exception] = ValueError):
-    """``value`` if it is of ``kind``, a number as a float; anything else
-    raises ``error`` naming the field and the value.
-
-    An int counts as a number only when float() gives a finite float; a
-    ``NUMBER`` may be a float NaN or infinity, a ``FINITE`` number may not.
-    """
+    """``value`` if it is of ``kind``: a number as a float (an int only when
+    float() gives a finite float; a ``NUMBER`` may be a float NaN or infinity,
+    a ``FINITE`` one may not), a PAIR as a tuple and NUMBERS as a list. Anything
+    else raises ``error`` naming the field and the value (a list's first bad item)."""
     if kind in (FINITE, NUMBER):
         if type(value) is float and (kind == NUMBER or -math.inf < value < math.inf):
             return value
         if type(value) is int and -INT_OVERFLOW < value < INT_OVERFLOW:
             return float(value)
-    elif type(value) is _TYPES[kind]:
+    elif kind in (PAIR, NUMBERS):
+        if type(value) is list and (len(value) == 2 if kind == PAIR else value):
+            numbers = [read_field(v, FINITE, name, error) for v in value]
+            return tuple(numbers) if kind == PAIR else numbers
+    elif kind == ANY or type(value) is _TYPES[kind]:
         return value
     raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def read_object(data, fields: dict, where: str, error: type[Exception], closed: bool = False):
+    """The values of the JSON object ``data`` by the table ``fields``, which
+    maps each key to its ``read_field`` kind (or the table of a nested object)
+    and the value of an absent key (from which an absent nested object is
+    read), or REQUIRED. ``error`` names ``where`` and the key, by its path
+    (``gains.attract``), for a value that is not an object, a required key
+    that is absent, a value not of its kind and, in a ``closed`` table, a key
+    that it does not list."""
+
+    def read(obj, table: dict, path: str) -> dict:
+        if type(obj) is not dict:
+            what = f"{path[:-1]} must be" if path else "expected"
+            raise error(f"{where}: {what} a JSON object, got {type(obj).__name__}")
+        unknown = sorted(obj.keys() - table.keys()) if closed else ()
+        if unknown:
+            raise error(f"{where}: unknown key {', '.join(repr(path + key) for key in unknown)}")
+        values = {}
+        for key, (kind, default) in table.items():
+            if key not in obj and default is REQUIRED:
+                raise error(f"{where}: missing key {path + key!r}")
+            if type(kind) is dict:
+                values[key] = read(obj.get(key, default), kind, f"{path}{key}.")
+            elif key in obj:
+                values[key] = read_field(obj[key], kind, f"{where}: {path}{key}", error)
+            else:
+                values[key] = default
+        return values
+
+    return read(data, fields, "")
 
 
 def open_input(path, error: type[Exception], newline=None):

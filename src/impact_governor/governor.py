@@ -18,9 +18,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .errors import BOOL, FINITE, GovernorConfigError, NonMonotoneForceMapWarning, read_field
+from .errors import (
+    ANY,
+    BOOL,
+    FINITE,
+    GovernorConfigError,
+    NonMonotoneForceMapWarning,
+    read_field,
+    read_object,
+)
 from .profile import BODY_REGION_LIMITS_N, AirframeProfile, linspace
 
 CAP_EPSILON = 1e-9
@@ -78,6 +86,9 @@ class GovernorConfig:
             read_field(value, FINITE, name)  # NaN would pass every bound below
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        for name, term in (("t_q_s", self.t_q_s * self.t_q_s), ("a_mps2", 1.5 / self.a_mps2)):
+            if term == math.inf:  # iso_speed_cap would raise, or give a NaN cap (vmax)
+                raise ValueError(f"{name} overflows the zone radius, got {getattr(self, name)}")
         if self.mode not in ("binary", "ramp"):  # no other value equals either
             raise ValueError(f"mode must be 'binary' or 'ramp', got {self.mode!r}")
         if self.f_star_n > _F_STAR_MAX_N:
@@ -96,29 +107,29 @@ class GovernorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GovernorConfig":
-        """The one reader of governor settings: the keys ``t_q_s``, ``a_mps2``,
-        ``c_m``, ``v_cruise_mps``, ``f_star_n``, ``v_platform_max_mps``,
-        ``staleness_timeout_s``, ``mode``, ``stale_cap_mps``, ``f_star_is_peak``
-        and ``body_region`` (its limit is the ``f_star_n`` when that is absent).
-        Any other key (ignored, it could only leave a looser default in force)
-        or a bad value raises GovernorConfigError."""
-        if not isinstance(d, dict):
-            raise GovernorConfigError("governor config must be a JSON object")
-        settings = dict(d)
-        region = settings.pop("body_region", None)
-        unknown = ", ".join(map(repr, sorted(settings.keys() - cls.__dataclass_fields__.keys())))
-        if unknown:
-            raise GovernorConfigError(f"bad governor config: unknown key {unknown}")
+        """The one reader of governor settings, by ``_SETTINGS``: a key it does not
+        list (it could only leave a looser default in force) or a bad value raises
+        GovernorConfigError; ``body_region``'s limit is an absent ``f_star_n``."""
+        where = "bad governor config"
+        settings = read_object(d, _SETTINGS, where, GovernorConfigError, closed=True)
+        region = settings.pop("body_region")
         if region is not None:
             if not isinstance(region, str) or region not in BODY_REGION_LIMITS_N:
                 raise GovernorConfigError(
                     f"unknown body_region {region!r}; expected one of {sorted(BODY_REGION_LIMITS_N)}"
                 )
-            settings.setdefault("f_star_n", BODY_REGION_LIMITS_N[region])
+            if "f_star_n" not in d:
+                settings["f_star_n"] = BODY_REGION_LIMITS_N[region]
         try:
             return cls(**settings)
         except ValueError as exc:
-            raise GovernorConfigError(f"bad governor config: {exc}") from exc
+            raise GovernorConfigError(f"{where}: {exc}") from exc
+
+
+#: the keys of governor settings: each field of GovernorConfig, whose
+#: constructor checks its value, and ``body_region``
+_SETTINGS = {f.name: (ANY, f.default) for f in fields(GovernorConfig)}
+_SETTINGS["body_region"] = (ANY, None)
 
 
 @dataclass(slots=True)

@@ -20,6 +20,7 @@ from .errors import (
     FINITE,
     INT,
     NUMBER,
+    REQUIRED,
     STR,
     EmptyInput,
     IngestError,
@@ -32,7 +33,7 @@ from .errors import (
     VelocityTooLow,
     not_utf8,
     open_input,
-    read_field,
+    read_object,
     write_output,
 )
 from .ingest import TrialRecord
@@ -399,38 +400,32 @@ class ConfigurationSummary:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ConfigurationSummary":
-        """The summary of a ``to_dict`` document; it must hold a stat for
-        every metric field (a KeyError names the first one missing) and a
-        value of the kind ``to_dict`` writes in each field, a finite number
-        but for the ``cv`` (a ValueError names the field and the value). A
-        schema other than the integer ``SUMMARY_SCHEMA``, or an ``n`` below
-        the 2 trials of every aggregate, is a ValueError too."""
-        metrics = d["metrics"]
-        schema = read_field(d["schema"], INT, "schema")
-        if schema != SUMMARY_SCHEMA:
-            raise ValueError(
-                f"summary schema {schema!r} not supported (expected the integer {SUMMARY_SCHEMA})"
+    def from_dict(cls, d: dict, path="document") -> "ConfigurationSummary":
+        """The summary of a ``to_dict`` document, read by ``_SUMMARY``; a missing
+        key, a field not of its kind, a schema other than the integer
+        ``SUMMARY_SCHEMA`` or an ``n`` below 2 is an IngestError naming ``path``."""
+        where = f"{path}: not a configuration summary"
+        values = read_object(d, _SUMMARY, where, IngestError)
+        if values["schema"] != SUMMARY_SCHEMA:
+            raise IngestError(
+                f"{where}: summary schema {values['schema']!r} not supported "
+                f"(expected the integer {SUMMARY_SCHEMA})"
             )
-        n = read_field(d["n"], INT, "n")
-        if n < 2:
-            raise ValueError(f"n must be at least 2, got {n}")
-        stats = {}
-        for name in METRIC_FIELDS:
-            v = metrics[name]
-            where = f"metrics.{name}"
-            stats[name] = MetricStat(
-                read_field(v["mean"], FINITE, f"{where}.mean"),
-                read_field(v["std"], FINITE, f"{where}.std"),
-                read_field(v["cv"], NUMBER, f"{where}.cv"),  # NaN when the mean is 0
-            )
-        return cls(
-            configuration=read_field(d["configuration"], STR, "configuration"),
-            n=n,
-            mass_kg=read_field(d["mass_kg"], FINITE, "mass_kg"),
-            angle_deg=read_field(d["angle_deg"], FINITE, "angle_deg"),
-            stats=stats,
-        )
+        if values["n"] < 2:
+            raise IngestError(f"{where}: n must be at least 2, got {values['n']}")
+        del values["schema"]
+        stats = {name: MetricStat(**stat) for name, stat in values.pop("metrics").items()}
+        return cls(stats=stats, **values)
+
+
+#: the summary document: a stat of each metric field, each a finite number
+#: but for the ``cv`` (NaN when the mean is 0); other keys are ignored
+_STAT = {"mean": (FINITE, REQUIRED), "std": (FINITE, REQUIRED), "cv": (NUMBER, REQUIRED)}
+_SUMMARY = {
+    "schema": (INT, REQUIRED), "configuration": (STR, REQUIRED), "n": (INT, REQUIRED),
+    "mass_kg": (FINITE, REQUIRED), "angle_deg": (FINITE, REQUIRED),
+    "metrics": (dict.fromkeys(METRIC_FIELDS, (_STAT, REQUIRED)), REQUIRED),
+}
 
 
 def aggregate_configuration(metrics: list[ImpactMetrics]) -> ConfigurationSummary:

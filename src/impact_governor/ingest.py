@@ -27,13 +27,14 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     FINITE,
+    REQUIRED,
     STR,
     AlignmentOutOfTolerance,
     EmptyStream,
@@ -47,8 +48,8 @@ from .errors import (
     TriggerMissing,
     not_utf8,
     open_input,
-    read_field,
     read_json_file,
+    read_object,
 )
 
 FS_FORCE_DEFAULT = 6250.0
@@ -63,18 +64,17 @@ RATE_TOLERANCE = 1e-4
 FORCE_COLUMNS = ("t_s", "f1_N", "f2_N", "f3_N", "accel_mps2", "trigger")
 RANGE_COLUMNS = ("t_s", "range_m", "trigger")
 
-MANIFEST_KEYS = (
-    "configuration",
-    "mass_kg",
-    "angle_deg",
-    "nominal_speed_mps",
-    "material",
-    "force_csv",
-    "range_csv",
-)
-
-#: the optional manifest keys, each overriding its stream's default rate
-SAMPLE_RATE_KEYS = ("sample_rate_force_hz", "sample_rate_range_hz")
+#: the trial manifest: the keys every manifest holds, then the optional
+#: rates, each overriding its stream's default; other keys are ignored
+_MANIFEST = {
+    "configuration": (STR, REQUIRED), "mass_kg": (FINITE, REQUIRED),
+    "angle_deg": (FINITE, REQUIRED), "nominal_speed_mps": (FINITE, REQUIRED),
+    "material": (STR, REQUIRED), "force_csv": (STR, REQUIRED), "range_csv": (STR, REQUIRED),
+    "sample_rate_force_hz": (FINITE, FS_FORCE_DEFAULT),
+    "sample_rate_range_hz": (FINITE, FS_RANGE_DEFAULT),
+}
+MANIFEST_KEYS = tuple(key for key, (_, default) in _MANIFEST.items() if default is REQUIRED)
+SAMPLE_RATE_KEYS = tuple(key for key in _MANIFEST if key not in MANIFEST_KEYS)
 
 
 def is_trial_manifest(path: Path) -> bool:
@@ -396,38 +396,23 @@ def load_trial(path: str | Path) -> RawAcquisition:
     """Load one trial from its manifest JSON.
 
     Stream paths in the manifest are resolved relative to the manifest file.
-    A manifest that cannot be opened or is not a JSON object is a
-    ManifestError naming it; a field of the wrong kind, or a sample rate
-    that is not > 0, is one naming the manifest and the key. A stream file
+    A manifest that cannot be opened is a ManifestError naming it; one that
+    is not a JSON object, lacks a key of ``_MANIFEST`` or holds a field of
+    the wrong kind, or a sample rate that is not > 0 or whose period
+    1 / rate overflows, is one naming the manifest and the key. A stream file
     that is missing is one naming both; one that exists but cannot be
     opened (a directory, an unreadable file) is an IngestError naming it.
     """
     path = Path(path)
-    manifest = read_json_file(path, ManifestError)
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object")
-    missing = [k for k in MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise ManifestError(f"{path} lacks manifest key(s) {missing}")
+    values = read_object(read_json_file(path, ManifestError), _MANIFEST, str(path), ManifestError)
+    meta = TrialMeta(**{f.name: values[f.name] for f in fields(TrialMeta)})
+    fs_force, fs_range = rates = [values[key] for key in SAMPLE_RATE_KEYS]
+    for key, rate in zip(SAMPLE_RATE_KEYS, rates):
+        if not (rate > 0 and 1.0 / rate < math.inf):
+            raise ManifestError(f"{path}: {key} must be > 0 with a finite period, got {rate:g}")
 
-    def read(key: str, kind: str, default=None):
-        return read_field(manifest.get(key, default), kind, f"{path}: {key}", ManifestError)
-
-    meta = TrialMeta(
-        configuration=read("configuration", STR),
-        mass_kg=read("mass_kg", FINITE),
-        angle_deg=read("angle_deg", FINITE),
-        nominal_speed_mps=read("nominal_speed_mps", FINITE),
-        material=read("material", STR),
-    )
-    defaults = (FS_FORCE_DEFAULT, FS_RANGE_DEFAULT)
-    fs_force, fs_range = (read(k, FINITE, d) for k, d in zip(SAMPLE_RATE_KEYS, defaults))
-    for key, rate in zip(SAMPLE_RATE_KEYS, (fs_force, fs_range)):
-        if rate <= 0:
-            raise ManifestError(f"{path}: {key} must be > 0, got {rate:g}")
-
-    force_path = path.parent / read("force_csv", STR)
-    range_path = path.parent / read("range_csv", STR)
+    force_path = path.parent / values["force_csv"]
+    range_path = path.parent / values["range_csv"]
     for p in (force_path, range_path):
         if not p.exists():
             raise ManifestError(f"{path} references missing stream file {p}")

@@ -33,6 +33,7 @@ from .errors import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_RUNTIME,
+    STR,
     GovernorConfigError,
     ImpactGovernorError,
     IngestError,
@@ -41,6 +42,7 @@ from .errors import (
     ProtocolError,
     TransportError,
     read_json_file,
+    read_object,
     write_json_file,
 )
 from .governor import GovernorConfig, GovernorRuntime
@@ -224,6 +226,10 @@ def run_command(args) -> int:
 # --- govern -----------------------------------------------------------------
 
 
+#: a governor config file's paths, relative to it; from_dict reads the rest
+_CONFIG_PATHS = {"profile": (STR, None), "compliance_log": (STR, None)}
+
+
 def _resolve_governor_setup(args) -> tuple[GovernorConfig, Path, Path | None]:
     """The config file's governor settings under the command line's, the path
     of the profile to load and the compliance log (paths relative to the
@@ -232,31 +238,17 @@ def _resolve_governor_setup(args) -> tuple[GovernorConfig, Path, Path | None]:
     config_dir = Path.cwd()
     if args.config:
         data = read_json_file(args.config, GovernorConfigError)
-        if not isinstance(data, dict):
-            raise GovernorConfigError("governor config must be a JSON object")
         config_dir = Path(args.config).resolve().parent
-
-    settings = {k: v for k, v in data.items() if k not in ("profile", "compliance_log")}
+    paths = read_object(data, _CONFIG_PATHS, "bad governor config", GovernorConfigError)
+    settings = {k: v for k, v in data.items() if k not in paths}
     cfg = GovernorConfig.from_dict({**settings, **_governor_overrides(args)})
     # both config paths are checked even where --profile takes precedence
-    profile_path = _config_path(data, "profile", config_dir)
-    compliance_path = _config_path(data, "compliance_log", config_dir)
+    profile_path, compliance_path = (None if p is None else config_dir / p for p in paths.values())
     if args.profile:
         profile_path = Path(args.profile)
     if profile_path is None:
         raise IngestError("govern needs an airframe profile (--profile or config)")
     return cfg, profile_path, compliance_path
-
-
-def _config_path(data: dict, key: str, config_dir: Path) -> Path | None:
-    """A path from the governor config, relative to the config's directory."""
-    if key not in data:
-        return None
-    value = data[key]
-    if not isinstance(value, str):
-        raise GovernorConfigError(f"bad governor config: {key} must be a path, got {value!r}")
-    path = Path(value)
-    return path if path.is_absolute() else config_dir / path
 
 
 def _force_cap_evidence(runtime: GovernorRuntime, profile: AirframeProfile) -> dict:

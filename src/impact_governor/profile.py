@@ -19,6 +19,9 @@ from .errors import (
     FINITE,
     INT,
     NUMBER,
+    NUMBERS,
+    PAIR,
+    REQUIRED,
     STR,
     IngestError,
     InvariantViolation,
@@ -26,6 +29,7 @@ from .errors import (
     SchemaVersionMismatch,
     read_field,
     read_json_file,
+    read_object,
     write_output,
 )
 
@@ -80,44 +84,6 @@ class PolyModel:
         available estimate. Use extrapolated() to know when that happened.
         """
         return polyval(self.clamp(v), self.coefficients)
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": list(self.coefficients),
-            "domain": [self.domain[0], self.domain[1]],
-            "r_squared": self.r_squared,
-            "mae": self.mae,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolyModel":
-        """The model of a profile's ``restitution`` document; a missing or
-        malformed field raises InvariantViolation naming it."""
-        where = "profile restitution"
-        _require_object(d, where)
-
-        def diagnostic(key: str) -> float:  # optional: NaN when absent
-            return _value(d, key, NUMBER, where) if key in d else math.nan
-
-        coefficients = _number_list(d, "coeffs", where)
-        degree = _value(d, "degree", INT, where)
-        if degree != len(coefficients) - 1:
-            raise InvariantViolation(
-                f"{where} degree must be len(coeffs) - 1 = {len(coefficients) - 1}, got {degree}"
-            )
-        domain = _number_list(d, "domain", where)
-        if len(domain) != 2:
-            raise InvariantViolation(
-                f"{where} domain must be a list of two numbers, got {d['domain']!r}"
-            )
-        return cls(
-            coefficients=coefficients,
-            degree=degree,
-            r_squared=diagnostic("r_squared"),
-            mae=diagnostic("mae"),
-            domain=tuple(domain),
-        )
 
 
 @dataclass
@@ -178,15 +144,19 @@ class AirframeProfile:
         return self.f_max_ref_N / f_avg
 
     def to_dict(self) -> dict:
-        rest = self.restitution.to_dict()
-        rest["downgraded"] = self.downgraded
+        """The profile document that ``parse_profile`` reads."""
+        model = self.restitution
         return {
             "schema": PROFILE_SCHEMA,
             "name": self.name,
             "mass_kg": self.mass_kg,
             "dt_s": self.dt_s,
             "dt_std_s": self.dt_std_s,
-            "restitution": rest,
+            "restitution": {
+                "degree": model.degree, "coeffs": list(model.coefficients),
+                "domain": list(model.domain), "r_squared": model.r_squared, "mae": model.mae,
+                "downgraded": self.downgraded,
+            },
             "angle_deg": self.angle_deg,
             "f_max_ref_N": self.f_max_ref_N,
         }
@@ -203,67 +173,47 @@ def serialize_profile(profile: AirframeProfile) -> str:
     return json.dumps(profile.to_dict(), indent=2) + "\n"
 
 
-def _require_object(d, where: str) -> None:
-    if not isinstance(d, dict):
-        raise InvariantViolation(f"{where} must be a JSON object, got {type(d).__name__}")
-
-
-def _get(d: dict, key: str, where: str):
-    if key not in d:
-        raise InvariantViolation(f"{where} lacks key {key!r}")
-    return d[key]
-
-
-def _value(d: dict, key: str, kind: str, where: str):
-    """``d[key]`` read as ``kind``; a missing key, or a value of another kind,
-    is an InvariantViolation that names the field."""
-    return read_field(_get(d, key, where), kind, f"{where} {key}", InvariantViolation)
-
-
-def _number_list(d: dict, key: str, where: str) -> list[float]:
-    """``d[key]``, a non-empty list, with each item read as a finite number."""
-    values = _get(d, key, where)
-    if type(values) is not list or not values:
-        raise InvariantViolation(
-            f"{where} {key} must be a non-empty list of numbers, got {values!r}"
-        )
-    return [read_field(v, FINITE, f"{where} {key}", InvariantViolation) for v in values]
+#: the profile document: a ``restitution`` object, read first, and the
+#: airframe's fields; other keys are ignored
+_RESTITUTION = {
+    "coeffs": (NUMBERS, REQUIRED), "degree": (INT, REQUIRED), "domain": (PAIR, REQUIRED),
+    "r_squared": (NUMBER, math.nan), "mae": (NUMBER, math.nan),  # fit diagnostics
+    "downgraded": (BOOL, False),
+}
+_PROFILE = {"restitution": (_RESTITUTION, REQUIRED), "name": (STR, REQUIRED)} | dict.fromkeys(
+    ("mass_kg", "dt_s", "dt_std_s", "angle_deg", "f_max_ref_N"), (FINITE, REQUIRED)
+)
 
 
 def parse_profile(source: str | dict) -> AirframeProfile:
-    """Parse and validate a profile JSON document (text or parsed dict).
+    """``profile_from_dict`` of JSON text, or of a decoded document."""
+    return profile_from_dict(json.loads(source) if isinstance(source, str) else source)
 
-    A missing or malformed field raises InvariantViolation naming it.
-    """
-    d = json.loads(source) if isinstance(source, str) else source
-    _require_object(d, "profile")
-    schema = read_field(d.get("schema"), INT, "profile schema", SchemaVersionMismatch)
-    if schema != PROFILE_SCHEMA:
-        raise SchemaVersionMismatch(
-            f"profile schema {schema!r} not supported (expected the integer {PROFILE_SCHEMA})"
-        )
-    rest = _get(d, "restitution", "profile")
-    restitution = PolyModel.from_dict(rest)  # checks first that rest is an object
-    return AirframeProfile(
-        name=_value(d, "name", STR, "profile"),
-        mass_kg=_value(d, "mass_kg", FINITE, "profile"),
-        dt_s=_value(d, "dt_s", FINITE, "profile"),
-        dt_std_s=_value(d, "dt_std_s", FINITE, "profile"),
-        restitution=restitution,
-        angle_deg=_value(d, "angle_deg", FINITE, "profile"),
-        f_max_ref_N=_value(d, "f_max_ref_N", FINITE, "profile"),
-        downgraded=(
-            _value(rest, "downgraded", BOOL, "profile restitution")
-            if "downgraded" in rest
-            else False
-        ),
-    )
+
+def profile_from_dict(d) -> AirframeProfile:
+    """Validate a decoded profile document: a schema other than the integer
+    ``PROFILE_SCHEMA`` raises SchemaVersionMismatch, checked first; anything
+    else that is not a profile, InvariantViolation naming the key."""
+    if type(d) is dict:  # read_object refuses anything else
+        schema = read_field(d.get("schema"), INT, "profile schema", SchemaVersionMismatch)
+        if schema != PROFILE_SCHEMA:
+            raise SchemaVersionMismatch(
+                f"profile schema {schema!r} not supported (expected the integer {PROFILE_SCHEMA})"
+            )
+    values = read_object(d, _PROFILE, "profile", InvariantViolation)
+    rest = values.pop("restitution")
+    downgraded = rest.pop("downgraded")
+    model = PolyModel(rest.pop("coeffs"), **rest)  # the other keys name its fields
+    if model.degree != len(model.coefficients) - 1:
+        degree = f"len(coeffs) - 1 = {len(model.coefficients) - 1}, got {model.degree}"
+        raise InvariantViolation(f"profile: restitution.degree must be {degree}")
+    return AirframeProfile(restitution=model, downgraded=downgraded, **values)
 
 
 def load_profile(path: str | Path) -> AirframeProfile:
     """The profile in the JSON file ``path``; a file that does not decode is
     an IngestError naming it (bad input, not a broken invariant)."""
-    return parse_profile(read_json_file(path, IngestError))
+    return profile_from_dict(read_json_file(path, IngestError))
 
 
 def save_profile(profile: AirframeProfile, path: str | Path) -> None:

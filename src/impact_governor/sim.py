@@ -47,11 +47,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
+    ANY,
     FINITE,
+    PAIR,
+    REQUIRED,
     STR,
     ScenarioInvariantViolation,
     read_field,
     read_json_file,
+    read_object,
     write_output,
 )
 from .profile import AirframeProfile, load_profile, parse_profile
@@ -103,6 +107,9 @@ class SimScenario:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ScenarioInvariantViolation(f"{name} must be finite and > 0, got {value}")
+        if not self.duration_s / self.physics_dt_s < math.inf:  # the step count
+            steps = f"{self.duration_s:g} / {self.physics_dt_s:g}"
+            raise ScenarioInvariantViolation(f"duration_s / physics_dt_s must be finite: {steps}")
         if self.physics_dt_s >= 1.0 / self.detection_rate_hz:
             raise ScenarioInvariantViolation(
                 "physics step must be shorter than the detection period"
@@ -408,89 +415,68 @@ def write_trajectory(rows: Iterable[tuple], path) -> None:
     write_output(path, text)
 
 
-#: the scenario's optional numbers: top-level keys and ``gains`` keys, each
-#: with the SimScenario field it sets; an absent key keeps the field's default
-_TIMING_KEYS = ("physics_dt_s", "detection_rate_hz", "duration_s")
+#: the ``gains`` keys, each with the SimScenario field it sets
 _GAIN_FIELDS = {
     "attract": "k_attract", "repulse": "k_repulse", "repulse_radius_m": "repulse_radius_m",
 }
-#: every top-level key ``scenario_from_dict`` reads ("seed" it reads and ignores)
-_SCENARIO_KEYS = {"name", "start", "goals", "humans", "gains", "governor", "profile",
-                  "profile_path", "seed", *_TIMING_KEYS}
+_TIMING_KEYS = ("physics_dt_s", "detection_rate_hz", "duration_s")
 
-
-def _point(values, name: str) -> tuple[float, float]:
-    point = tuple(read_field(v, FINITE, name) for v in values)
-    if len(point) != 2:
-        raise ValueError(f"{name} must have two coordinates, got {list(point)}")
-    return point
+#: the scenario document; an absent number keeps its SimScenario field's
+#: default, and ``seed``, written by older versions, is read and ignored
+_SCENARIO = {
+    "name": (STR, "scenario"), "start": (PAIR, REQUIRED), "goals": (ANY, REQUIRED),
+    "humans": (ANY, []), "governor": (ANY, {}), "seed": (ANY, None),
+    "profile": (ANY, None), "profile_path": (STR, None),
+    **{key: (FINITE, getattr(SimScenario, key)) for key in _TIMING_KEYS},
+    "gains": ({k: (FINITE, getattr(SimScenario, f)) for k, f in _GAIN_FIELDS.items()}, {}),
+}
 
 
 def scenario_from_dict(
     data: dict, settings: Optional[dict] = None, base_dir: Optional[Path] = None
 ) -> SimScenario:
-    """Build a scenario from its JSON form.
+    """Build a scenario from its JSON form, read by ``_SCENARIO``, which
+    refuses a key it does not list (a misspelt ``"humans"``, say, would leave
+    the field empty) as ScenarioInvariantViolation naming it.
 
     ``settings`` (governor keys, as ``node._governor_overrides`` gives them
     for --mode and --f-star) are laid over the ``"governor"`` object before
     its one read, so the scenario's checks see the governor that runs.  The
     airframe profile comes either inline (``"profile": {...}``) or from
-    ``"profile_path"`` resolved relative to the scenario file.  A ``"seed"``
-    key, written by older versions, is ignored: the simulation has no
-    randomness.  Every number must be a finite JSON number (``json`` reads
-    ``NaN`` and ``Infinity``), every point an ``[x, y]`` pair and the name and
-    ``"profile_path"`` strings; anything else, and a key of the scenario or of
-    its ``"gains"`` that is read nowhere (a misspelt ``"humans"``, say, which
-    would leave the field empty), raises ScenarioInvariantViolation naming the
-    field or the key.
+    ``"profile_path"`` resolved relative to the scenario file.
     """
-    if not isinstance(data, dict):
-        raise ScenarioInvariantViolation("bad scenario definition: scenario must be a JSON object")
-    gains = data.get("gains", {})
-    if not isinstance(gains, dict):
-        raise ScenarioInvariantViolation("bad scenario definition: gains must be a JSON object")
-    unknown = sorted(data.keys() - _SCENARIO_KEYS) + [
-        f"gains.{key}" for key in sorted(gains.keys() - _GAIN_FIELDS.keys())
-    ]
-    if unknown:
-        raise ScenarioInvariantViolation(
-            f"bad scenario definition: unknown key {', '.join(map(repr, unknown))}"
-        )
-    governor = data.get("governor", {})
-    if isinstance(governor, dict):  # from_dict refuses anything else
+    where, error = "bad scenario definition", ScenarioInvariantViolation
+    values = read_object(data, _SCENARIO, where, error, closed=True)
+    governor = values["governor"]
+    if type(governor) is dict:  # from_dict refuses anything else
         governor = {**governor, **(settings or {})}
-    try:
-        cfg = GovernorConfig.from_dict(governor)
-        if "profile" in data:
-            profile = parse_profile(data["profile"])
-        else:
-            profile_path = Path(read_field(data["profile_path"], STR, "profile_path"))
-            if base_dir is not None and not profile_path.is_absolute():
-                profile_path = base_dir / profile_path
-            profile = load_profile(profile_path)
-        numbers = {key: read_field(data[key], FINITE, key) for key in _TIMING_KEYS if key in data}
-        numbers.update(
-            (name, read_field(gains[key], FINITE, f"gains.{key}"))
-            for key, name in _GAIN_FIELDS.items()
-            if key in gains
-        )
-        return SimScenario(
-            name=read_field(data.get("name", "scenario"), STR, "name"),
-            start=_point(data["start"], "start"),
-            goals=[_point(g, f"goals[{i}]") for i, g in enumerate(data["goals"])],
-            humans=[_point(h, f"humans[{i}]") for i, h in enumerate(data.get("humans", []))],
-            cfg=cfg,
-            profile=profile,
-            **numbers,
-        )
-    except (KeyError, RecursionError, TypeError, ValueError) as exc:
-        # RecursionError: an inline profile given as JSON text, nested too deep to decode
-        raise ScenarioInvariantViolation(f"bad scenario definition: {exc}") from exc
+    cfg = GovernorConfig.from_dict(governor)
+    if "profile" in data:
+        try:
+            profile = parse_profile(values["profile"])
+        except (RecursionError, ValueError) as exc:  # inline JSON text that does not decode
+            raise error(f"{where}: {exc}") from exc
+    elif values["profile_path"] is None:
+        raise error(f"{where}: missing key 'profile' or 'profile_path'")
+    else:  # an absolute path stays as it is
+        profile = load_profile((base_dir or Path()) / values["profile_path"])
+
+    def points(key: str) -> list[tuple[float, float]]:
+        items = values[key]
+        if type(items) is not list:
+            raise error(f"{where}: {key} must be a list of [x, y] pairs, got {items!r}")
+        return [read_field(p, PAIR, f"{where}: {key}[{i}]", error) for i, p in enumerate(items)]
+
+    gains = {name: values["gains"][key] for key, name in _GAIN_FIELDS.items()}
+    timing = {key: values[key] for key in _TIMING_KEYS}
+    return SimScenario(
+        name=values["name"], start=values["start"], goals=points("goals"),
+        humans=points("humans"), cfg=cfg, profile=profile, **timing, **gains,
+    )
 
 
 def load_scenario(path, settings: Optional[dict] = None) -> SimScenario:
     """``scenario_from_dict`` of the UTF-8 JSON file ``path``."""
-    path = Path(path)
     data = read_json_file(path, ScenarioInvariantViolation)
-    return scenario_from_dict(data, settings, base_dir=path.parent)
+    return scenario_from_dict(data, settings, base_dir=Path(path).parent)
 

@@ -4,10 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import impact_governor
 from impact_governor.governor import GovernorConfig
 from impact_governor.profile import AirframeProfile, PolyModel
+
+
+#: ten times the default budget, for tests/test_input_fuzz.py in CI:
+#: python -m pytest tests/test_input_fuzz.py --hypothesis-profile fuzz
+settings.register_profile("fuzz", max_examples=10 * settings.default.max_examples)
 
 
 def make_profile(ec_r=0.145924, dt_s=0.036, mass_kg=0.25, dt_std_s=0.0033,

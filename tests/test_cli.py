@@ -315,7 +315,7 @@ def test_analyze_rejects_only_the_trial_whose_energy_overflows(tmp_path, capsys,
 _MANIFEST_NUMBERS = (
     "mass_kg", "angle_deg", "nominal_speed_mps", "sample_rate_force_hz", "sample_rate_range_hz"
 )
-_BAD_RATES = (0, -1, math.nan, math.inf)
+_BAD_RATES = (0, -1, math.nan, math.inf, 5e-324)  # 5e-324 Hz: a period of inf
 
 
 @pytest.fixture(scope="module")
@@ -810,6 +810,19 @@ def test_fit_unphysical_model_exits_invariant(tmp_path):
 
 def test_fit_missing_file_exits_input_error(tmp_path):
     assert main(["fit", str(tmp_path / "ghost.json"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("twin", ["s3.0.json", "./s3.0.json", "link.json"])
+def test_fit_refuses_a_summary_named_twice(tmp_path, capsys, monkeypatch, twin):
+    # the one file counted as two points: fit a.json a.json wrote a profile
+    monkeypatch.chdir(tmp_path)
+    for v, ec in ((3.0, 0.10), (4.0, 0.12)):
+        Path(f"s{v}.json").write_text(json.dumps(_summary_dict(v, ec)))
+    Path("link.json").symlink_to("s3.0.json")
+    assert main(["fit", "s3.0.json", "s4.0.json", twin, "--out", "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {twin}: summary named twice; each file counts once"]
+    assert not list(Path("out").glob("profile_*.json"))
 
 
 @pytest.mark.parametrize("degree, why", [("-1", "degree must be >= 0, got -1"),
@@ -1904,26 +1917,26 @@ _UNDECODABLE = {
     [
         (_case_protocol, 3, "error: stream framing lost"),
         (_case_unphysical_fit, 4, "error: fitted model breaks physics: "),
-        (_case_config_not_object, 2, "error: governor config must be a JSON object"),
+        (_case_config_not_object, 2, "error: bad governor config: expected a JSON object, got "),
         (_case_unknown_body_region, 2, "error: unknown body_region 'elbow'"),
         (_case_config_value(body_region=["face"]), 2, "error: unknown body_region ['face']"),
-        (_case_config_value(profile=5), 2, "error: bad governor config: profile must be a path"),
+        (_case_config_value(profile=5), 2, "error: bad governor config: profile must be a string"),
         (_case_config_profile_under_flag, 2,
-         "error: bad governor config: profile must be a path, got 5"),
+         "error: bad governor config: profile must be a string, got 5"),
         (_case_config_value(compliance_log=5), 2,
-         "error: bad governor config: compliance_log must be a path"),
+         "error: bad governor config: compliance_log must be a string"),
         (_case_no_profile, 2, "error: govern needs an airframe profile (--profile or config)"),
         (_case_profile_restitution(coeffs=[1.5]), 2,
          "error: profile EC_r leaves [0, 1] on its domain"),
         (_case_profile_edit(_without_coeffs), 4,
-         "error: profile restitution lacks key 'coeffs'"),
+         "error: profile: missing key 'restitution.coeffs'"),
         (_case_profile_restitution(coeffs=[]), 4,
-         "error: profile restitution coeffs must be a non-empty list of numbers, got []"),
+         "error: profile: restitution.coeffs must be a non-empty list of finite numbers, got []"),
         (_case_profile_restitution(domain=[3.0]), 4,
-         "error: profile restitution domain must be a list of two numbers, got [3.0]"),
-        (_case_profile_edit(lambda d: [d]), 4, "error: profile must be a JSON object, got list"),
+         "error: profile: restitution.domain must be an [x, y] pair of finite numbers, got [3.0]"),
+        (_case_profile_edit(lambda d: [d]), 4, "error: profile: expected a JSON object, got list"),
         (_case_profile_value(mass_kg="abc"), 4,
-         "error: profile mass_kg must be a finite number, got 'abc'"),
+         "error: profile: mass_kg must be a finite number, got 'abc'"),
         (_case_bad_scenario, 2, "error: bad scenario definition: "),
         *[(_case_scenario_profile_path(value), 2,
            f"error: bad scenario definition: profile_path must be a string, got {value!r}")
@@ -1931,7 +1944,7 @@ _UNDECODABLE = {
         (_case_missing_file, 2, "error: [Errno 2] No such file or directory: "),
         (_case_bad_json, 2, "error: {tmp}/s.json: invalid JSON input: Expecting property name"),
         (_case_bad_summary, 2,
-         "error: empty.json: not a configuration summary (KeyError: 'metrics')"),
+         "error: empty.json: not a configuration summary: missing key 'schema'"),
         (_case_bad_governor_config, 2, "error: bad governor config: mode must be"),
         (_case_bad_config_f_star, 2,
          "error: bad governor config: f_star_n must be a finite number, got 'lots'"),
@@ -1957,7 +1970,7 @@ _UNDECODABLE = {
         (_case_profile_value(f_max_ref_N=0.0, f_star_is_peak=True), 4,
          "error: profile f_max_ref_N must be finite and > 0, got 0.0"),
         (_case_profile_value(f_max_ref_N=math.nan, f_star_is_peak=True), 4,
-         "error: profile f_max_ref_N must be a finite number, got nan"),
+         "error: profile: f_max_ref_N must be a finite number, got nan"),
         (_case_profile_value(f_max_ref_N=-1.0), 4,
          "error: profile f_max_ref_N must be finite and > 0, got -1.0"),
         (_case_profile_value(f_max_ref_N=1.0, f_star_is_peak=True), 2,
@@ -2111,7 +2124,7 @@ def test_every_file_opens_through_errors_but_pipes_the_compliance_log_and_test_d
         ("fit", lambda d: d / "ghost.json",
          "error: [Errno 2] No such file or directory: '{path}'"),
         ("simulate", lambda d: _write(d / "s.json", "[1, 2]"),
-         "error: bad scenario definition: scenario must be a JSON object"),
+         "error: bad scenario definition: expected a JSON object, got list"),
         ("report", lambda d: _write(d / "notes.txt", "hello"),
          "error: unrecognized report input: {path}"),
     ],
@@ -2590,52 +2603,52 @@ def _with_stat(metric, stat, value):
     "text, line",
     [
         (json.dumps(_without_std(_summary_dict(3.0, 0.1))),
-         "not a configuration summary (KeyError: 'std')"),
+         "not a configuration summary: missing key 'metrics.ec_r.std'"),
         (json.dumps({**_summary_dict(3.0, 0.1), "metrics": {}}),
-         "not a configuration summary (KeyError: 'v_in_mps')"),
+         "not a configuration summary: missing key 'metrics.v_in_mps'"),
         (json.dumps({**_summary_dict(3.0, 0.1), "n": "two"}),
-         "not a configuration summary (ValueError: "),
+         "not a configuration summary: n must be an integer, got 'two'"),
         # int() and float() took these: n 2.5 was 2 and a mass of true 1 kg
         (json.dumps({**_summary_dict(3.0, 0.1), "n": 2.5}),
-         "not a configuration summary (ValueError: n must be an integer, got 2.5)"),
+         "not a configuration summary: n must be an integer, got 2.5"),
         (json.dumps({**_summary_dict(3.0, 0.1), "n": True}),
-         "not a configuration summary (ValueError: n must be an integer, got True)"),
+         "not a configuration summary: n must be an integer, got True"),
         (json.dumps({**_summary_dict(3.0, 0.1), "mass_kg": True}),
-         "not a configuration summary (ValueError: mass_kg must be a finite number, got True)"),
+         "not a configuration summary: mass_kg must be a finite number, got True"),
         (json.dumps(_with_stat("f_max_n", "mean", "100.0")),
-         "not a configuration summary (ValueError: metrics.f_max_n.mean must be a finite number, "
-         "got '100.0')"),
+         "not a configuration summary: metrics.f_max_n.mean must be a finite number, "
+         "got '100.0'"),
         # float() of an int past the float range raised an OverflowError that
         # ended fit and report in a traceback with a null exit_code
         (json.dumps({**_summary_dict(3.0, 0.1), "mass_kg": 10**400}),
-         "not a configuration summary (ValueError: mass_kg must be a finite number, got 1000"),
+         "not a configuration summary: mass_kg must be a finite number, got 1000"),
         (json.dumps(_with_stat("v_in_mps", "mean", -(10**400))),
-         "not a configuration summary (ValueError: metrics.v_in_mps.mean must be a finite "
+         "not a configuration summary: metrics.v_in_mps.mean must be a finite "
          "number, got -1000"),
         # these loaded, and fit wrote a NaN or a name like "['Carbon-0deg']"
         # into the profile
         (json.dumps(_with_stat("dt_j_s", "std", math.nan)),
-         "not a configuration summary (ValueError: metrics.dt_j_s.std must be a finite number, "
-         "got nan)"),
+         "not a configuration summary: metrics.dt_j_s.std must be a finite number, "
+         "got nan"),
         (json.dumps({**_summary_dict(3.0, 0.1), "angle_deg": math.nan}),
-         "not a configuration summary (ValueError: angle_deg must be a finite number, got nan)"),
+         "not a configuration summary: angle_deg must be a finite number, got nan"),
         (json.dumps({**_summary_dict(3.0, 0.1), "configuration": ["Carbon-0deg"]}),
-         "not a configuration summary (ValueError: configuration must be a string, "
-         "got ['Carbon-0deg'])"),
+         "not a configuration summary: configuration must be a string, "
+         "got ['Carbon-0deg']"),
         (json.dumps(_with_stat("ec_r", "cv", "nan")),
-         "not a configuration summary (ValueError: metrics.ec_r.cv must be a number, got 'nan')"),
+         "not a configuration summary: metrics.ec_r.cv must be a number, got 'nan'"),
         # these loaded: fit wrote a profile and report a row with n = -5
         (json.dumps({**_summary_dict(3.0, 0.1), "schema": 99, "n": -5}),
-         "not a configuration summary (ValueError: summary schema 99 not supported "
-         "(expected the integer 1))"),
+         "not a configuration summary: summary schema 99 not supported "
+         "(expected the integer 1)"),
         (json.dumps({**_summary_dict(3.0, 0.1), "schema": 1.0}),
-         "not a configuration summary (ValueError: schema must be an integer, got 1.0)"),
+         "not a configuration summary: schema must be an integer, got 1.0"),
         (json.dumps({k: v for k, v in _summary_dict(3.0, 0.1).items() if k != "schema"}),
-         "not a configuration summary (KeyError: 'schema')"),
+         "not a configuration summary: missing key 'schema'"),
         (json.dumps({**_summary_dict(3.0, 0.1), "n": -5}),
-         "not a configuration summary (ValueError: n must be at least 2, got -5)"),
+         "not a configuration summary: n must be at least 2, got -5"),
         (json.dumps({**_summary_dict(3.0, 0.1), "n": 1}),
-         "not a configuration summary (ValueError: n must be at least 2, got 1)"),
+         "not a configuration summary: n must be at least 2, got 1"),
     ],
     ids=["stat-without-std", "no-stats", "n-not-a-number", "n-fraction", "n-bool",
          "mass-bool", "mean-string", "mass-huge-int", "mean-huge-int", "std-nan", "angle-nan",
@@ -2704,5 +2717,5 @@ def test_report_refuses_a_malformed_profile(tmp_path, capsys, profile_path):
     (tmp_path / "p.json").write_text(json.dumps(data))
     assert main(["report", str(tmp_path / "p.json"), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err.splitlines() == [
-        "error: profile restitution lacks key 'coeffs'"
+        "error: profile: missing key 'restitution.coeffs'"
     ]

@@ -140,14 +140,15 @@ def test_profile_refuses_non_finite_values(key, value, error):
     # true or 1.0 was schema 1; a NaN dt_std_s or an infinite angle_deg loaded
     # and was written back as NaN or Infinity, which is not JSON
     d = json.loads((REPO_ROOT / "profiles" / "carbon_0deg.json").read_text())
-    if key in ("coeffs", "domain", "degree", "downgraded", "r_squared"):
+    nested = key in ("coeffs", "domain", "degree", "downgraded", "r_squared")
+    if nested:
         d["restitution"][key] = value
     else:
         d[key] = value
     with pytest.raises(error) as exc:
         parse_profile(json.dumps(d))
     if error is InvariantViolation:  # a type, a non-finite number or a degree
-        assert f" {key} must be " in str(exc.value)
+        assert f"{'restitution.' if nested else ' '}{key} must be " in str(exc.value)
     if key == "schema":
         assert f"schema must be an integer, got {value!r}" in str(exc.value)
 
@@ -234,6 +235,17 @@ def test_profile_parse_rejects_missing_keys(const_profile):
     del data["restitution"]
     with pytest.raises(InvariantViolation):
         parse_profile(data)
+
+
+@pytest.mark.parametrize("text", ['"x"', "json.dumps(profile)"])
+def test_a_profile_file_that_holds_a_json_string_is_no_profile(tmp_path, const_profile, text):
+    # load_profile decoded the string again: "x" ended govern in a
+    # JSONDecodeError traceback, and a profile written as a string loaded
+    string = "x" if text == '"x"' else serialize_profile(const_profile)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(string))
+    with pytest.raises(InvariantViolation, match="^profile: expected a JSON object, got str$"):
+        load_profile(p)
 
 
 def test_profile_save_load(tmp_path, const_profile):

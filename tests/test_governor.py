@@ -189,6 +189,21 @@ def test_config_validation():
         GovernorConfig(stale_cap_mps=-1.0)
 
 
+@pytest.mark.parametrize(
+    "name, bad, good", [("t_q_s", 1e200, 1e150), ("a_mps2", 5e-324, 1e-300)]
+)
+def test_a_term_of_the_zone_radius_that_overflows_is_refused(const_profile, name, bad, good):
+    # in ramp mode, govern --config with a t_q_s of 1e308 ended in an
+    # OverflowError traceback at the first range reading, and an a_mps2 of
+    # 5e-324 gave every reading the platform maximum as its cap
+    with pytest.raises(ValueError) as exc:
+        GovernorConfig(**{name: bad})
+    assert str(exc.value) == f"{name} overflows the zone radius, got {bad}"
+    rt = GovernorRuntime(GovernorConfig(**{name: good}, mode="ramp"), const_profile)
+    rt.on_range(4.0, 0.0)
+    assert rt.on_command(VelocityCommand(20.0, 0.0, 0.0, 0.1)).vx == rt.v_force
+
+
 _NUMERIC_FIELDS = (
     "t_q_s", "a_mps2", "c_m", "v_cruise_mps", "f_star_n", "v_platform_max_mps",
     "staleness_timeout_s", "stale_cap_mps",

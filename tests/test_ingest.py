@@ -355,7 +355,7 @@ def test_manifest_errors(tmp_path):
 
 
 _INVALID = "invalid JSON input: "
-_NOT_AN_OBJECT = re.escape("manifest must be a JSON object") + "$"
+_NOT_AN_OBJECT = "expected a JSON object, got "
 
 
 @pytest.mark.parametrize(
