@@ -12,11 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CutoffAboveNyquist,
-    NonPositiveDefiniteCovariance,
-    WindowTooLarge,
-)
+from .errors import IngestError
 
 #: consistency factor mapping MAD to the std of a normal distribution
 MAD_SCALE = 1.4826
@@ -30,13 +26,14 @@ def median_despike(series: np.ndarray, window: int = 5, k: float = 3.0) -> np.nd
     deviations, where the robust sigma is 1.4826 x the window MAD. Edge
     samples use a window clipped to the series bounds. A window whose MAD is
     zero (all neighbours identical) treats any differing centre as an outlier
-    and replaces it with the median.
+    and replaces it with the median. A series shorter than the window is an
+    IngestError.
     """
     x = np.asarray(series, dtype=float)
     if window % 2 == 0 or window < 3:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     if x.size < window:
-        raise WindowTooLarge(f"series of {x.size} samples < window {window}")
+        raise IngestError(f"series of {x.size} samples < window {window}")
 
     # every sample's window, clipped to the series, as a row of ``window``
     # entries with a validity mask (only the 2*half edge rows are clipped)
@@ -77,7 +74,8 @@ class KalmanConfig:
     ``measurement_noise_r`` is the range sensor variance; the default assumes
     ~3 mm (1 sigma) readings. ``initial_state`` is (p0, v0); when omitted, p0
     is the first sample and v0 is zero. The wide initial covariance lets the
-    first few updates pin both states regardless of v0.
+    first few updates pin both states regardless of v0. An initial
+    covariance entry that is not finite and > 0 is an IngestError.
     """
 
     dt: float
@@ -93,7 +91,7 @@ class KalmanConfig:
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if not all(0 < p < math.inf for p in self.initial_covariance):
-            raise NonPositiveDefiniteCovariance(
+            raise IngestError(
                 f"initial_covariance entries must be finite and > 0, got {self.initial_covariance}"
             )
 
@@ -122,9 +120,10 @@ class _GainSchedule:
     def gains(self, n: int) -> tuple[list[float], list[float]]:
         """The gain lists, holding at least ``n`` steps.
 
-        Raises NonPositiveDefiniteCovariance, naming the step, if the
-        covariance fails within the first ``n`` steps; the steps computed in
-        that call are then dropped, so a later call fails the same way.
+        Raises an IngestError, naming the step, if the covariance loses
+        positive definiteness within the first ``n`` steps; the steps
+        computed in that call are then dropped, so a later call fails the
+        same way.
         """
         with self.lock:
             done = len(self.k0)
@@ -157,9 +156,7 @@ class _GainSchedule:
                 and p00 * p11 - p01 * p01 > 0.0
             ):
                 del k0s[done:], k1s[done:]
-                raise NonPositiveDefiniteCovariance(
-                    f"covariance lost positive definiteness at step {i}"
-                )
+                raise IngestError(f"covariance lost positive definiteness at step {i}")
             k0s.append(k0)
             k1s.append(k1)
         self.p = (p00, p01, p11)
@@ -176,7 +173,7 @@ def kalman_smooth(series: np.ndarray, cfg: KalmanConfig) -> tuple[np.ndarray, np
     """Forward-filter a range series into position and velocity estimates.
 
     Returns (position, velocity) arrays, one posterior estimate per input
-    sample. Raises NonPositiveDefiniteCovariance if the covariance collapses
+    sample. Raises an IngestError if the covariance collapses
     under degenerate tuning within as many steps as the series has samples.
 
     The covariance recursion, and so the gain of every step, never reads the
@@ -230,10 +227,9 @@ class FilterSpec:
             raise ValueError(f"fs must be finite and positive, got {self.fs}")
         if not 0 < self.cutoff_hz < math.inf:
             raise ValueError(f"cutoff_hz must be finite and positive, got {self.cutoff_hz}")
+        # bad bench data: analyze filters at each trial's force rate
         if self.cutoff_hz >= self.fs / 2.0:
-            raise CutoffAboveNyquist(
-                f"cutoff {self.cutoff_hz:g} Hz >= Nyquist {self.fs / 2:g} Hz"
-            )
+            raise IngestError(f"cutoff {self.cutoff_hz:g} Hz >= Nyquist {self.fs / 2:g} Hz")
 
 
 #: samples per block of the blocked recurrence in ``butterworth_lowpass``
@@ -365,12 +361,14 @@ def butterworth_lowpass(series: np.ndarray, spec: FilterSpec = FilterSpec()) -> 
     The ends are padded as ``scipy.signal.filtfilt(b, a, x)`` pads them: an
     odd extension of 3*(order + 1) samples, each pass starting from the steady
     state for its first sample. Its b and a are those of
-    ``scipy.signal.butter``; the output matches scipy's to rounding.
+    ``scipy.signal.butter``; the output matches scipy's to rounding. A series
+    no longer than the padding is an IngestError: it is bench data, a trial
+    whose streams share too short a span.
     """
     x = np.asarray(series, dtype=float)
     edge = 3 * (spec.order + 1)
     if x.size <= edge:
-        raise ValueError(
+        raise IngestError(
             f"series of {x.size} samples too short for order-{spec.order} "
             f"zero-phase filtering (needs > {edge})"
         )

@@ -4,11 +4,23 @@ opener of an input file and the one writer of an output file, the one
 reader of a JSON input file and of a JSON object, by the table of its keys
 and field kinds, and the one error for a text file that is not UTF-8.
 
-A file that cannot be opened (missing, a directory, unreadable) raises an
-error of the package, never a bare OSError: an input the class its reader
-names, an output an OutputError; either exits 2 with one ``error:`` line
-that names the file. So does an output that cannot be written: each is
-formatted whole before it is opened, so no failed command leaves one truncated.
+An error's class says which input was bad, and so picks the exit code;
+its text says which rule the input broke. There is one class per input
+family, or per decision that code makes on an error: IngestError for bad
+bench data (a trial manifest or stream and what its analysis finds, a
+summary, a metrics CSV, a profile's schema, a fit), GovernorConfigError,
+ScenarioInvariantViolation, ProtocolError and TransportError for the
+governor's config, a scenario, a stream message and its transport,
+OutputError for an output, InvariantViolation for an object that breaks a
+physical invariant (exit 4), and RestitutionOutOfRange, which ``fit`` turns
+into one.
+
+A file that cannot be opened (missing, a directory, unreadable, or a path
+that holds a NUL character) raises an error of the package, never a bare
+OSError or ValueError: an input the class its reader names, an output an
+OutputError; either exits 2 with one ``error:`` line that names the file.
+So does an output that cannot be written: each is formatted whole before
+it is opened, so no failed command leaves one truncated.
 
 Only ``ingest`` lets numpy open a file too: its one ``np.loadtxt`` pass
 re-reads, by path, a stream that ``open_input`` has just opened to read
@@ -29,102 +41,18 @@ class ImpactGovernorError(Exception):
     """Base class for all package-specific errors."""
 
 
-# --- ingest ---------------------------------------------------------------
+# --- bench data -----------------------------------------------------------
 
 class IngestError(ImpactGovernorError):
-    pass
+    """Bad bench data: a trial manifest or stream, what its analysis finds in
+    it, a summary, a metrics CSV, a profile's schema, or a fit. Each check
+    says in its text which rule the data broke."""
 
 
-class MissingColumn(IngestError):
-    """A required CSV column is absent (a missing manifest key is a ManifestError)."""
-
-
-class RateMismatch(IngestError):
-    """Declared sample rate disagrees with row spacing beyond 0.01%."""
-
-
-class EmptyStream(IngestError):
-    """A stream file contains a header but no data rows."""
-
-
-class MalformedRow(IngestError):
-    """A stream file or a metrics CSV is not UTF-8 text, a stream header holds
-    a cell too long for the csv module, or a stream row holds a non-numeric,
-    empty or non-finite cell, has a different number of cells than the rows
-    before it, or a time stamp that does not exceed the one of the row before
-    (a metrics CSV whose header lacks a column, and a metrics row, are refused
-    much the same way)."""
-
-
-class TriggerMissing(IngestError):
-    """No rising edge found in a trigger column."""
-
-
-class AlignmentOutOfTolerance(IngestError):
-    """Trigger instants cannot be reconciled with the sample grid within 0.1 ms."""
-
-
-class ManifestError(IngestError):
-    """Trial manifest is malformed, holds a bad number or references missing files."""
-
-
-class LengthMismatch(ImpactGovernorError):
-    """Series that must share a sample grid have different lengths."""
-
-
-# --- dsp ------------------------------------------------------------------
-
-class WindowTooLarge(ImpactGovernorError):
-    """Despike window exceeds the series length."""
-
-
-class CutoffAboveNyquist(ImpactGovernorError):
-    """Filter cutoff at or above half the sample rate."""
-
-
-class NonPositiveDefiniteCovariance(ImpactGovernorError):
-    """Kalman covariance lost positive definiteness (numerical failure)."""
-
-
-# --- impact ---------------------------------------------------------------
-
-class NoImpactFound(ImpactGovernorError):
-    """No sample exceeds the force detection threshold."""
-
-
-class VelocityTooLow(ImpactGovernorError):
-    """Force threshold met, but never together with the velocity gate:
-    the candidate event looks like a false positive (bench knock, cable tug)."""
-
-
-class RestitutionAboveUnity(ImpactGovernorError):
-    """Rebound speed exceeds approach speed; trial rejected as unphysical."""
-
-
-class NonFiniteEnergy(ImpactGovernorError):
-    """Incident kinetic energy is NaN or overflows a float; trial rejected."""
-
-
-class EmptyInput(ImpactGovernorError):
-    """Aggregation requires at least two trials."""
-
-
-# --- fit ------------------------------------------------------------------
-
-class Underdetermined(ImpactGovernorError):
-    """Fewer points than polynomial coefficients."""
-
-
-class DegenerateX(ImpactGovernorError):
-    """All abscissae identical; no polynomial fit possible."""
-
+# --- physical invariants --------------------------------------------------
 
 class RestitutionOutOfRange(ImpactGovernorError):
     """Fitted restitution leaves [0, 1] somewhere on its domain."""
-
-
-class SchemaVersionMismatch(ImpactGovernorError):
-    """Profile file schema version is not supported."""
 
 
 class InvariantViolation(ImpactGovernorError):
@@ -243,11 +171,14 @@ def read_object(data, fields: dict, where: str, error: type[Exception], closed: 
 def open_input(path, error: type[Exception], newline=None):
     """``path`` opened to read UTF-8 text; one that cannot be opened (missing,
     a directory, unreadable) raises ``error`` with the OSError's text, which
-    names the file."""
+    names the file, and one that holds a NUL character (``open`` raises a
+    ValueError) raises it with a text of the same form."""
     try:
         return open(path, "r", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise error(str(exc)) from exc
+    except ValueError as exc:
+        raise error(f"{exc}: {str(path)!r}") from exc
 
 
 def read_json_file(path, error: type[Exception]):
@@ -267,15 +198,18 @@ def read_json_file(path, error: type[Exception]):
 
 def write_output(path, text: str, newline=None) -> None:
     """Write ``text`` to ``path`` as UTF-8, replacing the file (``newline`` as
-    for ``open``). An OSError from the open, the write or the close raises one
-    OutputError naming the file: ``cannot open output`` or ``cannot write output``."""
+    for ``open``). An OSError from the open, the write or the close, or the
+    ValueError of a path that holds a NUL character or of text that UTF-8
+    cannot encode, raises one OutputError naming the file: ``cannot open
+    output`` or ``cannot write output``."""
     action = "open"
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             action = "write"
             fh.write(text)
-    except OSError as exc:
-        raise OutputError(f"cannot {action} output {path}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:
+        why = getattr(exc, "strerror", None) or exc
+        raise OutputError(f"cannot {action} output {path}: {why}") from exc
 
 
 def write_json_file(path, obj) -> None:
@@ -283,8 +217,8 @@ def write_json_file(path, obj) -> None:
     write_output(path, json.dumps(obj, indent=2) + "\n")
 
 
-def not_utf8(path, exc: UnicodeDecodeError) -> MalformedRow:
-    """The MalformedRow for the text file ``path`` in which ``exc`` found a
+def not_utf8(path, exc: UnicodeDecodeError) -> IngestError:
+    """The IngestError for the text file ``path`` in which ``exc`` found a
     byte that is not UTF-8. It names the byte, not ``exc``'s position, which
     counts from a read chunk rather than the start of the file."""
-    return MalformedRow(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
+    return IngestError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")

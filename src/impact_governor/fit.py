@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateX, InvariantViolation, Underdetermined
+from .errors import IngestError, InvariantViolation
 from .profile import AirframeProfile, PolyModel
 from .profile import load_profile  # noqa: F401  (re-exported)
 
@@ -23,7 +23,9 @@ def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
     """Ordinary least squares fit of y on powers of x.
 
     Returns the model with R^2 and mean absolute error computed on the
-    training points and domain set to [min(x), max(x)].
+    training points and domain set to [min(x), max(x)]. Fewer points than
+    coefficients, or a degree of 1 or more over one repeated x, is an
+    IngestError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -32,9 +34,9 @@ def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> PolyModel:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if x.size < degree + 1:
-        raise Underdetermined(f"{x.size} points cannot determine degree {degree}")
+        raise IngestError(f"{x.size} points cannot determine degree {degree}")
     if degree >= 1 and float(np.ptp(x)) == 0.0:
-        raise DegenerateX("all x values identical; polynomial in x is degenerate")
+        raise IngestError("all x values identical; polynomial in x is degenerate")
 
     coeffs = npoly.polyfit(x, y, degree)
     yhat = npoly.polyval(x, coeffs)
@@ -77,7 +79,8 @@ def build_airframe_profile(
     y = np.array([s.stats["ec_r"].mean for s in summaries], dtype=float)
     domain = (float(np.min(x)), float(np.max(x)))
 
-    distinct = len(set(np.round(x, 9).tolist()))  # np.unique would load numpy.ma
+    with np.errstate(over="ignore"):  # a speed past about 1.8e299 m/s rounds to inf
+        distinct = len(set(np.round(x, 9).tolist()))  # np.unique would load numpy.ma
     downgraded = distinct < restitution_degree + 1
     if downgraded and restitution_degree > 0:
         const = float(np.mean(y))

@@ -22,15 +22,8 @@ from .errors import (
     NUMBER,
     REQUIRED,
     STR,
-    EmptyInput,
     IngestError,
     InvariantViolation,
-    LengthMismatch,
-    MalformedRow,
-    NoImpactFound,
-    NonFiniteEnergy,
-    RestitutionAboveUnity,
-    VelocityTooLow,
     not_utf8,
     open_input,
     read_object,
@@ -126,7 +119,7 @@ def write_metrics_csv(path, metrics: list[ImpactMetrics]) -> None:
 def read_metrics_csv(path) -> list[ImpactMetrics]:
     """The trials of a ``write_metrics_csv`` file, whose flags column may be
     left out. A file without a header, or whose header lacks another column,
-    is a MalformedRow naming the file and the missing columns; a row with a
+    is an IngestError naming the file and the missing columns; a row with a
     cell that is not a number and a row with fewer or more cells than the
     header are each one naming the file and the row; a file that is not
     UTF-8 text is one naming the file and the byte, and one that cannot be
@@ -140,7 +133,7 @@ def read_metrics_csv(path) -> list[ImpactMetrics]:
     reader = csv.DictReader(io.StringIO(text, newline=""))
     missing = [c for c in METRICS_CSV_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
     if missing:
-        raise MalformedRow(f"{path}: not a metrics CSV (no column {', '.join(missing)})")
+        raise IngestError(f"{path}: not a metrics CSV (no column {', '.join(missing)})")
     for row in reader:
         try:
             configuration = row["configuration"]
@@ -151,7 +144,7 @@ def read_metrics_csv(path) -> list[ImpactMetrics]:
             if None in row:  # where DictReader puts the cells past the header
                 raise ValueError(f"{len(row[None])} cell(s) past the header")
         except (TypeError, ValueError) as exc:
-            raise MalformedRow(
+            raise IngestError(
                 f"{path} row {reader.line_num}: not a metrics row "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
@@ -167,22 +160,25 @@ def detect_impact(time: np.ndarray, force: np.ndarray, velocity: np.ndarray) -> 
     estimated speed exceeds ``V_THRESHOLD_MPS`` (the velocity gate rejects
     bench knocks and cable tugs). The window ends one sample after the last
     above-threshold force sample. ``v_in`` is the mean |velocity| over the
-    ``SPEED_WINDOW_S`` preceding onset.
+    ``SPEED_WINDOW_S`` preceding onset. An IngestError rejects a record in
+    which no sample exceeds the force threshold, or none while the speed
+    does (a false positive, such as a bench knock or a cable tug), or with
+    no sample in the window before onset; and one whose series differ in shape.
     """
     time = np.asarray(time, dtype=float)
     force = np.asarray(force, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
     if not (time.shape == force.shape == velocity.shape):
-        raise LengthMismatch(
+        raise IngestError(
             f"time/force/velocity shapes differ: {time.shape}, {force.shape}, {velocity.shape}"
         )
 
     above = force > F_THRESHOLD_N
     if not above.any():
-        raise NoImpactFound(f"no sample exceeds {F_THRESHOLD_N:g} N")
+        raise IngestError(f"no sample exceeds {F_THRESHOLD_N:g} N")
     joint = above & (np.abs(velocity) > V_THRESHOLD_MPS)
     if not joint.any():
-        raise VelocityTooLow(
+        raise IngestError(
             f"force exceeds {F_THRESHOLD_N:g} N but never while |v| > {V_THRESHOLD_MPS:g} m/s"
         )
 
@@ -195,7 +191,7 @@ def detect_impact(time: np.ndarray, force: np.ndarray, velocity: np.ndarray) -> 
 
     pre = (time >= t_start - SPEED_WINDOW_S) & (time < t_start)
     if not pre.any():
-        raise VelocityTooLow("no pre-impact samples to estimate approach speed")
+        raise IngestError("no pre-impact samples to estimate approach speed")
     v_in = float(np.mean(np.abs(velocity[pre])))
 
     return ImpactWindow(
@@ -293,7 +289,7 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
     if mass <= 0 or v_in <= 0:
         raise ValueError("mass and v_in must be positive")
     if v_f > v_in:
-        raise RestitutionAboveUnity(
+        raise IngestError(
             f"rebound {v_f:.3g} m/s exceeds approach {v_in:.3g} m/s"
         )
     try:
@@ -301,7 +297,7 @@ def kinetic_energies(mass: float, v_in: float, v_f: float) -> tuple[float, float
     except OverflowError:
         ec_i = math.inf
     if not math.isfinite(ec_i):
-        raise NonFiniteEnergy(
+        raise IngestError(
             f"incident kinetic energy of {mass:.3g} kg at {v_in:.3g} m/s is not finite"
         )
     ec_r = (v_f / v_in) ** 2
@@ -431,10 +427,11 @@ _SUMMARY = {
 def aggregate_configuration(metrics: list[ImpactMetrics]) -> ConfigurationSummary:
     """Mean / sample std (n-1) / coefficient of variation per metric.
 
-    All trials must belong to one configuration; order does not matter.
+    At least two trials (an IngestError otherwise), all of one configuration;
+    order does not matter.
     """
     if len(metrics) < 2:
-        raise EmptyInput(f"need at least 2 trials to aggregate, got {len(metrics)}")
+        raise IngestError(f"need at least 2 trials to aggregate, got {len(metrics)}")
     names = {m.configuration for m in metrics}
     if len(names) != 1:
         raise InvariantViolation(f"mixed configurations in one aggregate: {sorted(names)}")

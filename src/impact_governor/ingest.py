@@ -36,16 +36,8 @@ from .errors import (
     FINITE,
     REQUIRED,
     STR,
-    AlignmentOutOfTolerance,
-    EmptyStream,
     IngestError,
     InvariantViolation,
-    LengthMismatch,
-    MalformedRow,
-    ManifestError,
-    MissingColumn,
-    RateMismatch,
-    TriggerMissing,
     not_utf8,
     open_input,
     read_json_file,
@@ -81,8 +73,8 @@ def is_trial_manifest(path: Path) -> bool:
     """Whether ``path`` is a JSON object naming both stream files; one that
     does is a trial manifest, whatever else it holds or lacks."""
     try:
-        data = read_json_file(path, ManifestError)
-    except ManifestError:
+        data = read_json_file(path, IngestError)
+    except IngestError:
         return False
     return isinstance(data, dict) and "force_csv" in data and "range_csv" in data
 
@@ -201,18 +193,18 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
             try:
                 header = next(reader)
             except StopIteration:
-                raise EmptyStream(f"{path} is empty") from None
+                raise IngestError(f"{path} is empty") from None
             except csv.Error as exc:
-                raise MalformedRow(f"{path} header: {exc}") from None
+                raise IngestError(f"{path} header: {exc}") from None
             header = [h.strip() for h in header]
             missing = [c for c in required if c not in header]
             if missing:
-                raise MissingColumn(f"{path} lacks column(s) {missing}")
+                raise IngestError(f"{path} lacks column(s) {missing}")
             data = None
             if os.path.splitext(path)[1] not in _NUMPY_DECOMPRESSES:
                 # The pass fails on a row that holds no data, a bad cell or a
                 # ragged row, and finds no rows in an empty body (with a
-                # warning, silenced: _parse_lines raises EmptyStream).
+                # warning, silenced: _parse_lines refuses an empty body).
                 try:
                     with warnings.catch_warnings():
                         warnings.filterwarnings(
@@ -229,12 +221,12 @@ def _read_csv_columns(path: str | Path, required: tuple[str, ...]) -> dict[str, 
         raise not_utf8(path, exc) from None
     width = max(header.index(name) for name in required) + 1
     if data.shape[1] < width:
-        raise MalformedRow(
+        raise IngestError(
             f"{path} row {_file_row(path, 0)}: {data.shape[1]} cells, the header needs {width}"
         )
     if not np.isfinite(data).all():
         bad = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
-        raise MalformedRow(f"{path} row {_file_row(path, bad)}: non-finite sample")
+        raise IngestError(f"{path} row {_file_row(path, bad)}: non-finite sample")
     return {name: data[:, header.index(name)] for name in required}
 
 
@@ -298,12 +290,13 @@ def _parse_lines(path: Path) -> np.ndarray:
     """The table of ``path``'s data rows, read record by record.
 
     Only runs when the one-pass read failed, found no rows or was not made
-    (see ``_read_csv_columns``): an empty body is an EmptyStream, a table
-    that still does not parse a MalformedRow naming its first bad row.
+    (see ``_read_csv_columns``): an empty body, a header with no data rows,
+    is an IngestError, and so is a table that still does not parse, naming
+    its first bad row.
     """
     rows = _data_rows(path)
     if not rows:
-        raise EmptyStream(f"{path} has a header but no data rows")
+        raise IngestError(f"{path} has a header but no data rows")
     try:
         return _parse_rows([text for _, text in rows])
     except ValueError:
@@ -314,7 +307,7 @@ def _parse_lines(path: Path) -> np.ndarray:
 _QUOTED_ROW_CHARS = 60
 
 
-def _malformed_row(path: Path, rows: list[tuple[int, str]]) -> MalformedRow:
+def _malformed_row(path: Path, rows: list[tuple[int, str]]) -> IngestError:
     """Name the first row that made the whole-table parse fail.
 
     Only runs after that parse failed. Each data row is parsed on its own; a
@@ -334,34 +327,34 @@ def _malformed_row(path: Path, rows: list[tuple[int, str]]) -> MalformedRow:
                     f"{row[:_QUOTED_ROW_CHARS]!r} "
                     f"(the first {_QUOTED_ROW_CHARS} of {len(row)} characters)"
                 )
-            return MalformedRow(f"{path} row {lineno}: {quoted} is not all numbers")
+            return IngestError(f"{path} row {lineno}: {quoted} is not all numbers")
         if width is None:
             width = cells
         elif cells != width:
-            return MalformedRow(
+            return IngestError(
                 f"{path} row {lineno}: {cells} cells where the first row has {width}"
             )
-    return MalformedRow(f"{path}: the rows do not form a numeric table")
+    return IngestError(f"{path}: the rows do not form a numeric table")
 
 
 def _check_rate(time: np.ndarray, declared_fs: float, path: Path) -> None:
-    """Refuse time stamps that do not strictly increase (a MalformedRow
-    naming the first row that does not step forward) or whose median step
-    is not ``1 / declared_fs`` within ``RATE_TOLERANCE`` (a RateMismatch)."""
+    """Refuse, as an IngestError, time stamps that do not strictly increase
+    (naming the first row that does not step forward) or whose median step
+    is not ``1 / declared_fs`` within ``RATE_TOLERANCE``, 0.01%."""
     if time.size < 2:
         return
     steps = np.diff(time)
     back = np.flatnonzero(steps <= 0)
     if back.size:
         k = int(back[0]) + 1
-        raise MalformedRow(
+        raise IngestError(
             f"{path} row {_file_row(path, k)}: t_s {time[k]:.9g} s does not follow "
             f"{time[k - 1]:.9g} s of the row before"
         )
     spacing = _median(steps)
     expected = 1.0 / declared_fs
     if abs(spacing - expected) > RATE_TOLERANCE * expected:
-        raise RateMismatch(
+        raise IngestError(
             f"{path}: declared {declared_fs:g} Hz but rows step "
             f"{spacing:.6g} s (expected {expected:.6g} s)"
         )
@@ -396,26 +389,26 @@ def load_trial(path: str | Path) -> RawAcquisition:
     """Load one trial from its manifest JSON.
 
     Stream paths in the manifest are resolved relative to the manifest file.
-    A manifest that cannot be opened is a ManifestError naming it; one that
-    is not a JSON object, lacks a key of ``_MANIFEST`` or holds a field of
-    the wrong kind, or a sample rate that is not > 0 or whose period
-    1 / rate overflows, is one naming the manifest and the key. A stream file
-    that is missing is one naming both; one that exists but cannot be
-    opened (a directory, an unreadable file) is an IngestError naming it.
+    Each refusal is an IngestError. A manifest that cannot be opened is one
+    naming it; one that is not a JSON object, lacks a key of ``_MANIFEST``
+    or holds a field of the wrong kind, or a sample rate that is not > 0 or
+    whose period 1 / rate overflows, is one naming the manifest and the key.
+    A stream file that is missing is one naming both; one that exists but
+    cannot be opened (a directory, an unreadable file) is one naming it.
     """
     path = Path(path)
-    values = read_object(read_json_file(path, ManifestError), _MANIFEST, str(path), ManifestError)
+    values = read_object(read_json_file(path, IngestError), _MANIFEST, str(path), IngestError)
     meta = TrialMeta(**{f.name: values[f.name] for f in fields(TrialMeta)})
     fs_force, fs_range = rates = [values[key] for key in SAMPLE_RATE_KEYS]
     for key, rate in zip(SAMPLE_RATE_KEYS, rates):
         if not (rate > 0 and 1.0 / rate < math.inf):
-            raise ManifestError(f"{path}: {key} must be > 0 with a finite period, got {rate:g}")
+            raise IngestError(f"{path}: {key} must be > 0 with a finite period, got {rate:g}")
 
     force_path = path.parent / values["force_csv"]
     range_path = path.parent / values["range_csv"]
     for p in (force_path, range_path):
         if not p.exists():
-            raise ManifestError(f"{path} references missing stream file {p}")
+            raise IngestError(f"{path} references missing stream file {p}")
 
     force = read_force_csv(force_path, fs_force)
     rng = read_range_csv(range_path, fs_range)
@@ -437,14 +430,15 @@ def load_trial(path: str | Path) -> RawAcquisition:
 
 
 def sum_load_cells(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
-    """Total normal force: the unweighted sum of the three load-cell channels.
+    """Total normal force: the unweighted sum of the three load-cell channels,
+    which must share one shape (an IngestError if they do not).
 
     The cells share one mounting plate, so the plate-normal force is simply
     their sum; no per-channel calibration weights are applied.
     """
     f1, f2, f3 = (np.asarray(f) for f in (f1, f2, f3))
     if not (f1.shape == f2.shape == f3.shape):
-        raise LengthMismatch(
+        raise IngestError(
             f"load-cell channels differ in shape: {f1.shape}, {f2.shape}, {f3.shape}"
         )
     return f1 + f2 + f3
@@ -457,21 +451,22 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
     operation is idempotent: aligning an already-aligned acquisition (both
     triggers at 0 on their grids) reproduces it unchanged.
 
-    Raises AlignmentOutOfTolerance when either trigger instant sits more than
-    0.1 ms from that stream's nearest sample — inconsistent trigger metadata
-    would otherwise silently skew every downstream timing metric.
+    Raises an IngestError when either stream has no rising trigger edge, when
+    the streams share no time span, and when either trigger instant sits
+    more than 0.1 ms from that stream's nearest sample — inconsistent trigger
+    metadata would otherwise silently skew every downstream timing metric.
     """
     if raw.trigger_time_force is None:
-        raise TriggerMissing("force stream has no trigger edge")
+        raise IngestError("force stream has no trigger edge")
     if raw.trigger_time_range is None:
-        raise TriggerMissing("range stream has no trigger edge")
+        raise IngestError("range stream has no trigger edge")
 
     i_trig = int(np.argmin(np.abs(raw.force_time - raw.trigger_time_force)))
     residual = float(abs(raw.force_time[i_trig] - raw.trigger_time_force)) + float(
         np.min(np.abs(raw.range_time - raw.trigger_time_range))
     )
     if residual > ALIGNMENT_TOLERANCE_S:
-        raise AlignmentOutOfTolerance(
+        raise IngestError(
             f"trigger instants sit {residual * 1e3:.3f} ms off the sample grids "
             f"(tolerance {ALIGNMENT_TOLERANCE_S * 1e3:.1f} ms)"
         )
@@ -489,7 +484,7 @@ def align_streams(raw: RawAcquisition) -> TrialRecord:
         time <= range_time_aligned[-1] + 1e-12
     )
     if not np.any(keep):
-        raise AlignmentOutOfTolerance("streams share no common time span")
+        raise IngestError("streams share no common time span")
     time = time[keep]
     idx = np.searchsorted(range_time_aligned, time, side="right") - 1
     idx = np.clip(idx, 0, raw.range_m.size - 1)

@@ -52,10 +52,10 @@ from .stream import ComplianceLog, ReplyBatch, run_stream, run_udp, stdio_lines
 log = logging.getLogger(__name__)
 
 #: exit code per exception type a subcommand may raise; the most specific
-#: class in the exception's MRO decides (IngestError, the fit errors,
-#: ScenarioInvariantViolation and OutputError are bad input through
-#: ImpactGovernorError; an input file that cannot be opened is one of
-#: these, raised by errors.open_input)
+#: class in the exception's MRO decides (IngestError, GovernorConfigError,
+#: RestitutionOutOfRange, ScenarioInvariantViolation and OutputError are bad
+#: input through ImpactGovernorError; an input file that cannot be opened is
+#: one of these, raised by errors.open_input)
 _EXIT_CODES = {
     ProtocolError: EXIT_RUNTIME,
     TransportError: EXIT_RUNTIME,

@@ -26,7 +26,6 @@ from .errors import (
     IngestError,
     InvariantViolation,
     RestitutionOutOfRange,
-    SchemaVersionMismatch,
     read_field,
     read_json_file,
     read_object,
@@ -117,6 +116,12 @@ class AirframeProfile:
             raise RestitutionOutOfRange(
                 f"profile EC_r leaves [0, 1] on its domain (e.g. {offending:.4g})"
             )
+        # no force on the domain exceeds this bound, since e <= 1 there (within
+        # _RANGE_TOL), and avg_force multiplies in the same order
+        if self.mass_kg * domain[1] * (1.0 + math.sqrt(1.0 + _RANGE_TOL)) / self.dt_s == math.inf:
+            raise InvariantViolation(
+                f"profile force map is not finite on its measured speed domain {domain}"
+            )
 
     def retained_energy_at(self, v: float) -> float:
         return self.restitution.evaluate(v)
@@ -192,12 +197,13 @@ def parse_profile(source: str | dict) -> AirframeProfile:
 
 def profile_from_dict(d) -> AirframeProfile:
     """Validate a decoded profile document: a schema other than the integer
-    ``PROFILE_SCHEMA`` raises SchemaVersionMismatch, checked first; anything
-    else that is not a profile, InvariantViolation naming the key."""
+    ``PROFILE_SCHEMA`` is bad input, an IngestError, checked first; anything
+    else that is not a profile breaks its invariants, an InvariantViolation
+    naming the key."""
     if type(d) is dict:  # read_object refuses anything else
-        schema = read_field(d.get("schema"), INT, "profile schema", SchemaVersionMismatch)
+        schema = read_field(d.get("schema"), INT, "profile schema", IngestError)
         if schema != PROFILE_SCHEMA:
-            raise SchemaVersionMismatch(
+            raise IngestError(
                 f"profile schema {schema!r} not supported (expected the integer {PROFILE_SCHEMA})"
             )
     values = read_object(d, _PROFILE, "profile", InvariantViolation)

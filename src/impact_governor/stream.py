@@ -146,8 +146,9 @@ class ComplianceLog:
 
     A new or empty file gets the header; any other file is appended to only
     when its first line is exactly this header, so that no row lands under
-    columns it does not match. A file that cannot be opened, or holds another
-    header, raises GovernorConfigError naming the path; a row that cannot be
+    columns it does not match. A file that cannot be opened (a path that
+    holds a NUL character among them), or holds another header, raises
+    GovernorConfigError naming the path; a row that cannot be
     written, an OutputError naming it.
     """
 
@@ -171,6 +172,10 @@ class ComplianceLog:
         except OSError as exc:
             raise GovernorConfigError(
                 f"cannot open compliance log {path}: {exc.strerror or exc}"
+            ) from exc
+        except ValueError as exc:  # a path that holds a NUL character
+            raise GovernorConfigError(
+                f"cannot open compliance log {str(path)!r}: {exc}"
             ) from exc
         if first not in ("", header):
             self._fh.close()

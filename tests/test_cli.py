@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,31 @@ def test_analyze_rejects_only_the_malformed_trial(tmp_path, capsys, stream, col,
     assert [p.name for p in sorted(out.glob("summary_*.json"))] == [
         "summary_Carbon-0deg_v3.5.json"
     ]
+
+
+@pytest.mark.parametrize("stream, before, after, samples", [
+    ("force", 1, 9, 10),  # a 10-row force CSV with its trigger at row 2
+    ("range", 0, 3, 13),  # a range CSV of 3 rows, from its trigger to 2 ms past it
+])
+def test_analyze_rejects_only_the_trial_whose_streams_share_too_short_a_span(
+        tmp_path, capsys, stream, before, after, samples):
+    # the low-pass raised a ValueError: a traceback, exit 1 and a null exit_code
+    campaign = tmp_path / "campaign"
+    make_campaign(campaign, speeds=(3.0, 3.5), trials_per_speed=2, seed=5)
+    path = campaign / f"trial_001_{stream}.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    trigger = next(i for i, row in enumerate(rows) if row.rstrip().endswith(",1"))
+    path.write_text(header + "".join(rows[trigger - before:trigger + after]))
+    out = tmp_path / "out"
+
+    assert main(["analyze", str(campaign), "--out", str(out)]) == 2
+
+    line = (f"error: trial_001.json: series of {samples} samples too short for order-4 "
+            "zero-phase filtering (needs > 15)")
+    assert [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")] == [line]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert [t["rejected"] for t in manifest["trials"]] == [None, line[len("error: "):], None, None]
+    assert (manifest["exit_code"], manifest["error"]) == (2, None)
 
 
 def test_analyze_rejects_only_the_trial_whose_csv_is_not_utf8(tmp_path, capsys):
@@ -825,6 +851,36 @@ def test_fit_refuses_a_summary_named_twice(tmp_path, capsys, monkeypatch, twin):
     assert not list(Path("out").glob("profile_*.json"))
 
 
+def test_fit_govern_and_report_refuse_a_force_map_that_overflows_its_domain(
+        tmp_path, capsys, monkeypatch, profile_path):
+    # fit printed numpy's overflow warning, exited 0 and wrote a profile whose
+    # measured speeds were [1e308, 1e308]; govern loaded it, and its manifest
+    # gave an extrapolation ratio near 0, as if the cap rested on measured speeds
+    line = "error: profile force map is not finite on its measured speed domain (1e+308, 1e+308)"
+    summaries = []
+    for k in range(2):
+        doc = _summary_dict(3.0, 0.10)
+        doc["metrics"]["v_in_mps"]["mean"] = 1e308
+        summaries.append(tmp_path / f"s{k}.json")
+        summaries[-1].write_text(json.dumps(doc))
+    profile = json.loads(Path(profile_path).read_text())
+    profile["restitution"]["domain"] = [1e308, 1e308]
+    (tmp_path / "p.json").write_text(json.dumps(profile))
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
+    runs = {"fit": ["fit", *map(str, summaries)],
+            "govern": ["govern", "--stdin", "--profile", str(tmp_path / "p.json")],
+            "report": ["report", str(tmp_path / "p.json")]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarning among them
+            assert main([*argv, "--out", str(out)]) == 4  # the loaded profile breaks physics
+        assert capsys.readouterr().err.splitlines() == [line]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["error"]) == (4, line)
+        assert not list(out.glob("profile_*.json"))
+
+
 @pytest.mark.parametrize("degree, why", [("-1", "degree must be >= 0, got -1"),
                                          ("two", "invalid degree value: 'two'")])
 def test_fit_bad_degree_is_a_usage_error(capsys, tmp_path, degree, why):
@@ -1014,6 +1070,37 @@ def test_govern_non_finite_reading_exits_protocol(
 def test_govern_requires_profile(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", stdin_of(""))
     assert main(["govern", "--stdin", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("case", ["config-profile", "config-compliance-log", "scenario-profile"])
+def test_a_json_path_that_holds_a_nul_exits_2_naming_it(tmp_path, capsys, monkeypatch, case):
+    # open() raises a ValueError, not an OSError, for a NUL in a path: each
+    # case ended in a traceback, exit 1 and a null exit_code. Each path
+    # resolves from the directory of the file that holds it.
+    monkeypatch.setattr("sys.stdin", stdin_of(""))
+    doc = tmp_path / "doc.json"
+    if case == "scenario-profile":
+        scenario = json.loads((REPO_ROOT / "scenarios" / "three_humans_chest.json").read_text())
+        scenario.pop("profile", None)
+        scenario["profile_path"] = "x\0y"
+        doc.write_text(json.dumps(scenario))
+        argv = ["simulate", str(doc)]
+        line = "error: embedded null byte: " + repr(str(tmp_path / "x\0y"))
+    elif case == "config-profile":
+        doc.write_text(json.dumps({"profile": "a\0b"}))
+        argv = ["govern", "--stdin", "--config", str(doc)]
+        line = "error: embedded null byte: " + repr(str(tmp_path / "a\0b"))
+    else:
+        doc.write_text(json.dumps({"compliance_log": "c\0.csv"}))
+        profile = REPO_ROOT / "profiles" / "carbon_0deg.json"
+        argv = ["govern", "--stdin", "--config", str(doc), "--profile", str(profile)]
+        log = repr(str(tmp_path / "c\0.csv"))
+        line = f"error: cannot open compliance log {log}: embedded null byte"
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"]) == (2, line)
 
 
 _ANALYSIS_MODULES = (
@@ -1976,7 +2063,7 @@ _UNDECODABLE = {
         (_case_profile_value(f_max_ref_N=1.0, f_star_is_peak=True), 2,
          "error: bad governor config: peak target 140 N is an average target of "),
         (_case_profile_value(mass_kg=1e300, dt_s=1e-10, f_star_is_peak=True), 4,
-         "error: average force at the reference speed must be finite and > 0, got inf"),
+         "error: profile force map is not finite on its measured speed domain (3.0, 4.0)"),
         (_case_profile_restitution(domain=[0.0, 0.0]), 4,
          "error: measured speed domain must be a positive interval, got (0.0, 0.0)"),
         (_case_profile_restitution(domain=[-1.0, 4.0]), 4,

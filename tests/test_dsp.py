@@ -15,7 +15,7 @@ from impact_governor.dsp import (
     kalman_smooth,
     median_despike,
 )
-from impact_governor.errors import CutoffAboveNyquist, WindowTooLarge
+from impact_governor.errors import IngestError
 
 
 # --- median despike ----------------------------------------------------------
@@ -56,7 +56,7 @@ def test_despike_validation():
         median_despike(np.zeros(10), window=4)
     with pytest.raises(ValueError):
         median_despike(np.zeros(10), window=1)
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(IngestError, match=r"^series of 10 samples < window 11$"):
         median_despike(np.zeros(10), window=11)
 
 
@@ -156,9 +156,11 @@ def test_butterworth_attenuates_out_of_band():
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
         FilterSpec(order=3)
-    with pytest.raises(CutoffAboveNyquist):
+    with pytest.raises(IngestError, match=r"^cutoff 3200 Hz >= Nyquist 3125 Hz$"):
         FilterSpec(cutoff_hz=3200.0, fs=6250.0)
-    with pytest.raises(ValueError):
+    # a series no longer than the padding is bench data too short to filter
+    with pytest.raises(IngestError, match=r"^series of 10 samples too short for order-4 "
+                       r"zero-phase filtering \(needs > 15\)$"):
         butterworth_lowpass(np.zeros(10), FilterSpec())
 
 

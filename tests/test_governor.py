@@ -357,9 +357,14 @@ def test_runtime_peak_force_target(const_profile, default_cfg):
 
 def test_runtime_refuses_peak_target_when_average_force_overflows():
     # finite mass and contact time whose average force at the reference speed
-    # is inf: the ratio would read 0 and the conversion divide by it
-    profile = make_profile(mass_kg=1e300, dt_s=1e-10)
-    with pytest.raises(InvariantViolation, match="must be finite and > 0, got inf"):
+    # is inf: the ratio would read 0 and the conversion divide by it. Such a
+    # profile is refused where it is built; one whose average force
+    # underflows to 0 still reaches the runtime's own check
+    with pytest.raises(InvariantViolation, match="^profile force map is not finite on its "
+                       r"measured speed domain \(3\.0, 4\.0\)$"):
+        make_profile(mass_kg=1e300, dt_s=1e-10)
+    profile = make_profile(mass_kg=5e-324, dt_s=1e300)
+    with pytest.raises(InvariantViolation, match="must be finite and > 0, got 0.0"):
         GovernorRuntime(GovernorConfig(f_star_is_peak=True), profile)
 
 

@@ -27,6 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 from unittest import mock
 
@@ -50,16 +51,11 @@ from impact_governor.dsp import (
 from impact_governor import fit, impact, stream
 from impact_governor.errors import (
     FINITE,
-    EmptyStream,
     IngestError,
     InvariantViolation,
-    MalformedRow,
-    MissingColumn,
     NonMonotoneForceMapWarning,
-    NonPositiveDefiniteCovariance,
     ProtocolError,
     RestitutionOutOfRange,
-    WindowTooLarge,
     read_field,
 )
 from impact_governor.governor import (
@@ -115,14 +111,14 @@ def oracle_read_csv_columns(path, required):
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyStream(f"{path} is empty") from None
+            raise IngestError(f"{path} is empty") from None
         header = [h.strip() for h in header]
         missing = [c for c in required if c not in header]
         if missing:
-            raise MissingColumn(f"{path} lacks column(s) {missing}")
+            raise IngestError(f"{path} lacks column(s) {missing}")
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
-        raise EmptyStream(f"{path} has a header but no data rows")
+        raise IngestError(f"{path} has a header but no data rows")
     data = np.asarray(rows, dtype=float)
     return {name: data[:, header.index(name)] for name in required}
 
@@ -186,9 +182,7 @@ def oracle_kalman_smooth(series, cfg):
             and p11 > 0.0
             and p00 * p11 - p01 * p01 > 0.0
         ):
-            raise NonPositiveDefiniteCovariance(
-                f"covariance lost positive definiteness at step {i}"
-            )
+            raise IngestError(f"covariance lost positive definiteness at step {i}")
         pos[i] = x0
         vel[i] = x1
     return pos, vel
@@ -199,7 +193,7 @@ def oracle_median_despike(series, window=5, k=3.0):
     if window % 2 == 0 or window < 3:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     if x.size < window:
-        raise WindowTooLarge(f"series of {x.size} samples < window {window}")
+        raise IngestError(f"series of {x.size} samples < window {window}")
 
     half = window // 2
     out = x.copy()
@@ -597,12 +591,14 @@ CSV_TABLE = {
     "single-row": RANGE_HEADER + "\n0.1,0.30000000000000004,1\n",
 }
 
+#: each file the reader refuses, and the end of the error that names it
 CSV_ERRORS = {
-    "empty-file": ("", EmptyStream),
-    "header-only": (RANGE_HEADER + "\n", EmptyStream),
-    "header-and-blank-rows": (RANGE_HEADER + "\n\n , ,\n\r\n", EmptyStream),
-    "missing-column": ("t_s,trigger\n0.0,1\n", MissingColumn),
-    "blank-first-line": ("\n" + RANGE_HEADER + "\n0.0,1.5,0\n", MissingColumn),
+    "empty-file": ("", " is empty"),
+    "header-only": (RANGE_HEADER + "\n", " has a header but no data rows"),
+    "header-and-blank-rows": (RANGE_HEADER + "\n\n , ,\n\r\n", " has a header but no data rows"),
+    "missing-column": ("t_s,trigger\n0.0,1\n", " lacks column(s) ['range_m']"),
+    "blank-first-line": ("\n" + RANGE_HEADER + "\n0.0,1.5,0\n",
+                         " lacks column(s) ['t_s', 'range_m', 'trigger']"),
 }
 
 
@@ -619,13 +615,14 @@ def test_csv_reader_matches_oracle(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(CSV_ERRORS))
 def test_csv_reader_errors_match_oracle(tmp_path, name):
-    text, error = CSV_ERRORS[name]
+    text, why = CSV_ERRORS[name]
     p = tmp_path / "s.csv"
     p.write_bytes(text.encode())
-    with pytest.raises(error):
+    with pytest.raises(IngestError) as want:
         oracle_read_csv_columns(p, RANGE_COLUMNS)
-    with pytest.raises(error):
+    with pytest.raises(IngestError) as got:
         _read_csv_columns(p, RANGE_COLUMNS)
+    assert str(got.value) == str(want.value) == f"{p}{why}"
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -650,7 +647,7 @@ def test_csv_reader_matches_oracle_on_random_tables(tmp_path, values, fmt, newli
     want = oracle_read_csv_columns(p, FORCE_COLUMNS)
     if not all(np.isfinite(v).all() for v in want.values()):
         # a cell that overflows its format to inf is rejected, not read
-        with pytest.raises(MalformedRow):
+        with pytest.raises(IngestError, match=r"^.*f\.csv row \d+: non-finite sample$"):
             _read_csv_columns(p, FORCE_COLUMNS)
         return
     got = _read_csv_columns(p, FORCE_COLUMNS)
@@ -822,7 +819,7 @@ kalman_configs = st.builds(
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NonPositiveDefiniteCovariance, ValueError) as exc:
+    except (IngestError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -879,7 +876,8 @@ def test_kalman_gain_schedule_fails_only_past_the_failing_step(longer_first):
     _gain_schedule.cache_clear()
     cfg = KalmanConfig(**FAILING_TUNING)
     z = np.linspace(1.0, 0.0, 400)
-    with pytest.raises(NonPositiveDefiniteCovariance) as failed:
+    failing = r"^covariance lost positive definiteness at step \d+$"
+    with pytest.raises(IngestError, match=failing) as failed:
         oracle_kalman_smooth(z, cfg)
     m = int(str(failed.value).rsplit(" ", 1)[1])
     assert 0 < m < z.size - 1
@@ -904,15 +902,16 @@ def test_kalman_matches_oracle_on_two_samples_and_degenerate_tuning():
         assert_bitwise(got[1], want[1])
     # an initial covariance that is not finite and > 0 is refused before any
     # filtering; (-1e-09, 0.0) cancelled the measurement noise in the first gain
-    with pytest.raises(NonPositiveDefiniteCovariance):
+    refused = r"^initial_covariance entries must be finite and > 0, got "
+    with pytest.raises(IngestError, match=refused):
         KalmanConfig(dt=1e-3, initial_covariance=(1.0, -1.0))
-    with pytest.raises(NonPositiveDefiniteCovariance):
+    with pytest.raises(IngestError, match=refused):
         KalmanConfig(
             dt=1e-05, sigma_s=0.00390625, measurement_noise_r=1e-09,
             initial_covariance=(-1e-09, 0.0),
         )
     for covariance in ((math.nan, 1.0), (1.0, math.inf)):
-        with pytest.raises(NonPositiveDefiniteCovariance):
+        with pytest.raises(IngestError, match=refused):
             KalmanConfig(dt=1e-3, initial_covariance=covariance)
 
 
@@ -1667,6 +1666,8 @@ def restitution_models(draw):
        bind_at=st.none() | st.just(1.0) | st.floats(0.99, 1.0))
 @example(model=PolyModel([0.1], 0, 1.0, 0.0, (3.0, 4.0)), mass=1e300, dt=1e-10,  # force overflows
          vmax=20.0, f_star=140.0, f_peak=105.6, bind_at=None)
+@example(model=PolyModel([0.1], 0, 1.0, 0.0, (3.0, 4.0)), mass=1e300, dt=1e-7,  # past the domain
+         vmax=20.0, f_star=140.0, f_peak=105.6, bind_at=None)
 @example(model=PolyModel([0.1], 0, 1.0, 0.0, (0.0, 0.0)), mass=0.25, dt=0.036,  # no speed > 0
          vmax=20.0, f_star=140.0, f_peak=105.6, bind_at=None)
 def test_airframe_model_matches_numpy_oracles(model, mass, dt, vmax, f_star, f_peak, bind_at):
@@ -1679,6 +1680,19 @@ def test_airframe_model_matches_numpy_oracles(model, mass, dt, vmax, f_star, f_p
         return
     if offending is not None:
         with pytest.raises(RestitutionOutOfRange):
+            make()
+        return
+    # a profile is refused where the force map's bound on its domain, at the
+    # top speed and the highest restitution the range check lets through,
+    # overflows; the bound holds wherever the map on the domain's grid does
+    with np.errstate(over="ignore"):
+        bound = mass * model.domain[1] * (1.0 + np.sqrt(1.0 + 1e-9)) / dt
+        on_domain = oracle_avg_force_on_grid(np.linspace(*model.domain, 1000), SimpleNamespace(
+            mass_kg=mass, dt_s=dt, restitution=model))
+    assert np.isinf(bound) or np.isfinite(on_domain).all()
+    if np.isinf(bound):
+        with pytest.raises(InvariantViolation, match="^profile force map is not finite on its "
+                           rf"measured speed domain \({model.domain[0]!r}, {model.domain[1]!r}\)$"):
             make()
         return
     profile = make()
